@@ -62,22 +62,18 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 
+def _parse_number(value: Any, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise CliError(EXIT_INPUT, f"cannot parse {value!r} for {name}")
+
+
 def _parse_angle(value: Any, name: str) -> float:
     """Radians by default; strings like '120deg' are degrees."""
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text.endswith("deg"):
-            try:
-                return math.radians(float(text[:-3]))
-            except ValueError:
-                raise CliError(EXIT_INPUT, f"cannot parse angle {value!r} for {name}")
-        try:
-            return float(text)
-        except ValueError:
-            raise CliError(EXIT_INPUT, f"cannot parse {value!r} for {name}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise CliError(EXIT_INPUT, f"cannot parse {value!r} for {name}")
+    if isinstance(value, str) and value.strip().lower().endswith("deg"):
+        return math.radians(_parse_number(value.strip()[:-3], name))
+    return _parse_number(value, name)
 
 
 def _parse_params(text: str | None) -> dict[str, Any]:
@@ -92,23 +88,28 @@ def _parse_params(text: str | None) -> dict[str, Any]:
     return params
 
 
+def _parse_numbers(text: str, flag: str, parties: int | None = None) -> list[float]:
+    """Comma-separated numbers given to ``flag``.  With ``parties``, one
+    value broadcasts to every party and any other count must match."""
+    values = [_parse_number(tok, flag) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise CliError(EXIT_INPUT, f"{flag} is empty")
+    if parties is not None:
+        if len(values) == 1:
+            values = values * parties
+        if len(values) != parties:
+            raise CliError(
+                EXIT_INPUT,
+                f"{flag} lists {len(values)} values but --parties is {parties}",
+            )
+    return values
+
+
 def _parse_rates(text: str | None, parties: int) -> list[float]:
     """Comma-separated per-party rates; one value broadcasts to all."""
     if text is None:
         raise CliError(EXIT_INPUT, "this command needs --eta0 (per-party rates)")
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise CliError(EXIT_INPUT, f"cannot parse --eta0 {text!r}")
-    if not values:
-        raise CliError(EXIT_INPUT, "--eta0 is empty")
-    if len(values) == 1:
-        values = values * parties
-    if len(values) != parties:
-        raise CliError(
-            EXIT_INPUT,
-            f"--eta0 lists {len(values)} rates but --parties is {parties}",
-        )
+    values = _parse_numbers(text, "--eta0", parties)
     for v in values:
         if not (0.0 <= v <= 1.0):
             raise CliError(EXIT_INPUT, f"inconclusive rate {v!r} outside [0, 1]")
@@ -220,29 +221,8 @@ def _fmt(value: Any) -> str:
 
 def cmd_mcm(args: argparse.Namespace) -> int:
     e, _ = _load_source(args)
-    entries = mcm_mod.solve_mcm(e)
-    projectors = mcm_mod.optimal_projectors(entries)
-    if projectors:
-        weights = optim_mod.min_inconclusive_rate(e, projectors)
-        povm = mcm_mod.mcm_povm(e, weights.weights)
-        report = mcm_mod.verify_kkt(e, povm, entries)
-        weight_doc: dict[str, Any] = {
-            "weights": {str(x): w for x, w in sorted(weights.weights.items())},
-            "eta0": weights.eta0,
-            "psd_margin": weights.psd_margin,
-        }
-        kkt_doc: dict[str, Any] = {
-            "stability": {str(x): v for x, v in sorted(report.stability.items())},
-            "slackness": {str(x): v for x, v in sorted(report.slackness.items())},
-            "tol": report.tol,
-            "ok": report.ok,
-        }
-        kkt_ok = report.ok
-    else:
-        weight_doc = {"weights": {}, "eta0": 1.0, "psd_margin": 0.0}
-        kkt_doc = {"stability": {}, "slackness": {}, "tol": 1e-9, "ok": True}
-        kkt_ok = True
-
+    weights = optim_mod.min_inconclusive_rate(e)
+    report = mcm_mod.verify_kkt(e, mcm_mod.mcm_povm(e, weights.weights))
     try:
         p_guess, h_min = mcm_mod.guessing_probability(e)
         guess_doc: dict[str, Any] | None = {"p_guess": p_guess, "h_min_bits": h_min}
@@ -250,13 +230,22 @@ def cmd_mcm(args: argparse.Namespace) -> int:
         guess_doc = None
 
     doc = {
-        "solution": mcm_mod.solution_to_json(entries),
-        "rate_optimal": weight_doc,
-        "kkt": kkt_doc,
+        "solution": mcm_mod.solution_to_json(mcm_mod.solve_mcm(e)),
+        "rate_optimal": {
+            "weights": {str(x): w for x, w in sorted(weights.weights.items())},
+            "eta0": weights.eta0,
+            "psd_margin": weights.psd_margin,
+        },
+        "kkt": {
+            "stability": {str(x): v for x, v in sorted(report.stability.items())},
+            "slackness": {str(x): v for x, v in sorted(report.slackness.items())},
+            "tol": report.tol,
+            "ok": report.ok,
+        },
         "guessing": guess_doc,
     }
     _emit(args.out, "mcm.json", _dumps(doc))
-    if not kkt_ok:
+    if not report.ok:
         print("KKT verification failed", file=sys.stderr)
         return EXIT_KKT
     return EXIT_OK
@@ -274,11 +263,7 @@ def _generic_strategies(parties: int, rates: list[float]) -> list[seqchan.Strate
 
     def strat(e: Ensemble, j: int):
         eta0 = rates[j - 1]
-        entries = mcm_mod.solve_mcm(e)
-        projectors = mcm_mod.optimal_projectors(entries)
-        if not projectors:
-            raise FeasibilityError("no label has a nonempty optimal subspace")
-        sol = optim_mod.min_inconclusive_rate(e, projectors)
+        sol = optim_mod.min_inconclusive_rate(e)
         floor = max(sol.eta0, 0.0)
         if eta0 < floor - 1e-9:
             raise FeasibilityError(
@@ -313,18 +298,7 @@ def _family_strategies(fam: Any, args: argparse.Namespace, parties: int) -> list
                 EXIT_INPUT, "two_mixed chains have no retarget angle; use --gains"
             )
         if args.gains:
-            try:
-                gains = [float(tok) for tok in args.gains.split(",") if tok.strip()]
-            except ValueError:
-                raise CliError(EXIT_INPUT, f"cannot parse --gains {args.gains!r}")
-            if len(gains) == 1:
-                gains = gains * parties
-            if len(gains) != parties:
-                raise CliError(
-                    EXIT_INPUT,
-                    f"--gains lists {len(gains)} gains but --parties is {parties}",
-                )
-            return fam.strategies_for_gains(gains)
+            return fam.strategies_for_gains(_parse_numbers(args.gains, "--gains", parties))
         return fam.chain_strategies(parties)
 
     rates = _parse_rates(args.eta0, parties)
@@ -349,7 +323,10 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     if fam is None:
         strategies = _generic_strategies(parties, _parse_rates(args.eta0, parties))
     else:
-        strategies = _family_strategies(fam, args, parties)
+        try:
+            strategies = _family_strategies(fam, args, parties)
+        except ValueError as exc:  # e.g. gu/lifted_gu chains need n >= 3
+            raise CliError(EXIT_INPUT, f"bad parameters for family {args.family}: {exc}")
 
     try:
         trace = seqchan.run_sequence(e, strategies)
@@ -401,7 +378,7 @@ def _guard_grid(n_points: int) -> None:
 
 def _sweep_two_mixed(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
     grid = _parse_grid(args.grid)
-    ps = [float(v) for v in grid.get("p", np.linspace(0.05, 1.0, 10))]
+    ps = [_parse_number(v, "p") for v in grid.get("p", np.linspace(0.05, 1.0, 10))]
     thetas = [
         _parse_angle(v, "theta")
         for v in grid.get("theta", np.linspace(0.1 * math.pi, 0.9 * math.pi, 10))
@@ -426,7 +403,8 @@ def _sweep_two_mixed(args: argparse.Namespace) -> tuple[list[str], list[list[Any
         p, th = point
         try:
             fam = fam_mod.two_mixed(p, th)
-            engine = mcm_mod.solve_mcm(fam.ensemble())[1].confidence
+            e = fam.ensemble()
+            engine = mcm_mod.solve_mcm(e)[1].confidence
             row: list[Any] = [
                 _fmt(p),
                 _fmt(th),
@@ -436,7 +414,7 @@ def _sweep_two_mixed(args: argparse.Namespace) -> tuple[list[str], list[list[Any
             ]
             if parties:
                 sched = fam.schedule(parties)
-                trace = seqchan.run_sequence(fam.ensemble(), fam.chain_strategies(parties))
+                trace = seqchan.run_sequence(e, fam.chain_strategies(parties))
                 pj = trace.p_joint if trace.p_joint is not None else math.nan
                 row += [
                     _fmt(sched.p_joint),
@@ -453,16 +431,11 @@ def _sweep_two_mixed(args: argparse.Namespace) -> tuple[list[str], list[list[Any
 
 
 def _sweep_gu(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
-    params = _parse_params(args.params)
-    n = int(params.get("n", params.get("N", 3)))
+    fam = _build_family("gu", _parse_params(args.params))
+    n = fam.n
     parties = args.parties or 10
-    rates = (
-        [float(tok) for tok in args.eta0.split(",") if tok.strip()]
-        if args.eta0
-        else [0.1, 0.5, 0.9]
-    )
+    rates = _parse_numbers(args.eta0, "--eta0") if args.eta0 else [0.1, 0.5, 0.9]
     _guard_grid(len(rates) * parties)
-    fam = fam_mod.gu(n)
 
     def chain(eta0: float) -> list[list[Any]]:
         rows: list[list[Any]] = []
@@ -493,20 +466,24 @@ def _sweep_gu(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
 
 
 def _sweep_lifted(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
-    params = _parse_params(args.params)
-    fam = _build_family("lifted_gu", params)
+    fam = _build_family("lifted_gu", _parse_params(args.params))
     parties = args.parties or 8
     threshold = args.threshold if args.threshold is not None else 0.4
-    rates = (
-        [float(tok) for tok in args.eta0.split(",") if tok.strip()] if args.eta0 else [0.5]
-    )
-    eta0 = rates[0]
+    eta0 = _parse_numbers(args.eta0, "--eta0")[0] if args.eta0 else 0.5
     _guard_grid(parties)
 
-    bound = fam.party_bound(threshold, eta0)
+    try:
+        bound = fam.party_bound(threshold, eta0)
+    except FeasibilityError as exc:  # rate below the floor cos(theta)
+        raise CliError(EXIT_INFEASIBLE, f"infeasible: {exc}")
+    except ValueError as exc:  # n < 3: no sequential closed forms
+        raise CliError(EXIT_INPUT, f"bad parameters for family lifted_gu: {exc}")
     max_r = fam.max_parties(threshold, eta0) if math.isfinite(bound) else None
     schedule = [eta0] * parties
-    trace = seqchan.run_sequence(fam.ensemble(), fam.strategies(schedule))
+    try:
+        trace = seqchan.run_sequence(fam.ensemble(), fam.strategies(schedule))
+    except seqchan.StrategyInfeasibleError as exc:
+        raise CliError(EXIT_INFEASIBLE, f"infeasible: {exc}")
 
     header = [
         "parties",
@@ -549,10 +526,7 @@ def _sweep_mirror(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]
         thetas = [_parse_angle(v, "theta") for v in grid["theta"]]
     else:
         thetas = sorted(set(np.linspace(5 * math.pi / 9, 7 * math.pi / 9, 13)) | {2 * math.pi / 3})
-    rates = (
-        [float(tok) for tok in args.eta0.split(",") if tok.strip()] if args.eta0 else [0.5]
-    )
-    eta0 = rates[0]
+    eta0 = _parse_numbers(args.eta0, "--eta0")[0] if args.eta0 else 0.5
     _guard_grid(len(thetas))
 
     header = [
@@ -638,10 +612,8 @@ def _suite_kkt(count: int, rng: np.random.Generator) -> dict[str, Any]:
     for _ in range(count):
         n = int(rng.integers(2, 6))
         e = qcore.random_ensemble(rng, 2, n)
-        entries = mcm_mod.solve_mcm(e)
-        sol = optim_mod.min_inconclusive_rate(e, mcm_mod.optimal_projectors(entries))
-        povm = mcm_mod.mcm_povm(e, sol.weights)
-        report = mcm_mod.verify_kkt(e, povm, entries)
+        sol = optim_mod.min_inconclusive_rate(e)
+        report = mcm_mod.verify_kkt(e, mcm_mod.mcm_povm(e, sol.weights))
         worst = max(
             worst,
             max(report.stability.values(), default=0.0),
@@ -807,6 +779,8 @@ SUITES: dict[str, Callable[[int, np.random.Generator], dict[str, Any]]] = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise CliError(EXIT_INPUT, f"--count must be a positive integer, got {args.count}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:

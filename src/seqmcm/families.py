@@ -50,7 +50,7 @@ from . import mcm as _mcm
 from . import optim as _optim
 from . import seqchan as _seqchan
 from .qcore import DensityMatrix, Ensemble, FeasibilityError, Povm
-from .seqchan import KrausChannel, PartyPlan, Strategy, WeakMcm, kraus_from_weak
+from .seqchan import PartyPlan, Strategy, WeakMcm, kraus_from_weak
 
 
 class InfeasibleRateError(FeasibilityError):

@@ -26,6 +26,18 @@ Everything downstream rests on two exact identities:
   shaping map) to every optimal element — taking the trace of the first
   identity is what pins ``r_x``, and ``mu_x = q_x / C_x`` rewrites it as
   the mixture ``rho = mu_x rho_x + (1 - mu_x) sigma_x``.
+
+Each ensemble is solved once.  :func:`solve_mcm` factors ``rho`` with one
+eigensolve, which yields both ``rho^(-1/2)`` and the support projector,
+then pays one eigensolve of the shaped operator per label (plus one of
+``C_x rho - q_x rho_x`` when ``r_x > 0``).  The result is kept on the
+ensemble itself (:meth:`Ensemble.cached`), keyed by the rank cutoff, so
+:func:`mcm_povm`, :func:`verify_kkt`, the weight optimizer and the chain
+runner all reuse it.  It cannot go stale: an ensemble's fields are frozen
+and its state arrays read-only, and callers get a fresh dict of frozen
+entries, never the stored one.  :func:`max_confidence` solves a single
+label against the same cached factorisation, so a leak outside the support
+is reported only for the label that leaks.
 """
 
 from __future__ import annotations
@@ -46,9 +58,8 @@ from .qcore import (
     eig_hermitian,
     fix_phase,
     matrix_to_json,
-    pinv_sqrt,
     require_hermitian,
-    support_projector,
+    support_factors,
     trace_norm,
     vector_to_json,
 )
@@ -104,44 +115,34 @@ class McmEntry:
     mu: float
 
 
-def _shaped_operator(e: Ensemble, x: int, rank_tol: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """The operator ``rho^(-1/2) q_x rho_x rho^(-1/2)`` plus the shaping map."""
+def _average_factors(e: Ensemble, rank_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rho, rho^(-1/2) on the support, support projector)``, from one
+    eigensolve of ``rho`` per ensemble and cutoff."""
     rho = e.average().mat
-    s, rank = pinv_sqrt(rho, rank_tol)
+    shaping, support = e.cached(
+        ("mcm.factors", rank_tol),
+        lambda: tuple(qcore._frozen(m) for m in support_factors(rho, rank_tol)[:2]),
+    )
+    return rho, shaping, support
+
+
+def _solve_label(
+    e: Ensemble, x: int, factors: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> McmEntry:
     q = e.prior(x)
-    op = s @ (q * e.state(x).mat) @ s
-    return require_hermitian(op, "shaped operator"), s, rank
-
-
-def _check_support(rho_x: np.ndarray, reference: np.ndarray, rank_tol: float) -> None:
-    proj = support_projector(reference, rank_tol)
-    leak = float(np.real(np.trace(rho_x @ (np.eye(rho_x.shape[0]) - proj))))
+    if q == 0.0:
+        return McmEntry(
+            label=x, confidence=0.0, degeneracy=0, basis=(), sigma=None, r=0.0, mu=0.0
+        )
+    rho, shaping, support = factors
+    rho_x = e.state(x).mat
+    leak = float(np.real(np.trace(rho_x @ (np.eye(rho_x.shape[0]) - support))))
     if leak > SUPPORT_TOL:
         raise SupportError(
             f"state has weight {leak:.3e} outside the reference support; "
             "the confidence is infinite (no valid finite maximum exists)"
         )
-
-
-def max_confidence(e: Ensemble, x: int, rank_tol: float = RANK_TOL) -> McmEntry:
-    """Solve the maximum-confidence problem for label ``x``.
-
-    Returns the full :class:`McmEntry`.  A zero-prior label gets
-    ``C_x = 0`` with an empty basis.  If the state leaks outside the
-    support of the ensemble average (possible only through aggressive
-    rank truncation), :class:`SupportError` is raised rather than
-    reporting a spuriously finite value.
-    """
-    if x not in e.labels:
-        raise ValueError(f"label {x} not in 1..{e.n}")
-    q = e.prior(x)
-    rho = e.average().mat
-    if q == 0.0:
-        return McmEntry(
-            label=x, confidence=0.0, degeneracy=0, basis=(), sigma=None, r=0.0, mu=0.0
-        )
-    _check_support(e.state(x).mat, rho, rank_tol)
-    op, shaping, _ = _shaped_operator(e, x, rank_tol)
+    op = require_hermitian(shaping @ (q * rho_x) @ shaping, "shaped operator")
     vals, vecs = eig_hermitian(op, "shaped operator")
     c = float(vals[0])
     deg = int(np.sum(vals > c - DEGENERACY_TOL * c))
@@ -158,7 +159,7 @@ def max_confidence(e: Ensemble, x: int, rank_tol: float = RANK_TOL) -> McmEntry:
         # c*rho - q*rho_x is PSD in exact arithmetic (c is the top eigenvalue
         # of the shaped operator); clip the float dust so a small r cannot
         # blow it up past the state validator.
-        raw = c * rho - q * e.state(x).mat
+        raw = c * rho - q * rho_x
         rvals, rvecs = eig_hermitian(raw, "complement")
         if float(rvals[-1]) < -1e-8 * max(c, 1.0):
             raise ValueError(
@@ -181,19 +182,32 @@ def max_confidence(e: Ensemble, x: int, rank_tol: float = RANK_TOL) -> McmEntry:
     )
 
 
+def max_confidence(e: Ensemble, x: int, rank_tol: float = RANK_TOL) -> McmEntry:
+    """Solve the maximum-confidence problem for label ``x``.
+
+    Returns the full :class:`McmEntry`.  A zero-prior label gets
+    ``C_x = 0`` with an empty basis.  If the state leaks outside the
+    support of the ensemble average (possible only through aggressive
+    rank truncation), :class:`SupportError` is raised rather than
+    reporting a spuriously finite value; other labels' leaks do not
+    matter here.
+    """
+    if x not in e.labels:
+        raise ValueError(f"label {x} not in 1..{e.n}")
+    return _solve_label(e, x, _average_factors(e, rank_tol))
+
+
 def solve_mcm(e: Ensemble, rank_tol: float = RANK_TOL) -> dict[int, McmEntry]:
-    """Maximum-confidence solutions for every label of the ensemble."""
-    return {x: max_confidence(e, x, rank_tol) for x in e.labels}
+    """Maximum-confidence solutions for every label of the ensemble.
 
+    Solved once per ensemble and cutoff; later calls return a fresh dict
+    of the same (immutable) entries."""
 
-def complementary_state(
-    e: Ensemble, x: int, rank_tol: float = RANK_TOL
-) -> tuple[DensityMatrix | None, float]:
-    """The state ``sigma_x`` and weight ``r_x`` with
-    ``C_x rho = q_x rho_x + r_x sigma_x``; ``sigma_x`` is ``None`` when
-    ``r_x = 0`` (fully degenerate case)."""
-    entry = max_confidence(e, x, rank_tol)
-    return entry.sigma, entry.r
+    def solve() -> dict[int, McmEntry]:
+        factors = _average_factors(e, rank_tol)
+        return {x: _solve_label(e, x, factors) for x in e.labels}
+
+    return dict(e.cached(("mcm.solution", rank_tol), solve))
 
 
 def optimal_projectors(entries: dict[int, McmEntry]) -> dict[int, np.ndarray]:
@@ -218,20 +232,14 @@ def mcm_povm(e: Ensemble, weights: dict[int, float], rank_tol: float = RANK_TOL)
     inconclusive element is ``M_0 = 1 - sum_x M_x``; callers are expected
     to validate the result, since arbitrary weights need not be feasible.
     """
-    d = e.dim
+    projectors = optimal_projectors(solve_mcm(e, rank_tol))
     elements: dict[int, np.ndarray] = {}
-    total = np.zeros((d, d), dtype=complex)
     for x, a in weights.items():
-        entry = max_confidence(e, x, rank_tol)
-        if not entry.basis:
-            raise ValueError(f"label {x} has an empty optimal basis (zero prior?)")
-        stacked = np.stack(entry.basis, axis=1)
-        qmat, _ = np.linalg.qr(stacked)
-        proj = qmat @ qmat.conj().T
-        m = float(a) * proj
-        elements[x] = m
-        total += m
-    return Povm(elements=elements, inconclusive=np.eye(d) - total)
+        if x not in projectors:
+            raise ValueError(f"label {x} has no optimal subspace (unknown label or zero prior)")
+        elements[x] = float(a) * projectors[x]
+    total = sum(elements.values(), np.zeros((e.dim, e.dim), dtype=complex))
+    return Povm(elements=elements, inconclusive=np.eye(e.dim) - total)
 
 
 @dataclass(frozen=True)
@@ -289,12 +297,10 @@ def max_relative_entropy(rho: Any, sigma: Any, rank_tol: float = RANK_TOL) -> fl
     divergence is infinite and ``math.inf`` is returned.
     """
     r = as_matrix(rho, "rho")
-    s_mat = as_matrix(sigma, "sigma")
-    proj = support_projector(s_mat, rank_tol)
+    s, proj, _ = support_factors(as_matrix(sigma, "sigma"), rank_tol)
     leak = float(np.real(np.trace(r @ (np.eye(r.shape[0]) - proj))))
     if leak > SUPPORT_TOL:
         return math.inf
-    s, _ = pinv_sqrt(s_mat, rank_tol)
     shaped = require_hermitian(s @ r @ s, "shaped operator")
     top = float(np.linalg.eigvalsh(shaped)[-1])
     if top <= 0.0:

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import optimize as _sciopt
 
-from .qcore import Ensemble, FeasibilityError, as_matrix, eig_hermitian
+from .qcore import Ensemble, FeasibilityError, as_matrix
 
 OBJ_TOL = 1e-10
 """Objective tolerance the numeric minimizers aim for."""
@@ -189,7 +189,8 @@ def min_inconclusive_rate(
     """Weights minimizing the inconclusive rate of ``{a_x P_x}``.
 
     ``projectors`` defaults to the orthogonal projectors onto each
-    label's optimal subspace (computed via :mod:`seqmcm.mcm`).  Returns
+    label's optimal subspace, from the ensemble's once-computed
+    :func:`seqmcm.mcm.solve_mcm` solution.  Returns
     the optimal :class:`WeightSolution`; the polish step is accepted only
     if it keeps the slack PSD and does not lower the objective, so the
     result is always at least as good as the raw barrier iterate.

@@ -24,13 +24,14 @@ the same numbers the validators use.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
+
+_T = TypeVar("_T")
 
 # ---------------------------------------------------------------------------
 # tolerances and caps
@@ -169,33 +170,30 @@ def eig_hermitian(a: Any, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]
     return vals, vecs
 
 
-def support_rank(a: Any, rank_tol: float = RANK_TOL) -> int:
-    """Number of eigenvalues above ``rank_tol`` times the largest one."""
-    vals, _ = eig_hermitian(a)
-    top = float(vals[0]) if vals.size else 0.0
-    if top <= 0.0:
-        return 0
-    return int(np.sum(vals > rank_tol * top))
-
-
-def pinv_sqrt(a: Any, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, int]:
-    """Inverse square root of a PSD matrix on its support.
+def support_factors(a: Any, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray, int]:
+    """Inverse square root, support projector and rank of a PSD matrix,
+    all from one eigensolve.
 
     Eigenvalues at or below ``rank_tol`` times the largest are truncated
-    (treated as exact zeros); the returned matrix acts as ``A^(-1/2)`` on
-    the support and as 0 on the kernel.  Returns ``(matrix, rank)`` so rank
-    deficiency is visible to the caller.
+    (treated as exact zeros); the inverse square root acts as ``A^(-1/2)``
+    on the support and as 0 on the kernel.
     """
     vals, vecs = eig_hermitian(a)
     top = float(vals[0]) if vals.size else 0.0
     if top <= 0.0:
-        return np.zeros_like(as_matrix(a)), 0
+        zero = np.zeros_like(as_matrix(a))
+        return zero, zero, 0
     keep = vals > rank_tol * top
-    rank = int(np.sum(keep))
     inv = np.zeros_like(vals)
     inv[keep] = 1.0 / np.sqrt(vals[keep])
-    mat = (vecs * inv) @ vecs.conj().T
-    return mat, rank
+    kept = vecs[:, keep]
+    return (vecs * inv) @ vecs.conj().T, kept @ kept.conj().T, int(np.sum(keep))
+
+
+def pinv_sqrt(a: Any, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, int]:
+    """``(A^(-1/2) on the support, rank)``; see :func:`support_factors`."""
+    inv_sqrt, _, rank = support_factors(a, rank_tol)
+    return inv_sqrt, rank
 
 
 def sqrt_psd(a: Any, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -207,12 +205,7 @@ def sqrt_psd(a: Any, rank_tol: float = RANK_TOL) -> np.ndarray:
 
 def support_projector(a: Any, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthogonal projector onto the support (range) of a PSD matrix."""
-    vals, vecs = eig_hermitian(a)
-    top = float(vals[0]) if vals.size else 0.0
-    if top <= 0.0:
-        return np.zeros_like(as_matrix(a))
-    keep = vecs[:, vals > rank_tol * top]
-    return keep @ keep.conj().T
+    return support_factors(a, rank_tol)[1]
 
 
 def trace_norm(a: Any) -> float:
@@ -354,6 +347,8 @@ class Ensemble:
             raise DimensionError(f"states have mixed dimensions {sorted(dims)}")
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "states", states)
+        # values derived from this ensemble, keyed by what they are; see cached()
+        object.__setattr__(self, "_memo", {})
 
     @property
     def n(self) -> int:
@@ -373,10 +368,25 @@ class Ensemble:
     def prior(self, label: int) -> float:
         return self.priors[label - 1]
 
+    def cached(self, key: Any, compute: Callable[[], _T]) -> _T:
+        """``compute()``, evaluated once per ensemble and ``key``.
+
+        The fields are frozen and the state arrays read-only, so a value
+        derived from them can never go stale.  Store only values that the
+        receiver cannot mutate, or hand out copies.  Threads racing on a
+        first call may each compute the value; all of them get an equal one.
+        """
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
     def average(self) -> DensityMatrix:
         """The prior-weighted average state ``sum_x q_x rho_x``."""
-        acc = sum(q * s.mat for q, s in zip(self.priors, self.states))
-        return DensityMatrix(acc)
+        return self.cached(
+            "average",
+            lambda: DensityMatrix(sum(q * s.mat for q, s in zip(self.priors, self.states))),
+        )
 
 
 @dataclass(frozen=True)

@@ -141,11 +141,6 @@ class KrausChannel:
         return Ensemble(priors=e.priors, states=tuple(self.apply(s.mat) for s in e.states))
 
 
-def apply_channel(channel: KrausChannel, rho: Any) -> DensityMatrix:
-    """Function form of :meth:`KrausChannel.apply`."""
-    return channel.apply(rho)
-
-
 def random_channel(rng: np.random.Generator, dim: int, n_kraus: int) -> KrausChannel:
     """Haar-ish random channel: QR of a Gaussian ``(n_kraus*dim) x dim`` block."""
     g = rng.normal(size=(n_kraus * dim, dim)) + 1j * rng.normal(size=(n_kraus * dim, dim))

@@ -1,0 +1,39 @@
+"""Shared test fixtures."""
+
+import numpy as np
+import pytest
+
+
+class EigensolveLog:
+    """Inputs of the numpy ``eigh`` / ``eigvalsh`` calls made during a test."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple[str, np.ndarray]] = []
+
+    def count(self, kind: str = "eigh") -> int:
+        return sum(name == kind for name, _ in self.calls)
+
+    def of(self, matrix: np.ndarray, kind: str = "eigh") -> int:
+        """How many ``kind`` calls took ``matrix`` (to 1e-12) as input."""
+        return sum(
+            1
+            for name, a in self.calls
+            if name == kind
+            and a.shape == matrix.shape
+            and np.allclose(a, matrix, rtol=0.0, atol=1e-12)
+        )
+
+
+@pytest.fixture
+def eigensolves(monkeypatch) -> EigensolveLog:
+    """Record every numpy eigensolve made for the rest of the test."""
+    log = EigensolveLog()
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def recorded(a, *args, _real=real, _name=name, **kwargs):
+            log.calls.append((_name, np.array(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return log

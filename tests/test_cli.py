@@ -1,0 +1,103 @@
+"""Command-line contract tests, run in-process through ``cli.main``.
+
+Malformed input must exit 2 and an infeasible request 4, each with a
+one-line ``error:`` message and no traceback; a fixed command line must
+print the same bytes every time it runs.
+
+Run with:  pytest tests/test_cli.py -v
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from seqmcm import cli, qcore
+
+
+def run(capsys, argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+MALFORMED = [
+    pytest.param(["sweep", "--family", "gu", "--eta0", "abc"], id="sweep-gu-eta0"),
+    pytest.param(["sweep", "--family", "lifted_gu", "--eta0", "abc"], id="sweep-lifted-eta0"),
+    pytest.param(["sweep", "--family", "mirror", "--eta0", "abc"], id="sweep-mirror-eta0"),
+    pytest.param(
+        ["sweep", "--family", "two_mixed", "--grid", '{"p": ["x"]}'], id="sweep-two-mixed-grid"
+    ),
+    pytest.param(
+        ["sequence", "--family", "two_mixed", "--parties", "2", "--gains", "abc"],
+        id="sequence-gains",
+    ),
+    pytest.param(
+        ["sequence", "--family", "gu", "--params", '{"n": 2}', "--parties", "2", "--eta0", "0.5"],
+        id="sequence-gu-n2",
+    ),
+    pytest.param(["sweep", "--family", "lifted_gu", "--params", '{"n": 2}'], id="sweep-lifted-n2"),
+    pytest.param(["verify", "--count", "0"], id="verify-count-0"),
+    pytest.param(["verify", "--count", "-5"], id="verify-count-negative"),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED)
+def test_malformed_input_exits_2(argv, capsys):
+    code, out, err = run(capsys, argv)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "theta, rate",
+    [
+        pytest.param(1.0, ["--eta0", "0.1"], id="explicit-rate"),
+        pytest.param(0.9, [], id="default-rate"),
+    ],
+)
+def test_lifted_gu_rate_below_floor_exits_4(theta, rate, capsys):
+    argv = ["sweep", "--family", "lifted_gu", "--params", json.dumps({"theta": theta}), *rate]
+    code, out, err = run(capsys, argv)
+    assert code == cli.EXIT_INFEASIBLE
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert repr(math.cos(theta)) in err  # the floor cos(theta)
+
+
+RERUN = [
+    pytest.param(["mcm", "--family", "mirror"], id="mcm-mirror"),
+    pytest.param(
+        ["sequence", "--family", "two_mixed", "--params", '{"p": 0.8, "theta": 1.2}',
+         "--parties", "3"],
+        id="sequence-json",
+    ),
+    pytest.param(
+        ["sequence", "--family", "lifted_gu", "--params", '{"theta": 1.0, "lam": 0.9}',
+         "--parties", "3", "--eta0", "0.6", "--format", "csv"],
+        id="sequence-csv",
+    ),
+    pytest.param(["sweep", "--family", "lifted_gu"], id="sweep-lifted"),
+    pytest.param(["verify", "--count", "5"], id="verify"),
+]
+
+
+@pytest.mark.parametrize("argv", RERUN)
+def test_reruns_are_byte_identical(argv, capsys):
+    first = run(capsys, argv)
+    second = run(capsys, argv)
+    assert first[0] == cli.EXIT_OK
+    assert first[1] and first == second
+
+
+def test_generic_chain_rerun_is_byte_identical(tmp_path, capsys):
+    e = qcore.random_ensemble(np.random.default_rng(3), 2, 3)
+    path = tmp_path / "ensemble.json"
+    path.write_text(json.dumps(qcore.ensemble_to_json(e)))
+    argv = ["sequence", "--ensemble", str(path), "--parties", "3", "--eta0", "0.9"]
+    first = run(capsys, argv)
+    assert first[0] == cli.EXIT_OK
+    assert first == run(capsys, argv)
+    assert first == run(capsys, [*argv[:-1], "0.9,0.9,0.9"])

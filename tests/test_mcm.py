@@ -155,6 +155,20 @@ class TestMaxConfidence:
         with pytest.raises(SupportError):
             max_confidence(e, 2, rank_tol=1e-3)
 
+    def test_support_leak_is_per_label(self):
+        """Only label 2 leaks at the aggressive cutoff, so label 1 still
+        solves; and the default-cutoff solution cached first must not
+        stand in for the aggressive one."""
+        e = Ensemble(
+            priors=(1.0 - 1e-6, 1e-6),
+            states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+        )
+        assert solve_mcm(e)[2].confidence == pytest.approx(1.0)
+        entry = max_confidence(e, 1, rank_tol=1e-3)
+        assert entry.confidence == pytest.approx(1.0)
+        with pytest.raises(SupportError):
+            solve_mcm(e, rank_tol=1e-3)
+
 
 class TestDecomposition:
     def test_orthogonal_pair_complement_is_other_state(self):
@@ -259,6 +273,66 @@ class TestDegeneracy:
     def test_trine_not_degenerate(self):
         for entry in solve_mcm(trine_ensemble()).values():
             assert entry.degeneracy == 1
+
+
+# ---------------------------------------------------------------------------
+# one solve per ensemble
+# ---------------------------------------------------------------------------
+
+
+def average_of(e: Ensemble) -> np.ndarray:
+    return sum(q * s.mat for q, s in zip(e.priors, e.states))
+
+
+class TestSolveOnce:
+    def test_second_solve_does_no_eigensolve(self, eigensolves):
+        e = random_ensemble(np.random.default_rng(41), 3, 4)
+        first = solve_mcm(e)
+        eigensolves.calls.clear()
+        second = solve_mcm(e)
+        assert eigensolves.calls == []
+        assert all(second[x] is first[x] for x in e.labels)
+
+    def test_average_factored_once(self, eigensolves):
+        """One eigensolve (and one validation) of rho for all N labels;
+        otherwise one shaped-operator eigensolve per label plus one
+        complement eigensolve per label with r > 0."""
+        e = random_ensemble(np.random.default_rng(42), 3, 5)
+        eigensolves.calls.clear()
+        entries = solve_mcm(e)
+        rho = average_of(e)
+        assert eigensolves.of(rho, "eigh") == 1
+        assert eigensolves.of(rho, "eigvalsh") == 1
+        with_complement = sum(entry.sigma is not None for entry in entries.values())
+        assert eigensolves.count("eigh") == 1 + e.n + with_complement
+
+    def test_callers_reuse_the_solution(self, eigensolves):
+        e = random_ensemble(np.random.default_rng(43), 2, 3)
+        entries = solve_mcm(e)
+        eigensolves.calls.clear()
+        povm = mcm_povm(e, {x: 0.1 for x in e.labels})
+        assert verify_kkt(e, povm).ok
+        max_confidence(e, 2)
+        # max_confidence solves its label afresh, but against the cached rho factors
+        assert eigensolves.of(average_of(e)) == 0
+        assert eigensolves.count("eigh") == 1 + (entries[2].sigma is not None)
+
+    def test_cached_solution_cannot_be_mutated(self):
+        e = trine_ensemble()
+        got = solve_mcm(e)
+        got.pop(1)
+        got[2] = None
+        again = solve_mcm(e)
+        assert sorted(again) == [1, 2, 3]
+        assert isinstance(again[2], McmEntry)
+        with pytest.raises(ValueError):
+            again[1].basis[0][0] = 0.0
+        with pytest.raises(ValueError):
+            e.average().mat[0, 0] = 0.0
+
+    def test_mcm_povm_rejects_unknown_label(self):
+        with pytest.raises(ValueError):
+            mcm_povm(orthogonal_pair(), {3: 0.5})
 
 
 # ---------------------------------------------------------------------------

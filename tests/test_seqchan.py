@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from seqmcm import mcm, optim, qcore, seqchan
+from seqmcm import families, mcm, optim, qcore, seqchan
 from seqmcm.qcore import Ensemble, FeasibilityError, Povm
 from seqmcm.seqchan import (
     ChannelConstructionError,
@@ -504,6 +504,18 @@ class TestRunSequence:
         series = trace.confidences(1)
         assert len(series) == 2
         assert series[0] >= series[1]
+
+    def test_two_mixed_chain_solves_each_party_once(self, eigensolves):
+        """The strategy and the runner share one solution per party's
+        ensemble, so each party's average is eigensolved exactly once."""
+        fam = families.two_mixed(0.8, 1.2)
+        e0 = fam.ensemble()
+        strategies = fam.chain_strategies(4)
+        eigensolves.calls.clear()
+        trace = run_sequence(e0, strategies)
+        for rec in trace.records:
+            rho = sum(q * s.mat for q, s in zip(rec.ensemble.priors, rec.ensemble.states))
+            assert eigensolves.of(rho) == 1, rec.index
 
 
 class TestTraceMonotonicityGuard:
