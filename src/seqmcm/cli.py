@@ -12,7 +12,8 @@ Ensembles come either from ``--ensemble file.json`` or from
 ``--family NAME --params JSON``.  Family parameters are radians; a string
 value with a ``deg`` suffix (``{"theta": "120deg"}``) is converted.
 
-Exit codes: 0 success; 1 verification failure; 2 malformed input;
+Exit codes: 0 success; 1 verification failure; 2 malformed input (also a
+state outside the support of the ensemble average, message names the label);
 3 KKT check failure; 4 infeasible strategy (message names the party).
 
 Outputs are deterministic for a fixed command line + seed: dictionaries
@@ -955,7 +956,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except qcore.DimensionError as exc:
+    except (qcore.DimensionError, mcm_mod.SupportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -139,8 +139,8 @@ def _solve_label(
     leak = float(np.real(np.trace(rho_x @ (np.eye(rho_x.shape[0]) - support))))
     if leak > SUPPORT_TOL:
         raise SupportError(
-            f"state has weight {leak:.3e} outside the reference support; "
-            "the confidence is infinite (no valid finite maximum exists)"
+            f"label {x}: state has weight {leak:.3e} outside the support of the "
+            "ensemble average; the confidence is infinite (no valid finite maximum exists)"
         )
     op = require_hermitian(shaping @ (q * rho_x) @ shaping, "shaped operator")
     vals, vecs = eig_hermitian(op, "shaped operator")

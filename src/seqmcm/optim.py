@@ -1,22 +1,27 @@
 """Optimization layer: POVM weights, guessing probability, gain schedules.
 
-Three distinct problems live here.
+Three distinct problems live here.  The first two are semidefinite
+programs that share one log-det barrier core (:func:`_barrier_lmi`,
+after Vandenberghe & Boyd, SIAM Rev. 38, 1996):
+minimize ``b . y`` over block LMIs ``F_j(y) >= 0`` along the central path,
+with one Cholesky factorisation per block and trial point (feasibility
+test, log-det and inverse together), the closed-form Hessian, one linear
+solve per Newton step, and ``mu`` shrunk geometrically until the gap bound
+``m mu`` is below :data:`GAP_TOL`.  Each solve takes 25-50 Newton steps.
 
 1. **Inconclusive-rate minimization.**  Given the optimal projectors
    ``P_x`` of a maximum-confidence measurement, choose weights
    ``a_x >= 0`` with ``1 - sum_x a_x P_x >= 0`` minimizing the
-   inconclusive probability ``eta_0 = 1 - sum_x a_x tr[rho P_x]``.
-   This is a tiny semidefinite program; :func:`min_inconclusive_rate`
-   follows the central path of a log-barrier (deterministic damped
-   Newton, no restarts needed at these sizes) and then polishes the
-   binding face exactly with least squares.  The central path converges
-   to the analytic center of the optimal face, so symmetric ensembles
+   inconclusive probability ``eta_0 = 1 - sum_x a_x tr[rho P_x]``:
+   one ``d x d`` block and ``N`` scalar blocks.  The central path ends
+   at the analytic center of the optimal face, so symmetric ensembles
    get symmetric weights even when the face is degenerate.
 
 2. **Minimum-error guessing.**  ``P_guess = min tr[Y]`` over Hermitian
-   ``Y >= q_x rho_x``; solved by annealed smoothing of the maximum
-   eigenvalue (softmax over eigenvalues) with BFGS, then shifted back
-   to exact feasibility so the reported value is a true upper bound.
+   ``Y >= q_x rho_x`` (the dual of Eldar, Megretski & Verghese, IEEE TIT
+   49, 2003), over the ``d**2`` real coordinates of ``Y`` with one
+   ``d x d`` block per state, then shifted to exact feasibility so the
+   reported value is a true upper bound, within the gap of the optimum.
 
 3. **Sequential gain scheduling for two-state chains** (closed forms)
    and a generic bounded numeric minimizer used for retarget searches.
@@ -64,123 +69,120 @@ class UnsupportedScaleError(ValueError):
 class WeightSolution:
     """Optimal weights for ``M_x = a_x P_x``.
 
-    ``eta0`` is the inconclusive rate ``tr[rho M_0]`` at the optimum and
-    ``psd_margin`` the smallest eigenvalue of ``M_0`` (valid solutions
-    satisfy ``psd_margin >= -1e-9``)."""
+    ``eta0`` is the inconclusive rate ``tr[rho M_0]``, within the barrier's
+    gap bound :data:`GAP_TOL` above the optimum, and ``psd_margin`` the
+    smallest eigenvalue of ``M_0``.  The weights are a barrier iterate,
+    strictly inside the feasible set, so ``M_0`` is positive definite up to
+    rounding (``psd_margin`` of order the gap)."""
 
     weights: dict[int, float]
     eta0: float
     psd_margin: float
 
 
+# ---------------------------------------------------------------------------
+# log-det barrier core shared by both SDPs
+# ---------------------------------------------------------------------------
+
+GAP_TOL = 1e-11
+"""The barrier core stops once its duality-gap bound ``m mu`` is below this."""
+
+MU_SHRINK = 0.05
+"""Factor applied to the barrier weight ``mu`` after each centring."""
+
+CENTRING_TOL = 0.1
+"""Centring at one ``mu`` ends when the squared Newton decrement of the
+``mu``-scaled objective falls below this."""
+
+RIDGE = 1e-12
+"""Ridge added to the Newton system, relative to its largest diagonal
+entry.  Along a degenerate optimal face the curvature is of order ``mu``
+against ``1 / mu`` across it; the ridge keeps the system solvable and
+freezes such directions once ``mu`` is too small to resolve them."""
+
+MAX_STEPS = 200
+"""Cap on Newton steps per solve (both SDPs take 25-50)."""
+
+
+def _factor(y: np.ndarray, f0: np.ndarray, f: np.ndarray) -> np.ndarray | None:
+    """Cholesky factors of the blocks ``F(y)``, or None when one is not
+    positive definite (``y`` lies outside the feasible set)."""
+    try:
+        return np.linalg.cholesky(f0 + (y @ f.reshape(y.size, -1)).reshape(f.shape[1:]))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _logdet(chol: np.ndarray) -> float:
+    return 2.0 * float(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))).sum())
+
+
+def _barrier_lmi(
+    b: np.ndarray, f0: np.ndarray, f: np.ndarray, y: np.ndarray, mu: float
+) -> np.ndarray:
+    """Minimize ``b . y`` subject to ``F_j(y) = F_j0 + sum_k y_k F_jk >= 0``
+    for ``B`` equal-sized blocks ``j``.
+
+    ``f0`` has shape ``(B, m, m)`` and ``f`` shape ``(K, B, m, m)``; either
+    may have size 1 along ``B`` and is then shared by every block.  One
+    batched Cholesky factors all ``B`` blocks.  ``y`` must be strictly
+    feasible.
+
+    Follows the central path of ``b . y / mu - sum_j logdet F_j(y)`` from
+    the given ``mu``.  Each Newton step takes the closed-form gradient
+    ``b_k / mu - tr[F^-1 F_k]`` and Hessian ``tr[F^-1 F_k F^-1 F_l]`` from
+    the Cholesky factors ``L`` (through ``L^-1 F_k L^-H``) and makes one
+    ``numpy.linalg.solve``.  The backtracking line search tests each trial
+    point with one Cholesky, which decides feasibility and gives the
+    log-det for the Armijo test.  Once the squared decrement is below
+    :data:`CENTRING_TOL`, that step needs only to stay feasible (its gain
+    can be below the rounding of the log-det), ``mu`` shrinks by
+    :data:`MU_SHRINK`, and the next search starts at step length
+    :data:`MU_SHRINK`, the tangent step of the central path.  Stops when
+    ``m mu``, the duality gap on the path (``m`` the total size of the
+    blocks), is below :data:`GAP_TOL`, or when the line search finds no
+    acceptable point.
+    """
+    size = f0.shape[-1] * max(f0.shape[0], f.shape[1])
+    chol = _factor(y, f0, f)
+    if chol is None:
+        raise ValueError("barrier start is not strictly feasible")
+    reach = 1.0
+    for _ in range(MAX_STEPS):
+        w = np.linalg.inv(chol)
+        g = w @ f @ np.swapaxes(w.conj(), -1, -2)  # L^-1 F_k L^-H, (K, B, m, m)
+        grad = b / mu - np.real(np.einsum("kbii->k", g))
+        flat = g.reshape(b.size, -1)
+        hess = np.real(flat @ flat.conj().T)
+        hess.flat[:: b.size + 1] += RIDGE * float(hess.diagonal().max())
+        step = np.linalg.solve(hess, -grad)
+        decrement = float(-grad @ step)
+        slope = float(b @ step) / mu
+        before = _logdet(chol)
+        centred = decrement < CENTRING_TOL
+        t = reach
+        while True:
+            trial = _factor(y + t * step, f0, f)
+            if trial is not None and (
+                centred or t * slope - (_logdet(trial) - before) <= -0.25 * t * decrement
+            ):
+                break
+            t *= 0.5
+            if t < 1e-12:
+                return y
+        y, chol, reach = y + t * step, trial, 1.0
+        if centred:
+            if size * mu < GAP_TOL:
+                break
+            mu *= MU_SHRINK
+            reach = MU_SHRINK
+    return y
+
+
 def _stack_projectors(projectors: dict[int, np.ndarray]) -> tuple[list[int], np.ndarray]:
     labels = sorted(projectors)
     mats = np.stack([as_matrix(projectors[x], f"projector {x}") for x in labels])
     return labels, mats
-
-
-def _barrier_newton(
-    c: np.ndarray, mats: np.ndarray, dim: int
-) -> np.ndarray:
-    """Maximize ``c . a`` over ``a >= 0, 1 - sum a_x P_x >= 0`` via a
-    log-barrier central path with damped Newton steps."""
-    n = c.size
-    eye = np.eye(dim)
-
-    def slack(a: np.ndarray) -> np.ndarray:
-        return eye - np.tensordot(a, mats, axes=1)
-
-    def feasible(a: np.ndarray) -> bool:
-        if np.any(a <= 0.0):
-            return False
-        return float(np.linalg.eigvalsh(slack(a))[0]) > 0.0
-
-    total = np.sum(mats, axis=0)
-    top = float(np.linalg.eigvalsh(0.5 * (total + total.conj().T))[-1])
-    a = np.full(n, 0.5 / max(top, 1e-12))
-
-    mu = max(0.1, float(np.max(np.abs(c))))
-    while mu > 1e-13:
-        for _ in range(80):
-            b = slack(a)
-            binv = np.linalg.inv(b)
-            # gradient and Hessian of  c.a + mu (logdet B + sum log a)
-            bp = binv @ mats  # (n, d, d)
-            g = c - mu * np.real(np.einsum("xii->x", bp)) + mu / a
-            h = -mu * np.real(np.einsum("xij,yji->xy", bp, bp))
-            h -= np.diag(mu / a**2)
-            try:
-                step = np.linalg.solve(-h, g)
-            except np.linalg.LinAlgError:
-                break
-            decrement = float(g @ step)
-            if decrement < 1e-16:
-                break
-            t = 1.0
-            f0 = float(c @ a) + mu * (
-                float(np.linalg.slogdet(b)[1]) + float(np.sum(np.log(a)))
-            )
-            while t > 1e-14:
-                cand = a + t * step
-                if feasible(cand):
-                    bc = slack(cand)
-                    fc = float(c @ cand) + mu * (
-                        float(np.linalg.slogdet(bc)[1]) + float(np.sum(np.log(cand)))
-                    )
-                    if fc >= f0 + 0.25 * t * decrement:
-                        break
-                t *= 0.5
-            else:
-                break
-            a = a + t * step
-            if decrement < 1e-13:
-                break
-        mu *= 0.2
-    return a
-
-
-def _polish_binding_face(
-    a: np.ndarray, mats: np.ndarray, dim: int, bind_tol: float = 1e-4, anchor: bool = False
-) -> np.ndarray:
-    """Drive the binding eigenvalues of the slack matrix exactly to zero.
-
-    Newton-on-the-active-manifold: recompute the binding eigenspace ``V``
-    of ``B(a)``, solve the affine system ``V^dag B(a) V = 0``, repeat.
-    By default the minimum-norm *solution* is taken, which is the
-    deterministic symmetric point whenever the optimal face is degenerate
-    (symmetric families); with ``anchor=True`` the minimum-norm
-    *correction* is taken instead, staying as close as possible to the
-    barrier iterate (fallback when the free solution leaves the feasible
-    region)."""
-    eye = np.eye(dim)
-    for _ in range(8):
-        b = eye - np.tensordot(a, mats, axes=1)
-        vals, vecs = np.linalg.eigh(0.5 * (b + b.conj().T))
-        mask = vals < bind_tol
-        k = int(np.sum(mask))
-        if k == 0:
-            break
-        v = vecs[:, mask]
-        reduced = np.einsum("ip,xij,jq->xpq", v.conj(), mats, v)  # (n, k, k)
-        rows: list[np.ndarray] = []
-        rhs: list[float] = []
-        for p in range(k):
-            for q in range(p, k):
-                rows.append(np.real(reduced[:, p, q]))
-                rhs.append(1.0 if p == q else 0.0)
-                if q > p:
-                    rows.append(np.imag(reduced[:, p, q]))
-                    rhs.append(0.0)
-        amat = np.stack(rows)
-        bvec = np.array(rhs)
-        if anchor:
-            a_new = a + np.linalg.lstsq(amat, bvec - amat @ a, rcond=None)[0]
-        else:
-            a_new = np.linalg.lstsq(amat, bvec, rcond=None)[0]
-        if float(np.linalg.norm(a_new - a)) < 1e-16:
-            break
-        a = a_new
-    return a
 
 
 def min_inconclusive_rate(
@@ -190,10 +192,9 @@ def min_inconclusive_rate(
 
     ``projectors`` defaults to the orthogonal projectors onto each
     label's optimal subspace, from the ensemble's once-computed
-    :func:`seqmcm.mcm.solve_mcm` solution.  Returns
-    the optimal :class:`WeightSolution`; the polish step is accepted only
-    if it keeps the slack PSD and does not lower the objective, so the
-    result is always at least as good as the raw barrier iterate.
+    :func:`seqmcm.mcm.solve_mcm` solution.  The barrier core runs on one
+    ``d x d`` block ``1 - sum_x a_x P_x`` and the ``N`` scalars ``a_x``,
+    joined into one block-diagonal matrix.
     """
     if projectors is None:
         from . import mcm as _mcm
@@ -203,35 +204,23 @@ def min_inconclusive_rate(
             raise ValueError("no label has a nonempty optimal subspace")
 
     labels, mats = _stack_projectors(projectors)
-    dim = mats.shape[1]
+    n, dim = mats.shape[:2]
     rho = e.average().mat
     c = np.real(np.einsum("ij,xji->x", rho, mats))
+    # one block diag(1 - sum_x a_x P_x, a_1, ..., a_N)
+    f0 = np.zeros((1, dim + n, dim + n), dtype=complex)
+    f0[0, :dim, :dim] = np.eye(dim)
+    f = np.zeros((n, 1, dim + n, dim + n), dtype=complex)
+    f[:, 0, :dim, :dim] = -mats
+    f[np.arange(n), 0, dim + np.arange(n), dim + np.arange(n)] = 1.0
+    # sum_x a_x P_x <= (sum_x tr P_x) a for PSD P_x, so this start is interior
+    start = np.full(n, 0.5 / float(np.real(np.einsum("xii->", mats))))
+    a = _barrier_lmi(-c, f0, f, start, max(0.1, float(np.max(np.abs(c)))))
 
-    a = _barrier_newton(c, mats, dim)
-
-    def margin(w: np.ndarray) -> float:
-        b = np.eye(dim) - np.tensordot(w, mats, axes=1)
-        return float(np.linalg.eigvalsh(0.5 * (b + b.conj().T))[0])
-
-    def acceptable(w: np.ndarray) -> bool:
-        return bool(
-            np.all(w > -1e-12)
-            and margin(w) >= -1e-11
-            and float(c @ w) >= float(c @ a) - 1e-10
-        )
-
-    # prefer the free (minimum-norm) polish: on degenerate optimal faces it
-    # is the symmetric representative; fall back to the anchored polish, and
-    # to the raw barrier iterate, if the face solve leaves feasibility
-    for anchored in (False, True):
-        polished = _polish_binding_face(a, mats, dim, anchor=anchored)
-        if acceptable(polished):
-            a = np.clip(polished, 0.0, None)
-            break
-
+    slack = np.eye(dim) - np.tensordot(a, mats, axes=1)
+    margin = float(np.linalg.eigvalsh(0.5 * (slack + slack.conj().T))[0])
     weights = {x: float(w) for x, w in zip(labels, a)}
-    eta0 = 1.0 - float(c @ a)
-    return WeightSolution(weights=weights, eta0=eta0, psd_margin=margin(a))
+    return WeightSolution(weights=weights, eta0=1.0 - float(c @ a), psd_margin=margin)
 
 
 def random_feasible_weights(
@@ -251,21 +240,17 @@ def random_feasible_weights(
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_basis(dim: int) -> list[np.ndarray]:
-    basis: list[np.ndarray] = []
-    for i in range(dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[i, i] = 1.0
-        basis.append(m)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = m[j, i] = 1.0 / math.sqrt(2.0)
-            basis.append(m)
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = -1j / math.sqrt(2.0)
-            m[j, i] = 1j / math.sqrt(2.0)
-            basis.append(m)
+def _hermitian_coordinates(dim: int) -> np.ndarray:
+    """An orthonormal real basis of the ``dim x dim`` Hermitian matrices,
+    shape ``(dim**2, dim, dim)``: the diagonal units first, then the
+    symmetric and antisymmetric off-diagonal pairs."""
+    rows, cols = np.triu_indices(dim, 1)
+    pairs = np.arange(rows.size)
+    basis = np.zeros((dim * dim, dim, dim), dtype=complex)
+    basis[np.arange(dim), np.arange(dim), np.arange(dim)] = 1.0
+    basis[dim + pairs, rows, cols] = basis[dim + pairs, cols, rows] = math.sqrt(0.5)
+    basis[dim + rows.size + pairs, rows, cols] = -1j * math.sqrt(0.5)
+    basis[dim + rows.size + pairs, cols, rows] = 1j * math.sqrt(0.5)
     return basis
 
 
@@ -274,17 +259,20 @@ def min_error_guessing(e: Ensemble) -> float:
     ``min tr[Y]`` subject to ``Y >= q_x rho_x`` for every ``x``.
 
     Sized for ``dim <= 4`` and ``N <= 6``; anything larger raises
-    :class:`UnsupportedScaleError`.  Two-state ensembles short-circuit to
-    the exact trace-norm formula.  The annealed smoothed-max-eigenvalue
-    solve ends with an exact feasibility shift, so the returned value is
-    an upper bound tight to roughly the final smoothing scale.
+    :class:`UnsupportedScaleError`.  One and two states short-circuit to
+    the exact values (1 and the trace-norm formula).  Otherwise the barrier
+    core solves the dual over the ``d**2`` real coordinates of ``Y``, with
+    one ``d x d`` block ``Y - q_x rho_x`` per state, to a duality gap below
+    :data:`GAP_TOL`.  A final shift by the largest remaining violation
+    makes ``Y`` exactly feasible, so the value is always an upper bound on
+    the guessing probability.
     """
     if e.dim > 4 or e.n > 6:
         raise UnsupportedScaleError(
             f"min_error_guessing handles dim <= 4 and N <= 6, "
             f"got dim={e.dim}, N={e.n}"
         )
-    weighted = [q * s.mat for q, s in zip(e.priors, e.states)]
+    weighted = np.stack([q * s.mat for q, s in zip(e.priors, e.states)])
     if e.n == 1:
         return 1.0
     if e.n == 2:
@@ -292,48 +280,16 @@ def min_error_guessing(e: Ensemble) -> float:
         return 0.5 * (1.0 + float(np.sum(np.abs(np.linalg.eigvalsh(gap)))))
 
     dim = e.dim
-    basis = _hermitian_basis(dim)
-    nb = len(basis)
-    trace_vec = np.array([float(np.real(np.trace(b))) for b in basis])
-    penalty = 3.0 * dim
-
-    def unpack(y: np.ndarray) -> np.ndarray:
-        return np.tensordot(y, np.stack(basis), axes=1)
-
-    def objective(y: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
-        ymat = unpack(y)
-        val = float(y @ trace_vec)
-        grad = trace_vec.copy()
-        for w in weighted:
-            diff = w - ymat
-            vals, vecs = np.linalg.eigh(0.5 * (diff + diff.conj().T))
-            t = vals / mu
-            m = max(0.0, float(np.max(t)))
-            exps = np.exp(t - m)
-            denom = math.exp(-m) + float(np.sum(exps))
-            val += penalty * mu * (m + math.log(denom))
-            smax = vecs @ np.diag(exps / denom) @ vecs.conj().T
-            for k, b in enumerate(basis):
-                grad[k] -= penalty * float(np.real(np.trace(smax @ b)))
-        return val, grad
-
-    start = max(float(np.linalg.eigvalsh(w)[-1]) for w in weighted) + 0.01
-    y = np.zeros(nb)
-    y[:dim] = start
-    for mu in (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 3e-7, 1e-7):
-        res = _sciopt.minimize(
-            objective,
-            y,
-            args=(mu,),
-            jac=True,
-            method="BFGS",
-            options={"gtol": 1e-12, "maxiter": 600},
-        )
-        y = res.x
-    ymat = unpack(y)
+    basis = _hermitian_coordinates(dim)
+    trace = np.real(np.einsum("kii->k", basis))
+    # Y = 2 * 1 is interior (q_x rho_x <= 1), and central for mu = 2 / N
+    start = np.zeros(dim * dim)
+    start[:dim] = 2.0
+    y = _barrier_lmi(trace, -weighted, basis[:, None], start, 2.0 / e.n)
+    ymat = np.tensordot(y, basis, axes=1)
+    diffs = weighted - ymat
     violation = max(
-        float(np.linalg.eigvalsh(0.5 * ((w - ymat) + (w - ymat).conj().T))[-1])
-        for w in weighted
+        float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]) for m in diffs
     )
     if violation > 0.0:
         ymat = ymat + violation * np.eye(dim)

@@ -1,7 +1,10 @@
 """Shared test fixtures."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 
 class EigensolveLog:
@@ -37,3 +40,20 @@ def eigensolves(monkeypatch) -> EigensolveLog:
 
         monkeypatch.setattr(np.linalg, name, recorded)
     return log
+
+
+@pytest.fixture
+def solver_calls(monkeypatch) -> Counter:
+    """Count ``numpy.linalg.solve`` (one per Newton step of the SDP core) and
+    ``scipy.optimize.minimize`` calls, keyed ``"solve"`` and ``"minimize"``,
+    for the rest of the test; ``clear()`` it before the call to measure."""
+    counts: Counter = Counter()
+    for module, name in ((np.linalg, "solve"), (scipy.optimize, "minimize")):
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts

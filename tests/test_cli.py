@@ -101,3 +101,17 @@ def test_generic_chain_rerun_is_byte_identical(tmp_path, capsys):
     assert first[0] == cli.EXIT_OK
     assert first == run(capsys, argv)
     assert first == run(capsys, [*argv[:-1], "0.9,0.9,0.9"])
+
+
+def test_support_leak_exits_2(tmp_path, capsys):
+    """A prior below the rank cutoff on a direction no other state covers
+    leaves label 2 outside the support of the average: exit 2, naming it."""
+    e = qcore.Ensemble(
+        priors=(1.0 - 1e-12, 1e-12), states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    )
+    path = tmp_path / "leak.json"
+    path.write_text(json.dumps(qcore.ensemble_to_json(e)))
+    code, out, err = run(capsys, ["mcm", "--ensemble", str(path)])
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: label 2: ") and "Traceback" not in err

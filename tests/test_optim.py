@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from seqmcm import mcm, optim, qcore
+from seqmcm import families, mcm, optim, qcore
 from seqmcm.optim import (
     GainSchedule,
     InfeasibleGainError,
@@ -47,6 +47,29 @@ def trine_ensemble() -> Ensemble:
         for k in range(3)
     )
     return Ensemble(priors=(1 / 3, 1 / 3, 1 / 3), states=states)
+
+
+def jrf_lower_bound(e: Ensemble) -> float:
+    """Success probability of the Jezek-Rehacek-Fiurasek fixed point
+    (PRA 65, 060301, 2002), ``P_x <- S^-1/2 R_x P_x R_x S^-1/2`` with
+    ``R_x = q_x rho_x`` and ``S = sum_x R_x P_x R_x`` (inverse square root
+    on the support of ``S``): a valid measurement, so a lower bound on
+    ``P_guess``.  Iterates until 100 more iterations gain < 1e-13."""
+    weighted = [q * s.mat for q, s in zip(e.priors, e.states)]
+    povm = [np.eye(e.dim) / e.n] * e.n
+    best = -1.0
+    for _ in range(50):
+        for _ in range(100):
+            sandwiches = [r @ p @ r for r, p in zip(weighted, povm)]
+            vals, vecs = np.linalg.eigh(sum(sandwiches))
+            keep = vals > 1e-14 * vals[-1]
+            inv_sqrt = (vecs[:, keep] / np.sqrt(vals[keep])) @ vecs[:, keep].conj().T
+            povm = [inv_sqrt @ m @ inv_sqrt for m in sandwiches]
+        value = sum(float(np.real(np.trace(r @ p))) for r, p in zip(weighted, povm))
+        if value - best < 1e-13:
+            break
+        best = value
+    return max(value, best)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +195,34 @@ class TestMinInconclusiveRate:
         assert sorted(sol.weights) == [1]
 
 
+class TestNewtonBudget:
+    """Each ``numpy.linalg.solve`` in the SDPs is one Newton step of the
+    barrier core; neither SDP calls ``scipy.optimize.minimize``."""
+
+    def test_weight_sdp(self, solver_calls):
+        rng = np.random.default_rng(64)
+        for dim in (2, 4, 8):
+            for n in (2, 3, 4, 6):
+                for pure in (False, True):
+                    e = random_ensemble(rng, dim, n, pure=pure)
+                    mcm.solve_mcm(e)
+                    solver_calls.clear()
+                    min_inconclusive_rate(e)
+                    assert 0 < solver_calls["solve"] <= 80
+                    assert solver_calls["minimize"] == 0
+
+    def test_guessing_sdp(self, solver_calls):
+        rng = np.random.default_rng(65)
+        for dim in (2, 3, 4):
+            for n in (3, 4, 5, 6):
+                for pure in (False, True):
+                    e = random_ensemble(rng, dim, n, pure=pure)
+                    solver_calls.clear()
+                    min_error_guessing(e)
+                    assert 0 < solver_calls["solve"] <= 50
+                    assert solver_calls["minimize"] == 0
+
+
 class TestRandomFeasibleWeights:
     def test_always_feasible(self):
         rng = np.random.default_rng(71)
@@ -223,6 +274,34 @@ class TestMinErrorGuessing:
             e = random_ensemble(rng, 2, 3)
             p = min_error_guessing(e)
             assert max(e.priors) - 1e-6 <= p <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_gu_tight(self, n):
+        """n equiprobable equatorial pure states: P_guess = 2/n exactly; the
+        dual value is an upper bound within the barrier's gap."""
+        p = min_error_guessing(families.gu(n).ensemble())
+        assert 2.0 / n - 1e-12 <= p <= 2.0 / n + 1e-9
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_gu_insensitive_to_last_bits(self, n):
+        e = families.gu(n).ensemble()
+        states = [np.array(s.mat) for s in e.states]
+        states[0][0, 1] += 1e-16
+        states[0][1, 0] += 1e-16
+        nudged = Ensemble(priors=e.priors, states=tuple(states))
+        assert nudged.state(1).mat[0, 1] != e.state(1).mat[0, 1]
+        assert abs(min_error_guessing(nudged) - min_error_guessing(e)) <= 1e-12
+
+    def test_matches_jrf_primal_bound(self):
+        """The dual value sits within 1e-7 above an independent primal
+        bound (the JRF measurement), and never below it."""
+        rng = np.random.default_rng(83)
+        for dim in (2, 3, 4):
+            for n in (3, 4, 5, 6):
+                for pure in (False, True):
+                    e = random_ensemble(rng, dim, n, pure=pure)
+                    low = jrf_lower_bound(e)
+                    assert low - 1e-12 <= min_error_guessing(e) <= low + 1e-7
 
     def test_scale_guard(self):
         rng = np.random.default_rng(82)
