@@ -14,7 +14,8 @@ value with a ``deg`` suffix (``{"theta": "120deg"}``) is converted.
 
 Exit codes: 0 success; 1 verification failure; 2 malformed input (also a
 state outside the support of the ensemble average, message names the label);
-3 KKT check failure; 4 infeasible strategy (message names the party).
+3 KKT check failure (also an SDP solve that stops short of its gap bound);
+4 infeasible strategy (message names the party).
 
 Outputs are deterministic for a fixed command line + seed: dictionaries
 are serialized with sorted keys and floats with ``repr`` precision, so
@@ -959,6 +960,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (qcore.DimensionError, mcm_mod.SupportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except optim_mod.ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_KKT
 
 
 if __name__ == "__main__":

@@ -7,15 +7,16 @@ minimize ``b . y`` over block LMIs ``F_j(y) >= 0`` along the central path,
 with one Cholesky factorisation per block and trial point (feasibility
 test, log-det and inverse together), the closed-form Hessian, one linear
 solve per Newton step, and ``mu`` shrunk geometrically until the gap bound
-``m mu`` is below :data:`GAP_TOL`.  Each solve takes 25-50 Newton steps.
+``m mu`` is below :data:`GAP_TOL`.  Each solve takes 25-50 Newton steps; a
+solve that stops short of the gap bound raises :class:`ConvergenceError`.
 
 1. **Inconclusive-rate minimization.**  Given the optimal projectors
    ``P_x`` of a maximum-confidence measurement, choose weights
    ``a_x >= 0`` with ``1 - sum_x a_x P_x >= 0`` minimizing the
    inconclusive probability ``eta_0 = 1 - sum_x a_x tr[rho P_x]``:
-   one ``d x d`` block and ``N`` scalar blocks.  The central path ends
-   at the analytic center of the optimal face, so symmetric ensembles
-   get symmetric weights even when the face is degenerate.
+   one ``d x d`` block and ``N`` scalar blocks.  On a degenerate optimal
+   face the weights come within about 1e-7 of the face's analytic
+   center, no closer (see :func:`min_inconclusive_rate`).
 
 2. **Minimum-error guessing.**  ``P_guess = min tr[Y]`` over Hermitian
    ``Y >= q_x rho_x`` (the dual of Eldar, Megretski & Verghese, IEEE TIT
@@ -60,6 +61,10 @@ class UnsupportedScaleError(ValueError):
     """Problem size beyond what the dense solvers here are built for."""
 
 
+class ConvergenceError(ArithmeticError):
+    """An SDP solve stopped before its duality-gap bound reached GAP_TOL."""
+
+
 # ---------------------------------------------------------------------------
 # POVM weight optimization (inconclusive-rate SDP)
 # ---------------------------------------------------------------------------
@@ -73,7 +78,9 @@ class WeightSolution:
     gap bound :data:`GAP_TOL` above the optimum, and ``psd_margin`` the
     smallest eigenvalue of ``M_0``.  The weights are a barrier iterate,
     strictly inside the feasible set, so ``M_0`` is positive definite up to
-    rounding (``psd_margin`` of order the gap)."""
+    rounding (``psd_margin`` of order the gap).  On a degenerate optimal
+    face they are one optimal point among many, fixed only to about 1e-7
+    (see :func:`min_inconclusive_rate`)."""
 
     weights: dict[int, float]
     eta0: float
@@ -138,10 +145,11 @@ def _barrier_lmi(
     :data:`CENTRING_TOL`, that step needs only to stay feasible (its gain
     can be below the rounding of the log-det), ``mu`` shrinks by
     :data:`MU_SHRINK`, and the next search starts at step length
-    :data:`MU_SHRINK`, the tangent step of the central path.  Stops when
+    :data:`MU_SHRINK`, the tangent step of the central path.  Returns once
     ``m mu``, the duality gap on the path (``m`` the total size of the
-    blocks), is below :data:`GAP_TOL`, or when the line search finds no
-    acceptable point.
+    blocks), is below :data:`GAP_TOL`.  Raises :class:`ConvergenceError`
+    when the line search finds no acceptable point or :data:`MAX_STEPS`
+    runs out first, since the gap of such an iterate is unknown.
     """
     size = f0.shape[-1] * max(f0.shape[0], f.shape[1])
     chol = _factor(y, f0, f)
@@ -169,14 +177,14 @@ def _barrier_lmi(
                 break
             t *= 0.5
             if t < 1e-12:
-                return y
+                raise ConvergenceError(f"line search stalled at gap bound {size * mu:.1e}")
         y, chol, reach = y + t * step, trial, 1.0
         if centred:
             if size * mu < GAP_TOL:
-                break
+                return y
             mu *= MU_SHRINK
             reach = MU_SHRINK
-    return y
+    raise ConvergenceError(f"{MAX_STEPS} Newton steps left the gap bound at {size * mu:.1e}")
 
 
 def _stack_projectors(projectors: dict[int, np.ndarray]) -> tuple[list[int], np.ndarray]:
@@ -195,6 +203,14 @@ def min_inconclusive_rate(
     :func:`seqmcm.mcm.solve_mcm` solution.  The barrier core runs on one
     ``d x d`` block ``1 - sum_x a_x P_x`` and the ``N`` scalars ``a_x``,
     joined into one block-diagonal matrix.
+
+    Where the optimal face is degenerate (symmetric families; qubit
+    ensembles of five or more states whose optimal projectors admit a
+    complete POVM) the weights are not unique.  They are then the
+    central-path point at which :data:`RIDGE` freezes the face direction
+    (``mu`` near 1e-6), within about 1e-7 of the face's analytic center:
+    symmetric faces keep symmetric weights, but the digits beyond 1e-7
+    depend on the ridge, not on the problem.
     """
     if projectors is None:
         from . import mcm as _mcm
@@ -282,7 +298,8 @@ def min_error_guessing(e: Ensemble) -> float:
     dim = e.dim
     basis = _hermitian_coordinates(dim)
     trace = np.real(np.einsum("kii->k", basis))
-    # Y = 2 * 1 is interior (q_x rho_x <= 1), and central for mu = 2 / N
+    # Y = 2 * 1 is strictly interior (q_x rho_x <= 1); mu = 2 / N would
+    # make it central if every q_x rho_x were 0
     start = np.zeros(dim * dim)
     start[:dim] = 2.0
     y = _barrier_lmi(trace, -weighted, basis[:, None], start, 2.0 / e.n)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from seqmcm import cli, qcore
+from seqmcm import cli, optim, qcore
 
 
 def run(capsys, argv):
@@ -115,3 +115,14 @@ def test_support_leak_exits_2(tmp_path, capsys):
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert err.startswith("error: label 2: ") and "Traceback" not in err
+
+
+def test_unconverged_sdp_exits_3(monkeypatch, capsys):
+    """An SDP solve that runs out of Newton steps before its gap bound
+    reaches the tolerance is reported, not printed as a solution."""
+    monkeypatch.setattr(optim, "MAX_STEPS", 5)
+    code, out, err = run(capsys, ["mcm", "--family", "gu", "--params", '{"n": 4}'])
+    assert code == cli.EXIT_KKT
+    assert out == ""
+    assert err.startswith("error: 5 Newton steps left the gap bound at ")
+    assert "Traceback" not in err

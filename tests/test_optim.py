@@ -126,6 +126,34 @@ class TestMinInconclusiveRate:
         np.testing.assert_allclose(vals, [vals[0]] * 3, atol=1e-12)
         np.testing.assert_allclose(vals[0], 2.0 / 3.0, atol=1e-9)
 
+    def test_degenerate_face_near_analytic_centre(self, monkeypatch):
+        """The optimal projectors of these five qubit states admit a line
+        of complete POVMs (eta0 = 0), so the optimal weights are not
+        unique.  The solver returns a point within 1e-7 of the face's
+        analytic center, the maximizer of sum_x log a_x subject to
+        sum_x a_x P_x = 1; the ridge of the Newton system moves it by less
+        than that."""
+        e = random_ensemble(np.random.default_rng(52), 2, 5, pure=True)
+        projectors = mcm.optimal_projectors(mcm.solve_mcm(e))
+        mats = np.stack([projectors[x] for x in sorted(projectors)]).reshape(5, 4)
+        sol = min_inconclusive_rate(e)
+        a = np.array([sol.weights[x] for x in sorted(sol.weights)])
+        assert abs(sol.eta0) < 1e-10
+
+        lin = np.concatenate([mats.real, mats.imag], axis=1).T  # rank 4
+        target = np.concatenate([np.eye(2).reshape(4), np.zeros(4)])
+        null = np.linalg.svd(lin)[2][4:].T
+        centre = a - np.linalg.lstsq(lin, lin @ a - target, rcond=None)[0]
+        for _ in range(20):
+            hess = null.T @ (null / centre[:, None] ** 2)
+            centre = centre + null @ np.linalg.solve(hess, null.T @ (1.0 / centre))
+        assert np.abs(null.T @ (1.0 / centre)).max() < 1e-12
+        assert np.abs(a - centre).max() < 1e-7
+
+        monkeypatch.setattr(optim, "RIDGE", 1e-14)
+        again = min_inconclusive_rate(e)
+        assert max(abs(again.weights[x] - sol.weights[x]) for x in sol.weights) < 1e-7
+
     def test_povm_validates(self):
         rng = np.random.default_rng(61)
         for _ in range(15):
@@ -221,6 +249,16 @@ class TestNewtonBudget:
                     min_error_guessing(e)
                     assert 0 < solver_calls["solve"] <= 50
                     assert solver_calls["minimize"] == 0
+
+    def test_stopping_short_raises(self, monkeypatch):
+        """A solve cut off before its gap bound reaches GAP_TOL raises
+        instead of returning an unconverged iterate as the answer."""
+        e = random_ensemble(np.random.default_rng(66), 3, 4)
+        monkeypatch.setattr(optim, "MAX_STEPS", 5)
+        with pytest.raises(optim.ConvergenceError):
+            min_inconclusive_rate(e)
+        with pytest.raises(optim.ConvergenceError):
+            min_error_guessing(e)
 
 
 class TestRandomFeasibleWeights:
