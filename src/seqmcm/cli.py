@@ -336,13 +336,13 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    json_text = _dumps(seqchan.trace_to_json(trace))
-    csv_text = seqchan.trace_to_csv(trace)
-    if args.out is None:
-        sys.stdout.write(csv_text if args.format == "csv" else json_text)
-    else:
-        _emit(args.out, "trace.json", json_text)
-        _emit(args.out, "trace.csv", csv_text)
+    # serialize only what is written: one format on stdout, both under --out
+    for fmt in ("json", "csv") if args.out is not None else (args.format,):
+        if fmt == "json":
+            text = _dumps(seqchan.trace_to_json(trace))
+        else:
+            text = seqchan.trace_to_csv(trace)
+        _emit(args.out, f"trace.{fmt}", text)
     return EXIT_OK
 
 

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq as _brentq
 
 from . import mcm as _mcm
 from . import optim as _optim
@@ -625,7 +624,8 @@ def mirror_confidence2(ms: MirrorState, phi: float) -> float:
 
 
 def _mirror_stationarity(ms: MirrorState, phi: float) -> float:
-    """Numerator of d/dphi of :func:`mirror_confidence2` (same zeros)."""
+    """Numerator of d/dphi of :func:`mirror_confidence2` (same zeros), in
+    unexpanded form: the independent reference for :func:`mirror_mcm`."""
     k = ms.kbar
     return -ms.r2 * math.sin(phi - ms.theta) * (3.0 + k * math.cos(phi)) + (
         1.0 + ms.r2 * math.cos(phi - ms.theta)
@@ -633,46 +633,31 @@ def _mirror_stationarity(ms: MirrorState, phi: float) -> float:
 
 
 def mirror_mcm(ms: MirrorState) -> MirrorMcm:
-    """Solve the mirror maximum-confidence problem.
+    """Solve the mirror maximum-confidence problem in closed form.
 
     Label 1's optimal projector sits at azimuth 0 provided
     ``r1 > r2 cos theta`` (asserted here — every chain this package
     builds stays in that regime), giving ``C1 = (1 + r1)/(3 + kbar)``.
-    The common azimuth of labels 2/3 maximizes :func:`mirror_confidence2`;
-    it has no closed form off the pure case, so a dense scan plus
-    golden-section refinement finds it.  Completeness then fixes the
-    weights: ``a2 = a3 = 1/(1 - cos phi)``, ``a1 = -2 cos phi a2``.
+    The common azimuth of labels 2/3 maximizes :func:`mirror_confidence2`.
+    The numerator of its derivative is ``A sin phi + B cos phi + C`` with
+    ``A = kbar - 3 r2 cos theta``, ``B = 3 r2 sin theta`` and
+    ``C = kbar r2 sin theta``: positive at ``phi = 0``, negative at
+    ``phi = pi``, so its one root in ``(0, pi)`` is the maximum,
+    ``phi = pi + asin(C / hypot(A, B)) - atan2(B, A)`` (mod ``2 pi``).
+    Completeness then fixes the weights: ``a2 = a3 = 1/(1 - cos phi)``,
+    ``a1 = -2 cos phi a2``.
     """
     if ms.r1 <= ms.r2 * math.cos(ms.theta) + 1e-12:
         raise ValueError(
             "label 1's projector leaves the +X axis when r1 <= r2 cos theta; "
             "this configuration is outside the mirror chain analysis"
         )
-    c1 = (1.0 + ms.r1) / (3.0 + ms.kbar)
-
-    grid = np.linspace(1e-9, math.pi - 1e-9, 256)
-    vals = [mirror_confidence2(ms, g) for g in grid]
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    # a value-only search stalls at the ~1e-8 flat-minimum noise floor; the
-    # stationarity condition is available in closed form, so root-find it
-    # across the bracket when it changes sign there (it always does at an
-    # interior maximum) and fall back to golden section otherwise
-    if _mirror_stationarity(ms, lo) > 0.0 > _mirror_stationarity(ms, hi):
-        phi = float(
-            _brentq(
-                lambda t: _mirror_stationarity(ms, t),
-                lo,
-                hi,
-                xtol=1e-15,
-                rtol=4.0 * np.finfo(float).eps,
-            )
-        )
-    else:
-        phi, _ = _optim.golden_section(
-            lambda t: -mirror_confidence2(ms, t), lo, hi, xtol=1e-12
-        )
+    k = ms.kbar
+    c1 = (1.0 + ms.r1) / (3.0 + k)
+    a = k - 3.0 * ms.r2 * math.cos(ms.theta)
+    b = 3.0 * ms.r2 * math.sin(ms.theta)
+    c = k * ms.r2 * math.sin(ms.theta)
+    phi = (math.pi + math.asin(c / math.hypot(a, b)) - math.atan2(b, a)) % (2.0 * math.pi)
     c2 = mirror_confidence2(ms, phi)
 
     a2 = 1.0 / (1.0 - math.cos(phi))

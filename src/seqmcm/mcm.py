@@ -142,8 +142,10 @@ def _solve_label(
             f"label {x}: state has weight {leak:.3e} outside the support of the "
             "ensemble average; the confidence is infinite (no valid finite maximum exists)"
         )
-    op = require_hermitian(shaping @ (q * rho_x) @ shaping, "shaped operator")
-    vals, vecs = eig_hermitian(op, "shaped operator")
+    # Hermitian by construction: the rounding asymmetry of the product
+    # grows with ||rho^-1|| and would trip an absolute Hermiticity check
+    op = shaping @ (q * rho_x) @ shaping
+    vals, vecs = eig_hermitian(0.5 * (op + op.conj().T), "shaped operator")
     c = float(vals[0])
     deg = int(np.sum(vals > c - DEGENERACY_TOL * c))
     basis = []
@@ -160,7 +162,7 @@ def _solve_label(
         # of the shaped operator); clip the float dust so a small r cannot
         # blow it up past the state validator.
         raw = c * rho - q * rho_x
-        rvals, rvecs = eig_hermitian(raw, "complement")
+        rvals, rvecs = eig_hermitian(0.5 * (raw + raw.conj().T), "complement")
         if float(rvals[-1]) < -1e-8 * max(c, 1.0):
             raise ValueError(
                 f"complement operator has eigenvalue {float(rvals[-1]):.3e}; "
@@ -296,13 +298,13 @@ def max_relative_entropy(rho: Any, sigma: Any, rank_tol: float = RANK_TOL) -> fl
     support of ``rho`` lies inside the support of ``sigma``; otherwise the
     divergence is infinite and ``math.inf`` is returned.
     """
-    r = as_matrix(rho, "rho")
+    r = require_hermitian(as_matrix(rho, "rho"), "rho")
     s, proj, _ = support_factors(as_matrix(sigma, "sigma"), rank_tol)
     leak = float(np.real(np.trace(r @ (np.eye(r.shape[0]) - proj))))
     if leak > SUPPORT_TOL:
         return math.inf
-    shaped = require_hermitian(s @ r @ s, "shaped operator")
-    top = float(np.linalg.eigvalsh(shaped)[-1])
+    shaped = s @ r @ s
+    top = float(np.linalg.eigvalsh(0.5 * (shaped + shaped.conj().T))[-1])
     if top <= 0.0:
         return -math.inf
     return math.log2(top)

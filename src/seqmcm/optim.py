@@ -24,33 +24,19 @@ solve that stops short of the gap bound raises :class:`ConvergenceError`.
    ``d x d`` block per state, then shifted to exact feasibility so the
    reported value is a true upper bound, within the gap of the optimum.
 
-3. **Sequential gain scheduling for two-state chains** (closed forms)
-   and a generic bounded numeric minimizer used for retarget searches.
+3. **Sequential gain scheduling for two-state chains** (closed forms).
 
-Deterministic-by-construction solvers carry no seeds; the stochastic
-restarts of :func:`minimize_disturbance_numeric` are seeded 7, 8, ...
-and ties resolve to the lowest seed.
+Every solver here is deterministic and carries no seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .qcore import Ensemble, FeasibilityError, as_matrix
-
-OBJ_TOL = 1e-10
-"""Objective tolerance the numeric minimizers aim for."""
-
-PARAM_TOL = 1e-8
-"""Parameter tolerance the numeric minimizers aim for."""
-
-FIRST_SEED = 7
-"""Seed of the first restart; restart k uses FIRST_SEED + k."""
 
 
 class InfeasibleGainError(FeasibilityError):
@@ -406,111 +392,3 @@ def optimal_joint_schedule(confidence: float, overlap: float, parties: int) -> G
         p_joint=c * (1.0 - root) ** r,
         p_inconclusive=s,
     )
-
-
-# ---------------------------------------------------------------------------
-# generic bounded minimization for retarget searches
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NumericMin:
-    """Result of a bounded numeric minimization: parameters, value, a
-    convergence flag (best iterate is still returned when False), and the
-    seed of the winning restart (None for the deterministic 1-d path)."""
-
-    params: np.ndarray
-    value: float
-    converged: bool
-    seed: int | None
-
-
-def golden_section(
-    fun: Callable[[float], float],
-    lo: float,
-    hi: float,
-    xtol: float = PARAM_TOL,
-    max_iter: int = 200,
-) -> tuple[float, float]:
-    """Golden-section minimization of a unimodal scalar function."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(max_iter):
-        if b - a <= xtol:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fun(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fun(x2)
-    x = x1 if f1 <= f2 else x2
-    return x, min(f1, f2)
-
-
-def minimize_disturbance_numeric(
-    fun: Callable[[np.ndarray], float],
-    bounds: Sequence[tuple[float, float]],
-    restarts: int = 8,
-    first_seed: int = FIRST_SEED,
-) -> NumericMin:
-    """Minimize a disturbance objective over a box.
-
-    One parameter: deterministic coarse scan (128 points) plus
-    golden-section refinement around the best bracket — no seeds needed.
-    Two or three parameters: Nelder-Mead from ``restarts`` seeded random
-    starts (seeds ``first_seed, first_seed+1, ...``); ties within 1e-12
-    go to the lowest seed.  Non-convergence is flagged, never hidden: the
-    best iterate comes back with ``converged=False``.
-    """
-    bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-    if not 1 <= len(bounds) <= 3:
-        raise UnsupportedScaleError(
-            f"retarget searches support 1..3 parameters, got {len(bounds)}"
-        )
-    if len(bounds) == 1:
-        lo, hi = bounds[0]
-        grid = np.linspace(lo, hi, 128)
-        vals = [fun(np.array([g])) for g in grid]
-        k = int(np.argmin(vals))
-        a = grid[max(k - 1, 0)]
-        b = grid[min(k + 1, len(grid) - 1)]
-        x, v = golden_section(lambda t: fun(np.array([t])), a, b)
-        return NumericMin(params=np.array([x]), value=v, converged=True, seed=None)
-
-    lows = np.array([b[0] for b in bounds])
-    highs = np.array([b[1] for b in bounds])
-    span = highs - lows
-
-    def boxed(x: np.ndarray) -> float:
-        clipped = np.clip(x, lows, highs)
-        excess = float(np.linalg.norm(x - clipped))
-        return fun(clipped) + 1e3 * excess**2
-
-    best: tuple[float, int, np.ndarray, bool] | None = None
-    for k in range(restarts):
-        seed = first_seed + k
-        rng = np.random.default_rng(seed)
-        x0 = lows + rng.random(len(bounds)) * span
-        res = _sciopt.minimize(
-            boxed,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "xatol": PARAM_TOL * 1e-1,
-                "fatol": OBJ_TOL * 1e-1,
-                "maxiter": 4000,
-            },
-        )
-        x = np.clip(res.x, lows, highs)
-        v = fun(x)
-        cand = (v, seed, x, bool(res.success))
-        if best is None or v < best[0] - 1e-12:
-            best = cand
-    assert best is not None
-    return NumericMin(params=best[2], value=best[0], converged=best[3], seed=best[1])

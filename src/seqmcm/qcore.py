@@ -196,7 +196,7 @@ def pinv_sqrt(a: Any, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, int]:
     return inv_sqrt, rank
 
 
-def sqrt_psd(a: Any, rank_tol: float = RANK_TOL) -> np.ndarray:
+def sqrt_psd(a: Any) -> np.ndarray:
     """Positive square root of a PSD matrix (tiny negative eigenvalues clipped)."""
     vals, vecs = eig_hermitian(a)
     clipped = np.clip(vals, 0.0, None)

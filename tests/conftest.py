@@ -4,7 +4,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 
 class EigensolveLog:
@@ -44,16 +43,15 @@ def eigensolves(monkeypatch) -> EigensolveLog:
 
 @pytest.fixture
 def solver_calls(monkeypatch) -> Counter:
-    """Count ``numpy.linalg.solve`` (one per Newton step of the SDP core) and
-    ``scipy.optimize.minimize`` calls, keyed ``"solve"`` and ``"minimize"``,
-    for the rest of the test; ``clear()`` it before the call to measure."""
+    """Count ``numpy.linalg.solve`` calls (one per Newton step of the SDP
+    core), keyed ``"solve"``, for the rest of the test; ``clear()`` it
+    before the call to measure."""
     counts: Counter = Counter()
-    for module, name in ((np.linalg, "solve"), (scipy.optimize, "minimize")):
-        real = getattr(module, name)
+    real = np.linalg.solve
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
+    def counted(*args, **kwargs):
+        counts["solve"] += 1
+        return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(np.linalg, "solve", counted)
     return counts

@@ -9,10 +9,15 @@ Run with:  pytest tests/test_cli.py -v
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqmcm
 from seqmcm import cli, optim, qcore
 
 
@@ -80,6 +85,17 @@ RERUN = [
         id="sequence-csv",
     ),
     pytest.param(["sweep", "--family", "lifted_gu"], id="sweep-lifted"),
+    pytest.param(["family", "--family", "mirror"], id="family-mirror"),
+    pytest.param(
+        ["sequence", "--family", "mirror", "--parties", "4", "--eta0", "0.3,0.5,0.7,0.6"],
+        id="sequence-mirror-json",
+    ),
+    pytest.param(
+        ["sequence", "--family", "mirror", "--params", '{"theta": 2.3}', "--parties", "3",
+         "--eta0", "0.6", "--format", "csv"],
+        id="sequence-mirror-csv",
+    ),
+    pytest.param(["sweep", "--family", "mirror"], id="sweep-mirror"),
     pytest.param(["verify", "--count", "5"], id="verify"),
 ]
 
@@ -126,3 +142,61 @@ def test_unconverged_sdp_exits_3(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("error: 5 Newton steps left the gap bound at ")
     assert "Traceback" not in err
+
+
+def test_ill_conditioned_average_is_solved(tmp_path, capsys):
+    """Near-parallel states make rho nearly singular, so the rounding
+    asymmetry of rho^-1/2 q rho_x rho^-1/2 is far above the Hermiticity
+    tolerance for input; the solve still succeeds with a passing KKT check."""
+    rng = np.random.default_rng(3)
+    common = rng.normal(size=3) + 1j * rng.normal(size=3)
+    states = []
+    for _ in range(4):
+        v = common + 1e-4 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+        v = v / np.linalg.norm(v)
+        states.append(np.outer(v, v.conj()))
+    e = qcore.Ensemble(priors=(0.25,) * 4, states=tuple(states))
+    path = tmp_path / "near_parallel.json"
+    path.write_text(json.dumps(qcore.ensemble_to_json(e)))
+    code, out, err = run(capsys, ["mcm", "--ensemble", str(path)])
+    assert code == cli.EXIT_OK
+    assert "Traceback" not in err
+    assert json.loads(out)["kkt"]["ok"] is True
+
+
+NUMPY_ONLY = """
+import contextlib, io, json, sys
+from importlib.metadata import packages_distributions
+before = set(sys.modules)
+from seqmcm import cli
+argvs = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+owners = packages_distributions()
+tops = {m.partition(".")[0] for m in set(sys.modules) - before}
+dists = sorted({d for top in tops for d in owners.get(top, ())})
+print(json.dumps({"codes": codes, "distributions": dists}))
+"""
+
+
+def test_commands_load_numpy_only():
+    """One command of each kind, in a fresh interpreter, loads modules of
+    no installed distribution but numpy (and seqmcm itself)."""
+    argvs = [
+        ["mcm", "--family", "gu", "--params", '{"n": 4}'],
+        ["sequence", "--family", "mirror", "--parties", "3", "--eta0", "0.5"],
+        ["sweep", "--family", "mirror"],
+        ["verify", "--count", "2"],
+        ["family", "--family", "mirror"],
+    ]
+    src = str(Path(seqmcm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [cli.EXIT_OK] * len(argvs)
+    assert set(report["distributions"]) <= {"numpy", "seqmcm"}

@@ -647,9 +647,26 @@ class TestMirrorMcm:
         np.testing.assert_allclose(abs(azimuth), sol.phi, atol=1e-8)
 
     def test_stationarity_at_optimum(self):
-        ms = MirrorState(r1=1.0, r2=1.0, theta=2.2)
-        sol = mirror_mcm(ms)
-        assert abs(families._mirror_stationarity(ms, sol.phi)) < 1e-12
+        """The closed-form azimuth zeroes the derivative of C2 and is its
+        maximum on a 500-point grid, along chains and on random states."""
+        rng = np.random.default_rng(124)
+        states = [MirrorState(r1=1.0, r2=1.0, theta=2.2)]
+        for theta in np.linspace(5 * math.pi / 9, 7 * math.pi / 9, 5):
+            states += mirror(float(theta)).trajectory(rng.uniform(0.1, 0.9, size=8))
+        while len(states) < 80:
+            ms = MirrorState(
+                r1=float(rng.uniform(0.05, 1.0)),
+                r2=float(rng.uniform(0.05, 1.0)),
+                theta=float(rng.uniform(0.3, math.pi - 0.3)),
+            )
+            if ms.r1 > ms.r2 * math.cos(ms.theta) + 1e-6:
+                states.append(ms)
+        grid = np.linspace(1e-6, math.pi - 1e-6, 500)
+        for ms in states:
+            sol = mirror_mcm(ms)
+            assert abs(families._mirror_stationarity(ms, sol.phi)) < 1e-12
+            best = max(mirror_confidence2(ms, float(phi)) for phi in grid)
+            assert sol.c2 >= best - 1e-12
 
     def test_azimuth_beats_grid(self):
         ms = MirrorState(r1=0.85, r2=0.7, theta=2.0)

@@ -1,6 +1,6 @@
 """Optimization-layer tests: inconclusive-rate minimization over scaled
-optimal projectors, the min-error guessing dual, equal-confidence gain
-schedules, and the bounded numeric minimizers.
+optimal projectors, the min-error guessing dual, and equal-confidence
+gain schedules.
 
 Run with:  pytest tests/test_optim.py -v
 """
@@ -15,10 +15,8 @@ from seqmcm.optim import (
     GainSchedule,
     InfeasibleGainError,
     UnsupportedScaleError,
-    golden_section,
     min_error_guessing,
     min_inconclusive_rate,
-    minimize_disturbance_numeric,
     optimal_joint_schedule,
     random_feasible_weights,
     two_state_least_disturbing,
@@ -225,7 +223,7 @@ class TestMinInconclusiveRate:
 
 class TestNewtonBudget:
     """Each ``numpy.linalg.solve`` in the SDPs is one Newton step of the
-    barrier core; neither SDP calls ``scipy.optimize.minimize``."""
+    barrier core."""
 
     def test_weight_sdp(self, solver_calls):
         rng = np.random.default_rng(64)
@@ -237,7 +235,6 @@ class TestNewtonBudget:
                     solver_calls.clear()
                     min_inconclusive_rate(e)
                     assert 0 < solver_calls["solve"] <= 80
-                    assert solver_calls["minimize"] == 0
 
     def test_guessing_sdp(self, solver_calls):
         rng = np.random.default_rng(65)
@@ -248,7 +245,6 @@ class TestNewtonBudget:
                     solver_calls.clear()
                     min_error_guessing(e)
                     assert 0 < solver_calls["solve"] <= 50
-                    assert solver_calls["minimize"] == 0
 
     def test_stopping_short_raises(self, monkeypatch):
         """A solve cut off before its gap bound reaches GAP_TOL raises
@@ -462,67 +458,3 @@ class TestOptimalJointSchedule:
             optimal_joint_schedule(0.5, 1.0, 2)
         with pytest.raises(ValueError):
             optimal_joint_schedule(0.5, 0.5, 0)
-
-
-# ---------------------------------------------------------------------------
-# numeric minimizers
-# ---------------------------------------------------------------------------
-
-
-class TestGoldenSection:
-    def test_quadratic(self):
-        x, v = golden_section(lambda t: (t - 1.3) ** 2, 0.0, 3.0)
-        np.testing.assert_allclose(x, 1.3, atol=1e-8)
-        assert v < 1e-15
-
-    def test_nonsmooth_unimodal(self):
-        x, _ = golden_section(lambda t: abs(t - math.pi), 2.0, 4.0)
-        np.testing.assert_allclose(x, math.pi, atol=1e-8)
-
-    def test_respects_bracket(self):
-        x, _ = golden_section(lambda t: -t, 0.0, 1.0)  # minimum at the edge
-        assert 0.0 <= x <= 1.0
-        np.testing.assert_allclose(x, 1.0, atol=1e-6)
-
-
-class TestMinimizeDisturbanceNumeric:
-    def test_one_param_quartic(self):
-        res = minimize_disturbance_numeric(
-            lambda x: (x[0] ** 2 - 1.0) ** 2, [(0.0, 2.0)]
-        )
-        np.testing.assert_allclose(res.params[0], 1.0, atol=1e-7)
-        assert res.converged and res.seed is None
-
-    def test_one_param_deterministic(self):
-        fun = lambda x: math.sin(3 * x[0]) + 0.1 * x[0] ** 2
-        r1 = minimize_disturbance_numeric(fun, [(-2.0, 2.0)])
-        r2 = minimize_disturbance_numeric(fun, [(-2.0, 2.0)])
-        assert r1.params[0] == r2.params[0] and r1.value == r2.value
-
-    def test_two_param_bowl(self):
-        fun = lambda x: (x[0] - 0.3) ** 2 + 2.0 * (x[1] + 0.4) ** 2
-        res = minimize_disturbance_numeric(fun, [(-1.0, 1.0), (-1.0, 1.0)])
-        np.testing.assert_allclose(res.params, [0.3, -0.4], atol=1e-5)
-        assert res.seed is not None
-
-    def test_two_param_reproducible(self):
-        fun = lambda x: (x[0] - 0.3) ** 2 + (x[1] - 0.1) ** 4
-        r1 = minimize_disturbance_numeric(fun, [(-1.0, 1.0), (-1.0, 1.0)])
-        r2 = minimize_disturbance_numeric(fun, [(-1.0, 1.0), (-1.0, 1.0)])
-        np.testing.assert_allclose(r1.params, r2.params, atol=0.0)
-        assert r1.seed == r2.seed
-
-    def test_minimum_outside_box_clips(self):
-        res = minimize_disturbance_numeric(
-            lambda x: (x[0] - 5.0) ** 2, [(0.0, 1.0)]
-        )
-        np.testing.assert_allclose(res.params[0], 1.0, atol=1e-6)
-
-    def test_parameter_cap(self):
-        with pytest.raises(UnsupportedScaleError):
-            minimize_disturbance_numeric(lambda x: 0.0, [(0, 1)] * 4)
-
-    def test_three_param(self):
-        fun = lambda x: float(np.sum((x - np.array([0.1, 0.2, 0.3])) ** 2))
-        res = minimize_disturbance_numeric(fun, [(0.0, 1.0)] * 3)
-        np.testing.assert_allclose(res.params, [0.1, 0.2, 0.3], atol=1e-4)
