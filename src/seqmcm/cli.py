@@ -8,8 +8,9 @@ Subcommands::
     seqmcm verify   run randomized invariant suites, machine-readable report
     seqmcm family   print a family's closed-form values
 
-Ensembles come either from ``--ensemble file.json`` or from
-``--family NAME --params JSON``.  Family parameters are radians; a string
+``mcm`` and ``sequence`` take an ensemble either from ``--ensemble
+file.json`` or from ``--family NAME --params JSON``; ``sweep`` and
+``family`` take a family only.  Family parameters are radians; a string
 value with a ``deg`` suffix (``{"theta": "120deg"}``) is converted.
 
 Exit codes: 0 success; 1 verification failure; 2 malformed input (also a
@@ -17,14 +18,21 @@ state outside the support of the ensemble average, message names the label);
 3 KKT check failure (also an SDP solve that stops short of its gap bound);
 4 infeasible strategy (message names the party).
 
-Outputs are deterministic for a fixed command line + seed: dictionaries
-are serialized with sorted keys and floats with ``repr`` precision, so
-reruns are byte-identical.  ``SEQMCM_THREADS`` caps sweep parallelism.
+Each family is one row of :data:`FAMILIES`: how ``--params`` builds it
+and how ``sweep`` runs it.  ``family`` prints the family's ``describe()``;
+``sequence`` chains come from its ``strategies`` (``two_mixed``: from its
+gains instead).
+
+Outputs are deterministic for a fixed command line (``verify`` draws its
+instances from ``--seed``): dictionaries are serialized with sorted keys
+and floats with ``repr`` precision, so reruns are byte-identical.
+``SEQMCM_THREADS`` caps sweep parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -118,34 +126,28 @@ def _parse_rates(text: str | None, parties: int) -> list[float]:
     return values
 
 
-FAMILY_NAMES = ("two_mixed", "gu", "lifted_gu", "mirror")
+def _count(params: dict[str, Any]) -> int:
+    return int(params.get("n", params.get("N", 3)))
 
 
-def _build_family(name: str, params: dict[str, Any]):
+def _angle(params: dict[str, Any], name: str, default: float) -> float:
+    return _parse_angle(params.get(name, default), name)
+
+
+def _family_row(name: str) -> tuple[Callable[[dict[str, Any]], Any], Callable[..., Any]]:
+    if name not in FAMILIES:
+        raise CliError(
+            EXIT_INPUT, f"unknown family {name!r}; choose one of {', '.join(FAMILIES)}"
+        )
+    return FAMILIES[name]
+
+
+def _build_family(name: str, params: dict[str, Any]) -> Any:
+    build, _ = _family_row(name)
     try:
-        if name == "two_mixed":
-            return fam_mod.two_mixed(
-                p=float(params.get("p", 1.0)),
-                theta=_parse_angle(params.get("theta", math.pi / 2), "theta"),
-            )
-        if name == "gu":
-            return fam_mod.gu(n=int(params.get("n", params.get("N", 3))))
-        if name == "lifted_gu":
-            lam = params.get("lam", params.get("lambda", 1.0))
-            return fam_mod.lifted_gu(
-                n=int(params.get("n", params.get("N", 3))),
-                theta=_parse_angle(params.get("theta", math.pi / 2), "theta"),
-                lam=float(lam),
-            )
-        if name == "mirror":
-            return fam_mod.mirror(
-                theta=_parse_angle(params.get("theta", 2 * math.pi / 3), "theta")
-            )
+        return build(params)
     except (ValueError, TypeError) as exc:
         raise CliError(EXIT_INPUT, f"bad parameters for family {name}: {exc}")
-    raise CliError(
-        EXIT_INPUT, f"unknown family {name!r}; choose one of {', '.join(FAMILY_NAMES)}"
-    )
 
 
 def _load_source(args: argparse.Namespace) -> tuple[Ensemble, Any]:
@@ -197,6 +199,15 @@ def _emit(out_dir: str | None, name: str, text: str, quiet_path: bool = False) -
         print(target)
 
 
+def _fmt(value: Any) -> str:
+    """Deterministic cell text: empty for None, repr for floats, str otherwise."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))  # numpy scalars repr differently; unify
+    return str(value)
+
+
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     import csv
     import io
@@ -205,15 +216,8 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(header))
     for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
+        writer.writerow([_fmt(v) for v in row])
     return buf.getvalue()
-
-
-def _fmt(value: Any) -> str:
-    """Deterministic cell text: repr for floats, str otherwise."""
-    if isinstance(value, float):
-        return repr(float(value))  # numpy scalars repr differently; unify
-    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +297,7 @@ def _family_strategies(fam: Any, args: argparse.Namespace, parties: int) -> list
         if args.retarget_angle is not None
         else None
     )
-
-    if isinstance(fam, fam_mod.TwoMixedFamily):
+    if isinstance(fam, fam_mod.TwoMixedFamily):  # a chain set by gains, not rates
         if explicit:
             raise CliError(
                 EXIT_INPUT, "two_mixed chains have no retarget angle; use --gains"
@@ -302,19 +305,7 @@ def _family_strategies(fam: Any, args: argparse.Namespace, parties: int) -> list
         if args.gains:
             return fam.strategies_for_gains(_parse_numbers(args.gains, "--gains", parties))
         return fam.chain_strategies(parties)
-
-    rates = _parse_rates(args.eta0, parties)
-    if isinstance(fam, fam_mod.GuFamily):
-        if explicit:
-            raise CliError(EXIT_INPUT, "gu chains collapse onto the states themselves")
-        return fam.strategies(rates)
-    if isinstance(fam, fam_mod.LiftedGuFamily):
-        if explicit:
-            return fam.strategies(rates, retarget_polar=angle)
-        return fam.strategies(rates)
-    if isinstance(fam, fam_mod.MirrorFamily):
-        return fam.strategies(rates, retarget_azimuth=angle if explicit else None)
-    raise CliError(EXIT_INPUT, f"no chain strategy for family {type(fam).__name__}")
+    return fam.strategies(_parse_rates(args.eta0, parties), retarget=angle if explicit else None)
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
@@ -333,8 +324,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     try:
         trace = seqchan.run_sequence(e, strategies)
     except seqchan.StrategyInfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        raise CliError(EXIT_INFEASIBLE, f"infeasible: {exc}")
 
     # serialize only what is written: one format on stdout, both under --out
     for fmt in ("json", "csv") if args.out is not None else (args.format,):
@@ -388,18 +378,10 @@ def _sweep_two_mixed(args: argparse.Namespace) -> tuple[list[str], list[list[Any
     parties = args.parties
     points = [(p, th) for p in ps for th in thetas]
     _guard_grid(len(points))
-
-    header = [
-        "p",
-        "theta",
-        "confidence_oracle",
-        "confidence_engine",
-        "confidence_residual",
-        "p_joint_oracle",
-        "p_joint_engine",
-        "p_joint_residual",
-        "error",
-    ]
+    header = (
+        "p theta confidence_oracle confidence_engine confidence_residual "
+        "p_joint_oracle p_joint_engine p_joint_residual error"
+    ).split()
 
     def one(point: tuple[float, float]) -> list[Any]:
         p, th = point
@@ -407,33 +389,21 @@ def _sweep_two_mixed(args: argparse.Namespace) -> tuple[list[str], list[list[Any
             fam = fam_mod.two_mixed(p, th)
             e = fam.ensemble()
             engine = mcm_mod.solve_mcm(e)[1].confidence
-            row: list[Any] = [
-                _fmt(p),
-                _fmt(th),
-                _fmt(fam.confidence),
-                _fmt(engine),
-                _fmt(abs(engine - fam.confidence)),
-            ]
-            if parties:
-                sched = fam.schedule(parties)
-                trace = seqchan.run_sequence(e, fam.chain_strategies(parties))
-                pj = trace.p_joint if trace.p_joint is not None else math.nan
-                row += [
-                    _fmt(sched.p_joint),
-                    _fmt(pj),
-                    _fmt(abs(pj - sched.p_joint)),
-                ]
-            else:
-                row += [None, None, None]
-            return row + [None]
+            row = [p, th, fam.confidence, engine, abs(engine - fam.confidence)]
+            if not parties:
+                return row + [None] * 4
+            sched = fam.schedule(parties)
+            trace = seqchan.run_sequence(e, fam.chain_strategies(parties))
+            pj = trace.p_joint if trace.p_joint is not None else math.nan
+            return row + [sched.p_joint, pj, abs(pj - sched.p_joint), None]
         except Exception as exc:  # recorded per-point, sweep continues
-            return [_fmt(p), _fmt(th)] + [None] * 6 + [str(exc)]
+            return [p, th] + [None] * 6 + [str(exc)]
 
     return header, _map_points(points, one)
 
 
 def _sweep_gu(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
-    fam = _build_family("gu", _parse_params(args.params))
+    fam = _build_family(args.family, _parse_params(args.params))
     n = fam.n
     parties = args.parties or 10
     rates = _parse_numbers(args.eta0, "--eta0") if args.eta0 else [0.1, 0.5, 0.9]
@@ -447,19 +417,9 @@ def _sweep_gu(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
             for j in range(1, parties + 1):
                 oracle = fam.confidence_at(j, schedule)
                 engine = trace.records[j - 1].confidences[1]
-                rows.append(
-                    [
-                        n,
-                        _fmt(eta0),
-                        j,
-                        _fmt(oracle),
-                        _fmt(engine),
-                        _fmt(abs(engine - oracle)),
-                        None,
-                    ]
-                )
+                rows.append([n, eta0, j, oracle, engine, abs(engine - oracle), None])
         except Exception as exc:
-            rows.append([n, _fmt(eta0), None, None, None, None, str(exc)])
+            rows.append([n, eta0, None, None, None, None, str(exc)])
         return rows
 
     header = ["n", "eta0", "party", "confidence_oracle", "confidence_engine", "residual", "error"]
@@ -468,7 +428,7 @@ def _sweep_gu(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
 
 
 def _sweep_lifted(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
-    fam = _build_family("lifted_gu", _parse_params(args.params))
+    fam = _build_family(args.family, _parse_params(args.params))
     parties = args.parties or 8
     threshold = args.threshold if args.threshold is not None else 0.4
     eta0 = _parse_numbers(args.eta0, "--eta0")[0] if args.eta0 else 0.5
@@ -479,7 +439,7 @@ def _sweep_lifted(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]
     except FeasibilityError as exc:  # rate below the floor cos(theta)
         raise CliError(EXIT_INFEASIBLE, f"infeasible: {exc}")
     except ValueError as exc:  # n < 3: no sequential closed forms
-        raise CliError(EXIT_INPUT, f"bad parameters for family lifted_gu: {exc}")
+        raise CliError(EXIT_INPUT, f"bad parameters for family {args.family}: {exc}")
     max_r = fam.max_parties(threshold, eta0) if math.isfinite(bound) else None
     schedule = [eta0] * parties
     try:
@@ -487,38 +447,16 @@ def _sweep_lifted(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]
     except seqchan.StrategyInfeasibleError as exc:
         raise CliError(EXIT_INFEASIBLE, f"infeasible: {exc}")
 
-    header = [
-        "parties",
-        "eta0",
-        "threshold",
-        "bound",
-        "max_parties",
-        "confidence_oracle",
-        "confidence_engine",
-        "residual",
-        "feasible_oracle",
-        "feasible_engine",
-        "error",
-    ]
+    header = (
+        "parties eta0 threshold bound max_parties confidence_oracle confidence_engine "
+        "residual feasible_oracle feasible_engine error"
+    ).split()
     rows = []
     for r in range(1, parties + 1):
         oracle = fam.confidence_at(r, schedule)
         engine = trace.records[r - 1].confidences[1]
-        rows.append(
-            [
-                r,
-                _fmt(eta0),
-                _fmt(threshold),
-                _fmt(bound),
-                max_r,
-                _fmt(oracle),
-                _fmt(engine),
-                _fmt(abs(engine - oracle)),
-                int(oracle >= threshold),
-                int(engine >= threshold),
-                None,
-            ]
-        )
+        row = [r, eta0, threshold, bound, max_r, oracle, engine, abs(engine - oracle)]
+        rows.append(row + [int(oracle >= threshold), int(engine >= threshold), None])
     return header, rows
 
 
@@ -530,17 +468,7 @@ def _sweep_mirror(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]
         thetas = sorted(set(np.linspace(5 * math.pi / 9, 7 * math.pi / 9, 13)) | {2 * math.pi / 3})
     eta0 = _parse_numbers(args.eta0, "--eta0")[0] if args.eta0 else 0.5
     _guard_grid(len(thetas))
-
-    header = [
-        "theta",
-        "eta0",
-        "theta_next_oracle",
-        "theta_next_engine",
-        "residual",
-        "dtheta",
-        "sign",
-        "error",
-    ]
+    header = "theta eta0 theta_next_oracle theta_next_engine residual dtheta sign error".split()
 
     def one(theta: float) -> list[Any]:
         try:
@@ -550,18 +478,9 @@ def _sweep_mirror(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]
             engine = fam_mod.mirror_state_of(trace.final_ensemble).theta
             d = oracle - theta
             sign = "0" if abs(d) < 1e-9 else ("+" if d > 0 else "-")
-            return [
-                _fmt(theta),
-                _fmt(eta0),
-                _fmt(oracle),
-                _fmt(engine),
-                _fmt(abs(engine - oracle)),
-                _fmt(d),
-                sign,
-                None,
-            ]
+            return [theta, eta0, oracle, engine, abs(engine - oracle), d, sign, None]
         except Exception as exc:
-            return [_fmt(theta), _fmt(eta0)] + [None] * 5 + [str(exc)]
+            return [theta, eta0] + [None] * 5 + [str(exc)]
 
     return header, _map_points(list(thetas), one)
 
@@ -569,18 +488,31 @@ def _sweep_mirror(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]
 def cmd_sweep(args: argparse.Namespace) -> int:
     if not args.family:
         raise CliError(EXIT_INPUT, "sweep needs --family")
-    if args.family == "two_mixed":
-        header, rows = _sweep_two_mixed(args)
-    elif args.family == "gu":
-        header, rows = _sweep_gu(args)
-    elif args.family == "lifted_gu":
-        header, rows = _sweep_lifted(args)
-    elif args.family == "mirror":
-        header, rows = _sweep_mirror(args)
-    else:
-        raise CliError(EXIT_INPUT, f"unknown family {args.family!r}")
+    _, sweep = _family_row(args.family)
+    header, rows = sweep(args)
     _emit(args.out, "sweep.csv", _csv_text(header, rows))
     return EXIT_OK
+
+
+# family name -> (build from --params, sweep); every name lookup goes through _family_row
+FAMILIES: dict[str, tuple[Callable[[dict[str, Any]], Any], Callable[..., Any]]] = {
+    "two_mixed": (
+        lambda q: fam_mod.two_mixed(
+            p=float(q.get("p", 1.0)), theta=_angle(q, "theta", math.pi / 2)
+        ),
+        _sweep_two_mixed,
+    ),
+    "gu": (lambda q: fam_mod.gu(n=_count(q)), _sweep_gu),
+    "lifted_gu": (
+        lambda q: fam_mod.lifted_gu(
+            n=_count(q),
+            theta=_angle(q, "theta", math.pi / 2),
+            lam=float(q.get("lam", q.get("lambda", 1.0))),
+        ),
+        _sweep_lifted,
+    ),
+    "mirror": (lambda q: fam_mod.mirror(theta=_angle(q, "theta", 2 * math.pi / 3)), _sweep_mirror),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -588,32 +520,36 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _draw_ensemble(rng: np.random.Generator, n_max: int) -> Ensemble:
+    """A random qubit ensemble of 2..n_max states."""
+    return qcore.random_ensemble(rng, 2, int(rng.integers(2, n_max + 1)))
+
+
+def _draw_mcm_povm(rng: np.random.Generator) -> qcore.Povm:
+    """The optimal projectors of a random 2..4-state qubit ensemble under
+    random feasible weights."""
+    e = _draw_ensemble(rng, 4)
+    projectors = mcm_mod.optimal_projectors(mcm_mod.solve_mcm(e))
+    return mcm_mod.mcm_povm(e, optim_mod.random_feasible_weights(rng, projectors))
+
+
 def _suite_duality(count: int, rng: np.random.Generator) -> dict[str, Any]:
     worst = 0.0
     for _ in range(count):
-        n = int(rng.integers(2, 6))
-        e = qcore.random_ensemble(rng, 2, n)
+        e = _draw_ensemble(rng, 5)
         rho = e.average()
         for x, entry in mcm_mod.solve_mcm(e).items():
             if e.prior(x) == 0.0:
                 continue
             dmax = mcm_mod.max_relative_entropy(e.state(x).mat, rho.mat)
             worst = max(worst, abs(entry.confidence - e.prior(x) * 2.0**dmax))
-    return {
-        "module": "mcm",
-        "invariant": "confidence equals prior times 2^(max relative entropy)",
-        "instances": count,
-        "worst": worst,
-        "tol": 1e-9,
-        "pass": worst <= 1e-9,
-    }
+    return {"worst": worst}
 
 
 def _suite_kkt(count: int, rng: np.random.Generator) -> dict[str, Any]:
     worst = 0.0
     for _ in range(count):
-        n = int(rng.integers(2, 6))
-        e = qcore.random_ensemble(rng, 2, n)
+        e = _draw_ensemble(rng, 5)
         sol = optim_mod.min_inconclusive_rate(e)
         report = mcm_mod.verify_kkt(e, mcm_mod.mcm_povm(e, sol.weights))
         worst = max(
@@ -621,37 +557,17 @@ def _suite_kkt(count: int, rng: np.random.Generator) -> dict[str, Any]:
             max(report.stability.values(), default=0.0),
             max(report.slackness.values(), default=0.0),
         )
-    return {
-        "module": "mcm",
-        "invariant": "KKT stability and complementary slackness",
-        "instances": count,
-        "worst": worst,
-        "tol": 1e-9,
-        "pass": worst <= 1e-9,
-    }
+    return {"worst": worst}
 
 
 def _suite_povm(count: int, rng: np.random.Generator) -> dict[str, Any]:
     worst = 0.0
-    failures = 0
+    ok = True
     for _ in range(count):
-        n = int(rng.integers(2, 5))
-        e = qcore.random_ensemble(rng, 2, n)
-        projectors = mcm_mod.optimal_projectors(mcm_mod.solve_mcm(e))
-        weights = optim_mod.random_feasible_weights(rng, projectors)
-        povm = mcm_mod.mcm_povm(e, weights)
-        report = qcore.validate_povm(povm)
+        report = qcore.validate_povm(_draw_mcm_povm(rng))
         worst = max(worst, report.completeness_residual, -min(report.psd_margins.values()))
-        if not report.ok:
-            failures += 1
-    return {
-        "module": "qcore",
-        "invariant": "feasibly weighted measurements validate as POVMs",
-        "instances": count,
-        "worst": worst,
-        "tol": qcore.POVM_TOL,
-        "pass": failures == 0,
-    }
+        ok = ok and report.ok
+    return {"worst": worst, "pass": ok}
 
 
 def _suite_trace_preservation(count: int, rng: np.random.Generator) -> dict[str, Any]:
@@ -660,11 +576,7 @@ def _suite_trace_preservation(count: int, rng: np.random.Generator) -> dict[str,
         if rng.random() < 0.5:
             ch = seqchan.random_channel(rng, 2, int(rng.integers(2, 5)))
         else:
-            n = int(rng.integers(2, 5))
-            e = qcore.random_ensemble(rng, 2, n)
-            projectors = mcm_mod.optimal_projectors(mcm_mod.solve_mcm(e))
-            weights = optim_mod.random_feasible_weights(rng, projectors)
-            povm = mcm_mod.mcm_povm(e, weights)
+            povm = _draw_mcm_povm(rng)
             alpha = float(rng.uniform(0.2, 1.0))
             weak = seqchan.WeakMcm(povm=povm, alphas={x: alpha for x in povm.labels})
             try:
@@ -674,22 +586,14 @@ def _suite_trace_preservation(count: int, rng: np.random.Generator) -> dict[str,
         rho = qcore.random_density(rng, 2)
         out = ch.apply(rho)
         worst = max(worst, abs(float(np.real(np.trace(out.mat))) - 1.0))
-    return {
-        "module": "seqchan",
-        "invariant": "channels preserve trace",
-        "instances": count,
-        "worst": worst,
-        "tol": 1e-10,
-        "pass": worst <= 1e-10,
-    }
+    return {"worst": worst}
 
 
 def _suite_monotonicity(count: int, rng: np.random.Generator) -> dict[str, Any]:
     violations = 0
     witness = None
     for _ in range(count):
-        n = int(rng.integers(2, 5))
-        e = qcore.random_ensemble(rng, 2, n)
+        e = _draw_ensemble(rng, 4)
         sol = optim_mod.min_inconclusive_rate(e)
         floor = max(sol.eta0, 0.0)
         eta0 = floor + float(rng.uniform(0.1, 0.8)) * (1.0 - floor)
@@ -700,33 +604,17 @@ def _suite_monotonicity(count: int, rng: np.random.Generator) -> dict[str, Any]:
         except ValueError as exc:
             violations += 1
             witness = str(exc)
-    return {
-        "module": "seqchan",
-        "invariant": "confidences never increase along a chain",
-        "instances": count,
-        "worst": violations,
-        "tol": 0,
-        "pass": violations == 0,
-        "witness": witness,
-    }
+    return {"worst": violations, "witness": witness}
 
 
 def _suite_distance(count: int, rng: np.random.Generator) -> dict[str, Any]:
     worst = 0.0
     for _ in range(count):
-        n = int(rng.integers(2, 5))
-        e = qcore.random_ensemble(rng, 2, n)
+        e = _draw_ensemble(rng, 4)
         ch = seqchan.random_channel(rng, 2, int(rng.integers(2, 5)))
         d, lower = seqchan.ensemble_distance(e, ch.apply_ensemble(e))
         worst = max(worst, lower - d)
-    return {
-        "module": "seqchan",
-        "invariant": "average disturbance dominates the mean-state bound",
-        "instances": count,
-        "worst": worst,
-        "tol": 1e-12,
-        "pass": worst <= 1e-12,
-    }
+    return {"worst": worst}
 
 
 def _suite_proposition(count: int, rng: np.random.Generator) -> dict[str, Any]:
@@ -751,15 +639,10 @@ def _suite_proposition(count: int, rng: np.random.Generator) -> dict[str, Any]:
     c_tri = [rec.confidences[1] for rec in tri.records]
     drop = c_tri[0] - c_tri[1]
 
-    ok = trine_dependent and two_independent and keep <= 1e-10 and drop >= 1e-6
     return {
-        "module": "seqchan",
-        "invariant": "equal-confidence chains exist iff the measurement "
-        "operators with identity are linearly independent",
         "instances": 2,
         "worst": max(keep, 0.0 if drop >= 1e-6 else 1.0),
-        "tol": 1e-10,
-        "pass": ok,
+        "pass": trine_dependent and two_independent and keep <= 1e-10 and drop >= 1e-6,
         "witness": {
             "trine_dependent": trine_dependent,
             "two_state_independent": two_independent,
@@ -769,15 +652,48 @@ def _suite_proposition(count: int, rng: np.random.Generator) -> dict[str, Any]:
     }
 
 
-SUITES: dict[str, Callable[[int, np.random.Generator], dict[str, Any]]] = {
-    "duality": _suite_duality,
-    "kkt": _suite_kkt,
-    "povm": _suite_povm,
-    "trace-preservation": _suite_trace_preservation,
-    "monotonicity": _suite_monotonicity,
-    "distance": _suite_distance,
-    "proposition": _suite_proposition,
+# suite name -> (module, invariant, tolerance on the worst value, suite);
+# a suite returns its worst value and, where they differ from the
+# defaults of _suite_report, its instance count, verdict and witness
+SUITES: dict[str, tuple[str, str, float, Callable[[int, np.random.Generator], dict[str, Any]]]] = {
+    "duality": (
+        "mcm", "confidence equals prior times 2^(max relative entropy)", 1e-9, _suite_duality
+    ),
+    "kkt": ("mcm", "KKT stability and complementary slackness", 1e-9, _suite_kkt),
+    "povm": (
+        "qcore", "feasibly weighted measurements validate as POVMs", qcore.POVM_TOL, _suite_povm
+    ),
+    "trace-preservation": (
+        "seqchan", "channels preserve trace", 1e-10, _suite_trace_preservation
+    ),
+    "monotonicity": (
+        "seqchan", "confidences never increase along a chain", 0, _suite_monotonicity
+    ),
+    "distance": (
+        "seqchan", "average disturbance dominates the mean-state bound", 1e-12, _suite_distance
+    ),
+    "proposition": (
+        "seqchan",
+        "equal-confidence chains exist iff the measurement operators with identity "
+        "are linearly independent",
+        1e-10,
+        _suite_proposition,
+    ),
 }
+
+
+def _suite_report(name: str, count: int, seed: int) -> dict[str, Any]:
+    module, invariant, tol, suite = SUITES[name]
+    found = suite(count, np.random.default_rng(seed))
+    return {
+        "suite": name,
+        "module": module,
+        "invariant": invariant,
+        "instances": count,
+        "tol": tol,
+        "pass": found["worst"] <= tol,
+        **found,
+    }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -790,10 +706,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 EXIT_INPUT,
                 f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all",
             )
-    checks = []
-    for name in names:
-        rng = np.random.default_rng(args.seed)
-        checks.append({"suite": name, **SUITES[name](args.count, rng)})
+    checks = [_suite_report(name, args.count, args.seed) for name in names]
     ok = all(c["pass"] for c in checks)
     doc = {"suites": names, "count": args.count, "seed": args.seed, "checks": checks, "pass": ok}
     text = _dumps(doc)
@@ -812,61 +725,7 @@ def cmd_family(args: argparse.Namespace) -> int:
     if not args.family:
         raise CliError(EXIT_INPUT, "family needs --family")
     fam = _build_family(args.family, _parse_params(args.params))
-    doc: dict[str, Any]
-    if isinstance(fam, fam_mod.TwoMixedFamily):
-        doc = {
-            "family": "two_mixed",
-            "p": fam.p,
-            "theta": fam.theta,
-            "confidence": fam.confidence,
-            "signed_overlap": fam.signed_overlap,
-            "overlap": fam.overlap,
-            "helstrom": fam.helstrom,
-            "projectors": [qcore.vector_to_json(v) for v in fam.projector_vectors()],
-        }
-    elif isinstance(fam, fam_mod.GuFamily):
-        doc = {
-            "family": "gu",
-            "n": fam.n,
-            "confidence": fam.confidence,
-            "weights": {str(x): w for x, w in sorted(fam.weights.items())},
-            "eta0_floor": 0.0,
-            "states": [
-                qcore.vector_to_json(fam.state_vector(x)) for x in range(1, fam.n + 1)
-            ],
-        }
-    elif isinstance(fam, fam_mod.LiftedGuFamily):
-        doc = {
-            "family": "lifted_gu",
-            "n": fam.n,
-            "theta": fam.theta,
-            "lam": fam.lam,
-            "confidence": fam.confidence,
-            "full_weight": fam.full_weight,
-            "eta0_floor": fam.eta0_floor,
-            "purity": fam.purity(),
-            "measurement_vectors": [
-                qcore.vector_to_json(
-                    fam.measurement_vector(x) / np.linalg.norm(fam.measurement_vector(x))
-                )
-                for x in range(1, fam.n + 1)
-            ],
-        }
-    else:
-        ms = fam.initial()
-        sol = fam_mod.mirror_mcm(ms)
-        doc = {
-            "family": "mirror",
-            "theta": fam.theta,
-            "phi": sol.phi,
-            "phi_closed_form_pure": fam_mod.pure_mirror_phi(fam.theta),
-            "c1": sol.c1,
-            "c2": sol.c2,
-            "weights": {"1": sol.a1, "2": sol.a2, "3": sol.a2},
-            "retarget": fam_mod.mirror_retarget(ms, sol.phi),
-            "trichotomy": "sign(theta_next - theta) = sign(theta - 2*pi/3)",
-        }
-    _emit(args.out, "family.json", _dumps(doc))
+    _emit(args.out, "family.json", _dumps(fam.describe()))
     return EXIT_OK
 
 
@@ -875,12 +734,12 @@ def cmd_family(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_source_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ensemble", help="path to an ensemble JSON file")
-    p.add_argument("--family", help=f"one of {', '.join(FAMILY_NAMES)}")
+def _add_source_flags(p: argparse.ArgumentParser, ensemble: bool = True) -> None:
+    if ensemble:
+        p.add_argument("--ensemble", help="path to an ensemble JSON file")
+    p.add_argument("--family", help=f"one of {', '.join(FAMILIES)}")
     p.add_argument("--params", help='family parameters as JSON, e.g. \'{"n": 3}\'')
     p.add_argument("--out", help="output directory (default: print to stdout)")
-    p.add_argument("--seed", type=int, default=7, help="RNG seed (default 7)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -916,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_sweep = sub.add_parser("sweep", help="oracle-vs-engine residuals over a grid")
-    _add_source_flags(p_sweep)
+    _add_source_flags(p_sweep, ensemble=False)
     p_sweep.add_argument("--grid", help="JSON object of parameter lists")
     p_sweep.add_argument("--parties", type=int, help="chain length (family dependent)")
     p_sweep.add_argument("--eta0", help="inconclusive rates, comma separated")
@@ -935,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", help="also write verify.json here")
 
     p_family = sub.add_parser("family", help="print a family's closed-form values")
-    _add_source_flags(p_family)
+    _add_source_flags(p_family, ensemble=False)
 
     return parser
 
@@ -949,9 +808,13 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except CliError as exc:

@@ -33,6 +33,16 @@ mirror(theta)
     the measurement azimuth, weights, and retargets all depend on the
     evolving state triple ``(r_1, r_2, theta)``.
 
+Every family has ``ensemble()`` and ``describe()``, the closed-form
+values as the JSON object ``seqmcm family`` prints.  ``gu``, ``lifted_gu``
+and ``mirror`` build chains with ``strategies(eta0s, retarget=None)``: one
+party per inconclusive rate, collapsing onto the family's least-disturbing
+targets, or onto the polar angle (``lifted_gu``) or azimuth (``mirror``)
+``retarget`` for comparison runs; ``gu`` refuses a retarget.  A
+``two_mixed`` chain is set by gains instead of rates:
+``chain_strategies(parties)`` for the joint-probability optimum,
+``strategies_for_gains(gains)`` for given gains.
+
 Angles are radians everywhere.
 """
 
@@ -41,14 +51,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import mcm as _mcm
 from . import optim as _optim
 from . import seqchan as _seqchan
-from .qcore import DensityMatrix, Ensemble, FeasibilityError, Povm
+from .qcore import DensityMatrix, Ensemble, FeasibilityError, Povm, vector_to_json
 from .seqchan import PartyPlan, Strategy, WeakMcm, kraus_from_weak
 
 
@@ -173,18 +183,32 @@ class TwoMixedFamily:
     def schedule(self, parties: int) -> _optim.GainSchedule:
         return _optim.optimal_joint_schedule(self.confidence, self.overlap, parties)
 
-    def strategies_for_gains(self, gains: Sequence[float]) -> list[Strategy]:
-        """One equal-confidence party per gain, each reading the ensemble it
-        is handed (so the chain is self-correcting, not open-loop)."""
-        gains = [float(g) for g in gains]
+    def describe(self) -> dict[str, Any]:
+        return {
+            "family": "two_mixed",
+            "p": self.p,
+            "theta": self.theta,
+            "confidence": self.confidence,
+            "signed_overlap": self.signed_overlap,
+            "overlap": self.overlap,
+            "helstrom": self.helstrom,
+            "projectors": [vector_to_json(v) for v in self.projector_vectors()],
+        }
+
+    def _strategies(
+        self, parties: int, gain_of: Callable[[float, float, int], float]
+    ) -> list[Strategy]:
+        """One equal-confidence party per index ``j``, each reading the
+        ensemble it is handed (so the chain is self-correcting, not
+        open-loop) and extracting the gain ``gain_of(C, s, j)``."""
 
         def strat(e: Ensemble, j: int) -> PartyPlan:
-            gain = gains[j - 1]
             entries = _mcm.solve_mcm(e)
             c = min(entries[1].confidence, 1.0)
             phi1 = entries[1].basis[0]
             phi2 = entries[2].basis[0]
             s = abs(complex(np.vdot(phi1, phi2)))
+            gain = gain_of(c, s, j)
             a1, a2, s_new = _optim.two_state_least_disturbing(c, s, gain)
             channel, _ = _seqchan.two_state_step(phi1, phi2, a1, a2)
             elements = {1: a1 * _projector(phi1), 2: a2 * _projector(phi2)}
@@ -198,11 +222,22 @@ class TwoMixedFamily:
                 extras={"gain_target": gain, "overlap": s, "overlap_next": s_new, "a": a1},
             )
 
-        return [strat] * len(gains)
+        return [strat] * parties
+
+    def strategies_for_gains(self, gains: Sequence[float]) -> list[Strategy]:
+        """One equal-confidence party per given gain."""
+        gains = [float(g) for g in gains]
+        return self._strategies(len(gains), lambda c, s, j: gains[j - 1])
 
     def chain_strategies(self, parties: int) -> list[Strategy]:
-        """Strategies realizing the joint-probability-optimal schedule."""
-        return self.strategies_for_gains(self.schedule(parties).gains)
+        """Strategies realizing the joint-probability-optimal schedule.
+
+        Party ``j`` splits the overlap ``s_j`` it measures evenly over the
+        parties left, ``G_j = C (1 - s_j^(1/(R-j+1)))``: the closed-form
+        :meth:`schedule` in exact arithmetic, and never above the feasible
+        ``C (1 - s_j)`` however far rounding moved ``s_j`` off the ladder."""
+        r = int(parties)
+        return self._strategies(r, lambda c, s, j: c * (1.0 - s ** (1.0 / (r - j + 1))))
 
 
 def two_mixed(p: float, theta: float) -> TwoMixedFamily:
@@ -285,9 +320,22 @@ class GuFamily:
         """Party ``j``'s confidence ``(2/n) p_plus``."""
         return self.confidence * self.p_plus(j, eta0s)
 
-    def strategies(self, eta0s: Sequence[float]) -> list[Strategy]:
+    def describe(self) -> dict[str, Any]:
+        return {
+            "family": "gu",
+            "n": self.n,
+            "confidence": self.confidence,
+            "weights": {str(x): w for x, w in sorted(self.weights.items())},
+            "eta0_floor": 0.0,
+            "states": [vector_to_json(self.state_vector(x)) for x in range(1, self.n + 1)],
+        }
+
+    def strategies(self, eta0s: Sequence[float], retarget: float | None = None) -> list[Strategy]:
         """Per-party uniform weakening to inconclusive rate ``eta0s[j-1]``,
-        collapsing onto the original states (the least-disturbing choice)."""
+        collapsing onto the original states (the least-disturbing choice,
+        so a ``retarget`` is refused)."""
+        if retarget is not None:
+            raise ValueError("a gu chain collapses onto the states themselves; it takes no retarget")
         self._require_sequential()
         rates = [float(v) for v in eta0s]
         for v in rates:
@@ -481,17 +529,35 @@ class LiftedGuFamily:
             retargets=retargets,
         )
 
-    def strategies(
-        self, eta0s: Sequence[float], retarget_polar: float = math.pi / 2.0
-    ) -> list[Strategy]:
+    def describe(self) -> dict[str, Any]:
+        return {
+            "family": "lifted_gu",
+            "n": self.n,
+            "theta": self.theta,
+            "lam": self.lam,
+            "confidence": self.confidence,
+            "full_weight": self.full_weight,
+            "eta0_floor": self.eta0_floor,
+            "purity": self.purity(),
+            "measurement_vectors": [
+                vector_to_json(
+                    self.measurement_vector(x) / np.linalg.norm(self.measurement_vector(x))
+                )
+                for x in range(1, self.n + 1)
+            ],
+        }
+
+    def strategies(self, eta0s: Sequence[float], retarget: float | None = None) -> list[Strategy]:
         """Per-party optimal steps at the given inconclusive rates.
 
         Each party reads the current visibility off the ensemble it is
         handed (Bloch radius of any state, deflated by ``sin theta``), so
-        the chain needs no shared mutable state.  ``retarget_polar``
-        overrides the equatorial collapse for comparison runs."""
+        the chain needs no shared mutable state.  A ``retarget`` polar
+        angle overrides the equatorial collapse (``None``) for comparison
+        runs."""
         self._require_sequential()
         rates = [float(v) for v in eta0s]
+        retarget_polar = math.pi / 2.0 if retarget is None else float(retarget)
 
         def strat(e: Ensemble, j: int) -> PartyPlan:
             eta0 = rates[j - 1]
@@ -775,16 +841,29 @@ class MirrorFamily:
             out.append(mirror_step(out[-1], float(eta0)))
         return out
 
-    def strategies(
-        self, eta0s: Sequence[float], retarget_azimuth: float | None = None
-    ) -> list[Strategy]:
-        """One weakened-measurement party per rate; ``retarget_azimuth``
+    def describe(self) -> dict[str, Any]:
+        ms = self.initial()
+        sol = mirror_mcm(ms)
+        return {
+            "family": "mirror",
+            "theta": self.theta,
+            "phi": sol.phi,
+            "phi_closed_form_pure": pure_mirror_phi(self.theta),
+            "c1": sol.c1,
+            "c2": sol.c2,
+            "weights": {"1": sol.a1, "2": sol.a2, "3": sol.a2},
+            "retarget": mirror_retarget(ms, sol.phi),
+            "trichotomy": "sign(theta_next - theta) = sign(theta - 2*pi/3)",
+        }
+
+    def strategies(self, eta0s: Sequence[float], retarget: float | None = None) -> list[Strategy]:
+        """One weakened-measurement party per rate; a ``retarget`` azimuth
         overrides the closed-form collapse azimuth for comparison runs."""
         rates = [float(v) for v in eta0s]
 
         def strat(e: Ensemble, j: int) -> PartyPlan:
             ms = mirror_state_of(e)
-            weak, sol = mirror_weak_mcm(ms, rates[j - 1], retarget_azimuth=retarget_azimuth)
+            weak, sol = mirror_weak_mcm(ms, rates[j - 1], retarget_azimuth=retarget)
             return PartyPlan(
                 povm=weak.weakened(),
                 channel=kraus_from_weak(weak),
@@ -792,9 +871,7 @@ class MirrorFamily:
                     "eta0_target": rates[j - 1],
                     "phi": sol.phi,
                     "retarget": (
-                        mirror_retarget(ms, sol.phi)
-                        if retarget_azimuth is None
-                        else float(retarget_azimuth)
+                        mirror_retarget(ms, sol.phi) if retarget is None else float(retarget)
                     ),
                     "r1": ms.r1,
                     "r2": ms.r2,

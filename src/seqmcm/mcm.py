@@ -329,21 +329,13 @@ def guessing_probability(e: Ensemble) -> tuple[float, float]:
     """Optimal guessing probability and min-entropy ``(P_guess, H_min)``.
 
     ``H_min = -log2 P_guess`` is the conditional min-entropy of the label
-    given the quantum system.  For two states the optimum is the explicit
-    ``P = (1 + || q_1 rho_1 - q_2 rho_2 ||_1) / 2`` (trace norm without the
-    1/2 factor, so an orthogonal pair gives exactly 1); larger ensembles
-    go through the semidefinite dual in :mod:`seqmcm.optim`.
+    given the quantum system; ``P_guess`` comes from
+    :func:`seqmcm.optim.min_error_guessing`.
     """
-    if e.n == 1:
-        return 1.0, 0.0
-    if e.n == 2:
-        gap = e.prior(1) * e.state(1).mat - e.prior(2) * e.state(2).mat
-        p = 0.5 * (1.0 + trace_norm(gap))
-    else:
-        from . import optim
+    from . import optim
 
-        p = optim.min_error_guessing(e)
-    return p, -math.log2(p)
+    p = optim.min_error_guessing(e)
+    return p, 0.0 - math.log2(p)  # +0.0, not -0.0, at P_guess = 1
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import Ensemble, FeasibilityError, as_matrix
+from .qcore import Ensemble, FeasibilityError, as_matrix, trace_norm
 
 
 class InfeasibleGainError(FeasibilityError):
@@ -260,26 +260,27 @@ def min_error_guessing(e: Ensemble) -> float:
     """Optimal guessing probability via the semidefinite dual
     ``min tr[Y]`` subject to ``Y >= q_x rho_x`` for every ``x``.
 
-    Sized for ``dim <= 4`` and ``N <= 6``; anything larger raises
-    :class:`UnsupportedScaleError`.  One and two states short-circuit to
-    the exact values (1 and the trace-norm formula).  Otherwise the barrier
+    One and two states, of any dimension, short-circuit to the exact
+    values: 1, and ``(1 + || q_1 rho_1 - q_2 rho_2 ||_1) / 2`` (trace norm
+    without the 1/2 factor, so an orthogonal pair gives exactly 1).  The
+    SDP is sized for ``dim <= 4`` and ``N <= 6``; anything larger raises
+    :class:`UnsupportedScaleError`.  Otherwise the barrier
     core solves the dual over the ``d**2`` real coordinates of ``Y``, with
     one ``d x d`` block ``Y - q_x rho_x`` per state, to a duality gap below
     :data:`GAP_TOL`.  A final shift by the largest remaining violation
     makes ``Y`` exactly feasible, so the value is always an upper bound on
     the guessing probability.
     """
+    if e.n == 1:
+        return 1.0
+    if e.n == 2:
+        return 0.5 * (1.0 + trace_norm(e.prior(1) * e.state(1).mat - e.prior(2) * e.state(2).mat))
     if e.dim > 4 or e.n > 6:
         raise UnsupportedScaleError(
             f"min_error_guessing handles dim <= 4 and N <= 6, "
             f"got dim={e.dim}, N={e.n}"
         )
     weighted = np.stack([q * s.mat for q, s in zip(e.priors, e.states)])
-    if e.n == 1:
-        return 1.0
-    if e.n == 2:
-        gap = weighted[0] - weighted[1]
-        return 0.5 * (1.0 + float(np.sum(np.abs(np.linalg.eigvalsh(gap)))))
 
     dim = e.dim
     basis = _hermitian_coordinates(dim)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import seqmcm
-from seqmcm import cli, optim, qcore
+from seqmcm import cli, families, optim, qcore
 
 
 def run(capsys, argv):
@@ -97,6 +97,23 @@ RERUN = [
     ),
     pytest.param(["sweep", "--family", "mirror"], id="sweep-mirror"),
     pytest.param(["verify", "--count", "5"], id="verify"),
+    pytest.param(["family", "--family", "two_mixed"], id="family-two-mixed"),
+    pytest.param(["family", "--family", "gu", "--params", '{"n": 5}'], id="family-gu"),
+    pytest.param(
+        ["family", "--family", "lifted_gu", "--params", '{"theta": 1.0, "lam": 0.9}'],
+        id="family-lifted",
+    ),
+    pytest.param(["sweep", "--family", "two_mixed"], id="sweep-two-mixed"),
+    pytest.param(["sweep", "--family", "gu"], id="sweep-gu"),
+    pytest.param(
+        ["sequence", "--family", "gu", "--params", '{"n": 4}', "--parties", "3",
+         "--eta0", "0.2,0.5,0.7"],
+        id="sequence-gu-json",
+    ),
+    pytest.param(
+        ["sequence", "--family", "gu", "--parties", "3", "--eta0", "0.4", "--format", "csv"],
+        id="sequence-gu-csv",
+    ),
 ]
 
 
@@ -200,3 +217,83 @@ def test_commands_load_numpy_only():
     report = json.loads(proc.stdout)
     assert report["codes"] == [cli.EXIT_OK] * len(argvs)
     assert set(report["distributions"]) <= {"numpy", "seqmcm"}
+
+
+def test_default_two_mixed_chain_exits_0(capsys):
+    """p = 1, theta = pi/2: the projectors are orthogonal to rounding, so
+    the party gains must come from the overlaps the parties measure."""
+    code, out, err = run(capsys, ["sequence", "--family", "two_mixed", "--parties", "2"])
+    assert code == cli.EXIT_OK and err == ""
+    assert json.loads(out)["p_joint"] > 0.0
+
+
+def test_generic_chain_below_floor_exits_4(tmp_path, capsys):
+    e = qcore.random_ensemble(np.random.default_rng(3), 2, 3)
+    path = tmp_path / "ensemble.json"
+    path.write_text(json.dumps(qcore.ensemble_to_json(e)))
+    argv = ["sequence", "--ensemble", str(path), "--parties", "2", "--eta0", "0.0"]
+    code, out, err = run(capsys, argv)
+    assert code == cli.EXIT_INFEASIBLE
+    assert out == ""
+    assert err.startswith("error: infeasible: party 1: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param([cmd, *src, "--seed", "3"], id=f"{cmd}-seed")
+        for cmd, src in [
+            ("mcm", ["--family", "gu"]),
+            ("sequence", ["--family", "gu", "--parties", "2", "--eta0", "0.5"]),
+            ("sweep", ["--family", "gu"]),
+            ("family", ["--family", "gu"]),
+        ]
+    ]
+    + [
+        pytest.param([cmd, "--family", "gu", "--ensemble", "e.json"], id=f"{cmd}-ensemble")
+        for cmd in ("sweep", "family")
+    ],
+)
+def test_flags_no_command_reads_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_out_layout(tmp_path, capsys):
+    seq = tmp_path / "seq"
+    code, out, _ = run(
+        capsys,
+        ["sequence", "--family", "gu", "--parties", "2", "--eta0", "0.5", "--out", str(seq)],
+    )
+    assert code == cli.EXIT_OK
+    assert out.splitlines() == [str(seq / "trace.json"), str(seq / "trace.csv")]
+    assert len(json.loads((seq / "trace.json").read_text())["parties"]) == 2
+    assert (seq / "trace.csv").read_text().count("\n") == 3  # header and two parties
+
+    code, out, _ = run(capsys, ["mcm", "--family", "gu", "--out", str(tmp_path / "mcm")])
+    assert code == cli.EXIT_OK
+    assert out.splitlines() == [str(tmp_path / "mcm" / "mcm.json")]
+    assert json.loads((tmp_path / "mcm" / "mcm.json").read_text())["kkt"]["ok"] is True
+
+    argv = ["verify", "--suite", "proposition", "--count", "1"]
+    code, out, _ = run(capsys, [*argv, "--out", str(tmp_path / "verify")])
+    assert code == cli.EXIT_OK
+    assert out == (tmp_path / "verify" / "verify.json").read_text()
+    assert out == run(capsys, argv)[1]
+
+
+@pytest.mark.parametrize(
+    "name, params, fam",
+    [
+        ("two_mixed", {"p": 0.8, "theta": 1.2}, families.two_mixed(0.8, 1.2)),
+        ("gu", {"n": 5}, families.gu(5)),
+        ("lifted_gu", {"n": 4, "theta": 1.0, "lam": 0.9}, families.lifted_gu(4, 1.0, 0.9)),
+        ("mirror", {"theta": 2.2}, families.mirror(2.2)),
+    ],
+)
+def test_describe_is_the_family_json(name, params, fam, capsys):
+    code, out, _ = run(capsys, ["family", "--family", name, "--params", json.dumps(params)])
+    assert code == cli.EXIT_OK
+    assert out == json.dumps(fam.describe(), sort_keys=True, indent=2) + "\n"

@@ -225,6 +225,15 @@ class TestTwoMixedChains:
         for rec, want in zip(trace.records, sched.overlaps):
             np.testing.assert_allclose(rec.extras["overlap"], want, atol=1e-9)
 
+    def test_near_orthogonal_chain_follows_schedule(self):
+        """At overlap 1e-6 the overlap each party measures drifts off the
+        closed-form ladder by more than the gain tolerance allows; gains
+        read from the measured overlap keep the chain feasible and on
+        the scheduled joint probability."""
+        fam = two_mixed(1.0, math.pi / 2 - 1e-6)
+        trace = run_sequence(fam.ensemble(), fam.chain_strategies(6))
+        assert abs(trace.p_joint - fam.schedule(6).p_joint) < 1e-9
+
     def test_infeasible_gain_names_party(self):
         fam = two_mixed(0.8, math.pi / 3)
         good = fam.schedule(2).gains[0]
@@ -510,7 +519,7 @@ class TestLiftedGuSequential:
         best = base.records[0].disturbance
         for polar in (0.6, 1.1, 2.0):
             alt = run_sequence(
-                fam.ensemble(), fam.strategies([eta0], retarget_polar=polar)
+                fam.ensemble(), fam.strategies([eta0], retarget=polar)
             )
             assert alt.records[0].disturbance > best + 1e-6
 
@@ -873,7 +882,7 @@ class TestMirrorFamily:
 
     def test_retarget_override_recorded(self):
         fam = mirror(2.0)
-        trace = run_sequence(fam.ensemble(), fam.strategies([0.8], retarget_azimuth=1.5))
+        trace = run_sequence(fam.ensemble(), fam.strategies([0.8], retarget=1.5))
         np.testing.assert_allclose(trace.records[0].extras["retarget"], 1.5, atol=0.0)
 
     def test_validation(self):

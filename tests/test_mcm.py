@@ -446,6 +446,13 @@ class TestGuessingProbability:
         e = Ensemble(priors=(1.0,), states=(np.eye(2) / 2,))
         assert guessing_probability(e) == (1.0, 0.0)
 
+    def test_certain_guess_has_positive_zero_entropy(self):
+        """``mcm.json`` prints ``0.0``, never ``-0.0``, when P_guess is 1."""
+        single = Ensemble(priors=(1.0,), states=(np.eye(2) / 2,))
+        for e in (single, orthogonal_pair()):
+            p, hmin = guessing_probability(e)
+            assert p == 1.0 and math.copysign(1.0, hmin) == 1.0
+
     def test_identical_states_give_prior(self):
         e = Ensemble(priors=(0.7, 0.3), states=(np.eye(2) / 2, np.eye(2) / 2))
         p, hmin = guessing_probability(e)

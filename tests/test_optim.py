@@ -337,6 +337,14 @@ class TestMinErrorGuessing:
                     low = jrf_lower_bound(e)
                     assert low - 1e-12 <= min_error_guessing(e) <= low + 1e-7
 
+    @pytest.mark.parametrize("dim", [6, 8])
+    def test_two_states_of_any_dimension(self, dim):
+        """Two states take the trace-norm formula ahead of the scale guard."""
+        e = random_ensemble(np.random.default_rng(dim), dim, 2)
+        gap = e.prior(1) * e.state(1).mat - e.prior(2) * e.state(2).mat
+        want = 0.5 * (1.0 + np.sum(np.abs(np.linalg.eigvalsh(gap))))
+        assert abs(min_error_guessing(e) - want) < 1e-12
+
     def test_scale_guard(self):
         rng = np.random.default_rng(82)
         big_n = random_ensemble(rng, 2, 7)
