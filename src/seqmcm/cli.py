@@ -18,10 +18,16 @@ state outside the support of the ensemble average, message names the label);
 3 KKT check failure (also an SDP solve that stops short of its gap bound);
 4 infeasible strategy (message names the party).
 
-Each family is one row of :data:`FAMILIES`: how ``--params`` builds it
-and how ``sweep`` runs it.  ``family`` prints the family's ``describe()``;
-``sequence`` chains come from its ``strategies`` (``two_mixed``: from its
-gains instead).
+Each family is one row of :data:`FAMILIES`: how ``--params`` builds it,
+how ``sweep`` runs it, and which ``sweep`` flags and ``--grid`` keys that
+sweep reads; ``sweep`` rejects any other with exit 2.  ``family`` prints
+the family's ``describe()``; ``sequence`` chains come from its
+``strategies`` (``two_mixed``: from its gains instead).  A given
+``--retarget-angle`` replaces the least-disturbing collapse of a
+``lifted_gu`` (polar angle) or ``mirror`` (azimuth) chain; every other
+chain exits 2 on it.  An ``--ensemble`` chain weakens the rate-optimal
+measurement, which needs a one-vector optimal subspace for every label it
+measures (exit 4, "not rank-one", otherwise).
 
 Outputs are deterministic for a fixed command line (``verify`` draws its
 instances from ``--seed``): dictionaries are serialized with sorted keys
@@ -39,7 +45,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -134,7 +140,7 @@ def _angle(params: dict[str, Any], name: str, default: float) -> float:
     return _parse_angle(params.get(name, default), name)
 
 
-def _family_row(name: str) -> tuple[Callable[[dict[str, Any]], Any], Callable[..., Any]]:
+def _family_row(name: str) -> _Family:
     if name not in FAMILIES:
         raise CliError(
             EXIT_INPUT, f"unknown family {name!r}; choose one of {', '.join(FAMILIES)}"
@@ -143,9 +149,8 @@ def _family_row(name: str) -> tuple[Callable[[dict[str, Any]], Any], Callable[..
 
 
 def _build_family(name: str, params: dict[str, Any]) -> Any:
-    build, _ = _family_row(name)
     try:
-        return build(params)
+        return _family_row(name).build(params)
     except (ValueError, TypeError) as exc:
         raise CliError(EXIT_INPUT, f"bad parameters for family {name}: {exc}")
 
@@ -262,6 +267,24 @@ def cmd_mcm(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _mcm_plan(
+    e: Ensemble, weights: dict[int, float], extras: dict[str, float] | None = None
+) -> seqchan.PartyPlan:
+    """The rank-one party measuring each label's optimal vector
+    (``solve_mcm``'s ``basis[0]``) at the given weight, collapsing onto it.
+    A label of positive weight whose optimal subspace has more than one
+    vector has no rank-one element: :class:`seqchan.ChannelConstructionError`."""
+    entries = mcm_mod.solve_mcm(e)
+    for x, w in weights.items():
+        if w > 0.0 and len(entries[x].basis) > 1:
+            raise seqchan.ChannelConstructionError(
+                f"label {x} is not rank-one (its optimal subspace has dimension "
+                f"{len(entries[x].basis)}); the rank-one Kraus construction does not apply"
+            )
+    vectors = {x: entries[x].basis[0] for x in weights}
+    return seqchan.rank_one_plan(weights, vectors, extras=extras)
+
+
 def _generic_strategies(parties: int, rates: list[float]) -> list[seqchan.Strategy]:
     """Family-free chain policy: each party plays the rate-optimal
     measurement weakened uniformly to its requested inconclusive rate,
@@ -277,35 +300,25 @@ def _generic_strategies(parties: int, rates: list[float]) -> list[seqchan.Strate
             )
         denom = 1.0 - floor
         alpha = 1.0 if denom <= 1e-15 else min((1.0 - eta0) / denom, 1.0)
-        povm = mcm_mod.mcm_povm(e, sol.weights)
-        weak = seqchan.WeakMcm(povm=povm, alphas={x: alpha for x in povm.labels})
-        return seqchan.PartyPlan(
-            povm=weak.weakened(),
-            channel=seqchan.kraus_from_weak(weak),
-            extras={"eta0_target": eta0, "alpha": alpha},
-        )
+        weights = {x: alpha * w for x, w in sol.weights.items()}
+        return _mcm_plan(e, weights, {"eta0_target": eta0, "alpha": alpha})
 
     return [strat] * parties
 
 
 def _family_strategies(fam: Any, args: argparse.Namespace, parties: int) -> list:
-    explicit = args.retarget == "explicit"
-    if explicit and args.retarget_angle is None:
-        raise CliError(EXIT_INPUT, "--retarget explicit needs --retarget-angle")
-    angle = (
-        _parse_angle(args.retarget_angle, "--retarget-angle")
-        if args.retarget_angle is not None
-        else None
-    )
+    angle = args.retarget_angle
+    if angle is not None:
+        angle = _parse_angle(angle, "--retarget-angle")
     if isinstance(fam, fam_mod.TwoMixedFamily):  # a chain set by gains, not rates
-        if explicit:
+        if angle is not None:
             raise CliError(
                 EXIT_INPUT, "two_mixed chains have no retarget angle; use --gains"
             )
         if args.gains:
             return fam.strategies_for_gains(_parse_numbers(args.gains, "--gains", parties))
         return fam.chain_strategies(parties)
-    return fam.strategies(_parse_rates(args.eta0, parties), retarget=angle if explicit else None)
+    return fam.strategies(_parse_rates(args.eta0, parties), retarget=angle)
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
@@ -314,6 +327,8 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     if parties is None or parties < 1:
         raise CliError(EXIT_INPUT, "--parties must be a positive integer")
     if fam is None:
+        if args.retarget_angle is not None:
+            raise CliError(EXIT_INPUT, "an --ensemble chain has no retarget angle")
         strategies = _generic_strategies(parties, _parse_rates(args.eta0, parties))
     else:
         try:
@@ -341,7 +356,10 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_grid(text: str | None) -> dict[str, list[Any]]:
+Grid = dict[str, list[Any]]
+
+
+def _parse_grid(text: str | None) -> Grid:
     if not text:
         return {}
     try:
@@ -368,8 +386,7 @@ def _guard_grid(n_points: int) -> None:
         raise CliError(EXIT_INPUT, "grid is empty")
 
 
-def _sweep_two_mixed(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
-    grid = _parse_grid(args.grid)
+def _sweep_two_mixed(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list[list[Any]]]:
     ps = [_parse_number(v, "p") for v in grid.get("p", np.linspace(0.05, 1.0, 10))]
     thetas = [
         _parse_angle(v, "theta")
@@ -402,7 +419,8 @@ def _sweep_two_mixed(args: argparse.Namespace) -> tuple[list[str], list[list[Any
     return header, _map_points(points, one)
 
 
-def _sweep_gu(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
+def _sweep_gu(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list[list[Any]]]:
+    del grid  # a gu sweep runs over rates, not parameters
     fam = _build_family(args.family, _parse_params(args.params))
     n = fam.n
     parties = args.parties or 10
@@ -427,7 +445,8 @@ def _sweep_gu(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
     return header, [row for rows in nested for row in rows]
 
 
-def _sweep_lifted(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
+def _sweep_lifted(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list[list[Any]]]:
+    del grid  # a lifted_gu sweep runs over parties, not parameters
     fam = _build_family(args.family, _parse_params(args.params))
     parties = args.parties or 8
     threshold = args.threshold if args.threshold is not None else 0.4
@@ -460,8 +479,7 @@ def _sweep_lifted(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]
     return header, rows
 
 
-def _sweep_mirror(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
-    grid = _parse_grid(args.grid)
+def _sweep_mirror(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list[list[Any]]]:
     if "theta" in grid:
         thetas = [_parse_angle(v, "theta") for v in grid["theta"]]
     else:
@@ -488,30 +506,56 @@ def _sweep_mirror(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]
 def cmd_sweep(args: argparse.Namespace) -> int:
     if not args.family:
         raise CliError(EXIT_INPUT, "sweep needs --family")
-    _, sweep = _family_row(args.family)
-    header, rows = sweep(args)
+    row = _family_row(args.family)
+    for flag in ("params", "grid", "parties", "eta0", "threshold"):
+        if getattr(args, flag) is not None and flag not in row.reads:
+            raise CliError(EXIT_INPUT, f"sweep --family {args.family} does not read --{flag}")
+    grid = _parse_grid(args.grid)
+    unknown = sorted(set(grid) - set(row.grid))
+    if unknown:
+        raise CliError(
+            EXIT_INPUT,
+            f"sweep --family {args.family} reads no --grid key {', '.join(unknown)}; "
+            f"its keys are {', '.join(row.grid)}",
+        )
+    header, rows = row.sweep(args, grid)
     _emit(args.out, "sweep.csv", _csv_text(header, rows))
     return EXIT_OK
 
 
-# family name -> (build from --params, sweep); every name lookup goes through _family_row
-FAMILIES: dict[str, tuple[Callable[[dict[str, Any]], Any], Callable[..., Any]]] = {
-    "two_mixed": (
+class _Family(NamedTuple):
+    build: Callable[[dict[str, Any]], Any]  # the family from --params
+    sweep: Callable[[argparse.Namespace, Grid], tuple[list[str], list[list[Any]]]]
+    reads: tuple[str, ...]  # the sweep flags it reads; cmd_sweep rejects the others
+    grid: tuple[str, ...] = ()  # the --grid keys it reads
+
+
+# every family name lookup goes through _family_row
+FAMILIES: dict[str, _Family] = {
+    "two_mixed": _Family(
         lambda q: fam_mod.two_mixed(
             p=float(q.get("p", 1.0)), theta=_angle(q, "theta", math.pi / 2)
         ),
         _sweep_two_mixed,
+        ("grid", "parties"),
+        ("p", "theta"),
     ),
-    "gu": (lambda q: fam_mod.gu(n=_count(q)), _sweep_gu),
-    "lifted_gu": (
+    "gu": _Family(lambda q: fam_mod.gu(n=_count(q)), _sweep_gu, ("params", "parties", "eta0")),
+    "lifted_gu": _Family(
         lambda q: fam_mod.lifted_gu(
             n=_count(q),
             theta=_angle(q, "theta", math.pi / 2),
             lam=float(q.get("lam", q.get("lambda", 1.0))),
         ),
         _sweep_lifted,
+        ("params", "parties", "eta0", "threshold"),
     ),
-    "mirror": (lambda q: fam_mod.mirror(theta=_angle(q, "theta", 2 * math.pi / 3)), _sweep_mirror),
+    "mirror": _Family(
+        lambda q: fam_mod.mirror(theta=_angle(q, "theta", 2 * math.pi / 3)),
+        _sweep_mirror,
+        ("grid", "eta0"),
+        ("theta",),
+    ),
 }
 
 
@@ -525,12 +569,12 @@ def _draw_ensemble(rng: np.random.Generator, n_max: int) -> Ensemble:
     return qcore.random_ensemble(rng, 2, int(rng.integers(2, n_max + 1)))
 
 
-def _draw_mcm_povm(rng: np.random.Generator) -> qcore.Povm:
-    """The optimal projectors of a random 2..4-state qubit ensemble under
-    random feasible weights."""
+def _draw_mcm_weights(rng: np.random.Generator) -> tuple[Ensemble, dict[int, float]]:
+    """A random 2..4-state qubit ensemble and random feasible weights for
+    its optimal projectors."""
     e = _draw_ensemble(rng, 4)
     projectors = mcm_mod.optimal_projectors(mcm_mod.solve_mcm(e))
-    return mcm_mod.mcm_povm(e, optim_mod.random_feasible_weights(rng, projectors))
+    return e, optim_mod.random_feasible_weights(rng, projectors)
 
 
 def _suite_duality(count: int, rng: np.random.Generator) -> dict[str, Any]:
@@ -564,7 +608,7 @@ def _suite_povm(count: int, rng: np.random.Generator) -> dict[str, Any]:
     worst = 0.0
     ok = True
     for _ in range(count):
-        report = qcore.validate_povm(_draw_mcm_povm(rng))
+        report = qcore.validate_povm(mcm_mod.mcm_povm(*_draw_mcm_weights(rng)))
         worst = max(worst, report.completeness_residual, -min(report.psd_margins.values()))
         ok = ok and report.ok
     return {"worst": worst, "pass": ok}
@@ -576,11 +620,10 @@ def _suite_trace_preservation(count: int, rng: np.random.Generator) -> dict[str,
         if rng.random() < 0.5:
             ch = seqchan.random_channel(rng, 2, int(rng.integers(2, 5)))
         else:
-            povm = _draw_mcm_povm(rng)
+            e, weights = _draw_mcm_weights(rng)
             alpha = float(rng.uniform(0.2, 1.0))
-            weak = seqchan.WeakMcm(povm=povm, alphas={x: alpha for x in povm.labels})
             try:
-                ch = seqchan.kraus_from_weak(weak)
+                ch = _mcm_plan(e, {x: alpha * w for x, w in weights.items()}).channel
             except seqchan.ChannelConstructionError:
                 continue  # degenerate (non-rank-one) draw; not this suite's target
         rho = qcore.random_density(rng, 2)
@@ -752,20 +795,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_mcm = sub.add_parser("mcm", help="solve one maximum-confidence problem")
     _add_source_flags(p_mcm)
 
-    p_seq = sub.add_parser("sequence", help="run a sequential chain")
+    # no abbreviations: the removed --retarget must not parse as --retarget-angle
+    p_seq = sub.add_parser("sequence", help="run a sequential chain", allow_abbrev=False)
     _add_source_flags(p_seq)
     p_seq.add_argument("--parties", type=int, help="number of parties R")
     p_seq.add_argument("--eta0", help="per-party inconclusive rates, comma separated")
     p_seq.add_argument("--gains", help="two_mixed only: per-party gains, comma separated")
     p_seq.add_argument(
-        "--retarget",
-        choices=("optimal", "explicit"),
-        default="optimal",
-        help="collapse-target policy (default optimal)",
-    )
-    p_seq.add_argument(
         "--retarget-angle",
-        help="explicit retarget angle (radians, or e.g. '90deg')",
+        help="lifted_gu, mirror: collapse onto this angle (radians, or e.g. '90deg') "
+        "instead of the least-disturbing one",
     )
     p_seq.add_argument(
         "--format",

@@ -38,10 +38,13 @@ values as the JSON object ``seqmcm family`` prints.  ``gu``, ``lifted_gu``
 and ``mirror`` build chains with ``strategies(eta0s, retarget=None)``: one
 party per inconclusive rate, collapsing onto the family's least-disturbing
 targets, or onto the polar angle (``lifted_gu``) or azimuth (``mirror``)
-``retarget`` for comparison runs; ``gu`` refuses a retarget.  A
-``two_mixed`` chain is set by gains instead of rates:
-``chain_strategies(parties)`` for the joint-probability optimum,
-``strategies_for_gains(gains)`` for given gains.
+``retarget`` for comparison runs; ``gu`` refuses a retarget.  Each of
+these parties is a :func:`seqmcm.seqchan.rank_one_plan` built from the
+family's closed-form measurement vectors and weights, so no eigensolve
+recovers a vector the family already knows (``LiftedGuFamily.plan`` and
+:func:`mirror_plan` build one party).  A ``two_mixed`` chain is set by
+gains instead of rates: ``chain_strategies(parties)`` for the
+joint-probability optimum, ``strategies_for_gains(gains)`` for given gains.
 
 Angles are radians everywhere.
 """
@@ -59,7 +62,7 @@ from . import mcm as _mcm
 from . import optim as _optim
 from . import seqchan as _seqchan
 from .qcore import DensityMatrix, Ensemble, FeasibilityError, Povm, vector_to_json
-from .seqchan import PartyPlan, Strategy, WeakMcm, kraus_from_weak
+from .seqchan import PartyPlan, Strategy, rank_one_plan
 
 
 class InfeasibleRateError(FeasibilityError):
@@ -341,17 +344,12 @@ class GuFamily:
         for v in rates:
             if not (0.0 <= v <= 1.0):
                 raise InfeasibleRateError(f"inconclusive rate {v!r} outside [0, 1]")
-        povm = self.full_povm()
-        retargets = {x: self.state_vector(x) for x in range(1, self.n + 1)}
+        vectors = {x: self.state_vector(x) for x in range(1, self.n + 1)}
 
         def strat(e: Ensemble, j: int) -> PartyPlan:
             eta0 = rates[j - 1]
-            weak = WeakMcm(povm=povm, alphas={x: 1.0 - eta0 for x in povm.labels}, retargets=retargets)
-            return PartyPlan(
-                povm=weak.weakened(),
-                channel=kraus_from_weak(weak),
-                extras={"eta0_target": eta0},
-            )
+            weights = {x: (1.0 - eta0) * a for x, a in self.weights.items()}
+            return rank_one_plan(weights, vectors, extras={"eta0_target": eta0})
 
         return [strat] * len(rates)
 
@@ -373,7 +371,9 @@ class LiftedGuFamily:
     ``theta`` is restricted to ``(0, pi/2]``; ``lam = 1, theta = pi/2``
     recovers :class:`GuFamily`.  The average state is
     ``diag(1 + cos t, 1 - cos t)/2`` independent of ``lam``, which is why
-    the whole chain analysis reduces to one visibility contraction.
+    the whole chain analysis reduces to one visibility contraction.  A
+    party measures the :meth:`measurement_vector` states at weight
+    :attr:`full_weight` times its weakening, and :meth:`plan` builds it.
     """
 
     n: int
@@ -431,14 +431,6 @@ class LiftedGuFamily:
     def eta0_floor(self) -> float:
         """Smallest achievable inconclusive rate, ``cos(theta)``."""
         return math.cos(self.theta)
-
-    def full_povm(self) -> Povm:
-        elements = {
-            x: self.full_weight * _projector(self.measurement_vector(x))
-            for x in range(1, self.n + 1)
-        }
-        inc = np.eye(2, dtype=complex) - sum(elements.values())
-        return Povm(elements=elements, inconclusive=inc)
 
     def purity(self) -> float:
         """``(1 + lam^2 sin^2 t + cos^2 t)/2`` for every state."""
@@ -507,26 +499,26 @@ class LiftedGuFamily:
 
     # -- channel construction ------------------------------------------------------
 
-    def weak_mcm(self, eta0: float, retarget_polar: float = math.pi / 2.0) -> WeakMcm:
-        """The weakened measurement at rate ``eta0`` collapsing onto states
-        at polar angle ``retarget_polar`` (pi/2 — the equator — is the
-        least-disturbing choice; other angles exist for comparison)."""
+    def plan(self, eta0: float, retarget_polar: float = math.pi / 2.0) -> PartyPlan:
+        """The party at rate ``eta0``: the rate-optimal measurement (weights
+        :attr:`full_weight`) weakened by ``(1 - eta0) / (1 - cos theta)``,
+        collapsing onto states at polar angle ``retarget_polar`` (pi/2 — the
+        equator — is the least-disturbing choice; other angles exist for
+        comparison).  At the floor ``eta0 = cos theta`` it is the full
+        measurement."""
+        delta = self.delta(eta0)  # refuses a rate outside [cos theta, 1]
         c = math.cos(self.theta)
-        if eta0 < c - 1e-12:
-            raise InfeasibleRateError(
-                f"inconclusive rate {eta0!r} below the floor cos(theta) = {c!r}"
-            )
-        eta0 = max(float(eta0), c)
-        alpha = (1.0 - eta0) / (1.0 - c)
+        w = (1.0 - max(float(eta0), c)) / (1.0 - c) * self.full_weight
         cr, sr = math.cos(retarget_polar / 2.0), math.sin(retarget_polar / 2.0)
-        retargets = {
-            x: np.array([cr, sr * cmath.exp(1j * self.phase(x))], dtype=complex)
-            for x in range(1, self.n + 1)
-        }
-        return WeakMcm(
-            povm=self.full_povm(),
-            alphas={x: alpha for x in range(1, self.n + 1)},
-            retargets=retargets,
+        labels = range(1, self.n + 1)
+        return rank_one_plan(
+            {x: w for x in labels},
+            {x: self.measurement_vector(x) for x in labels},
+            targets={
+                x: np.array([cr, sr * cmath.exp(1j * self.phase(x))], dtype=complex)
+                for x in labels
+            },
+            extras={"eta0_target": float(eta0), "visibility": self.lam, "delta": delta},
         )
 
     def describe(self) -> dict[str, Any]:
@@ -560,20 +552,10 @@ class LiftedGuFamily:
         retarget_polar = math.pi / 2.0 if retarget is None else float(retarget)
 
         def strat(e: Ensemble, j: int) -> PartyPlan:
-            eta0 = rates[j - 1]
             b = e.state(self.n).bloch()  # label n sits at azimuth 0 (phase 0)
             lam_now = float(math.hypot(b[0], b[1])) / math.sin(self.theta)
             fam = LiftedGuFamily(n=self.n, theta=self.theta, lam=min(lam_now, 1.0))
-            weak = fam.weak_mcm(eta0, retarget_polar=retarget_polar)
-            return PartyPlan(
-                povm=weak.weakened(),
-                channel=kraus_from_weak(weak),
-                extras={
-                    "eta0_target": eta0,
-                    "visibility": fam.lam,
-                    "delta": fam.delta(eta0),
-                },
-            )
+            return fam.plan(rates[j - 1], retarget_polar)
 
         return [strat] * len(rates)
 
@@ -746,34 +728,33 @@ def mirror_retarget(ms: MirrorState, phi: float) -> float:
     return math.acos(max(-1.0, min(1.0, val)))
 
 
-def mirror_povm(sol: MirrorMcm) -> Povm:
-    elements = {
-        1: sol.a1 * _projector(_equator(0.0)),
-        2: sol.a2 * _projector(_equator(sol.phi)),
-        3: sol.a2 * _projector(_equator(-sol.phi)),
-    }
-    inc = np.eye(2, dtype=complex) - sum(elements.values())
-    return Povm(elements=elements, inconclusive=inc)
+def mirror_plan(ms: MirrorState, eta0: float, retarget_azimuth: float | None = None) -> PartyPlan:
+    """The mirror party at rate ``eta0``: the complete :func:`mirror_mcm`
+    measurement weakened by ``1 - eta0`` (``eta0 = 0`` is full strength).
 
-
-def mirror_weak_mcm(
-    ms: MirrorState, eta0: float, retarget_azimuth: float | None = None
-) -> tuple[WeakMcm, MirrorMcm]:
-    """The weakened mirror measurement at rate ``eta0``.
-
-    ``retarget_azimuth`` overrides the closed-form collapse azimuth (used
-    by the numeric cross-checks); label 1 always collapses to azimuth 0.
+    Label 1 collapses to azimuth 0 and labels 2/3 to ``+-ra``, where ``ra``
+    is ``retarget_azimuth`` or else the closed-form :func:`mirror_retarget`.
+    The extras record the rate, ``phi``, ``ra`` and the measured
+    ``(r1, r2, theta)``.
     """
     if not (0.0 <= eta0 <= 1.0):
         raise InfeasibleRateError(f"inconclusive rate {eta0!r} outside [0, 1]")
     sol = mirror_mcm(ms)
     ra = mirror_retarget(ms, sol.phi) if retarget_azimuth is None else float(retarget_azimuth)
-    weak = WeakMcm(
-        povm=mirror_povm(sol),
-        alphas={1: 1.0 - eta0, 2: 1.0 - eta0, 3: 1.0 - eta0},
-        retargets={1: _equator(0.0), 2: _equator(ra), 3: _equator(-ra)},
+    w = 1.0 - eta0
+    return rank_one_plan(
+        {1: w * sol.a1, 2: w * sol.a2, 3: w * sol.a2},
+        {1: _equator(0.0), 2: _equator(sol.phi), 3: _equator(-sol.phi)},
+        targets={2: _equator(ra), 3: _equator(-ra)},
+        extras={
+            "eta0_target": float(eta0),
+            "phi": sol.phi,
+            "retarget": ra,
+            "r1": ms.r1,
+            "r2": ms.r2,
+            "theta": ms.theta,
+        },
     )
-    return weak, sol
 
 
 def mirror_step(ms: MirrorState, eta0: float, retarget_azimuth: float | None = None) -> MirrorState:
@@ -862,22 +843,7 @@ class MirrorFamily:
         rates = [float(v) for v in eta0s]
 
         def strat(e: Ensemble, j: int) -> PartyPlan:
-            ms = mirror_state_of(e)
-            weak, sol = mirror_weak_mcm(ms, rates[j - 1], retarget_azimuth=retarget)
-            return PartyPlan(
-                povm=weak.weakened(),
-                channel=kraus_from_weak(weak),
-                extras={
-                    "eta0_target": rates[j - 1],
-                    "phi": sol.phi,
-                    "retarget": (
-                        mirror_retarget(ms, sol.phi) if retarget is None else float(retarget)
-                    ),
-                    "r1": ms.r1,
-                    "r2": ms.r2,
-                    "theta": ms.theta,
-                },
-            )
+            return mirror_plan(mirror_state_of(e), rates[j - 1], retarget)
 
         return [strat] * len(rates)
 

@@ -190,22 +190,11 @@ def support_factors(a: Any, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.
     return (vecs * inv) @ vecs.conj().T, kept @ kept.conj().T, int(np.sum(keep))
 
 
-def pinv_sqrt(a: Any, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, int]:
-    """``(A^(-1/2) on the support, rank)``; see :func:`support_factors`."""
-    inv_sqrt, _, rank = support_factors(a, rank_tol)
-    return inv_sqrt, rank
-
-
 def sqrt_psd(a: Any) -> np.ndarray:
     """Positive square root of a PSD matrix (tiny negative eigenvalues clipped)."""
     vals, vecs = eig_hermitian(a)
     clipped = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(clipped)) @ vecs.conj().T
-
-
-def support_projector(a: Any, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthogonal projector onto the support (range) of a PSD matrix."""
-    return support_factors(a, rank_tol)[1]
 
 
 def trace_norm(a: Any) -> float:

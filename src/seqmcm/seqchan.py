@@ -2,18 +2,18 @@
 
 A party that wants to leave something measurable for the next party does
 not apply its full-strength measurement.  Scaling the conclusive elements
-down, ``M~_x = alpha_x M_x`` with ``alpha_x in [0, 1]`` and
-``M~_0 = 1 - sum_x M~_x``, keeps every conclusive outcome's confidence
-exactly unchanged (the confidence is a ratio, and the scale cancels)
-while diverting probability into the inconclusive outcome.  The party's
-physical action is a Kraus channel compatible with the weakened POVM,
-``K_x^dag K_x = M~_x``; the rank-one choice
+``a_x |phi_x><phi_x|`` down by ``alpha_x in [0, 1]`` keeps every conclusive
+outcome's confidence exactly unchanged (the confidence is a ratio, and the
+scale cancels) while diverting probability into the inconclusive outcome.
+:func:`rank_one_plan` builds such a party straight from the vectors it
+measures and the weights ``w_x = alpha_x a_x``: the POVM
+``w_x |phi_x><phi_x|`` with ``M_0 = 1 - sum_x M_x``, and the channel
 
-    K_x = sqrt(alpha_x a_x) |retarget_x><phi_x|
+    K_x = sqrt(w_x) |t_x><phi_x|,    K_0 = sqrt(M_0),
 
-additionally lets the party *re-target*: collapse toward any chosen state
-instead of the measurement projector, which is the lever the analytic
-families pull to minimize disturbance.
+whose collapse targets ``t_x`` (default ``phi_x``) let the party
+*re-target*: leave a chosen state instead of the measurement projector,
+which is the lever the analytic families pull to minimize disturbance.
 
 The chain bookkeeping lives in :class:`SequentialTrace`: per-party
 confidences (nonincreasing along the chain — that is the data-processing
@@ -30,7 +30,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,14 +54,8 @@ from .qcore import (
 COMPLETENESS_TOL = 1e-10
 """Residual allowed in ``sum_i K_i^dag K_i = 1`` at channel construction."""
 
-CONSTRUCTION_TOL = 1e-9
-"""Above this completeness residual, channel assembly refuses to proceed."""
-
 MONOTONIC_TOL = 1e-9
 """Confidence increase along a chain tolerated as roundoff."""
-
-RANK_ONE_TOL = 1e-10
-"""Relative size of the second eigenvalue tolerated in a rank-one element."""
 
 SVD_REL_TOL = 1e-9
 """Relative singular-value threshold for operator linear independence."""
@@ -147,112 +141,6 @@ def random_channel(rng: np.random.Generator, dim: int, n_kraus: int) -> KrausCha
     q, _ = np.linalg.qr(g)
     ops = tuple((i + 1, q[i * dim : (i + 1) * dim, :]) for i in range(n_kraus))
     return KrausChannel(ops=ops)
-
-
-# ---------------------------------------------------------------------------
-# weakening
-# ---------------------------------------------------------------------------
-
-
-def weaken(povm: Povm, alphas: dict[int, float] | float) -> Povm:
-    """Scale conclusive elements by ``alpha_x`` and recompute label 0.
-
-    ``alphas`` may be a single float (uniform weakening, for which
-    ``M~_0 = (1 - alpha) 1 + alpha M_0``) or a per-label map.  ``alpha = 1``
-    returns the POVM unchanged; ``alpha = 0`` kills every conclusive
-    outcome, ``M~_0 = 1``.  Confidences of the surviving conclusive
-    outcomes are invariant under this map.
-    """
-    labels = povm.labels
-    if isinstance(alphas, (int, float)):
-        amap = {x: float(alphas) for x in labels}
-    else:
-        amap = {int(x): float(a) for x, a in alphas.items()}
-        missing = set(labels) - set(amap)
-        if missing:
-            raise ValueError(f"no weakening factor for labels {sorted(missing)}")
-    for x, a in amap.items():
-        if not (0.0 <= a <= 1.0):
-            raise ValueError(f"alpha_{x} = {a!r} outside [0, 1]")
-    elements = {x: amap[x] * povm.elements[x] for x in labels}
-    total = sum(elements.values())
-    inconclusive = np.eye(povm.dim) - total
-    return Povm(elements=elements, inconclusive=inconclusive)
-
-
-@dataclass(frozen=True)
-class WeakMcm:
-    """A weakened measurement plus the collapse targets of its channel.
-
-    ``povm`` is the *full-strength* measurement; ``alphas`` the per-label
-    weakening; ``retargets`` optional unit vectors the conclusive outcomes
-    collapse onto (default: the measurement projector vectors themselves);
-    ``v0`` an optional unitary acting after the inconclusive collapse
-    (default: identity).
-    """
-
-    povm: Povm
-    alphas: dict[int, float]
-    retargets: dict[int, np.ndarray] | None = None
-    v0: np.ndarray | None = None
-
-    def weakened(self) -> Povm:
-        return weaken(self.povm, self.alphas)
-
-
-def _rank_one_vector(m: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    vals, vecs = qcore.eig_hermitian(m, f"element {label}")
-    top = float(vals[0])
-    if top <= 0.0:
-        raise ChannelConstructionError(f"element {label} vanishes; nothing to measure")
-    if vals.size > 1 and float(vals[1]) > RANK_ONE_TOL * top:
-        raise ChannelConstructionError(
-            f"element {label} is not rank-one (second eigenvalue {float(vals[1]):.3e}); "
-            "the rank-one Kraus construction does not apply"
-        )
-    return top, vecs[:, 0]
-
-
-def kraus_from_weak(w: WeakMcm) -> KrausChannel:
-    """Rank-one Kraus operators realizing a weakened measurement.
-
-    Each conclusive element ``alpha_x a_x |phi_x><phi_x|`` becomes
-    ``K_x = sqrt(alpha_x a_x) |t_x><phi_x|`` with ``t_x`` the retarget
-    (default ``phi_x``); the inconclusive operator is ``V_0`` times the
-    positive square root of ``M~_0``.  By construction
-    ``K_x^dag K_x = M~_x`` exactly, so completeness holds iff the weakened
-    POVM was complete; a residual above :data:`CONSTRUCTION_TOL` aborts.
-    """
-    weakened = w.weakened()
-    dim = weakened.dim
-    ops: list[tuple[int, np.ndarray]] = []
-    for x in weakened.labels:
-        m = weakened.elements[x]
-        scale = float(np.real(np.trace(m)))
-        if scale <= 0.0:
-            continue  # fully weakened away; no conclusive operator needed
-        a, phi = _rank_one_vector(m, x)
-        target = phi
-        if w.retargets is not None and x in w.retargets:
-            target = as_vector(w.retargets[x], f"retarget {x}")
-            target = target / float(np.linalg.norm(target))
-        ops.append((x, math.sqrt(a) * np.outer(target, phi.conj())))
-    m0 = weakened.inconclusive
-    if m0 is None:
-        m0 = np.zeros((dim, dim), dtype=complex)
-    k0 = sqrt_psd(m0)
-    if w.v0 is not None:
-        k0 = as_matrix(w.v0, "v0") @ k0
-    # a zero K_0 is kept on purpose: composing it gives the correct
-    # all-inconclusive probability (zero) instead of an error
-    ops.append((0, k0))
-    total = sum(op.conj().T @ op for _, op in ops)
-    residual = float(np.max(np.abs(total - np.eye(dim))))
-    if residual > CONSTRUCTION_TOL:
-        raise ChannelConstructionError(
-            f"weak measurement assembly left completeness residual {residual:.3e}"
-        )
-    return KrausChannel(ops=tuple(ops))
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +307,45 @@ class PartyPlan:
 
 
 Strategy = Callable[[Ensemble, int], PartyPlan]
+
+
+def rank_one_plan(
+    weights: Mapping[int, float],
+    vectors: Mapping[int, Any],
+    targets: Mapping[int, Any] | None = None,
+    extras: Mapping[str, float] | None = None,
+) -> PartyPlan:
+    """The party measuring ``M_x = w_x |v_x><v_x|``, ``M_0 = 1 - sum_x M_x``.
+
+    ``vectors`` are unit vectors and ``targets`` optional unit collapse
+    states (default ``v_x``).  Each conclusive click applies
+    ``K_x = sqrt(w_x) |t_x><v_x|`` (no operator for ``w_x = 0``), so
+    ``K_x^dag K_x = M_x`` exactly; the inconclusive branch applies
+    ``K_0 = sqrt(M_0)``, the one eigensolve of the construction.  Weights
+    that leave ``M_0`` indefinite fail the channel's completeness check.
+    """
+    if not weights or set(weights) != set(vectors):
+        raise ValueError(f"weights for labels {sorted(weights)} but vectors for {sorted(vectors)}")
+    elements: dict[int, np.ndarray] = {}
+    ops: list[tuple[int, np.ndarray]] = []
+    for x in sorted(weights):
+        w = float(weights[x])
+        if w < 0.0:
+            raise ValueError(f"weight {x} is negative: {w!r}")
+        v = as_vector(vectors[x], f"vector {x}")
+        elements[x] = w * np.outer(v, v.conj())
+        if w > 0.0:
+            t = as_vector((targets or {}).get(x, v), f"target {x}")
+            ops.append((x, math.sqrt(w) * np.outer(t, v.conj())))
+    m0 = np.eye(v.size) - sum(elements.values())
+    # a zero K_0 is kept on purpose: composing it gives the correct
+    # all-inconclusive probability (zero) instead of an error
+    ops.append((0, sqrt_psd(m0)))
+    return PartyPlan(
+        povm=Povm(elements=elements, inconclusive=m0),
+        channel=KrausChannel(ops=tuple(ops)),
+        extras=dict(extras or {}),
+    )
 
 
 @dataclass(frozen=True)

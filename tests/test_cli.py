@@ -297,3 +297,82 @@ def test_describe_is_the_family_json(name, params, fam, capsys):
     code, out, _ = run(capsys, ["family", "--family", name, "--params", json.dumps(params)])
     assert code == cli.EXIT_OK
     assert out == json.dumps(fam.describe(), sort_keys=True, indent=2) + "\n"
+
+
+MIRROR_CHAIN = ["sequence", "--family", "mirror", "--parties", "2", "--eta0", "0.8"]
+
+
+def test_retarget_angle_selects_the_explicit_collapse(capsys):
+    code, out, err = run(capsys, [*MIRROR_CHAIN, "--retarget-angle", "1.5"])
+    assert code == cli.EXIT_OK and err == ""
+    assert [p["extras"]["retarget"] for p in json.loads(out)["parties"]] == [1.5, 1.5]
+    assert out != run(capsys, MIRROR_CHAIN)[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param([*MIRROR_CHAIN, "--retarget", "explicit"], id="removed-flag"),
+        pytest.param(
+            [*MIRROR_CHAIN, "--retarget", "explicit", "--retarget-angle", "1.5"],
+            id="removed-flag-with-angle",
+        ),
+    ],
+)
+def test_retarget_flag_is_gone(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --retarget explicit" in capsys.readouterr().err
+
+
+def test_retarget_angle_rejected_where_no_chain_reads_it(tmp_path, capsys):
+    path = tmp_path / "ensemble.json"
+    e = qcore.random_ensemble(np.random.default_rng(3), 2, 3)
+    path.write_text(json.dumps(qcore.ensemble_to_json(e)))
+    for source in (
+        ["--family", "gu", "--eta0", "0.5"],
+        ["--family", "two_mixed"],
+        ["--ensemble", str(path), "--eta0", "0.9"],
+    ):
+        argv = ["sequence", *source, "--parties", "2", "--retarget-angle", "1.5"]
+        code, out, err = run(capsys, argv)
+        assert code == cli.EXIT_INPUT and out == "", source
+        assert err.startswith("error: ") and "retarget" in err, source
+
+
+@pytest.mark.parametrize(
+    "family, flag, value",
+    [
+        ("two_mixed", "--params", '{"p": 5}'),
+        ("mirror", "--params", '{"theta": 9}'),
+        ("gu", "--grid", '{"n": [3]}'),
+        ("lifted_gu", "--grid", '{"theta": [1.0]}'),
+        ("two_mixed", "--eta0", "0.5"),
+        ("mirror", "--parties", "3"),
+        ("two_mixed", "--threshold", "0.5"),
+        ("gu", "--threshold", "0.5"),
+        ("mirror", "--threshold", "0.5"),
+        ("two_mixed", "--grid", '{"q": [0.5]}'),
+        ("mirror", "--grid", '{"p": [0.5]}'),
+    ],
+)
+def test_sweep_rejects_flags_its_family_never_reads(family, flag, value, capsys):
+    code, out, err = run(capsys, ["sweep", "--family", family, flag, value])
+    assert code == cli.EXIT_INPUT and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+    if flag == "--grid" and family in ("two_mixed", "mirror"):
+        assert next(iter(json.loads(value))) in err  # the unknown key is named
+
+
+def test_degenerate_generic_chain_exits_4(tmp_path, capsys):
+    """Label 1's optimal subspace is diag(1, 1, 0): no rank-one element."""
+    e = qcore.Ensemble(
+        priors=(0.5, 0.5), states=(np.diag([0.5, 0.5, 0.0]), np.diag([0.0, 0.0, 1.0]))
+    )
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(qcore.ensemble_to_json(e)))
+    argv = ["sequence", "--ensemble", str(path), "--parties", "2", "--eta0", "0.5"]
+    code, out, err = run(capsys, argv)
+    assert code == cli.EXIT_INFEASIBLE and out == ""
+    assert err.startswith("error: infeasible: party 1: label 1 is not rank-one")

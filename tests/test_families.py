@@ -25,16 +25,15 @@ from seqmcm.families import (
     mirror,
     mirror_confidence2,
     mirror_mcm,
-    mirror_povm,
+    mirror_plan,
     mirror_retarget,
     mirror_state_of,
     mirror_step,
-    mirror_weak_mcm,
     pure_mirror_phi,
     two_mixed,
 )
 from seqmcm.qcore import FeasibilityError, validate_povm
-from seqmcm.seqchan import StrategyInfeasibleError, kraus_from_weak, run_sequence
+from seqmcm.seqchan import StrategyInfeasibleError, run_sequence
 
 TRINE = 2.0 * math.pi / 3.0
 
@@ -384,9 +383,10 @@ class TestLiftedGuStatic:
             for x in range(1, n + 1):
                 assert 0.0 <= fam.phase(x) < 2.0 * math.pi
             assert fam.phase(n) == 0.0
-            weak = fam.weak_mcm(0.8)
-            for v in (fam.state_vector(n), fam.measurement_vector(n), weak.retargets[n]):
+            for v in (fam.state_vector(n), fam.measurement_vector(n)):
                 assert np.all(v.imag == 0.0)
+            # K_n = sqrt(w) |t_n><v_n| is real exactly when the retarget t_n is
+            assert np.all(fam.plan(0.8).channel.op(n).imag == 0.0)
 
     def test_average_independent_of_visibility(self):
         for lam in (0.2, 0.7, 1.0):
@@ -431,10 +431,10 @@ class TestLiftedGuStatic:
             np.testing.assert_allclose(sol.eta0, fam.eta0_floor, atol=1e-9)
 
     def test_full_povm_validates(self):
-        povm = lifted_gu(4, 0.8, 0.7).full_povm()
+        fam = lifted_gu(4, 0.8, 0.7)
+        povm = fam.plan(fam.eta0_floor).povm  # full strength at the floor
         assert validate_povm(povm).ok
         # residual inconclusive weight: tr[rho M0] = cos(theta)
-        fam = lifted_gu(4, 0.8, 0.7)
         np.testing.assert_allclose(
             seqchan.inconclusive_rate(fam.ensemble(), povm), math.cos(0.8), atol=1e-12
         )
@@ -685,13 +685,13 @@ class TestMirrorMcm:
 
     def test_povm_complete(self):
         ms = MirrorState(r1=1.0, r2=1.0, theta=2.4)
-        povm = mirror_povm(mirror_mcm(ms))
+        povm = mirror_plan(ms, 0.0).povm
         assert validate_povm(povm).ok
         np.testing.assert_allclose(povm.inconclusive, 0.0, atol=1e-9)
 
     def test_kkt_passes(self):
         ms = MirrorState(r1=1.0, r2=1.0, theta=2.0)
-        povm = mirror_povm(mirror_mcm(ms))
+        povm = mirror_plan(ms, 0.0).povm
         report = mcm.verify_kkt(ms.ensemble(), povm)
         assert report.ok
 
@@ -764,8 +764,7 @@ class TestMirrorRetarget:
 
 class TestMirrorStep:
     def _engine_step(self, ms, eta0):
-        weak, _ = mirror_weak_mcm(ms, eta0)
-        channel = kraus_from_weak(weak)
+        channel = mirror_plan(ms, eta0).channel
         return mirror_state_of(channel.apply_ensemble(ms.ensemble()))
 
     def test_recursion_against_engine(self):
@@ -821,7 +820,7 @@ class TestMirrorStep:
     def test_rate_validation(self):
         ms = MirrorState(r1=1.0, r2=1.0, theta=2.0)
         with pytest.raises(InfeasibleRateError):
-            mirror_weak_mcm(ms, 1.2)
+            mirror_plan(ms, 1.2)
 
 
 class TestMirrorFamily:
@@ -890,3 +889,30 @@ class TestMirrorFamily:
             mirror(0.0)
         with pytest.raises(ValueError):
             mirror(math.pi)
+
+
+# ===========================================================================
+# party plans from closed-form vectors
+# ===========================================================================
+
+
+@pytest.mark.parametrize(
+    "fam, rates, retarget",
+    [
+        pytest.param(gu(5), [0.4], None, id="gu5"),
+        pytest.param(lifted_gu(4, 1.0, 0.9), [0.7], None, id="lifted-equator"),
+        pytest.param(lifted_gu(3, 0.9, 0.8), [0.8], 1.2, id="lifted-retarget"),
+        pytest.param(mirror(2.2), [0.5], None, id="mirror"),
+        pytest.param(mirror(1.9), [0.3], 1.5, id="mirror-retarget"),
+    ],
+)
+def test_one_eigensolve_per_family_plan(fam, rates, retarget, eigensolves):
+    """A family party measures the family's closed-form vectors, so its one
+    eigensolve is the square root of the inconclusive element."""
+    e = fam.ensemble()
+    strategy = fam.strategies(rates, retarget=retarget)[0]
+    eigensolves.calls.clear()
+    plan = strategy(e, 1)
+    assert eigensolves.count("eigh") == 1
+    assert eigensolves.of(plan.povm.inconclusive) == 1
+    assert eigensolves.count("eigvalsh") == 0

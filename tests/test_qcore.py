@@ -81,24 +81,25 @@ class TestEigHermitian:
 
 
 class TestPinvSqrt:
+    """The inverse square root on the support, from :func:`qcore.support_factors`."""
+
     def test_diagonal_oracle(self):
-        mat, rank = qcore.pinv_sqrt(np.diag([0.8, 0.2]).astype(complex))
+        mat, _, rank = qcore.support_factors(np.diag([0.8, 0.2]).astype(complex))
         np.testing.assert_allclose(
             mat, np.diag([0.8**-0.5, 0.2**-0.5]), atol=1e-14
         )
         assert rank == 2
 
     def test_singular_input_truncates(self):
-        mat, rank = qcore.pinv_sqrt(np.diag([1.0, 0.0]).astype(complex))
+        mat, _, rank = qcore.support_factors(np.diag([1.0, 0.0]).astype(complex))
         assert rank == 1
         np.testing.assert_allclose(mat, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_inverse_on_support(self):
         rng = np.random.default_rng(3)
         rho = random_density(rng, 4, rank=3).mat
-        inv_sqrt, rank = qcore.pinv_sqrt(rho)
+        inv_sqrt, proj, rank = qcore.support_factors(rho)
         assert rank == 3
-        proj = qcore.support_projector(rho)
         np.testing.assert_allclose(inv_sqrt @ rho @ inv_sqrt, proj, atol=1e-10)
 
 

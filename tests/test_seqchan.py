@@ -1,5 +1,5 @@
-"""Sequential-channel layer tests: weakened measurements, rank-one Kraus
-construction, the equal-confidence two-state step, disturbance
+"""Sequential-channel layer tests: weakened measurements and their
+rank-one party plans, the equal-confidence two-state step, disturbance
 functionals, and the chain runner.
 
 Run with:  pytest tests/test_seqchan.py -v
@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from seqmcm import families, mcm, optim, qcore, seqchan
+from seqmcm import cli, families, mcm, optim, qcore, seqchan
 from seqmcm.qcore import Ensemble, FeasibilityError, Povm
 from seqmcm.seqchan import (
     ChannelConstructionError,
@@ -20,19 +22,17 @@ from seqmcm.seqchan import (
     PartyRecord,
     SequentialTrace,
     StrategyInfeasibleError,
-    WeakMcm,
     ensemble_distance,
     inconclusive_rate,
     information_gain,
     joint_outcomes,
-    kraus_from_weak,
     linear_independence,
     random_channel,
+    rank_one_plan,
     run_sequence,
     trace_to_csv,
     trace_to_json,
     two_state_step,
-    weaken,
 )
 
 
@@ -60,6 +60,22 @@ def trine_povm() -> Povm:
     """Complete maximum-confidence POVM for the trine: (2/3) projectors
     onto the vectors themselves."""
     return mcm.mcm_povm(trine_ensemble(), {1: 2 / 3, 2: 2 / 3, 3: 2 / 3})
+
+
+def trine_plan(alphas, targets=None) -> PartyPlan:
+    """The trine's complete POVM weakened by ``alphas`` (one factor, or
+    one per label) at the call site, ``w_x = alpha_x 2/3``."""
+    if not isinstance(alphas, dict):
+        alphas = {x: alphas for x in (1, 2, 3)}
+    vectors = dict(zip((1, 2, 3), trine_vectors()))
+    return rank_one_plan({x: a * 2 / 3 for x, a in alphas.items()}, vectors, targets)
+
+
+def degenerate_qutrit() -> Ensemble:
+    """Label 1's optimal subspace is two-dimensional (C_1 = 1 on diag(1, 1, 0))."""
+    return Ensemble(
+        priors=(0.5, 0.5), states=(np.diag([0.5, 0.5, 0.0]), np.diag([0.0, 0.0, 1.0]))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -111,31 +127,35 @@ class TestKrausChannel:
 
 
 class TestWeaken:
+    """Weakening is ``w_x = alpha_x a_x`` at the call site; the plan's POVM
+    is ``w_x |v_x><v_x|`` with ``M_0 = 1 - sum_x M_x``."""
+
     def test_alpha_one_is_identity(self):
         povm = trine_povm()
-        w = weaken(povm, 1.0)
+        w = trine_plan(1.0).povm
         for x in povm.labels:
             np.testing.assert_allclose(w.elements[x], povm.elements[x], atol=1e-15)
         np.testing.assert_allclose(w.inconclusive, povm.inconclusive, atol=1e-12)
 
     def test_alpha_zero_kills_everything(self):
-        w = weaken(trine_povm(), 0.0)
+        w = trine_plan(0.0).povm
         for m in w.elements.values():
             np.testing.assert_allclose(m, 0.0, atol=0.0)
         np.testing.assert_allclose(w.inconclusive, np.eye(2), atol=1e-12)
 
     def test_uniform_float_matches_dict(self):
-        povm = trine_povm()
-        w1 = weaken(povm, 0.4)
-        w2 = weaken(povm, {1: 0.4, 2: 0.4, 3: 0.4})
-        for x in povm.labels:
-            np.testing.assert_allclose(w1.elements[x], w2.elements[x], atol=0.0)
+        """The rank-one plan measures the POVM that the projector-based
+        ``mcm_povm`` assembles from the same weights."""
+        w1 = trine_plan(0.4).povm
+        w2 = mcm.mcm_povm(trine_ensemble(), {1: 0.4 * 2 / 3, 2: 0.4 * 2 / 3, 3: 0.4 * 2 / 3})
+        for x in w2.labels:
+            np.testing.assert_allclose(w1.elements[x], w2.elements[x], atol=1e-15)
 
     def test_uniform_inconclusive_form(self):
         """M~_0 = (1 - alpha) 1 + alpha M_0 for uniform weakening."""
         povm = trine_povm()
         alpha = 0.35
-        w = weaken(povm, alpha)
+        w = trine_plan(alpha).povm
         want = (1 - alpha) * np.eye(2) + alpha * povm.inconclusive
         np.testing.assert_allclose(w.inconclusive, want, atol=1e-12)
 
@@ -146,7 +166,12 @@ class TestWeaken:
         e = qcore.random_ensemble(rng, 2, 3)
         sol = optim.min_inconclusive_rate(e)
         povm = mcm.mcm_povm(e, sol.weights)
-        weakened = weaken(povm, {1: 0.7, 2: 0.2, 3: 0.9})
+        alphas = {1: 0.7, 2: 0.2, 3: 0.9}
+        entries = mcm.solve_mcm(e)
+        weakened = rank_one_plan(
+            {x: alphas[x] * a for x, a in sol.weights.items()},
+            {x: entries[x].basis[0] for x in sol.weights},
+        ).povm
         rho = e.average().mat
         for x in povm.labels:
             num0 = e.prior(x) * float(np.real(np.trace(povm.elements[x] @ e.state(x).mat)))
@@ -159,11 +184,16 @@ class TestWeaken:
 
     def test_partial_map_rejected(self):
         with pytest.raises(ValueError):
-            weaken(trine_povm(), {1: 0.5})
+            rank_one_plan({1: 0.5}, dict(zip((1, 2, 3), trine_vectors())))
 
     def test_out_of_range_rejected(self):
+        """alpha = 1.5 leaves M_0 = -1/2: the channel cannot be complete."""
         with pytest.raises(ValueError):
-            weaken(trine_povm(), 1.5)
+            trine_plan(1.5)
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            trine_plan({1: -0.1, 2: 0.5, 3: 0.5})
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +202,13 @@ class TestWeaken:
 
 
 class TestKrausFromWeak:
+    """The channel of a rank-one plan: ``K_x = sqrt(w_x) |t_x><v_x|`` and
+    ``K_0 = sqrt(M_0)``."""
+
     def test_kraus_squares_to_weakened_elements(self):
         """K_x^dag K_x = alpha_x M_x exactly, label by label."""
-        povm = trine_povm()
-        alphas = {1: 0.5, 2: 0.8, 3: 0.3}
-        ch = kraus_from_weak(WeakMcm(povm=povm, alphas=alphas))
-        weakened = weaken(povm, alphas)
+        plan = trine_plan({1: 0.5, 2: 0.8, 3: 0.3})
+        ch, weakened = plan.channel, plan.povm
         for x in (1, 2, 3):
             k = ch.op(x)
             np.testing.assert_allclose(
@@ -192,19 +223,16 @@ class TestKrausFromWeak:
         e = Ensemble(
             priors=(0.5, 0.5), states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
         )
-        povm = mcm.mcm_povm(e, {1: 1.0, 2: 1.0})
-        ch = kraus_from_weak(WeakMcm(povm=povm, alphas={1: 1.0, 2: 1.0}))
+        entries = mcm.solve_mcm(e)
+        ch = rank_one_plan({1: 1.0, 2: 1.0}, {x: entries[x].basis[0] for x in (1, 2)}).channel
         assert 0 in ch.labels
         np.testing.assert_allclose(ch.op(0), 0.0, atol=1e-7)
 
     def test_collapse_targets(self):
         """With a retarget map, a conclusive click leaves the system on the
         retarget direction regardless of the input."""
-        povm = trine_povm()
         target = np.array([0.0, 1.0], dtype=complex)
-        ch = kraus_from_weak(
-            WeakMcm(povm=povm, alphas={x: 0.6 for x in (1, 2, 3)}, retargets={1: target})
-        )
+        ch = trine_plan(0.6, targets={1: target}).channel
         rng = np.random.default_rng(13)
         rho = qcore.random_density(rng, 2).mat
         k1 = ch.op(1)
@@ -213,8 +241,7 @@ class TestKrausFromWeak:
         np.testing.assert_allclose(out, _projector(target), atol=1e-12)
 
     def test_default_collapse_is_projector_vector(self):
-        povm = trine_povm()
-        ch = kraus_from_weak(WeakMcm(povm=povm, alphas={x: 1.0 for x in (1, 2, 3)}))
+        ch = trine_plan(1.0).channel
         rng = np.random.default_rng(14)
         rho = qcore.random_density(rng, 2).mat
         v = trine_vectors()[0]
@@ -224,24 +251,56 @@ class TestKrausFromWeak:
             out / np.real(np.trace(out)), _projector(v), atol=1e-12
         )
 
-    def test_v0_rotates_inconclusive_branch(self):
-        povm = trine_povm()
-        u = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # bit flip
-        alphas = {x: 0.5 for x in (1, 2, 3)}
-        plain = kraus_from_weak(WeakMcm(povm=povm, alphas=alphas))
-        rotated = kraus_from_weak(WeakMcm(povm=povm, alphas=alphas, v0=u))
-        np.testing.assert_allclose(rotated.op(0), u @ plain.op(0), atol=1e-14)
-
     def test_non_rank_one_element_rejected(self):
-        povm = Povm(elements={1: 0.5 * np.eye(2)}, inconclusive=0.5 * np.eye(2))
-        with pytest.raises(ChannelConstructionError):
-            kraus_from_weak(WeakMcm(povm=povm, alphas={1: 1.0}))
+        """A measured label whose optimal subspace is two-dimensional has
+        no rank-one element to build a plan from."""
+        with pytest.raises(ChannelConstructionError, match="not rank-one"):
+            cli._mcm_plan(degenerate_qutrit(), {1: 0.5, 2: 0.5})
 
     def test_fully_weakened_label_dropped(self):
-        povm = trine_povm()
-        ch = kraus_from_weak(WeakMcm(povm=povm, alphas={1: 0.0, 2: 0.5, 3: 0.5}))
+        ch = trine_plan({1: 0.0, 2: 0.5, 3: 0.5}).channel
         assert 1 not in ch.labels
         assert {0, 2, 3} <= set(ch.labels)
+
+
+def posterior(e: Ensemble, x: int, m: np.ndarray) -> float:
+    """Confidence of a click of element ``m``: ``q_x tr[rho_x m] / tr[rho m]``."""
+    num = e.prior(x) * float(np.real(np.trace(e.state(x).mat @ m)))
+    return num / float(np.real(np.trace(e.average().mat @ m)))
+
+
+class TestRankOnePlanProperties:
+    """Plans built from ``solve_mcm`` vectors and random feasible weights
+    scaled by alpha, over pure ensembles of every dimension up to the cap."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(2, qcore.DIM_CAP),
+        n=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(1e-100, 1.0),  # far above the subnormals, where w = alpha a underflows
+    )
+    def test_plan_invariants(self, dim, n, seed, alpha):
+        rng = np.random.default_rng(seed)
+        e = qcore.random_ensemble(rng, dim, n, pure=True)
+        entries = mcm.solve_mcm(e)
+        assume(all(len(entry.basis) == 1 for entry in entries.values()))
+        weights = optim.random_feasible_weights(rng, mcm.optimal_projectors(entries))
+        assume(min(weights.values()) > 0.0)
+        plan = rank_one_plan(
+            {x: alpha * w for x, w in weights.items()},
+            {x: entry.basis[0] for x, entry in entries.items()},
+        )
+        ch, povm = plan.channel, plan.povm
+        for x in e.labels:
+            k = ch.op(x)
+            np.testing.assert_allclose(k.conj().T @ k, povm.elements[x], rtol=0.0, atol=1e-12)
+            assert abs(posterior(e, x, povm.elements[x]) - entries[x].confidence) <= 1e-9
+        total = sum(k.conj().T @ k for _, k in ch.ops)
+        assert np.max(np.abs(total - np.eye(dim))) <= seqchan.COMPLETENESS_TOL
+        after = mcm.solve_mcm(ch.apply_ensemble(e))
+        for x in e.labels:
+            assert after[x].confidence <= entries[x].confidence + seqchan.MONOTONIC_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +427,14 @@ class TestFunctionals:
         e = trine_ensemble()
         povm = trine_povm()
         g_full = information_gain(e, povm)
-        g_half = information_gain(e, weaken(povm, 0.5))
+        g_half = information_gain(e, trine_plan(0.5).povm)
         np.testing.assert_allclose(g_half, 0.5 * g_full, atol=1e-12)
 
     def test_inconclusive_rate_uniform_weakening(self):
         e = trine_ensemble()
-        povm = trine_povm()  # complete: eta0 = 0 at full strength
+        np.testing.assert_allclose(inconclusive_rate(e, trine_povm()), 0.0, atol=1e-12)
         np.testing.assert_allclose(
-            inconclusive_rate(e, weaken(povm, 0.3)), 0.7, atol=1e-12
+            inconclusive_rate(e, trine_plan(0.3).povm), 0.7, atol=1e-12
         )
 
     def test_distance_oracle(self):
@@ -439,13 +498,12 @@ def uniform_trine_strategy(alpha: float):
 
     def strategy(e: Ensemble, j: int) -> PartyPlan:
         sol = optim.min_inconclusive_rate(e)
-        povm = mcm.mcm_povm(e, sol.weights)
-        weak = WeakMcm(
-            povm=povm,
-            alphas={x: alpha for x in povm.labels},
-            retargets={x + 1: vectors[x] for x in range(3)},
+        entries = mcm.solve_mcm(e)
+        return rank_one_plan(
+            {x: alpha * a for x, a in sol.weights.items()},
+            {x: entries[x].basis[0] for x in sol.weights},
+            targets={x + 1: vectors[x] for x in range(3)},
         )
-        return PartyPlan(povm=weak.weakened(), channel=kraus_from_weak(weak))
 
     return strategy
 
