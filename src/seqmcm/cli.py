@@ -22,10 +22,12 @@ Each family is one row of :data:`FAMILIES`: how ``--params`` builds it,
 how ``sweep`` runs it, and which ``sweep`` flags and ``--grid`` keys that
 sweep reads; ``sweep`` rejects any other with exit 2.  ``family`` prints
 the family's ``describe()``; ``sequence`` chains come from its
-``strategies`` (``two_mixed``: from its gains instead).  A given
+``strategies`` at the ``--eta0`` rates (``two_mixed``: from its gains
+instead, ``--gains`` or the joint-probability optimum).  A given
 ``--retarget-angle`` replaces the least-disturbing collapse of a
-``lifted_gu`` (polar angle) or ``mirror`` (azimuth) chain; every other
-chain exits 2 on it.  An ``--ensemble`` chain weakens the rate-optimal
+``lifted_gu`` (polar angle) or ``mirror`` (azimuth) chain.  ``sequence``
+rejects any of these three flags its chain does not read with exit 2,
+as ``sweep`` does.  An ``--ensemble`` chain weakens the rate-optimal
 measurement, which needs a one-vector optimal subspace for every label it
 measures (exit 4, "not rank-one", otherwise).
 
@@ -307,17 +309,13 @@ def _generic_strategies(parties: int, rates: list[float]) -> list[seqchan.Strate
 
 
 def _family_strategies(fam: Any, args: argparse.Namespace, parties: int) -> list:
-    angle = args.retarget_angle
-    if angle is not None:
-        angle = _parse_angle(angle, "--retarget-angle")
     if isinstance(fam, fam_mod.TwoMixedFamily):  # a chain set by gains, not rates
-        if angle is not None:
-            raise CliError(
-                EXIT_INPUT, "two_mixed chains have no retarget angle; use --gains"
-            )
         if args.gains:
             return fam.strategies_for_gains(_parse_numbers(args.gains, "--gains", parties))
         return fam.chain_strategies(parties)
+    angle = args.retarget_angle
+    if angle is not None:
+        angle = _parse_angle(angle, "--retarget-angle")
     return fam.strategies(_parse_rates(args.eta0, parties), retarget=angle)
 
 
@@ -326,9 +324,13 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     parties = args.parties
     if parties is None or parties < 1:
         raise CliError(EXIT_INPUT, "--parties must be a positive integer")
+    source = "--ensemble" if fam is None else f"--family {args.family}"
+    reads = ("eta0",) if fam is None else _family_row(args.family).chain
+    for flag in ("eta0", "gains", "retarget_angle"):
+        if getattr(args, flag) is not None and flag not in reads:
+            name = flag.replace("_", "-")
+            raise CliError(EXIT_INPUT, f"sequence {source} does not read --{name}")
     if fam is None:
-        if args.retarget_angle is not None:
-            raise CliError(EXIT_INPUT, "an --ensemble chain has no retarget angle")
         strategies = _generic_strategies(parties, _parse_rates(args.eta0, parties))
     else:
         try:
@@ -528,6 +530,7 @@ class _Family(NamedTuple):
     sweep: Callable[[argparse.Namespace, Grid], tuple[list[str], list[list[Any]]]]
     reads: tuple[str, ...]  # the sweep flags it reads; cmd_sweep rejects the others
     grid: tuple[str, ...] = ()  # the --grid keys it reads
+    chain: tuple[str, ...] = ("eta0",)  # the sequence flags it reads; cmd_sequence likewise
 
 
 # every family name lookup goes through _family_row
@@ -539,6 +542,7 @@ FAMILIES: dict[str, _Family] = {
         _sweep_two_mixed,
         ("grid", "parties"),
         ("p", "theta"),
+        chain=("gains",),
     ),
     "gu": _Family(lambda q: fam_mod.gu(n=_count(q)), _sweep_gu, ("params", "parties", "eta0")),
     "lifted_gu": _Family(
@@ -549,12 +553,14 @@ FAMILIES: dict[str, _Family] = {
         ),
         _sweep_lifted,
         ("params", "parties", "eta0", "threshold"),
+        chain=("eta0", "retarget_angle"),
     ),
     "mirror": _Family(
         lambda q: fam_mod.mirror(theta=_angle(q, "theta", 2 * math.pi / 3)),
         _sweep_mirror,
         ("grid", "eta0"),
         ("theta",),
+        chain=("eta0", "retarget_angle"),
     ),
 }
 

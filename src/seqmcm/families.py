@@ -45,6 +45,14 @@ recovers a vector the family already knows (``LiftedGuFamily.plan`` and
 :func:`mirror_plan` build one party).  A ``two_mixed`` chain is set by
 gains instead of rates: ``chain_strategies(parties)`` for the
 joint-probability optimum, ``strategies_for_gains(gains)`` for given gains.
+Its party is a ``rank_one_plan`` too: weights ``a`` on both measured
+vectors (``phi_2`` rephased to the real overlap ``s``) and the overlap
+``s'`` it leaves, both from :func:`seqmcm.optim.two_state_least_disturbing`;
+in the frame ``u ~ phi_1 + phi_2``, ``w ~ phi_1 - phi_2`` the next party
+measures ``cu u +- cw w`` (``cu, cw = sqrt((1 +- s')/2)``), and each label
+collapses onto the state orthogonal to the next vector of the other label,
+``t_1 = cw u + cu w``, ``t_2 = cw u - cu w``.  Then ``K_0 = sqrt(M_0)`` is
+diagonal in that frame and the confidence is preserved exactly.
 
 Angles are radians everywhere.
 """
@@ -60,7 +68,6 @@ import numpy as np
 
 from . import mcm as _mcm
 from . import optim as _optim
-from . import seqchan as _seqchan
 from .qcore import DensityMatrix, Ensemble, FeasibilityError, Povm, vector_to_json
 from .seqchan import PartyPlan, Strategy, rank_one_plan
 
@@ -201,28 +208,31 @@ class TwoMixedFamily:
     def _strategies(
         self, parties: int, gain_of: Callable[[float, float, int], float]
     ) -> list[Strategy]:
-        """One equal-confidence party per index ``j``, each reading the
-        ensemble it is handed (so the chain is self-correcting, not
-        open-loop) and extracting the gain ``gain_of(C, s, j)``."""
+        """One equal-confidence party per index ``j`` (the rank-one plan of
+        the module docstring), each reading the ensemble it is handed (so
+        the chain is self-correcting, not open-loop) and extracting the
+        gain ``gain_of(C, s, j)``."""
 
         def strat(e: Ensemble, j: int) -> PartyPlan:
             entries = _mcm.solve_mcm(e)
             c = min(entries[1].confidence, 1.0)
-            phi1 = entries[1].basis[0]
-            phi2 = entries[2].basis[0]
-            s = abs(complex(np.vdot(phi1, phi2)))
+            phi1, phi2 = entries[1].basis[0], entries[2].basis[0]
+            t = complex(np.vdot(phi1, phi2))
+            s = abs(t)
+            if s >= 1.0 - 1e-14:
+                raise FeasibilityError("projector overlap is 1: the states are indistinguishable")
+            if s > 0.0:
+                phi2 = phi2 * (t.conjugate() / s)  # rephased: <phi1|phi2> = s
             gain = gain_of(c, s, j)
-            a1, a2, s_new = _optim.two_state_least_disturbing(c, s, gain)
-            channel, _ = _seqchan.two_state_step(phi1, phi2, a1, a2)
-            elements = {1: a1 * _projector(phi1), 2: a2 * _projector(phi2)}
-            povm = Povm(
-                elements=elements,
-                inconclusive=np.eye(2) - elements[1] - elements[2],
-            )
-            return PartyPlan(
-                povm=povm,
-                channel=channel,
-                extras={"gain_target": gain, "overlap": s, "overlap_next": s_new, "a": a1},
+            a, _, s_new = _optim.two_state_least_disturbing(c, s, gain)
+            u = (phi1 + phi2) / float(np.linalg.norm(phi1 + phi2))
+            w = (phi1 - phi2) / float(np.linalg.norm(phi1 - phi2))
+            cu, cw = math.sqrt((1.0 + s_new) / 2.0), math.sqrt((1.0 - s_new) / 2.0)
+            return rank_one_plan(
+                {1: a, 2: a},
+                {1: phi1, 2: phi2},
+                targets={1: cw * u + cu * w, 2: cw * u - cu * w},
+                extras={"gain_target": gain, "overlap": s, "overlap_next": s_new, "a": a},
             )
 
         return [strat] * parties
@@ -627,17 +637,18 @@ def mirror_state_of(e: Ensemble) -> MirrorState:
     """Read the ``(r1, r2, theta)`` description off a mirror ensemble.
 
     Validates the symmetry pattern (label 1 on +X, labels 2/3 mirror
-    images on the equator) to 1e-8 before trusting it.
+    images on the equator) to 1e-8 before trusting it; a chain that left
+    the pattern gets a :class:`FeasibilityError`.
     """
     if e.n != 3 or e.dim != 2:
         raise ValueError("mirror ensembles have exactly three qubit states")
     b1, b2, b3 = (e.state(x).bloch() for x in (1, 2, 3))
     if abs(b1[1]) > 1e-8 or abs(b1[2]) > 1e-8 or b1[0] < -1e-12:
-        raise ValueError("state 1 is not on the +X axis")
+        raise FeasibilityError("state 1 is not on the +X axis")
     if abs(b2[2]) > 1e-8 or abs(b3[2]) > 1e-8:
-        raise ValueError("states 2/3 are not on the equator")
+        raise FeasibilityError("states 2/3 are not on the equator")
     if abs(b2[0] - b3[0]) > 1e-8 or abs(b2[1] + b3[1]) > 1e-8:
-        raise ValueError("states 2/3 are not mirror images")
+        raise FeasibilityError("states 2/3 are not mirror images")
     r1 = float(b1[0])
     r2 = float(math.hypot(b2[0], b2[1]))
     theta = float(math.atan2(b2[1], b2[0]))
@@ -684,8 +695,9 @@ def mirror_mcm(ms: MirrorState) -> MirrorMcm:
     """Solve the mirror maximum-confidence problem in closed form.
 
     Label 1's optimal projector sits at azimuth 0 provided
-    ``r1 > r2 cos theta`` (asserted here — every chain this package
-    builds stays in that regime), giving ``C1 = (1 + r1)/(3 + kbar)``.
+    ``r1 > r2 cos theta`` (a :class:`FeasibilityError` otherwise; chains
+    at the closed-form collapse stay in that regime), giving
+    ``C1 = (1 + r1)/(3 + kbar)``.
     The common azimuth of labels 2/3 maximizes :func:`mirror_confidence2`.
     The numerator of its derivative is ``A sin phi + B cos phi + C`` with
     ``A = kbar - 3 r2 cos theta``, ``B = 3 r2 sin theta`` and
@@ -696,7 +708,7 @@ def mirror_mcm(ms: MirrorState) -> MirrorMcm:
     ``a1 = -2 cos phi a2``.
     """
     if ms.r1 <= ms.r2 * math.cos(ms.theta) + 1e-12:
-        raise ValueError(
+        raise FeasibilityError(
             "label 1's projector leaves the +X axis when r1 <= r2 cos theta; "
             "this configuration is outside the mirror chain analysis"
         )
@@ -711,7 +723,7 @@ def mirror_mcm(ms: MirrorState) -> MirrorMcm:
     a2 = 1.0 / (1.0 - math.cos(phi))
     a1 = -2.0 * math.cos(phi) * a2
     if a1 < -1e-10:
-        raise ValueError(
+        raise FeasibilityError(
             f"optimal azimuth {phi!r} has cos phi > 0; the three-outcome "
             "complete measurement does not exist here"
         )

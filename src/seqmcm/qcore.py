@@ -61,6 +61,10 @@ RANK_TOL = 1e-10
 PHASE_TOL = 1e-12
 """Components smaller than this (relative) are skipped when phase-fixing."""
 
+SQRT_ZERO_TOL = 1e-14
+"""Eigenvalues at or below this (absolute) are exact zeros in :func:`sqrt_psd`:
+the rounding level of a unit-scale operator such as ``1 - sum_x M_x``."""
+
 
 class FeasibilityError(ValueError):
     """Base class for "the numbers you asked for are not achievable" errors
@@ -191,9 +195,11 @@ def support_factors(a: Any, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.
 
 
 def sqrt_psd(a: Any) -> np.ndarray:
-    """Positive square root of a PSD matrix (tiny negative eigenvalues clipped)."""
+    """Positive square root of a unit-scale PSD matrix.  Eigenvalues at or
+    below the absolute :data:`SQRT_ZERO_TOL` are zeros (not ``sqrt(eps)``):
+    a cutoff relative to the largest would keep an all-rounding matrix."""
     vals, vecs = eig_hermitian(a)
-    clipped = np.clip(vals, 0.0, None)
+    clipped = np.where(vals > SQRT_ZERO_TOL, vals, 0.0)
     return (vecs * np.sqrt(clipped)) @ vecs.conj().T
 
 

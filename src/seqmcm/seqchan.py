@@ -36,7 +36,6 @@ import numpy as np
 
 from . import mcm as _mcm
 from . import qcore
-from .optim import InfeasibleGainError
 from .qcore import (
     DensityMatrix,
     Ensemble,
@@ -144,91 +143,6 @@ def random_channel(rng: np.random.Generator, dim: int, n_kraus: int) -> KrausCha
 
 
 # ---------------------------------------------------------------------------
-# two-state equal-confidence step
-# ---------------------------------------------------------------------------
-
-
-def two_state_step(
-    phi1: Any, phi2: Any, a1: float, a2: float
-) -> tuple[KrausChannel, tuple[np.ndarray, np.ndarray]]:
-    """One equal-confidence step of a two-state chain.
-
-    ``phi1, phi2`` are the (qubit) maximum-confidence projector vectors
-    the party measures; ``a1, a2`` its POVM weights.  After rephasing to a
-    real nonnegative overlap ``s = |<phi1|phi2>|``, the step is built in
-    the symmetric frame ``u ~ phi1 + phi2``, ``w ~ phi1 - phi2``:
-
-    * per-weight bound ``a_x <= 1 / (1 - s^2)`` (else the inconclusive
-      operator would need negative weight) and the joint PSD condition
-      ``(1 - a_1)(1 - a_2) >= a_1 a_2 s^2`` — equivalently ``f >= s^2``
-      below — without which ``M_0 = 1 - a_1 P_1 - a_2 P_2`` has a negative
-      eigenvalue and no channel exists;
-    * output overlap ``s' = s / sqrt(f)``, ``f = prod_x (1 - a_x (1-s^2))``;
-    * ``K_x = sqrt(a_x) |out_{x+1}^perp><phi_x|`` and
-      ``K_0 = sqrt(b_1) |out_2^perp><phi_1| + sqrt(b_2) |out_1^perp><phi_2|``
-      with ``b_x = 1/(1-s^2) - a_x``, which is complete *because*
-      ``sqrt(b_1 b_2) s' = s / (1 - s^2)`` holds identically.
-
-    Returns the channel and the output projector pair (the next party's
-    maximum-confidence vectors).  The confidence never appears: it is a
-    property of the ensemble, automatically preserved by this collapse
-    structure.
-    """
-    v1 = as_vector(phi1, "phi1")
-    v2 = as_vector(phi2, "phi2")
-    if v1.size != 2:
-        raise ValueError("the equal-confidence step is a qubit construction")
-    v1 = v1 / float(np.linalg.norm(v1))
-    v2 = v2 / float(np.linalg.norm(v2))
-    t = complex(np.vdot(v1, v2))
-    if abs(t) > 0.0:
-        v2 = v2 * (t.conjugate() / abs(t))
-    s = abs(t)
-    if s >= 1.0 - 1e-14:
-        raise FeasibilityError("projector overlap is 1: the states are indistinguishable")
-    cap = 1.0 / (1.0 - s * s)
-    for name, a in (("a1", a1), ("a2", a2)):
-        if a < -1e-15 or a > cap + 1e-12:
-            raise InfeasibleGainError(
-                f"{name} = {a!r} outside the feasible range [0, {cap!r}] at overlap {s!r}"
-            )
-    a1 = min(max(float(a1), 0.0), cap)
-    a2 = min(max(float(a2), 0.0), cap)
-
-    u = v1 + v2
-    u = u / float(np.linalg.norm(u))
-    wv = v1 - v2
-    nw = float(np.linalg.norm(wv))
-    if nw < 1e-15:
-        raise FeasibilityError("identical projectors leave nothing to discriminate")
-    wv = wv / nw
-
-    f = (1.0 - a1 * (1.0 - s * s)) * (1.0 - a2 * (1.0 - s * s))
-    if f < s * s * (1.0 - 1e-12) - 1e-15:
-        raise InfeasibleGainError(
-            f"weights ({a1!r}, {a2!r}) violate the joint feasibility condition "
-            f"(1 - a1)(1 - a2) >= a1 a2 s^2 at overlap {s!r}: "
-            "the inconclusive element would not be positive semidefinite"
-        )
-    s_new = 1.0 if f <= 1e-30 else min(s / math.sqrt(f), 1.0)
-    cu, cw = math.sqrt((1.0 + s_new) / 2.0), math.sqrt((1.0 - s_new) / 2.0)
-    out1 = cu * u + cw * wv
-    out2 = cu * u - cw * wv
-    out1_perp = cw * u - cu * wv
-    out2_perp = cw * u + cu * wv
-
-    b1 = max(cap - a1, 0.0)
-    b2 = max(cap - a2, 0.0)
-    k1 = math.sqrt(a1) * np.outer(out2_perp, v1.conj())
-    k2 = math.sqrt(a2) * np.outer(out1_perp, v2.conj())
-    k0 = math.sqrt(b1) * np.outer(out2_perp, v1.conj()) + math.sqrt(b2) * np.outer(
-        out1_perp, v2.conj()
-    )
-    channel = KrausChannel(ops=((1, k1), (2, k2), (0, k0)))
-    return channel, (out1, out2)
-
-
-# ---------------------------------------------------------------------------
 # ensemble functionals
 # ---------------------------------------------------------------------------
 
@@ -321,8 +235,11 @@ def rank_one_plan(
     states (default ``v_x``).  Each conclusive click applies
     ``K_x = sqrt(w_x) |t_x><v_x|`` (no operator for ``w_x = 0``), so
     ``K_x^dag K_x = M_x`` exactly; the inconclusive branch applies
-    ``K_0 = sqrt(M_0)``, the one eigensolve of the construction.  Weights
-    that leave ``M_0`` indefinite fail the channel's completeness check.
+    ``K_0 = sqrt(M_0)``, the one eigensolve of the construction.  ``M_0``
+    eigenvalues within rounding of zero (:data:`seqmcm.qcore.SQRT_ZERO_TOL`)
+    are zeros of ``K_0``, so a full-strength party's ``K_0`` is exactly
+    singular (zero for a complete measurement).  Weights that leave ``M_0``
+    indefinite fail the channel's completeness check.
     """
     if not weights or set(weights) != set(vectors):
         raise ValueError(f"weights for labels {sorted(weights)} but vectors for {sorted(vectors)}")
@@ -338,8 +255,7 @@ def rank_one_plan(
             t = as_vector((targets or {}).get(x, v), f"target {x}")
             ops.append((x, math.sqrt(w) * np.outer(t, v.conj())))
     m0 = np.eye(v.size) - sum(elements.values())
-    # a zero K_0 is kept on purpose: composing it gives the correct
-    # all-inconclusive probability (zero) instead of an error
+    # K_0 is listed even when zero: every party's channel names its inconclusive branch
     ops.append((0, sqrt_psd(m0)))
     return PartyPlan(
         povm=Povm(elements=elements, inconclusive=m0),
@@ -395,32 +311,39 @@ class SequentialTrace:
         return [rec.confidences[x] for rec in self.records]
 
 
+def _pull_back(m: np.ndarray, label: int, records: Sequence[PartyRecord]) -> np.ndarray:
+    """``K^dag ... K^dag m K ... K`` over the label's Kraus operators of
+    ``records`` (last first); zero when some party has none for it."""
+    for rec in reversed(records):
+        if label not in rec.channel.labels:
+            return np.zeros_like(m)
+        k = rec.channel.op(label)
+        m = k.conj().T @ m @ k
+    return m
+
+
 def joint_outcomes(e0: Ensemble, records: Sequence[PartyRecord]) -> tuple[float, float]:
     """All-conclusive and all-inconclusive probabilities of a chain.
 
     Composes each label's Kraus operators from parties ``1..R-1`` around
     party ``R``'s POVM element and evaluates on the initial ensemble:
     ``P_J = sum_x q_x tr[rho_x M^_x]``, and the label-0 analogue for
-    ``P_I``.  Requires one Kraus operator per label per party.
+    ``P_I``.  A label that an earlier party cannot click (no Kraus
+    operator, as for a zero weight) adds nothing.  Requires at most one
+    Kraus operator per label per party.
     """
     if not records:
         raise ValueError("empty chain")
     last = records[-1]
     p_joint = 0.0
     for x in last.povm.labels:
-        acc = last.povm.elements[x]
-        for rec in reversed(records[:-1]):
-            k = rec.channel.op(x)
-            acc = k.conj().T @ acc @ k
+        acc = _pull_back(last.povm.elements[x], x, records[:-1])
         if x in e0.labels:
             p_joint += e0.prior(x) * float(np.real(np.trace(e0.state(x).mat @ acc)))
     m0 = last.povm.inconclusive
     if m0 is None:
         m0 = np.zeros((last.povm.dim, last.povm.dim), dtype=complex)
-    acc0 = m0
-    for rec in reversed(records[:-1]):
-        k = rec.channel.op(0)
-        acc0 = k.conj().T @ acc0 @ k
+    acc0 = _pull_back(m0, 0, records[:-1])
     p_inc = float(
         sum(q * np.real(np.trace(s.mat @ acc0)) for q, s in zip(e0.priors, e0.states))
     )
@@ -434,8 +357,8 @@ def run_sequence(e0: Ensemble, strategies: Sequence[Strategy]) -> SequentialTrac
     1-based party index, and must return a :class:`PartyPlan`.  Any
     feasibility or channel-construction failure aborts the run with a
     :class:`StrategyInfeasibleError` naming the party.  Joint outcome
-    probabilities are attached when every channel carries one operator per
-    label (always true for the constructions in this package).
+    probabilities are attached when no channel carries two operators for
+    one label (always true for the constructions in this package).
     """
     records: list[PartyRecord] = []
     current = e0

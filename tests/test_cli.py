@@ -114,6 +114,11 @@ RERUN = [
         ["sequence", "--family", "gu", "--parties", "3", "--eta0", "0.4", "--format", "csv"],
         id="sequence-gu-csv",
     ),
+    pytest.param(
+        ["sequence", "--family", "two_mixed", "--params", '{"p": 0.8, "theta": 1.0}',
+         "--parties", "3", "--gains", "0.2,0.1,0.05", "--format", "csv"],
+        id="sequence-two-mixed-gains",
+    ),
 ]
 
 
@@ -225,6 +230,46 @@ def test_default_two_mixed_chain_exits_0(capsys):
     code, out, err = run(capsys, ["sequence", "--family", "two_mixed", "--parties", "2"])
     assert code == cli.EXIT_OK and err == ""
     assert json.loads(out)["p_joint"] > 0.0
+
+
+def test_party_after_a_full_gain_exits_4(capsys):
+    """Party 1 takes the full gain C (1 - s), so party 2 faces identical
+    projectors."""
+    argv = ["sequence", "--family", "two_mixed", "--params", '{"p": 0.8, "theta": 1.0}',
+            "--parties", "2", "--gains", "0.4957994207161462,0.01"]
+    code, out, err = run(capsys, argv)
+    assert code == cli.EXIT_INFEASIBLE and out == ""
+    assert err.startswith("error: infeasible: party 2: projector overlap is 1")
+
+
+def test_mirror_chain_leaving_its_pattern_exits_4(capsys):
+    """An explicit collapse azimuth walks state 1 off the +X axis at party 6."""
+    argv = ["sequence", "--family", "mirror", "--params", '{"theta": 1.88}', "--parties", "12",
+            "--eta0", "0.5", "--retarget-angle", "2.5"]
+    code, out, err = run(capsys, argv)
+    assert code == cli.EXIT_INFEASIBLE and out == ""
+    assert err == "error: infeasible: party 6: state 1 is not on the +X axis\n"
+
+
+@pytest.mark.parametrize(
+    "source, flag",
+    [
+        pytest.param(["--family", "two_mixed"], "--eta0", id="two_mixed-eta0"),
+        pytest.param(["--family", "gu", "--eta0", "0.5"], "--gains", id="gu-gains"),
+        pytest.param(["--family", "lifted_gu", "--eta0", "0.5"], "--gains", id="lifted-gains"),
+        pytest.param(["--family", "mirror", "--eta0", "0.5"], "--gains", id="mirror-gains"),
+        pytest.param(["--ensemble", "ENSEMBLE", "--eta0", "0.9"], "--gains", id="ensemble-gains"),
+    ],
+)
+def test_sequence_rejects_flags_its_chain_never_reads(source, flag, tmp_path, capsys):
+    path = tmp_path / "ensemble.json"
+    path.write_text(json.dumps(qcore.ensemble_to_json(qcore.random_ensemble(
+        np.random.default_rng(3), 2, 3))))
+    source = [str(path) if tok == "ENSEMBLE" else tok for tok in source]
+    code, out, err = run(capsys, ["sequence", *source, "--parties", "2", flag, "0.3"])
+    assert code == cli.EXIT_INPUT and out == ""
+    name = "--ensemble" if source[0] == "--ensemble" else f"--family {source[1]}"
+    assert err == f"error: sequence {name} does not read {flag}\n"
 
 
 def test_generic_chain_below_floor_exits_4(tmp_path, capsys):

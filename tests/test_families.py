@@ -172,10 +172,7 @@ class TestTwoMixedClosedForms:
         c = entries[1].confidence
         s = fam.overlap
         gain = 0.45 * c * (1 - s)
-        a1, a2, _ = optim.two_state_least_disturbing(c, s, gain)
-        channel, _ = seqchan.two_state_step(
-            entries[1].basis[0], entries[2].basis[0], a1, a2
-        )
+        channel = fam.strategies_for_gains([gain])[0](e, 1).channel
         out = channel.apply_ensemble(e)
         t_next = fam.signed_overlap / (1.0 - gain / c)
         rebuilt = TwoMixedFamily.from_confidence_overlap(c, t_next).ensemble()

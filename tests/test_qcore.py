@@ -103,6 +103,19 @@ class TestPinvSqrt:
         np.testing.assert_allclose(inv_sqrt @ rho @ inv_sqrt, proj, atol=1e-10)
 
 
+class TestSqrtPsd:
+    def test_rounding_eigenvalues_are_zeros(self):
+        """Eigenvalues at or below the absolute cutoff, of either sign, give
+        exact zeros; the largest eigenvalue does not rescale the cutoff."""
+        tol = qcore.SQRT_ZERO_TOL
+        root = qcore.sqrt_psd(np.diag([0.25, tol, -tol]).astype(complex))
+        assert np.array_equal(root, np.diag([0.5, 0.0, 0.0]))
+        assert not np.any(qcore.sqrt_psd(np.diag([3e-16, 1e-17]).astype(complex)))
+        np.testing.assert_allclose(
+            qcore.sqrt_psd(np.diag([4e-14, 0.0]).astype(complex)), np.diag([2e-7, 0.0]), rtol=1e-15
+        )
+
+
 # ---------------------------------------------------------------------------
 # norms and geometry
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Sequential-channel layer tests: weakened measurements and their
-rank-one party plans, the equal-confidence two-state step, disturbance
-functionals, and the chain runner.
+rank-one party plans, the equal-confidence two-state step (the two_mixed
+family party), disturbance functionals, and the chain runner.
 
 Run with:  pytest tests/test_seqchan.py -v
 """
@@ -32,7 +32,6 @@ from seqmcm.seqchan import (
     run_sequence,
     trace_to_csv,
     trace_to_json,
-    two_state_step,
 )
 
 
@@ -262,6 +261,14 @@ class TestKrausFromWeak:
         assert 1 not in ch.labels
         assert {0, 2, 3} <= set(ch.labels)
 
+    def test_full_strength_k0_is_exactly_zero(self):
+        """A complete measurement leaves ``M_0`` at rounding level; its
+        root is exactly zero, not ``sqrt(eps)``-sized."""
+        fam = families.gu(4)
+        plan = fam.strategies([0.0])[0](fam.ensemble(), 1)
+        assert np.max(np.abs(plan.povm.inconclusive)) < 1e-15
+        assert not np.any(plan.channel.op(0))
+
 
 def posterior(e: Ensemble, x: int, m: np.ndarray) -> float:
     """Confidence of a click of element ``m``: ``q_x tr[rho_x m] / tr[rho m]``."""
@@ -317,10 +324,34 @@ def mixed_pair(p: float, theta: float) -> Ensemble:
     return Ensemble(priors=(0.5, 0.5), states=states)
 
 
+def step_party(e: Ensemble, gain: float) -> PartyPlan:
+    """The two_mixed family party extracting ``gain`` from ``e`` (the party
+    reads the ensemble it is handed, not the family it came from)."""
+    return families.two_mixed(0.5, 1.0).strategies_for_gains([gain])[0](e, 1)
+
+
+def qubit_perp(v: np.ndarray) -> np.ndarray:
+    return np.array([v[1].conjugate(), -v[0].conjugate()])
+
+
 class TestTwoStateStep:
+    """One equal-confidence step: the two_mixed party, a rank-one plan with
+    symmetric weights collapsing each label onto the state orthogonal to
+    the next party's vector for the other label."""
+
     def _mcm_vectors(self, e):
         entries = mcm.solve_mcm(e)
         return entries[1].basis[0], entries[2].basis[0], entries[1].confidence
+
+    def _next_vectors(self, plan: PartyPlan):
+        """The next party's vectors, read off the collapse targets:
+        ``K_2`` lands on ``out_1^perp`` and ``K_1`` on ``out_2^perp``."""
+        outs = []
+        for x in (2, 1):
+            k = plan.channel.op(x)
+            t = k[:, np.argmax(np.linalg.norm(k, axis=0))]
+            outs.append(qubit_perp(t / np.linalg.norm(t)))
+        return outs
 
     def test_confidence_preserved(self):
         """The defining property: after a partial-gain step the output
@@ -328,9 +359,8 @@ class TestTwoStateStep:
         e = mixed_pair(0.8, math.pi / 3)
         phi1, phi2, c = self._mcm_vectors(e)
         s = abs(np.vdot(phi1, phi2))
-        a1, a2, _ = optim.two_state_least_disturbing(c, s, 0.4 * c * (1 - s))
-        channel, _ = two_state_step(phi1, phi2, a1, a2)
-        out = channel.apply_ensemble(e)
+        plan = step_party(e, 0.4 * c * (1 - s))
+        out = plan.channel.apply_ensemble(e)
         _, _, c_after = self._mcm_vectors(out)
         np.testing.assert_allclose(c_after, c, atol=1e-10)
 
@@ -339,74 +369,73 @@ class TestTwoStateStep:
         phi1, phi2, c = self._mcm_vectors(e)
         s = abs(np.vdot(phi1, phi2))
         gain = 0.5 * c * (1 - s)
-        a1, a2, s_pred = optim.two_state_least_disturbing(c, s, gain)
-        channel, (out1, out2) = two_state_step(phi1, phi2, a1, a2)
+        _, _, s_pred = optim.two_state_least_disturbing(c, s, gain)
+        plan = step_party(e, gain)
+        out1, out2 = self._next_vectors(plan)
+        assert plan.extras["overlap_next"] == s_pred
         np.testing.assert_allclose(abs(np.vdot(out1, out2)), s_pred, atol=1e-12)
         # and the output projectors are the next ensemble's optimal vectors
-        nxt = channel.apply_ensemble(e)
+        nxt = plan.channel.apply_ensemble(e)
         n1, n2, _ = self._mcm_vectors(nxt)
         assert min(abs(np.vdot(out1, n1)), abs(np.vdot(out1, n2))) < 1e-6 or (
             max(abs(np.vdot(out1, n1)), abs(np.vdot(out1, n2))) > 1 - 1e-9
         )
 
     def test_completeness_identity(self):
-        """Construction only closes because sqrt(b1 b2) s' = s/(1-s^2);
-        the channel constructor would reject any violation.  Weights are
-        sampled over the full jointly feasible region
-        (1 - a1)(1 - a2) >= a1 a2 s^2."""
+        """The channel closes over the whole feasible gain range
+        ``0 < G <= C (1 - s)``, the full gain included: the channel
+        constructor would reject any completeness residual."""
         rng = np.random.default_rng(17)
-        for _ in range(50):
-            theta = float(rng.uniform(0.2, math.pi - 0.2))
-            phi1 = np.array([math.cos(theta / 2), math.sin(theta / 2)])
-            phi2 = np.array([math.cos(theta / 2), -math.sin(theta / 2)])
-            s = abs(float(np.vdot(phi1, phi2)))
-            a1 = float(rng.uniform(0.0, 1.0))
-            hi = (1.0 - a1) / (1.0 - a1 * (1.0 - s * s))
-            a2 = float(rng.uniform(0.0, hi))
-            channel, _ = two_state_step(phi1, phi2, a1, a2)  # must not raise
-            assert set(channel.labels) == {0, 1, 2}
-
-    def test_asymmetric_weights_allowed(self):
-        phi1 = np.array([1.0, 0.0])
-        phi2 = np.array([1.0, 1.0]) / math.sqrt(2)  # s^2 = 1/2
-        # (1 - 0.3)(1 - 0.7) = 0.21 >= 0.3 * 0.7 * 0.5 = 0.105: feasible
-        channel, _ = two_state_step(phi1, phi2, 0.3, 0.7)
-        assert set(channel.labels) == {0, 1, 2}
-
-    def test_weight_beyond_cap_rejected(self):
-        phi1 = np.array([1.0, 0.0])
-        phi2 = np.array([1.0, 1.0]) / math.sqrt(2)  # s^2 = 1/2, cap = 2
-        with pytest.raises(optim.InfeasibleGainError):
-            two_state_step(phi1, phi2, 2.5, 0.1)
+        for k in range(50):
+            e = mixed_pair(float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.2, math.pi - 0.2)))
+            phi1, phi2, c = self._mcm_vectors(e)
+            limit = c * (1.0 - abs(np.vdot(phi1, phi2)))
+            gain = limit if k % 10 == 0 else float(rng.uniform(0.0, 1.0)) * limit
+            plan = step_party(e, gain)  # must not raise
+            assert set(plan.channel.labels) == {0, 1, 2}
 
     def test_jointly_infeasible_weights_rejected(self):
-        """Each weight alone is under the cap, but together they would
-        push the inconclusive element negative."""
-        phi1 = np.array([1.0, 0.0])
-        phi2 = np.array([1.0, 1.0]) / math.sqrt(2)
-        # (1 - 0.3)(1 - 0.9) = 0.07 < 0.3 * 0.9 * 0.5 = 0.135: infeasible
+        """A gain above ``C (1 - s)`` asks for a weight under the per-weight
+        cap ``1/(1 - s^2)`` that, on both labels together, would push the
+        inconclusive element negative."""
+        e = mixed_pair(0.8, 1.0)
+        phi1, phi2, c = self._mcm_vectors(e)
+        s = abs(np.vdot(phi1, phi2))
+        gain = c * (1.0 - s) + 0.5 * c * s
+        assert gain / (c * (1.0 - s * s)) < 1.0 / (1.0 - s * s)
         with pytest.raises(optim.InfeasibleGainError):
-            two_state_step(phi1, phi2, 0.3, 0.9)
+            step_party(e, gain)
 
     def test_identical_projectors_rejected(self):
-        v = np.array([1.0, 0.0])
-        with pytest.raises(FeasibilityError):
-            two_state_step(v, v, 0.1, 0.1)
-
-    def test_non_qubit_rejected(self):
-        v = np.zeros(3)
-        v[0] = 1.0
-        with pytest.raises(ValueError):
-            two_state_step(v, v, 0.1, 0.1)
+        """After a full-gain step both states sit on one vector: the next
+        party faces identical projectors and has nothing to discriminate."""
+        e = mixed_pair(0.8, 1.0)
+        phi1, phi2, c = self._mcm_vectors(e)
+        full = step_party(e, c * (1.0 - abs(np.vdot(phi1, phi2))))
+        with pytest.raises(FeasibilityError, match="overlap is 1"):
+            step_party(full.channel.apply_ensemble(e), 0.01)
 
     def test_complex_phase_handled(self):
         """A relative phase between the projectors must not break the
-        construction (the step rephases to a nonnegative overlap)."""
-        phi1 = np.array([1.0, 0.0], dtype=complex)
-        phi2 = np.exp(1j * 0.7) * np.array([1.0, 1.0]) / math.sqrt(2)
-        channel, (out1, out2) = two_state_step(phi1, phi2, 0.5, 0.5)
-        assert set(channel.labels) == {0, 1, 2}
+        construction (the party rephases to a nonnegative overlap): a
+        unitarily rotated pair gives the rotated step."""
+        e = mixed_pair(0.7, 1.0)
+        u, _ = np.linalg.qr(np.array([[1.0, 0.3 + 0.8j], [-0.2 + 0.5j, 1.0]]))
+        rotated = Ensemble(priors=e.priors, states=tuple(u @ st.mat @ u.conj().T for st in e.states))
+        phi1, phi2, c = self._mcm_vectors(rotated)
+        assert abs(np.angle(np.vdot(phi1, phi2))) > 0.1  # a genuinely complex overlap
+        gain = 0.5 * c * (1 - abs(np.vdot(phi1, phi2)))
+        plan = step_party(rotated, gain)
+        assert set(plan.channel.labels) == {0, 1, 2}
+        out1, out2 = self._next_vectors(plan)
         assert abs(np.vdot(out1, out2)) <= 1.0 + 1e-12
+        base = step_party(e, gain).channel.apply_ensemble(e)
+        for x in (1, 2):
+            np.testing.assert_allclose(
+                plan.channel.apply_ensemble(rotated).state(x).mat,
+                u @ base.state(x).mat @ u.conj().T,
+                atol=1e-12,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +568,16 @@ class TestRunSequence:
                 np.real(np.trace(m @ k @ e.state(x).mat @ k.conj().T))
             )
         np.testing.assert_allclose(trace.p_joint, direct, atol=1e-12)
+
+    def test_joint_outcomes_skip_a_label_an_earlier_party_never_clicks(self):
+        """Party 1 at rate 1 measures nothing (no conclusive operators), so
+        no label is conclusive at every party and the all-inconclusive
+        probability is party 2's rate."""
+        fam = families.gu(3)
+        trace = run_sequence(fam.ensemble(), fam.strategies([1.0, 0.5]))
+        assert trace.records[0].channel.labels == [0]
+        assert trace.p_joint == 0.0
+        np.testing.assert_allclose(trace.p_inconclusive, 0.5, atol=1e-12)
 
     def test_infeasible_strategy_names_party(self):
         def bad(e: Ensemble, j: int) -> PartyPlan:
