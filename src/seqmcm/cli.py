@@ -31,6 +31,11 @@ as ``sweep`` does.  An ``--ensemble`` chain weakens the rate-optimal
 measurement, which needs a one-vector optimal subspace for every label it
 measures (exit 4, "not rank-one", otherwise).
 
+A flag given an empty value is malformed, not absent: ``--ensemble ""``,
+``--eta0 ""``, ``--gains ""``, ``--params ""``, ``--grid ""`` and
+``--out ""`` exit 2 wherever they are read.  ``--parties`` must be a
+positive integer for ``sweep`` as for ``sequence`` (exit 2).
+
 Outputs are deterministic for a fixed command line (``verify`` draws its
 instances from ``--seed``): dictionaries are serialized with sorted keys
 and floats with ``repr`` precision, so reruns are byte-identical.
@@ -95,7 +100,7 @@ def _parse_angle(value: Any, name: str) -> float:
 
 
 def _parse_params(text: str | None) -> dict[str, Any]:
-    if not text:
+    if text is None:
         return {}
     try:
         params = json.loads(text)
@@ -159,9 +164,9 @@ def _build_family(name: str, params: dict[str, Any]) -> Any:
 
 def _load_source(args: argparse.Namespace) -> tuple[Ensemble, Any]:
     """Resolve (ensemble, family-or-None) from --ensemble/--family."""
-    if args.ensemble and args.family:
+    if args.ensemble is not None and args.family:
         raise CliError(EXIT_INPUT, "give either --ensemble or --family, not both")
-    if args.ensemble:
+    if args.ensemble is not None:
         try:
             return qcore.load_ensemble(args.ensemble), None
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -195,6 +200,8 @@ def _emit(out_dir: str | None, name: str, text: str, quiet_path: bool = False) -
     if out_dir is None:
         sys.stdout.write(text)
         return
+    if not out_dir:
+        raise CliError(EXIT_INPUT, "--out is empty")
     path = Path(out_dir)
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -204,27 +211,6 @@ def _emit(out_dir: str | None, name: str, text: str, quiet_path: bool = False) -
         raise CliError(EXIT_INPUT, f"cannot write {name} under {out_dir}: {exc}")
     if not quiet_path:
         print(target)
-
-
-def _fmt(value: Any) -> str:
-    """Deterministic cell text: empty for None, repr for floats, str otherwise."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))  # numpy scalars repr differently; unify
-    return str(value)
-
-
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(header))
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +296,7 @@ def _generic_strategies(parties: int, rates: list[float]) -> list[seqchan.Strate
 
 def _family_strategies(fam: Any, args: argparse.Namespace, parties: int) -> list:
     if isinstance(fam, fam_mod.TwoMixedFamily):  # a chain set by gains, not rates
-        if args.gains:
+        if args.gains is not None:
             return fam.strategies_for_gains(_parse_numbers(args.gains, "--gains", parties))
         return fam.chain_strategies(parties)
     angle = args.retarget_angle
@@ -362,7 +348,7 @@ Grid = dict[str, list[Any]]
 
 
 def _parse_grid(text: str | None) -> Grid:
-    if not text:
+    if text is None:
         return {}
     try:
         grid = json.loads(text)
@@ -409,11 +395,10 @@ def _sweep_two_mixed(args: argparse.Namespace, grid: Grid) -> tuple[list[str], l
             e = fam.ensemble()
             engine = mcm_mod.solve_mcm(e)[1].confidence
             row = [p, th, fam.confidence, engine, abs(engine - fam.confidence)]
-            if not parties:
+            if parties is None:
                 return row + [None] * 4
             sched = fam.schedule(parties)
-            trace = seqchan.run_sequence(e, fam.chain_strategies(parties))
-            pj = trace.p_joint if trace.p_joint is not None else math.nan
+            pj = seqchan.run_sequence(e, fam.chain_strategies(parties)).p_joint
             return row + [sched.p_joint, pj, abs(pj - sched.p_joint), None]
         except Exception as exc:  # recorded per-point, sweep continues
             return [p, th] + [None] * 6 + [str(exc)]
@@ -426,7 +411,7 @@ def _sweep_gu(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list[lis
     fam = _build_family(args.family, _parse_params(args.params))
     n = fam.n
     parties = args.parties or 10
-    rates = _parse_numbers(args.eta0, "--eta0") if args.eta0 else [0.1, 0.5, 0.9]
+    rates = [0.1, 0.5, 0.9] if args.eta0 is None else _parse_numbers(args.eta0, "--eta0")
     _guard_grid(len(rates) * parties)
 
     def chain(eta0: float) -> list[list[Any]]:
@@ -452,7 +437,7 @@ def _sweep_lifted(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list
     fam = _build_family(args.family, _parse_params(args.params))
     parties = args.parties or 8
     threshold = args.threshold if args.threshold is not None else 0.4
-    eta0 = _parse_numbers(args.eta0, "--eta0")[0] if args.eta0 else 0.5
+    eta0 = 0.5 if args.eta0 is None else _parse_numbers(args.eta0, "--eta0")[0]
     _guard_grid(parties)
 
     try:
@@ -486,7 +471,7 @@ def _sweep_mirror(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list
         thetas = [_parse_angle(v, "theta") for v in grid["theta"]]
     else:
         thetas = sorted(set(np.linspace(5 * math.pi / 9, 7 * math.pi / 9, 13)) | {2 * math.pi / 3})
-    eta0 = _parse_numbers(args.eta0, "--eta0")[0] if args.eta0 else 0.5
+    eta0 = 0.5 if args.eta0 is None else _parse_numbers(args.eta0, "--eta0")[0]
     _guard_grid(len(thetas))
     header = "theta eta0 theta_next_oracle theta_next_engine residual dtheta sign error".split()
 
@@ -512,6 +497,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for flag in ("params", "grid", "parties", "eta0", "threshold"):
         if getattr(args, flag) is not None and flag not in row.reads:
             raise CliError(EXIT_INPUT, f"sweep --family {args.family} does not read --{flag}")
+    if args.parties is not None and args.parties < 1:
+        raise CliError(EXIT_INPUT, "--parties must be a positive integer")
     grid = _parse_grid(args.grid)
     unknown = sorted(set(grid) - set(row.grid))
     if unknown:
@@ -521,7 +508,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"its keys are {', '.join(row.grid)}",
         )
     header, rows = row.sweep(args, grid)
-    _emit(args.out, "sweep.csv", _csv_text(header, rows))
+    _emit(args.out, "sweep.csv", qcore.csv_text(header, rows))
     return EXIT_OK
 
 

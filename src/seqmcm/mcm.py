@@ -31,13 +31,13 @@ Each ensemble is solved once.  :func:`solve_mcm` factors ``rho`` with one
 eigensolve, which yields both ``rho^(-1/2)`` and the support projector,
 then pays one eigensolve of the shaped operator per label (plus one of
 ``C_x rho - q_x rho_x`` when ``r_x > 0``).  The result is kept on the
-ensemble itself (:meth:`Ensemble.cached`), keyed by the rank cutoff, so
-:func:`mcm_povm`, :func:`verify_kkt`, the weight optimizer and the chain
-runner all reuse it.  It cannot go stale: an ensemble's fields are frozen
-and its state arrays read-only, and callers get a fresh dict of frozen
-entries, never the stored one.  :func:`max_confidence` solves a single
-label against the same cached factorisation, so a leak outside the support
-is reported only for the label that leaks.
+ensemble itself (:meth:`Ensemble.cached`), so :func:`mcm_povm`,
+:func:`verify_kkt`, the weight optimizer and the chain runner all reuse
+it.  It cannot go stale: an ensemble's fields are frozen and its state
+arrays read-only, and callers get a fresh dict of frozen entries, never
+the stored one.  :func:`max_confidence` solves a single label against the
+same cached factorisation, so a leak outside the support is reported only
+for the label that leaks.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .qcore import (
     DensityMatrix,
     Ensemble,
     Povm,
-    RANK_TOL,
     as_matrix,
     eig_hermitian,
     fix_phase,
@@ -73,6 +72,9 @@ confidence is declared infinite."""
 
 R_ZERO_TOL = 1e-12
 """Below this, the complement weight r_x is treated as exactly zero."""
+
+KKT_TOL = 1e-9
+"""Largest stability or slackness residual :func:`verify_kkt` accepts."""
 
 
 class SupportError(ValueError):
@@ -115,13 +117,12 @@ class McmEntry:
     mu: float
 
 
-def _average_factors(e: Ensemble, rank_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _average_factors(e: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(rho, rho^(-1/2) on the support, support projector)``, from one
-    eigensolve of ``rho`` per ensemble and cutoff."""
+    eigensolve of ``rho`` per ensemble."""
     rho = e.average().mat
     shaping, support = e.cached(
-        ("mcm.factors", rank_tol),
-        lambda: tuple(qcore._frozen(m) for m in support_factors(rho, rank_tol)[:2]),
+        "mcm.factors", lambda: tuple(qcore._frozen(m) for m in support_factors(rho)[:2])
     )
     return rho, shaping, support
 
@@ -184,32 +185,32 @@ def _solve_label(
     )
 
 
-def max_confidence(e: Ensemble, x: int, rank_tol: float = RANK_TOL) -> McmEntry:
+def max_confidence(e: Ensemble, x: int) -> McmEntry:
     """Solve the maximum-confidence problem for label ``x``.
 
     Returns the full :class:`McmEntry`.  A zero-prior label gets
     ``C_x = 0`` with an empty basis.  If the state leaks outside the
-    support of the ensemble average (possible only through aggressive
-    rank truncation), :class:`SupportError` is raised rather than
-    reporting a spuriously finite value; other labels' leaks do not
-    matter here.
+    support of the ensemble average (possible only when the rank cutoff
+    :data:`seqmcm.qcore.RANK_TOL` truncates the part of the average that
+    carries it), :class:`SupportError` is raised rather than reporting a
+    spuriously finite value; other labels' leaks do not matter here.
     """
     if x not in e.labels:
         raise ValueError(f"label {x} not in 1..{e.n}")
-    return _solve_label(e, x, _average_factors(e, rank_tol))
+    return _solve_label(e, x, _average_factors(e))
 
 
-def solve_mcm(e: Ensemble, rank_tol: float = RANK_TOL) -> dict[int, McmEntry]:
+def solve_mcm(e: Ensemble) -> dict[int, McmEntry]:
     """Maximum-confidence solutions for every label of the ensemble.
 
-    Solved once per ensemble and cutoff; later calls return a fresh dict
-    of the same (immutable) entries."""
+    Solved once per ensemble; later calls return a fresh dict of the same
+    (immutable) entries."""
 
     def solve() -> dict[int, McmEntry]:
-        factors = _average_factors(e, rank_tol)
+        factors = _average_factors(e)
         return {x: _solve_label(e, x, factors) for x in e.labels}
 
-    return dict(e.cached(("mcm.solution", rank_tol), solve))
+    return dict(e.cached("mcm.solution", solve))
 
 
 def optimal_projectors(entries: dict[int, McmEntry]) -> dict[int, np.ndarray]:
@@ -226,7 +227,7 @@ def optimal_projectors(entries: dict[int, McmEntry]) -> dict[int, np.ndarray]:
     return projectors
 
 
-def mcm_povm(e: Ensemble, weights: dict[int, float], rank_tol: float = RANK_TOL) -> Povm:
+def mcm_povm(e: Ensemble, weights: dict[int, float]) -> Povm:
     """Assemble the POVM ``M_x = a_x P_x`` from per-label weights.
 
     ``P_x`` is the orthogonal projector onto the span of the optimal basis
@@ -234,7 +235,7 @@ def mcm_povm(e: Ensemble, weights: dict[int, float], rank_tol: float = RANK_TOL)
     inconclusive element is ``M_0 = 1 - sum_x M_x``; callers are expected
     to validate the result, since arbitrary weights need not be feasible.
     """
-    projectors = optimal_projectors(solve_mcm(e, rank_tol))
+    projectors = optimal_projectors(solve_mcm(e))
     elements: dict[int, np.ndarray] = {}
     for x, a in weights.items():
         if x not in projectors:
@@ -258,15 +259,10 @@ class KktReport:
     ok: bool
 
 
-def verify_kkt(
-    e: Ensemble,
-    povm: Povm,
-    entries: dict[int, McmEntry] | None = None,
-    tol: float = 1e-9,
-) -> KktReport:
-    """Check both optimality conditions for each conclusive POVM label."""
-    if entries is None:
-        entries = solve_mcm(e)
+def verify_kkt(e: Ensemble, povm: Povm) -> KktReport:
+    """Check both optimality conditions for each conclusive POVM label,
+    each within :data:`KKT_TOL`."""
+    entries = solve_mcm(e)
     rho = e.average().mat
     stability: dict[int, float] = {}
     slackness: dict[int, float] = {}
@@ -280,10 +276,10 @@ def verify_kkt(
             slackness[x] = abs(entry.r * overlap)
         else:
             slackness[x] = 0.0
-    ok = all(v <= tol for v in stability.values()) and all(
-        v <= tol for v in slackness.values()
+    ok = all(v <= KKT_TOL for v in stability.values()) and all(
+        v <= KKT_TOL for v in slackness.values()
     )
-    return KktReport(stability=stability, slackness=slackness, tol=tol, ok=ok)
+    return KktReport(stability=stability, slackness=slackness, tol=KKT_TOL, ok=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +287,7 @@ def verify_kkt(
 # ---------------------------------------------------------------------------
 
 
-def max_relative_entropy(rho: Any, sigma: Any, rank_tol: float = RANK_TOL) -> float:
+def max_relative_entropy(rho: Any, sigma: Any) -> float:
     """Max-relative entropy ``Dmax(rho || sigma)`` in bits.
 
     ``Dmax = log2 lambda_max( sigma^(-1/2) rho sigma^(-1/2) )`` when the
@@ -299,7 +295,7 @@ def max_relative_entropy(rho: Any, sigma: Any, rank_tol: float = RANK_TOL) -> fl
     divergence is infinite and ``math.inf`` is returned.
     """
     r = require_hermitian(as_matrix(rho, "rho"), "rho")
-    s, proj, _ = support_factors(as_matrix(sigma, "sigma"), rank_tol)
+    s, proj, _ = support_factors(as_matrix(sigma, "sigma"))
     leak = float(np.real(np.trace(r @ (np.eye(r.shape[0]) - proj))))
     if leak > SUPPORT_TOL:
         return math.inf
@@ -310,16 +306,14 @@ def max_relative_entropy(rho: Any, sigma: Any, rank_tol: float = RANK_TOL) -> fl
     return math.log2(top)
 
 
-def confidence_entropy_identity(
-    e: Ensemble, x: int, rank_tol: float = RANK_TOL
-) -> tuple[float, float]:
+def confidence_entropy_identity(e: Ensemble, x: int) -> tuple[float, float]:
     """Both sides of ``C_x = q_x 2**Dmax(rho_x || rho)``.
 
     Returns ``(eigenvalue side, entropy side)``; they agree to solver
     precision because both are the same top eigenvalue computed two ways.
     """
-    lhs = max_confidence(e, x, rank_tol).confidence
-    dmax = max_relative_entropy(e.state(x).mat, e.average().mat, rank_tol)
+    lhs = max_confidence(e, x).confidence
+    dmax = max_relative_entropy(e.state(x).mat, e.average().mat)
     q = e.prior(x)
     rhs = 0.0 if q == 0.0 else q * 2.0**dmax
     return lhs, rhs

@@ -179,13 +179,11 @@ def _stack_projectors(projectors: dict[int, np.ndarray]) -> tuple[list[int], np.
     return labels, mats
 
 
-def min_inconclusive_rate(
-    e: Ensemble, projectors: dict[int, np.ndarray] | None = None
-) -> WeightSolution:
+def min_inconclusive_rate(e: Ensemble) -> WeightSolution:
     """Weights minimizing the inconclusive rate of ``{a_x P_x}``.
 
-    ``projectors`` defaults to the orthogonal projectors onto each
-    label's optimal subspace, from the ensemble's once-computed
+    ``P_x`` are the orthogonal projectors onto each label's optimal
+    subspace, from the ensemble's once-computed
     :func:`seqmcm.mcm.solve_mcm` solution.  The barrier core runs on one
     ``d x d`` block ``1 - sum_x a_x P_x`` and the ``N`` scalars ``a_x``,
     joined into one block-diagonal matrix.
@@ -198,12 +196,11 @@ def min_inconclusive_rate(
     symmetric faces keep symmetric weights, but the digits beyond 1e-7
     depend on the ridge, not on the problem.
     """
-    if projectors is None:
-        from . import mcm as _mcm
+    from . import mcm as _mcm
 
-        projectors = _mcm.optimal_projectors(_mcm.solve_mcm(e))
-        if not projectors:
-            raise ValueError("no label has a nonempty optimal subspace")
+    projectors = _mcm.optimal_projectors(_mcm.solve_mcm(e))
+    if not projectors:
+        raise ValueError("no label has a nonempty optimal subspace")
 
     labels, mats = _stack_projectors(projectors)
     n, dim = mats.shape[:2]

@@ -24,6 +24,8 @@ the same numbers the validators use.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -174,11 +176,11 @@ def eig_hermitian(a: Any, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]
     return vals, vecs
 
 
-def support_factors(a: Any, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray, int]:
+def support_factors(a: Any) -> tuple[np.ndarray, np.ndarray, int]:
     """Inverse square root, support projector and rank of a PSD matrix,
     all from one eigensolve.
 
-    Eigenvalues at or below ``rank_tol`` times the largest are truncated
+    Eigenvalues at or below :data:`RANK_TOL` times the largest are truncated
     (treated as exact zeros); the inverse square root acts as ``A^(-1/2)``
     on the support and as 0 on the kernel.
     """
@@ -187,7 +189,7 @@ def support_factors(a: Any, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.
     if top <= 0.0:
         zero = np.zeros_like(as_matrix(a))
         return zero, zero, 0
-    keep = vals > rank_tol * top
+    keep = vals > RANK_TOL * top
     inv = np.zeros_like(vals)
     inv[keep] = 1.0 / np.sqrt(vals[keep])
     kept = vecs[:, keep]
@@ -363,7 +365,7 @@ class Ensemble:
     def prior(self, label: int) -> float:
         return self.priors[label - 1]
 
-    def cached(self, key: Any, compute: Callable[[], _T]) -> _T:
+    def cached(self, key: str, compute: Callable[[], _T]) -> _T:
         """``compute()``, evaluated once per ensemble and ``key``.
 
         The fields are frozen and the state arrays read-only, so a value
@@ -451,23 +453,23 @@ class PovmReport:
         return "\n".join(lines)
 
 
-def validate_povm(povm: Povm, tol: float = POVM_TOL) -> PovmReport:
+def validate_povm(povm: Povm) -> PovmReport:
     """Check PSD-ness of every element and completeness ``sum_i M_i = 1``.
 
-    Passes iff every element's smallest eigenvalue is >= ``-tol`` and the
-    completeness residual is <= ``tol``.
+    Passes iff every element's smallest eigenvalue is >= ``-POVM_TOL`` and
+    the completeness residual is <= :data:`POVM_TOL`.
     """
     margins: dict[int, float] = {}
     for label, op in povm.all_operators():
         h = 0.5 * (op + op.conj().T)
         margins[label] = float(np.min(np.linalg.eigvalsh(h)))
     residual = float(np.max(np.abs(povm.total() - np.eye(povm.dim))))
-    ok = residual <= tol and all(m >= -tol for m in margins.values())
+    ok = residual <= POVM_TOL and all(m >= -POVM_TOL for m in margins.values())
     return PovmReport(ok=ok, psd_margins=margins, completeness_residual=residual)
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
+# JSON and CSV serialization
 # ---------------------------------------------------------------------------
 
 
@@ -544,6 +546,25 @@ def povm_from_json(obj: dict[str, Any]) -> Povm:
     elements = {int(k): matrix_from_json(v) for k, v in obj["elements"].items()}
     inc = matrix_from_json(obj["inconclusive"]) if "inconclusive" in obj else None
     return Povm(elements=elements, inconclusive=inc)
+
+
+def _csv_cell(value: Any) -> str:
+    """Deterministic cell text: empty for None, repr for floats, str otherwise."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))  # numpy scalars repr differently; unify
+    return str(value)
+
+
+def csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """A header line, then one line per row; ``None`` cells are empty."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(header))
+    for row in rows:
+        writer.writerow([_csv_cell(v) for v in row])
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,6 @@ probabilities are reconstructed by operator composition:
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -81,52 +79,38 @@ class StrategyInfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A CPTP map given by labelled Kraus operators.
+    """A CPTP map with one Kraus operator per outcome label.
 
-    Labels mirror POVM outcomes (0 = inconclusive); several operators may
-    share a label, though every construction in this package emits exactly
-    one per label.  Completeness ``sum K^dag K = 1`` is enforced within
+    ``ops`` maps each label (0 = inconclusive, as for POVM outcomes) to its
+    operator and keeps the given order, which :func:`rank_one_plan` makes
+    the conclusive labels sorted, then 0.  A label the party cannot click
+    has no entry.  Completeness ``sum K^dag K = 1`` is enforced within
     :data:`COMPLETENESS_TOL` at construction.
     """
 
-    ops: tuple[tuple[int, np.ndarray], ...]
+    ops: dict[int, np.ndarray]
 
     def __post_init__(self) -> None:
-        ops = tuple(
-            (int(label), qcore._frozen(as_matrix(op, f"Kraus op {label}")))
-            for label, op in self.ops
-        )
+        ops = {
+            int(label): qcore._frozen(as_matrix(op, f"Kraus op {label}"))
+            for label, op in self.ops.items()
+        }
         if not ops:
             raise ChannelConstructionError("a channel needs at least one Kraus operator")
-        dims = {op.shape[0] for _, op in ops}
+        dims = {op.shape[0] for op in ops.values()}
         if len(dims) != 1:
             raise ChannelConstructionError(f"Kraus operators of mixed dimension {sorted(dims)}")
-        total = sum(op.conj().T @ op for _, op in ops)
-        residual = float(np.max(np.abs(total - np.eye(ops[0][1].shape[0]))))
+        total = sum(op.conj().T @ op for op in ops.values())
+        residual = float(np.max(np.abs(total - np.eye(dims.pop()))))
         if residual > COMPLETENESS_TOL:
             raise ChannelConstructionError(
                 f"Kraus completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e}"
             )
         object.__setattr__(self, "ops", ops)
 
-    @property
-    def dim(self) -> int:
-        return self.ops[0][1].shape[0]
-
-    @property
-    def labels(self) -> list[int]:
-        return sorted({label for label, _ in self.ops})
-
-    def op(self, label: int) -> np.ndarray:
-        """The single Kraus operator with this label (error if not unique)."""
-        found = [op for lab, op in self.ops if lab == label]
-        if len(found) != 1:
-            raise ValueError(f"label {label} has {len(found)} Kraus operators, need exactly 1")
-        return found[0]
-
     def apply(self, rho: Any) -> DensityMatrix:
         r = as_matrix(rho, "rho")
-        out = sum(op @ r @ op.conj().T for _, op in self.ops)
+        out = sum(op @ r @ op.conj().T for op in self.ops.values())
         return DensityMatrix(out)
 
     def apply_ensemble(self, e: Ensemble) -> Ensemble:
@@ -138,8 +122,7 @@ def random_channel(rng: np.random.Generator, dim: int, n_kraus: int) -> KrausCha
     """Haar-ish random channel: QR of a Gaussian ``(n_kraus*dim) x dim`` block."""
     g = rng.normal(size=(n_kraus * dim, dim)) + 1j * rng.normal(size=(n_kraus * dim, dim))
     q, _ = np.linalg.qr(g)
-    ops = tuple((i + 1, q[i * dim : (i + 1) * dim, :]) for i in range(n_kraus))
-    return KrausChannel(ops=ops)
+    return KrausChannel(ops={i + 1: q[i * dim : (i + 1) * dim, :] for i in range(n_kraus)})
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +170,13 @@ def ensemble_distance(e1: Ensemble, e2: Ensemble) -> tuple[float, float]:
     return d, lower
 
 
-def linear_independence(operators: Iterable[Any], rel_tol: float = SVD_REL_TOL) -> bool:
+def linear_independence(operators: Iterable[Any]) -> bool:
     """Whether a set of operators is linearly independent.
 
     Vectorizes each operator into a row and checks the matrix rank via
-    singular values with a relative threshold.  Equal-confidence sequential
-    chains exist exactly when the conclusive POVM elements pass this test.
+    singular values with the relative threshold :data:`SVD_REL_TOL`.
+    Equal-confidence sequential chains exist exactly when the conclusive
+    POVM elements pass this test.
     """
     rows = [as_matrix(op, "operator").reshape(-1) for op in operators]
     if not rows:
@@ -201,7 +185,7 @@ def linear_independence(operators: Iterable[Any], rel_tol: float = SVD_REL_TOL) 
     svals = np.linalg.svd(stack, compute_uv=False)
     if float(svals[0]) <= 0.0:
         return False
-    rank = int(np.sum(svals > rel_tol * float(svals[0])))
+    rank = int(np.sum(svals > SVD_REL_TOL * float(svals[0])))
     return rank == len(rows)
 
 
@@ -244,7 +228,7 @@ def rank_one_plan(
     if not weights or set(weights) != set(vectors):
         raise ValueError(f"weights for labels {sorted(weights)} but vectors for {sorted(vectors)}")
     elements: dict[int, np.ndarray] = {}
-    ops: list[tuple[int, np.ndarray]] = []
+    ops: dict[int, np.ndarray] = {}
     for x in sorted(weights):
         w = float(weights[x])
         if w < 0.0:
@@ -253,13 +237,13 @@ def rank_one_plan(
         elements[x] = w * np.outer(v, v.conj())
         if w > 0.0:
             t = as_vector((targets or {}).get(x, v), f"target {x}")
-            ops.append((x, math.sqrt(w) * np.outer(t, v.conj())))
+            ops[x] = math.sqrt(w) * np.outer(t, v.conj())
     m0 = np.eye(v.size) - sum(elements.values())
     # K_0 is listed even when zero: every party's channel names its inconclusive branch
-    ops.append((0, sqrt_psd(m0)))
+    ops[0] = sqrt_psd(m0)
     return PartyPlan(
         povm=Povm(elements=elements, inconclusive=m0),
-        channel=KrausChannel(ops=tuple(ops)),
+        channel=KrausChannel(ops=ops),
         extras=dict(extras or {}),
     )
 
@@ -290,8 +274,8 @@ class SequentialTrace:
 
     records: tuple[PartyRecord, ...]
     final_ensemble: Ensemble
-    p_joint: float | None
-    p_inconclusive: float | None
+    p_joint: float
+    p_inconclusive: float
 
     def __post_init__(self) -> None:
         for prev, cur in zip(self.records, self.records[1:]):
@@ -315,9 +299,9 @@ def _pull_back(m: np.ndarray, label: int, records: Sequence[PartyRecord]) -> np.
     """``K^dag ... K^dag m K ... K`` over the label's Kraus operators of
     ``records`` (last first); zero when some party has none for it."""
     for rec in reversed(records):
-        if label not in rec.channel.labels:
+        k = rec.channel.ops.get(label)
+        if k is None:
             return np.zeros_like(m)
-        k = rec.channel.op(label)
         m = k.conj().T @ m @ k
     return m
 
@@ -325,12 +309,12 @@ def _pull_back(m: np.ndarray, label: int, records: Sequence[PartyRecord]) -> np.
 def joint_outcomes(e0: Ensemble, records: Sequence[PartyRecord]) -> tuple[float, float]:
     """All-conclusive and all-inconclusive probabilities of a chain.
 
-    Composes each label's Kraus operators from parties ``1..R-1`` around
+    Composes each label's Kraus operator from parties ``1..R-1`` around
     party ``R``'s POVM element and evaluates on the initial ensemble:
     ``P_J = sum_x q_x tr[rho_x M^_x]``, and the label-0 analogue for
     ``P_I``.  A label that an earlier party cannot click (no Kraus
-    operator, as for a zero weight) adds nothing.  Requires at most one
-    Kraus operator per label per party.
+    operator, as for a zero weight) adds nothing.  Defined for every
+    nonempty chain; an empty one raises :class:`ValueError`.
     """
     if not records:
         raise ValueError("empty chain")
@@ -356,9 +340,9 @@ def run_sequence(e0: Ensemble, strategies: Sequence[Strategy]) -> SequentialTrac
     Each strategy is called with the ensemble that party receives and the
     1-based party index, and must return a :class:`PartyPlan`.  Any
     feasibility or channel-construction failure aborts the run with a
-    :class:`StrategyInfeasibleError` naming the party.  Joint outcome
-    probabilities are attached when no channel carries two operators for
-    one label (always true for the constructions in this package).
+    :class:`StrategyInfeasibleError` naming the party.  The trace carries
+    the joint outcome probabilities of :func:`joint_outcomes`, so an empty
+    strategy list raises :class:`ValueError`.
     """
     records: list[PartyRecord] = []
     current = e0
@@ -386,10 +370,7 @@ def run_sequence(e0: Ensemble, strategies: Sequence[Strategy]) -> SequentialTrac
             )
         )
         current = nxt
-    try:
-        p_joint, p_inc = joint_outcomes(e0, records)
-    except ValueError:
-        p_joint, p_inc = None, None
+    p_joint, p_inc = joint_outcomes(e0, records)
     return SequentialTrace(
         records=tuple(records),
         final_ensemble=current,
@@ -420,7 +401,8 @@ def trace_to_json(trace: SequentialTrace) -> dict[str, Any]:
                 "disturbance_lower": rec.disturbance_lower,
                 "povm": povm_to_json(rec.povm),
                 "channel": [
-                    {"label": label, "op": matrix_to_json(op)} for label, op in rec.channel.ops
+                    {"label": label, "op": matrix_to_json(op)}
+                    for label, op in rec.channel.ops.items()
                 ],
                 "extras": {k: rec.extras[k] for k in sorted(rec.extras)},
             }
@@ -439,8 +421,6 @@ def trace_to_csv(trace: SequentialTrace) -> str:
     eta0, disturbance, then any extras columns (sorted by name)."""
     labels = sorted({x for rec in trace.records for x in rec.confidences})
     extra_keys = sorted({k for rec in trace.records for k in rec.extras})
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = (
         ["party"]
         + [f"confidence_{x}" for x in labels]
@@ -449,29 +429,18 @@ def trace_to_csv(trace: SequentialTrace) -> str:
         + extra_keys
         + ["p_joint", "p_inconclusive"]
     )
-    writer.writerow(header)
-    last = trace.records[-1].index if trace.records else None
+    rows = []
     for rec in trace.records:
         row: list[Any] = [rec.index]
+        row += [rec.confidences.get(x) for x in labels]
         row += [
-            repr(rec.confidences[x]) if x in rec.confidences else "" for x in labels
+            rec.ensemble.state(x).purity() if x in rec.ensemble.labels else None for x in labels
         ]
-        row += [
-            repr(rec.ensemble.state(x).purity()) if x in rec.ensemble.labels else ""
-            for x in labels
-        ]
-        row += [
-            repr(rec.gain),
-            repr(rec.eta0),
-            repr(rec.disturbance),
-            repr(rec.disturbance_lower),
-        ]
-        row += [repr(rec.extras[k]) if k in rec.extras else "" for k in extra_keys]
-        # the chain-level outcome probabilities belong to no single party;
-        # by convention they ride on the final row
-        if rec.index == last and trace.p_joint is not None:
-            row += [repr(trace.p_joint), repr(trace.p_inconclusive)]
-        else:
-            row += ["", ""]
-        writer.writerow(row)
-    return buf.getvalue()
+        row += [rec.gain, rec.eta0, rec.disturbance, rec.disturbance_lower]
+        row += [rec.extras.get(k) for k in extra_keys]
+        rows.append(row + [None, None])
+    # the chain-level outcome probabilities belong to no single party;
+    # by convention they ride on the final row
+    if rows:
+        rows[-1][-2:] = [trace.p_joint, trace.p_inconclusive]
+    return qcore.csv_text(header, rows)

@@ -7,6 +7,7 @@ print the same bytes every time it runs.
 Run with:  pytest tests/test_cli.py -v
 """
 
+import importlib.util
 import json
 import math
 import os
@@ -421,3 +422,56 @@ def test_degenerate_generic_chain_exits_4(tmp_path, capsys):
     code, out, err = run(capsys, argv)
     assert code == cli.EXIT_INFEASIBLE and out == ""
     assert err.startswith("error: infeasible: party 1: label 1 is not rank-one")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sequence", "--family", "two_mixed", "--parties", "2", "--gains", ""], "--gains is empty"),
+        (["sweep", "--family", "gu", "--eta0", ""], "--eta0 is empty"),
+        (["sweep", "--family", "lifted_gu", "--eta0", ""], "--eta0 is empty"),
+        (["sweep", "--family", "mirror", "--eta0", ""], "--eta0 is empty"),
+        (["family", "--family", "gu", "--params", ""], "--params is not valid JSON"),
+        (["sweep", "--family", "two_mixed", "--grid", ""], "--grid is not valid JSON"),
+        (["sequence", "--family", "gu", "--parties", "2", "--eta0", "0.5", "--out", ""],
+         "--out is empty"),
+        (["verify", "--count", "1", "--out", ""], "--out is empty"),
+        (["mcm", "--ensemble", "", "--family", "gu"], "give either --ensemble or --family"),
+        (["mcm", "--ensemble", ""], "cannot load ensemble"),
+    ],
+    ids=[
+        "sequence-gains", "sweep-gu", "sweep-lifted-gu", "sweep-mirror", "params", "grid",
+        "sequence-out", "verify-out", "ensemble-and-family", "ensemble",
+    ],
+)
+def test_empty_flag_is_malformed_not_absent(argv, message, capsys):
+    """An empty value must not fall back to the default an absent flag gets."""
+    code, out, err = run(capsys, argv)
+    assert code == cli.EXIT_INPUT and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family", ["two_mixed", "gu", "lifted_gu"])
+@pytest.mark.parametrize("parties", ["0", "-3"])
+def test_sweep_parties_below_one_exits_2(family, parties, capsys):
+    code, out, err = run(capsys, ["sweep", "--family", family, "--parties", parties])
+    assert code == cli.EXIT_INPUT and out == ""
+    assert err == "error: --parties must be a positive integer\n"
+
+
+def test_cli_digests_corpus_lines_parse(monkeypatch, capsys):
+    """The output-diff harness prints one JSON digest per command line."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_digests.py"
+    spec = importlib.util.spec_from_file_location("cli_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert len(tool.corpus()) >= 60
+    monkeypatch.setenv("SEQMCM_THREADS", "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the harness prepends its --src
+    assert tool.main(["--limit", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    for line, argv in zip(lines, tool.corpus()):
+        doc = json.loads(line)
+        assert doc["argv"] == argv and doc["exit"] == 0
+        assert all(len(doc[k]) == 32 for k in ("stdout_md5", "stderr_md5"))

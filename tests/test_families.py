@@ -383,7 +383,7 @@ class TestLiftedGuStatic:
             for v in (fam.state_vector(n), fam.measurement_vector(n)):
                 assert np.all(v.imag == 0.0)
             # K_n = sqrt(w) |t_n><v_n| is real exactly when the retarget t_n is
-            assert np.all(fam.plan(0.8).channel.op(n).imag == 0.0)
+            assert np.all(fam.plan(0.8).channel.ops[n].imag == 0.0)
 
     def test_average_independent_of_visibility(self):
         for lam in (0.2, 0.7, 1.0):

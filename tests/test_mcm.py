@@ -146,28 +146,27 @@ class TestMaxConfidence:
             max_confidence(orthogonal_pair(), 3)
 
     def test_support_leak_raises(self):
-        """An aggressive rank cutoff can truncate the average's support
-        below a state's; that must surface as an error, not a finite lie."""
+        """A prior below the rank cutoff RANK_TOL truncates the average's
+        support below its state's; that must surface as an error, not a
+        finite lie."""
         e = Ensemble(
-            priors=(1.0 - 1e-6, 1e-6),
+            priors=(1.0 - 1e-12, 1e-12),
             states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
         )
         with pytest.raises(SupportError):
-            max_confidence(e, 2, rank_tol=1e-3)
+            max_confidence(e, 2)
 
     def test_support_leak_is_per_label(self):
-        """Only label 2 leaks at the aggressive cutoff, so label 1 still
-        solves; and the default-cutoff solution cached first must not
-        stand in for the aggressive one."""
+        """Only label 2 leaks, so label 1 still solves on its own, while
+        solving every label raises."""
         e = Ensemble(
-            priors=(1.0 - 1e-6, 1e-6),
+            priors=(1.0 - 1e-12, 1e-12),
             states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
         )
-        assert solve_mcm(e)[2].confidence == pytest.approx(1.0)
-        entry = max_confidence(e, 1, rank_tol=1e-3)
+        entry = max_confidence(e, 1)
         assert entry.confidence == pytest.approx(1.0)
         with pytest.raises(SupportError):
-            solve_mcm(e, rank_tol=1e-3)
+            solve_mcm(e)
 
 
 class TestDecomposition:
@@ -362,7 +361,7 @@ class TestKkt:
             povm = mcm_povm(e, weights)
             if not validate_povm(povm).ok:
                 continue
-            report = verify_kkt(e, povm, entries)
+            report = verify_kkt(e, povm)
             assert report.ok, (report.stability, report.slackness)
             checked += 1
         assert checked >= 20
@@ -382,8 +381,8 @@ class TestKkt:
     def test_report_tolerance_recorded(self):
         e = orthogonal_pair()
         povm = mcm_povm(e, {1: 1.0, 2: 1.0})
-        report = verify_kkt(e, povm, tol=1e-7)
-        assert report.tol == 1e-7 and report.ok
+        report = verify_kkt(e, povm)
+        assert report.tol == mcm.KKT_TOL == 1e-9 and report.ok
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def degenerate_qutrit() -> Ensemble:
 class TestKrausChannel:
     def test_completeness_enforced(self):
         with pytest.raises(ChannelConstructionError):
-            KrausChannel(ops=((1, np.eye(2)), (2, np.eye(2))))
+            KrausChannel(ops={1: np.eye(2), 2: np.eye(2)})
 
     def test_apply_is_cptp(self):
         rng = np.random.default_rng(7)
@@ -103,21 +103,20 @@ class TestKrausChannel:
         assert out.priors == e.priors
 
     def test_op_by_label(self):
-        ch = KrausChannel(ops=((0, np.eye(2)),))
-        np.testing.assert_allclose(ch.op(0), np.eye(2), atol=0.0)
-        with pytest.raises(ValueError):
-            ch.op(1)
+        ch = KrausChannel(ops={0: np.eye(2)})
+        np.testing.assert_allclose(ch.ops[0], np.eye(2), atol=0.0)
+        assert 1 not in ch.ops
 
     def test_random_channel_seeded(self):
         a = random_channel(np.random.default_rng(3), 2, 2)
         b = random_channel(np.random.default_rng(3), 2, 2)
-        for (la, ka), (lb, kb) in zip(a.ops, b.ops):
+        for (la, ka), (lb, kb) in zip(a.ops.items(), b.ops.items()):
             assert la == lb
             np.testing.assert_allclose(ka, kb, atol=0.0)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ChannelConstructionError):
-            KrausChannel(ops=((1, np.eye(2)), (2, np.eye(3))))
+            KrausChannel(ops={1: np.eye(2), 2: np.eye(3)})
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +208,11 @@ class TestKrausFromWeak:
         plan = trine_plan({1: 0.5, 2: 0.8, 3: 0.3})
         ch, weakened = plan.channel, plan.povm
         for x in (1, 2, 3):
-            k = ch.op(x)
+            k = ch.ops[x]
             np.testing.assert_allclose(
                 k.conj().T @ k, weakened.elements[x], atol=1e-12
             )
-        k0 = ch.op(0)
+        k0 = ch.ops[0]
         np.testing.assert_allclose(k0.conj().T @ k0, weakened.inconclusive, atol=1e-12)
 
     def test_zero_k0_kept_for_complete_povm(self):
@@ -224,8 +223,8 @@ class TestKrausFromWeak:
         )
         entries = mcm.solve_mcm(e)
         ch = rank_one_plan({1: 1.0, 2: 1.0}, {x: entries[x].basis[0] for x in (1, 2)}).channel
-        assert 0 in ch.labels
-        np.testing.assert_allclose(ch.op(0), 0.0, atol=1e-7)
+        assert 0 in ch.ops
+        np.testing.assert_allclose(ch.ops[0], 0.0, atol=1e-7)
 
     def test_collapse_targets(self):
         """With a retarget map, a conclusive click leaves the system on the
@@ -234,7 +233,7 @@ class TestKrausFromWeak:
         ch = trine_plan(0.6, targets={1: target}).channel
         rng = np.random.default_rng(13)
         rho = qcore.random_density(rng, 2).mat
-        k1 = ch.op(1)
+        k1 = ch.ops[1]
         out = k1 @ rho @ k1.conj().T
         out = out / np.real(np.trace(out))
         np.testing.assert_allclose(out, _projector(target), atol=1e-12)
@@ -244,7 +243,7 @@ class TestKrausFromWeak:
         rng = np.random.default_rng(14)
         rho = qcore.random_density(rng, 2).mat
         v = trine_vectors()[0]
-        k1 = ch.op(1)
+        k1 = ch.ops[1]
         out = k1 @ rho @ k1.conj().T
         np.testing.assert_allclose(
             out / np.real(np.trace(out)), _projector(v), atol=1e-12
@@ -258,8 +257,8 @@ class TestKrausFromWeak:
 
     def test_fully_weakened_label_dropped(self):
         ch = trine_plan({1: 0.0, 2: 0.5, 3: 0.5}).channel
-        assert 1 not in ch.labels
-        assert {0, 2, 3} <= set(ch.labels)
+        assert 1 not in ch.ops
+        assert {0, 2, 3} <= set(ch.ops)
 
     def test_full_strength_k0_is_exactly_zero(self):
         """A complete measurement leaves ``M_0`` at rounding level; its
@@ -267,7 +266,7 @@ class TestKrausFromWeak:
         fam = families.gu(4)
         plan = fam.strategies([0.0])[0](fam.ensemble(), 1)
         assert np.max(np.abs(plan.povm.inconclusive)) < 1e-15
-        assert not np.any(plan.channel.op(0))
+        assert not np.any(plan.channel.ops[0])
 
 
 def posterior(e: Ensemble, x: int, m: np.ndarray) -> float:
@@ -300,10 +299,10 @@ class TestRankOnePlanProperties:
         )
         ch, povm = plan.channel, plan.povm
         for x in e.labels:
-            k = ch.op(x)
+            k = ch.ops[x]
             np.testing.assert_allclose(k.conj().T @ k, povm.elements[x], rtol=0.0, atol=1e-12)
             assert abs(posterior(e, x, povm.elements[x]) - entries[x].confidence) <= 1e-9
-        total = sum(k.conj().T @ k for _, k in ch.ops)
+        total = sum(k.conj().T @ k for k in ch.ops.values())
         assert np.max(np.abs(total - np.eye(dim))) <= seqchan.COMPLETENESS_TOL
         after = mcm.solve_mcm(ch.apply_ensemble(e))
         for x in e.labels:
@@ -348,7 +347,7 @@ class TestTwoStateStep:
         ``K_2`` lands on ``out_1^perp`` and ``K_1`` on ``out_2^perp``."""
         outs = []
         for x in (2, 1):
-            k = plan.channel.op(x)
+            k = plan.channel.ops[x]
             t = k[:, np.argmax(np.linalg.norm(k, axis=0))]
             outs.append(qubit_perp(t / np.linalg.norm(t)))
         return outs
@@ -392,7 +391,7 @@ class TestTwoStateStep:
             limit = c * (1.0 - abs(np.vdot(phi1, phi2)))
             gain = limit if k % 10 == 0 else float(rng.uniform(0.0, 1.0)) * limit
             plan = step_party(e, gain)  # must not raise
-            assert set(plan.channel.labels) == {0, 1, 2}
+            assert set(plan.channel.ops) == {0, 1, 2}
 
     def test_jointly_infeasible_weights_rejected(self):
         """A gain above ``C (1 - s)`` asks for a weight under the per-weight
@@ -426,7 +425,7 @@ class TestTwoStateStep:
         assert abs(np.angle(np.vdot(phi1, phi2))) > 0.1  # a genuinely complex overlap
         gain = 0.5 * c * (1 - abs(np.vdot(phi1, phi2)))
         plan = step_party(rotated, gain)
-        assert set(plan.channel.labels) == {0, 1, 2}
+        assert set(plan.channel.ops) == {0, 1, 2}
         out1, out2 = self._next_vectors(plan)
         assert abs(np.vdot(out1, out2)) <= 1.0 + 1e-12
         base = step_party(e, gain).channel.apply_ensemble(e)
@@ -551,7 +550,7 @@ class TestRunSequence:
 
     def test_joint_outcomes_attached_and_bounded(self):
         trace = run_sequence(trine_ensemble(), [uniform_trine_strategy(0.4)] * 3)
-        assert trace.p_joint is not None and trace.p_inconclusive is not None
+        assert isinstance(trace.p_joint, float) and isinstance(trace.p_inconclusive, float)
         assert 0 <= trace.p_joint <= 1 and 0 <= trace.p_inconclusive <= 1
 
     def test_joint_outcomes_against_direct_composition(self):
@@ -562,7 +561,7 @@ class TestRunSequence:
         rec1, rec2 = trace.records
         direct = 0.0
         for x in (1, 2, 3):
-            k = rec1.channel.op(x)
+            k = rec1.channel.ops[x]
             m = rec2.povm.elements[x]
             direct += e.prior(x) * float(
                 np.real(np.trace(m @ k @ e.state(x).mat @ k.conj().T))
@@ -575,9 +574,14 @@ class TestRunSequence:
         probability is party 2's rate."""
         fam = families.gu(3)
         trace = run_sequence(fam.ensemble(), fam.strategies([1.0, 0.5]))
-        assert trace.records[0].channel.labels == [0]
+        assert list(trace.records[0].channel.ops) == [0]
         assert trace.p_joint == 0.0
         np.testing.assert_allclose(trace.p_inconclusive, 0.5, atol=1e-12)
+
+    def test_empty_chain_raises(self):
+        """Every trace carries its joint probabilities, and an empty chain has none."""
+        with pytest.raises(ValueError, match="empty chain"):
+            run_sequence(trine_ensemble(), [])
 
     def test_infeasible_strategy_names_party(self):
         def bad(e: Ensemble, j: int) -> PartyPlan:
@@ -617,7 +621,7 @@ class TestRunSequence:
 
 class TestTraceMonotonicityGuard:
     def _record(self, index: int, conf: float) -> PartyRecord:
-        ch = KrausChannel(ops=((0, np.eye(2)),))
+        ch = KrausChannel(ops={0: np.eye(2)})
         povm = Povm(elements={1: np.eye(2) * 0.5}, inconclusive=np.eye(2) * 0.5)
         e = Ensemble(priors=(1.0,), states=(np.eye(2) / 2,))
         return PartyRecord(
@@ -639,8 +643,8 @@ class TestTraceMonotonicityGuard:
             SequentialTrace(
                 records=(self._record(1, 0.5), self._record(2, 0.7)),
                 final_ensemble=e,
-                p_joint=None,
-                p_inconclusive=None,
+                p_joint=0.0,
+                p_inconclusive=0.0,
             )
 
     def test_flat_confidence_accepted(self):
@@ -648,8 +652,8 @@ class TestTraceMonotonicityGuard:
         trace = SequentialTrace(
             records=(self._record(1, 0.5), self._record(2, 0.5)),
             final_ensemble=e,
-            p_joint=None,
-            p_inconclusive=None,
+            p_joint=0.0,
+            p_inconclusive=0.0,
         )
         assert trace.parties == 2
 
@@ -686,6 +690,19 @@ class TestTraceSerialization:
         assert first[-1] == "" and first[-2] == ""
         assert last[-1] != "" and last[-2] != ""
         float(last[-1])  # parses as a float
+
+    def test_csv_numpy_extras_print_as_floats(self):
+        """A numpy scalar in the extras prints as its float, as in the JSON."""
+        base = uniform_trine_strategy(0.5)
+
+        def strategy(e: Ensemble, j: int) -> PartyPlan:
+            plan = base(e, j)
+            return PartyPlan(plan.povm, plan.channel, {"alpha": np.float64(0.5)})
+
+        trace = run_sequence(trine_ensemble(), [strategy])
+        header, row = trace_to_csv(trace).splitlines()
+        assert row.split(",")[header.split(",").index("alpha")] == "0.5"
+        assert trace_to_json(trace)["parties"][0]["extras"] == {"alpha": 0.5}
 
     def test_csv_floats_round_trip(self):
         """repr() serialization: reading the cell back gives the exact
