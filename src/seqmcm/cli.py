@@ -32,8 +32,9 @@ measurement, which needs a one-vector optimal subspace for every label it
 measures (exit 4, "not rank-one", otherwise).
 
 A flag given an empty value is malformed, not absent: ``--ensemble ""``,
-``--eta0 ""``, ``--gains ""``, ``--params ""``, ``--grid ""`` and
-``--out ""`` exit 2 wherever they are read.  ``--parties`` must be a
+``--family ""`` and ``--out ""`` exit 2 before any work is done, and
+``--eta0 ""``, ``--gains ""``, ``--params ""`` and ``--grid ""`` exit 2
+wherever they are read.  ``--parties`` must be a
 positive integer for ``sweep`` as for ``sequence`` (exit 2).
 
 Outputs are deterministic for a fixed command line (``verify`` draws its
@@ -164,14 +165,14 @@ def _build_family(name: str, params: dict[str, Any]) -> Any:
 
 def _load_source(args: argparse.Namespace) -> tuple[Ensemble, Any]:
     """Resolve (ensemble, family-or-None) from --ensemble/--family."""
-    if args.ensemble is not None and args.family:
+    if args.ensemble is not None and args.family is not None:
         raise CliError(EXIT_INPUT, "give either --ensemble or --family, not both")
     if args.ensemble is not None:
         try:
             return qcore.load_ensemble(args.ensemble), None
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CliError(EXIT_INPUT, f"cannot load ensemble {args.ensemble}: {exc}")
-    if args.family:
+    if args.family is not None:
         fam = _build_family(args.family, _parse_params(args.params))
         return fam.ensemble(), fam
     raise CliError(EXIT_INPUT, "an ensemble source is required: --ensemble or --family")
@@ -200,8 +201,6 @@ def _emit(out_dir: str | None, name: str, text: str, quiet_path: bool = False) -
     if out_dir is None:
         sys.stdout.write(text)
         return
-    if not out_dir:
-        raise CliError(EXIT_INPUT, "--out is empty")
     path = Path(out_dir)
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -491,7 +490,7 @@ def _sweep_mirror(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if not args.family:
+    if args.family is None:
         raise CliError(EXIT_INPUT, "sweep needs --family")
     row = _family_row(args.family)
     for flag in ("params", "grid", "parties", "eta0", "threshold"):
@@ -758,7 +757,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
-    if not args.family:
+    if args.family is None:
         raise CliError(EXIT_INPUT, "family needs --family")
     fam = _build_family(args.family, _parse_params(args.params))
     _emit(args.out, "family.json", _dumps(fam.describe()))
@@ -848,6 +847,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for flag in ("ensemble", "family", "out"):
+            if getattr(args, flag, None) == "":
+                raise CliError(EXIT_INPUT, f"--{flag} is empty")
         return COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

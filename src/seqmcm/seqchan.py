@@ -27,6 +27,7 @@ probabilities are reconstructed by operator composition:
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -81,14 +82,14 @@ class StrategyInfeasibleError(ValueError):
 class KrausChannel:
     """A CPTP map with one Kraus operator per outcome label.
 
-    ``ops`` maps each label (0 = inconclusive, as for POVM outcomes) to its
-    operator and keeps the given order, which :func:`rank_one_plan` makes
+    ``ops`` is a read-only mapping from each label (0 = inconclusive, as
+    for POVM outcomes) to its operator; it keeps the given order, which :func:`rank_one_plan` makes
     the conclusive labels sorted, then 0.  A label the party cannot click
     has no entry.  Completeness ``sum K^dag K = 1`` is enforced within
     :data:`COMPLETENESS_TOL` at construction.
     """
 
-    ops: dict[int, np.ndarray]
+    ops: Mapping[int, np.ndarray]
 
     def __post_init__(self) -> None:
         ops = {
@@ -106,7 +107,7 @@ class KrausChannel:
             raise ChannelConstructionError(
                 f"Kraus completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e}"
             )
-        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "ops", types.MappingProxyType(ops))
 
     def apply(self, rho: Any) -> DensityMatrix:
         r = as_matrix(rho, "rho")

@@ -107,6 +107,14 @@ class TestKrausChannel:
         np.testing.assert_allclose(ch.ops[0], np.eye(2), atol=0.0)
         assert 1 not in ch.ops
 
+    def test_ops_are_read_only(self):
+        """A validated channel cannot gain or lose an operator afterwards."""
+        ch = KrausChannel(ops={0: np.eye(2)})
+        with pytest.raises(TypeError):
+            ch.ops[1] = np.eye(2)
+        with pytest.raises(TypeError):
+            del ch.ops[0]
+
     def test_random_channel_seeded(self):
         a = random_channel(np.random.default_rng(3), 2, 2)
         b = random_channel(np.random.default_rng(3), 2, 2)

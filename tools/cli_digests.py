@@ -11,7 +11,7 @@ outputs are byte-identical, so
     diff old.jsonl new.jsonl
 
 lists every command line whose output changed.  ``--src`` defaults to the
-``src`` directory next to this script; ``--limit N`` runs the first N lines.
+``src`` directory next to this script.
 
 The corpus covers every family's ``sequence`` in JSON and CSV at several
 lengths (full-strength parties, ``gu --eta0 1,0.5``, explicit retargets and
@@ -126,6 +126,7 @@ def corpus() -> list[list[str]]:
               ["sweep", "--family", "two_mixed", "--grid", ""],
               ["family", "--family", "mirror", "--out", ""],
               ["mcm", "--ensemble", "", "--family", "gu"],
+              ["mcm", "--ensemble", "qubit3.json", "--family", ""],
               ["sequence", "--ensemble", "", "--parties", "2", "--eta0", "0.5"]]
     for family in ("two_mixed", "gu", "lifted_gu"):
         lines += [["sweep", "--family", family, "--parties", p] for p in ("0", "-3")]
@@ -152,21 +153,19 @@ def digest(run, argv: list[str]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(SRC), help="source tree to import seqmcm from")
-    parser.add_argument("--limit", type=int, help="run only the first N command lines")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(Path(args.src).resolve()))
     from seqmcm import cli
 
     os.environ["SEQMCM_THREADS"] = "1"
-    lines = corpus()[: args.limit]
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
             for name, doc in ENSEMBLES.items():
                 Path(name).write_text(json.dumps(doc))
-            for line in lines:
+            for line in corpus():
                 print(json.dumps(digest(cli.main, line)), flush=True)
         finally:
             os.chdir(here)
