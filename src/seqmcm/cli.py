@@ -14,9 +14,12 @@ file.json`` or from ``--family NAME --params JSON``; ``sweep`` and
 value with a ``deg`` suffix (``{"theta": "120deg"}``) is converted.
 
 Exit codes: 0 success; 1 verification failure; 2 malformed input (also a
-state outside the support of the ensemble average, message names the label);
-3 KKT check failure (also an SDP solve that stops short of its gap bound);
-4 infeasible strategy (message names the party).
+state outside the support of the ensemble average, message names the label;
+and a non-finite number: ``NaN`` or ``Infinity`` among an ``--ensemble``
+file's entries or priors, or ``nan`` or ``inf`` given for a rate, gain,
+angle, grid value or threshold); 3 KKT check failure (also an SDP solve
+that stops short of its gap bound); 4 infeasible strategy (message names
+the party).
 
 Each family is one row of :data:`FAMILIES`: how ``--params`` builds it,
 how ``sweep`` runs it, and which ``sweep`` flags and ``--grid`` keys that
@@ -35,7 +38,9 @@ A flag given an empty value is malformed, not absent: ``--ensemble ""``,
 ``--family ""`` and ``--out ""`` exit 2 before any work is done, and
 ``--eta0 ""``, ``--gains ""``, ``--params ""`` and ``--grid ""`` exit 2
 wherever they are read.  ``--parties`` must be a
-positive integer for ``sweep`` as for ``sequence`` (exit 2).
+positive integer for ``sweep`` as for ``sequence`` (exit 2).  So must every
+``--eta0`` rate lie in [0, 1], and ``sweep``'s ``--threshold`` confidence
+too (exit 2).
 
 Outputs are deterministic for a fixed command line (``verify`` draws its
 instances from ``--seed``): dictionaries are serialized with sorted keys
@@ -88,9 +93,12 @@ class CliError(Exception):
 
 def _parse_number(value: Any, name: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise CliError(EXIT_INPUT, f"cannot parse {value!r} for {name}")
+    if not math.isfinite(number):
+        raise CliError(EXIT_INPUT, f"{name} must be finite, got {value!r}")
+    return number
 
 
 def _parse_angle(value: Any, name: str) -> float:
@@ -129,15 +137,20 @@ def _parse_numbers(text: str, flag: str, parties: int | None = None) -> list[flo
     return values
 
 
-def _parse_rates(text: str | None, parties: int) -> list[float]:
-    """Comma-separated per-party rates; one value broadcasts to all."""
+def _unit_interval(value: float, what: str) -> float:
+    """``value`` if it lies in [0, 1]; NaN and the infinities do not."""
+    if not (0.0 <= value <= 1.0):
+        raise CliError(EXIT_INPUT, f"{what} {value!r} outside [0, 1]")
+    return value
+
+
+def _parse_rates(text: str | None, parties: int | None = None) -> list[float]:
+    """Comma-separated inconclusive rates, each in [0, 1]; with ``parties``,
+    per party, one value broadcasting to all."""
     if text is None:
         raise CliError(EXIT_INPUT, "this command needs --eta0 (per-party rates)")
-    values = _parse_numbers(text, "--eta0", parties)
-    for v in values:
-        if not (0.0 <= v <= 1.0):
-            raise CliError(EXIT_INPUT, f"inconclusive rate {v!r} outside [0, 1]")
-    return values
+    rates = _parse_numbers(text, "--eta0", parties)
+    return [_unit_interval(v, "inconclusive rate") for v in rates]
 
 
 def _count(params: dict[str, Any]) -> int:
@@ -159,7 +172,7 @@ def _family_row(name: str) -> _Family:
 def _build_family(name: str, params: dict[str, Any]) -> Any:
     try:
         return _family_row(name).build(params)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:  # int(inf) overflows
         raise CliError(EXIT_INPUT, f"bad parameters for family {name}: {exc}")
 
 
@@ -191,10 +204,6 @@ def _thread_count() -> int:
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
-
-
-def _dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _emit(out_dir: str | None, name: str, text: str, quiet_path: bool = False) -> None:
@@ -242,7 +251,7 @@ def cmd_mcm(args: argparse.Namespace) -> int:
         },
         "guessing": guess_doc,
     }
-    _emit(args.out, "mcm.json", _dumps(doc))
+    _emit(args.out, "mcm.json", qcore.json_text(doc))
     if not report.ok:
         print("KKT verification failed", file=sys.stderr)
         return EXIT_KKT
@@ -331,7 +340,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     # serialize only what is written: one format on stdout, both under --out
     for fmt in ("json", "csv") if args.out is not None else (args.format,):
         if fmt == "json":
-            text = _dumps(seqchan.trace_to_json(trace))
+            text = qcore.json_text(seqchan.trace_to_json(trace))
         else:
             text = seqchan.trace_to_csv(trace)
         _emit(args.out, f"trace.{fmt}", text)
@@ -410,7 +419,7 @@ def _sweep_gu(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list[lis
     fam = _build_family(args.family, _parse_params(args.params))
     n = fam.n
     parties = args.parties or 10
-    rates = [0.1, 0.5, 0.9] if args.eta0 is None else _parse_numbers(args.eta0, "--eta0")
+    rates = [0.1, 0.5, 0.9] if args.eta0 is None else _parse_rates(args.eta0)
     _guard_grid(len(rates) * parties)
 
     def chain(eta0: float) -> list[list[Any]]:
@@ -435,8 +444,8 @@ def _sweep_lifted(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list
     del grid  # a lifted_gu sweep runs over parties, not parameters
     fam = _build_family(args.family, _parse_params(args.params))
     parties = args.parties or 8
-    threshold = args.threshold if args.threshold is not None else 0.4
-    eta0 = 0.5 if args.eta0 is None else _parse_numbers(args.eta0, "--eta0")[0]
+    threshold = 0.4 if args.threshold is None else _unit_interval(args.threshold, "--threshold")
+    eta0 = 0.5 if args.eta0 is None else _parse_rates(args.eta0)[0]
     _guard_grid(parties)
 
     try:
@@ -470,7 +479,7 @@ def _sweep_mirror(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list
         thetas = [_parse_angle(v, "theta") for v in grid["theta"]]
     else:
         thetas = sorted(set(np.linspace(5 * math.pi / 9, 7 * math.pi / 9, 13)) | {2 * math.pi / 3})
-    eta0 = 0.5 if args.eta0 is None else _parse_numbers(args.eta0, "--eta0")[0]
+    eta0 = 0.5 if args.eta0 is None else _parse_rates(args.eta0)[0]
     _guard_grid(len(thetas))
     header = "theta eta0 theta_next_oracle theta_next_engine residual dtheta sign error".split()
 
@@ -744,7 +753,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks = [_suite_report(name, args.count, args.seed) for name in names]
     ok = all(c["pass"] for c in checks)
     doc = {"suites": names, "count": args.count, "seed": args.seed, "checks": checks, "pass": ok}
-    text = _dumps(doc)
+    text = qcore.json_text(doc)
     if args.out is not None:
         _emit(args.out, "verify.json", text, quiet_path=True)
     sys.stdout.write(text)
@@ -760,7 +769,7 @@ def cmd_family(args: argparse.Namespace) -> int:
     if args.family is None:
         raise CliError(EXIT_INPUT, "family needs --family")
     fam = _build_family(args.family, _parse_params(args.params))
-    _emit(args.out, "family.json", _dumps(fam.describe()))
+    _emit(args.out, "family.json", qcore.json_text(fam.describe()))
     return EXIT_OK
 
 

@@ -29,22 +29,25 @@ Everything downstream rests on two exact identities:
 
 Each ensemble is solved once.  :func:`solve_mcm` factors ``rho`` with one
 eigensolve, which yields both ``rho^(-1/2)`` and the support projector,
-then pays one eigensolve of the shaped operator per label (plus one of
-``C_x rho - q_x rho_x`` when ``r_x > 0``).  The result is kept on the
-ensemble itself (:meth:`Ensemble.cached`), so :func:`mcm_povm`,
-:func:`verify_kkt`, the weight optimizer and the chain runner all reuse
-it.  It cannot go stale: an ensemble's fields are frozen and its state
-arrays read-only, and callers get a fresh dict of frozen entries, never
-the stored one.  :func:`max_confidence` solves a single label against the
-same cached factorisation, so a leak outside the support is reported only
-for the label that leaks.
+then pays one stacked eigensolve of the ``N`` shaped operators per
+ensemble, one stacked eigensolve of the complements ``C_x rho - q_x rho_x``
+of the labels with ``r_x > 0``, and one stacked validation of their
+``sigma_x``.  The result is kept on the ensemble itself
+(:meth:`Ensemble.cached`), so :func:`mcm_povm`, :func:`verify_kkt`, the
+weight optimizer and the chain runner all reuse it.  It cannot go stale:
+an ensemble's fields are frozen and its state arrays read-only, and
+callers get a fresh dict of frozen entries, never the stored one.
+:func:`max_confidence` runs the same solve on the single label it is
+asked for, against the same cached factorisation, so a leak outside the
+support is reported only for the label that leaks, and its entry equals
+the one :func:`solve_mcm` gives for that label bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -127,62 +130,74 @@ def _average_factors(e: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rho, shaping, support
 
 
-def _solve_label(
-    e: Ensemble, x: int, factors: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> McmEntry:
-    q = e.prior(x)
-    if q == 0.0:
-        return McmEntry(
-            label=x, confidence=0.0, degeneracy=0, basis=(), sigma=None, r=0.0, mu=0.0
-        )
-    rho, shaping, support = factors
-    rho_x = e.state(x).mat
-    leak = float(np.real(np.trace(rho_x @ (np.eye(rho_x.shape[0]) - support))))
-    if leak > SUPPORT_TOL:
-        raise SupportError(
-            f"label {x}: state has weight {leak:.3e} outside the support of the "
-            "ensemble average; the confidence is infinite (no valid finite maximum exists)"
-        )
-    # Hermitian by construction: the rounding asymmetry of the product
+def _solve(e: Ensemble, labels: Sequence[int]) -> dict[int, McmEntry]:
+    """Entries for ``labels``: one stacked eigensolve of their shaped
+    operators, one of the complements of those with ``r > R_ZERO_TOL``."""
+    rho, shaping, support = _average_factors(e)
+    live = [x for x in labels if e.prior(x) != 0.0]
+    entries = {
+        x: McmEntry(label=x, confidence=0.0, degeneracy=0, basis=(), sigma=None, r=0.0, mu=0.0)
+        for x in labels
+        if x not in live
+    }
+    if not live:
+        return entries
+    q = np.array([e.prior(x) for x in live])
+    states = np.array([e.state(x).mat for x in live])
+    leaks = np.einsum("nij,ji->n", states, np.eye(e.dim) - support).real  # tr[rho_x (1 - P)]
+    for x, leak in zip(live, leaks):
+        if leak > SUPPORT_TOL:
+            raise SupportError(
+                f"label {x}: state has weight {leak:.3e} outside the support of the "
+                "ensemble average; the confidence is infinite (no valid finite maximum exists)"
+            )
+    # Hermitian by construction: the rounding asymmetry of the products
     # grows with ||rho^-1|| and would trip an absolute Hermiticity check
-    op = shaping @ (q * rho_x) @ shaping
-    vals, vecs = eig_hermitian(0.5 * (op + op.conj().T), "shaped operator")
-    c = float(vals[0])
-    deg = int(np.sum(vals > c - DEGENERACY_TOL * c))
-    basis = []
-    for i in range(deg):
-        phi = shaping @ vecs[:, i]
-        norm = float(np.linalg.norm(phi))
-        if norm <= 0.0:
-            continue
-        basis.append(qcore._frozen(fix_phase(phi / norm)))
+    ops = shaping @ (q[:, None, None] * states) @ shaping
+    vals, vecs = eig_hermitian(0.5 * (ops + qcore._adjoint(ops)), "shaped operator")
+    c = vals[:, 0]
+    degs = (vals > (c - DEGENERACY_TOL * c)[:, None]).sum(axis=-1)
     r = c - q
-    sigma: DensityMatrix | None = None
-    if r > R_ZERO_TOL:
+    kept = r > R_ZERO_TOL
+    sigmas: list[DensityMatrix | None] = [None] * len(live)
+    if kept.any():
         # c*rho - q*rho_x is PSD in exact arithmetic (c is the top eigenvalue
         # of the shaped operator); clip the float dust so a small r cannot
         # blow it up past the state validator.
-        raw = c * rho - q * rho_x
-        rvals, rvecs = eig_hermitian(0.5 * (raw + raw.conj().T), "complement")
-        if float(rvals[-1]) < -1e-8 * max(c, 1.0):
-            raise ValueError(
-                f"complement operator has eigenvalue {float(rvals[-1]):.3e}; "
-                "the confidence eigenvalue is inconsistent"
-            )
-        clipped = np.clip(rvals, 0.0, None)
-        mat = (rvecs * clipped) @ rvecs.conj().T
-        sigma = DensityMatrix(mat / float(np.real(np.trace(mat))))
-    else:
-        r = 0.0
-    return McmEntry(
-        label=x,
-        confidence=c,
-        degeneracy=deg,
-        basis=tuple(basis),
-        sigma=sigma,
-        r=r,
-        mu=q / c,
-    )
+        raw = c[kept, None, None] * rho - q[kept, None, None] * states[kept]
+        rvals, rvecs = eig_hermitian(0.5 * (raw + qcore._adjoint(raw)), "complement")
+        for low, conf in zip(rvals[:, -1], c[kept]):
+            if low < -1e-8 * max(conf, 1.0):
+                raise ValueError(
+                    f"complement operator has eigenvalue {low:.3e}; "
+                    "the confidence eigenvalue is inconsistent"
+                )
+        mats = (rvecs * np.clip(rvals, 0.0, None)[:, None, :]) @ qcore._adjoint(rvecs)
+        traces = np.real(np.trace(mats, axis1=-2, axis2=-1))[:, None, None]
+        for i, sigma in zip(np.flatnonzero(kept), DensityMatrix.stack(mats / traces)):
+            sigmas[i] = sigma
+    # the top eigenvectors of every label, mapped back through rho^(-1/2)
+    # as one stack of matrix-vector products
+    owner = np.repeat(np.arange(len(live)), degs)
+    top = vecs[owner, :, np.concatenate([np.arange(n) for n in degs])]
+    phis = (shaping @ top[:, :, None])[:, :, 0]
+    norms = np.array([float(np.linalg.norm(phi)) for phi in phis])
+    nonzero = norms > 0.0
+    unit = fix_phase(phis[nonzero] / norms[nonzero, None])
+    unit.setflags(write=False)
+    bounds = np.searchsorted(owner[nonzero], np.arange(len(live) + 1))
+    for i, x in enumerate(live):
+        ci = float(c[i])
+        entries[x] = McmEntry(
+            label=x,
+            confidence=ci,
+            degeneracy=int(degs[i]),
+            basis=tuple(unit[bounds[i] : bounds[i + 1]]),
+            sigma=sigmas[i],
+            r=float(r[i]) if kept[i] else 0.0,
+            mu=e.prior(x) / ci,
+        )
+    return {x: entries[x] for x in labels}
 
 
 def max_confidence(e: Ensemble, x: int) -> McmEntry:
@@ -197,7 +212,7 @@ def max_confidence(e: Ensemble, x: int) -> McmEntry:
     """
     if x not in e.labels:
         raise ValueError(f"label {x} not in 1..{e.n}")
-    return _solve_label(e, x, _average_factors(e))
+    return _solve(e, (x,))[x]
 
 
 def solve_mcm(e: Ensemble) -> dict[int, McmEntry]:
@@ -205,12 +220,7 @@ def solve_mcm(e: Ensemble) -> dict[int, McmEntry]:
 
     Solved once per ensemble; later calls return a fresh dict of the same
     (immutable) entries."""
-
-    def solve() -> dict[int, McmEntry]:
-        factors = _average_factors(e)
-        return {x: _solve_label(e, x, factors) for x in e.labels}
-
-    return dict(e.cached("mcm.solution", solve))
+    return dict(e.cached("mcm.solution", lambda: _solve(e, e.labels)))
 
 
 def optimal_projectors(entries: dict[int, McmEntry]) -> dict[int, np.ndarray]:

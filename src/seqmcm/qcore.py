@@ -15,8 +15,20 @@ Conventions used throughout the package
   and every eigenvector is phase-fixed so that its first component of
   magnitude above ``PHASE_TOL`` is real and positive.  This makes
   degenerate-subspace bases reproducible across runs and platforms.
+* **Per-ensemble work runs on stacks.**  :func:`eig_hermitian` takes one
+  matrix or a ``(..., d, d)`` stack and makes one Hermiticity check and
+  one ``eigh`` call for all of it; :func:`validate_states` checks a stack
+  of density matrices with one ``eigvalsh`` call.  At ``d <= 8`` the cost
+  of a call is mostly Python and wrapper overhead, so one call per
+  ensemble instead of one per state is the saving.  The one-matrix calls
+  are the stack-of-one case of the same code.  LAPACK solves each slice
+  of a stack as it solves the matrix alone, and ``tests/test_stacked.py``
+  checks that stacked and one-at-a-time results agree bit for bit.
 * Matrices serialize to JSON as ``{"dim": d, "entries": [[re, im], ...]}``
-  with the ``d*d`` entries flattened in row-major order.
+  with the ``d*d`` entries flattened in row-major order.  :func:`json_text`
+  writes the indented, key-sorted text that ``json.dumps(obj,
+  sort_keys=True, indent=2)`` writes, byte for byte, without the
+  pure-Python encoder that ``indent`` selects.
 
 All tolerances live in module-level constants so tests and callers pin
 the same numbers the validators use.
@@ -29,6 +41,8 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
@@ -88,21 +102,29 @@ class DimensionError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _as_stack(a: Any, name: str) -> np.ndarray:
+    """Coerce ``a`` to a complex ``(..., d, d)`` stack within the dimension cap."""
+    if hasattr(a, "mat"):
+        a = a.mat
+    arr = np.asarray(a, dtype=complex)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise DimensionError(f"{name} must be square, got shape {arr.shape}")
+    if arr.shape[-1] > DIM_CAP:
+        raise DimensionError(
+            f"{name} has dimension {arr.shape[-1]}, above the cap {DIM_CAP}"
+        )
+    return arr
+
+
 def as_matrix(a: Any, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a square complex ndarray within the dimension cap.
 
     Accepts ndarrays, nested sequences, and the container types below
     (anything with a ``.mat`` attribute).
     """
-    if hasattr(a, "mat"):
-        a = a.mat
-    arr = np.asarray(a, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    arr = _as_stack(a, name)
+    if arr.ndim != 2:
         raise DimensionError(f"{name} must be square, got shape {arr.shape}")
-    if arr.shape[0] > DIM_CAP:
-        raise DimensionError(
-            f"{name} has dimension {arr.shape[0]}, above the cap {DIM_CAP}"
-        )
     return arr
 
 
@@ -116,19 +138,25 @@ def as_vector(v: Any, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """``A^dag`` of every matrix of a ``(..., d, d)`` stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def hermitian_defect(a: np.ndarray) -> float:
-    """Largest entrywise magnitude of ``A - A^dag``."""
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    """Largest entrywise magnitude of ``A - A^dag`` over a matrix or a stack."""
+    return float(np.abs(a - _adjoint(a)).max()) if a.size else 0.0
 
 
 def require_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Return the symmetrized matrix, raising if the defect is above tolerance."""
+    """Return the symmetrized matrix (or stack), raising if the defect is
+    above tolerance."""
     defect = hermitian_defect(a)
     if defect > HERM_TOL:
         raise NotHermitianError(
             f"{name} is not Hermitian: max |A - A^dag| entry = {defect:.3e}"
         )
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + _adjoint(a))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -146,34 +174,41 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
     """Rotate a global phase so the first non-negligible component is real > 0.
 
     "Non-negligible" means magnitude above ``PHASE_TOL * max |v_i|``.  The
-    zero vector is returned unchanged.
+    zero vector is returned unchanged.  A ``(..., d)`` stack of vectors is
+    fixed vector by vector.
     """
     w = np.asarray(v, dtype=complex)
-    top = float(np.max(np.abs(w))) if w.size else 0.0
-    if top == 0.0:
+    if not w.size:
         return w
-    for comp in w:
-        if abs(comp) > PHASE_TOL * top:
-            return w * (abs(comp) / comp)
-    return w
+    flat = w.reshape(-1, w.shape[-1])
+    mag = np.abs(flat)
+    lead = (mag > PHASE_TOL * mag.max(axis=1, keepdims=True)).argmax(axis=1)
+    # abs(c) / c on numpy scalars, one vector at a time: dividing the arrays
+    # rounds differently in the last bit
+    factors = [abs(c) / c if c else 1.0 for c in flat[np.arange(len(flat)), lead]]
+    return (flat * np.array(factors, dtype=complex)[:, None]).reshape(w.shape)
 
 
 def eig_hermitian(a: Any, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, descending and phase-fixed.
+    """Eigendecompositions of a Hermitian matrix or a ``(..., d, d)`` stack of
+    them, descending and phase-fixed, from one ``eigh`` call.
 
-    Returns ``(vals, vecs)`` with ``vals`` sorted descending and ``vecs[:, i]``
-    the orthonormal eigenvector for ``vals[i]``, each phase-fixed via
-    :func:`fix_phase`.  Raises :class:`NotHermitianError` (naming the max
-    asymmetry) for non-Hermitian input.
+    Returns ``(vals, vecs)`` with ``vals[..., :]`` sorted descending and
+    ``vecs[..., :, i]`` the orthonormal eigenvector for ``vals[..., i]``,
+    each phase-fixed by :func:`fix_phase`.  Raises
+    :class:`NotHermitianError` (naming the max asymmetry over the stack)
+    for non-Hermitian input.
     """
-    h = require_hermitian(as_matrix(a, name), name)
-    vals, vecs = np.linalg.eigh(h)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    for i in range(vecs.shape[1]):
-        vecs[:, i] = fix_phase(vecs[:, i])
-    return vals, vecs
+    h = require_hermitian(_as_stack(a, name), name)
+    d = h.shape[-1]
+    vals, vecs = np.linalg.eigh(h.reshape(-1, d, d))
+    # argsort, not a plain reversal: it orders tied eigenvalues as a
+    # one-matrix sort does
+    order = np.argsort(vals, axis=-1)[:, ::-1]
+    rows = np.arange(len(order))[:, None]
+    ordered = fix_phase(vecs.swapaxes(1, 2)[rows, order])  # eigenvectors as rows
+    vecs = np.ascontiguousarray(ordered.swapaxes(1, 2))
+    return vals[rows, order].reshape(h.shape[:-1]), vecs.reshape(h.shape)
 
 
 def support_factors(a: Any) -> tuple[np.ndarray, np.ndarray, int]:
@@ -263,26 +298,63 @@ def density_from_bloch(r: Sequence[float]) -> "DensityMatrix":
 # ---------------------------------------------------------------------------
 
 
+def validate_states(mats: Any, name: str = "density matrix") -> np.ndarray:
+    """The Hermitian parts of a ``(..., d, d)`` stack of density matrices,
+    read-only, after one validation pass over the whole stack.
+
+    Every entry must be finite; then each state must be Hermitian within
+    :data:`HERM_TOL`, of unit trace within :data:`TRACE_TOL` and positive
+    within :data:`PSD_TOL` (one ``eigvalsh`` call for the stack), checked in
+    that order.  The error raised is the first failed check of the first
+    state that fails one.
+    """
+    m = _as_stack(mats, name)
+    if not np.isfinite(m).all():  # NaN passes every comparison below
+        raise ValueError(f"{name} has a non-finite entry")
+    adj = _adjoint(m)
+    defect = np.abs(m - adj).max(axis=(-2, -1)).reshape(-1)
+    h = 0.5 * (m + adj)
+    tr = h.trace(axis1=-2, axis2=-1).real.reshape(-1)
+    low = np.linalg.eigvalsh(h)[..., 0].reshape(-1)
+    failed = (defect > HERM_TOL) | (np.abs(tr - 1.0) > TRACE_TOL) | (low < -PSD_TOL)
+    if failed.any():
+        i = int(np.argmax(failed))
+        if defect[i] > HERM_TOL:
+            raise NotHermitianError(
+                f"{name} is not Hermitian: max |A - A^dag| entry = {defect[i]:.3e}"
+            )
+        if abs(tr[i] - 1.0) > TRACE_TOL:
+            raise ValueError(f"{name} trace = {float(tr[i])!r}, expected 1")
+        raise ValueError(f"{name} has eigenvalue {low[i]:.3e} < 0")
+    h.setflags(write=False)
+    return h
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated density matrix.
 
-    Construction symmetrizes the input and enforces Hermiticity within
-    :data:`HERM_TOL`, positivity within :data:`PSD_TOL`, and unit trace
-    within :data:`TRACE_TOL`.  The stored array is read-only.
+    Construction symmetrizes the input and enforces finite entries,
+    Hermiticity within :data:`HERM_TOL`, positivity within :data:`PSD_TOL`,
+    and unit trace within :data:`TRACE_TOL` (:func:`validate_states`).
+    The stored array is read-only.
     """
 
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        m = require_hermitian(as_matrix(self.mat, "density matrix"), "density matrix")
-        tr = float(np.real(np.trace(m)))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace = {tr!r}, expected 1")
-        low = float(np.min(np.linalg.eigvalsh(m)))
-        if low < -PSD_TOL:
-            raise ValueError(f"density matrix has eigenvalue {low:.3e} < 0")
-        object.__setattr__(self, "mat", _frozen(m))
+        object.__setattr__(self, "mat", validate_states(as_matrix(self.mat, "density matrix")))
+
+    @classmethod
+    def stack(cls, mats: Any) -> tuple[DensityMatrix, ...]:
+        """One state per matrix of a ``(n, d, d)`` stack, validated together
+        by one :func:`validate_states` pass."""
+        states = []
+        for m in validate_states(mats):
+            state = object.__new__(cls)
+            object.__setattr__(state, "mat", m)
+            states.append(state)
+        return tuple(states)
 
     @property
     def dim(self) -> int:
@@ -329,19 +401,27 @@ class Ensemble:
 
     def __post_init__(self) -> None:
         priors = tuple(float(q) for q in self.priors)
-        states = tuple(
-            s if isinstance(s, DensityMatrix) else DensityMatrix(s) for s in self.states
-        )
+        states = list(self.states)
+        mats = [s.mat if isinstance(s, DensityMatrix) else as_matrix(s, "density matrix")
+                for s in states]
+        dims = {m.shape[0] for m in mats}
+        if len(dims) > 1:
+            raise DimensionError(f"states have mixed dimensions {sorted(dims)}")
+        raw = [i for i, s in enumerate(states) if not isinstance(s, DensityMatrix)]
+        if raw:  # validated as one stack
+            for i, state in zip(raw, DensityMatrix.stack([mats[i] for i in raw])):
+                states[i] = state
         if len(priors) != len(states) or not priors:
             raise ValueError("need one prior per state, at least one of each")
+        for q in priors:
+            if not math.isfinite(q):
+                raise ValueError(f"non-finite prior: {q!r}")
         if min(priors) < 0.0:
             raise ValueError(f"negative prior: {min(priors)!r}")
         total = math.fsum(priors)
         if abs(total - 1.0) > PRIOR_TOL:
             raise ValueError(f"priors sum to {total!r}, expected 1")
-        dims = {s.dim for s in states}
-        if len(dims) != 1:
-            raise DimensionError(f"states have mixed dimensions {sorted(dims)}")
+        states = tuple(states)
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "states", states)
         # values derived from this ensemble, keyed by what they are; see cached()
@@ -473,11 +553,15 @@ def validate_povm(povm: Povm) -> PovmReport:
 # ---------------------------------------------------------------------------
 
 
+def _pairs(arr: np.ndarray) -> list[list[float]]:
+    """``[[re, im], ...]`` of the entries of ``arr`` in row-major order."""
+    return np.ascontiguousarray(arr).view(np.float64).reshape(-1, 2).tolist()
+
+
 def matrix_to_json(a: Any) -> dict[str, Any]:
     """Encode a matrix as ``{"dim": d, "entries": [[re, im], ...]}`` row-major."""
     arr = as_matrix(a)
-    entries = [[float(z.real), float(z.imag)] for z in arr.reshape(-1)]
-    return {"dim": int(arr.shape[0]), "entries": entries}
+    return {"dim": int(arr.shape[0]), "entries": _pairs(arr)}
 
 
 def matrix_from_json(obj: dict[str, Any]) -> np.ndarray:
@@ -497,7 +581,7 @@ def matrix_from_json(obj: dict[str, Any]) -> np.ndarray:
 
 def vector_to_json(v: Any) -> dict[str, Any]:
     arr = as_vector(v)
-    return {"dim": int(arr.size), "entries": [[float(z.real), float(z.imag)] for z in arr]}
+    return {"dim": int(arr.size), "entries": _pairs(arr)}
 
 
 def vector_from_json(obj: dict[str, Any]) -> np.ndarray:
@@ -546,6 +630,82 @@ def povm_from_json(obj: dict[str, Any]) -> Povm:
     elements = {int(k): matrix_from_json(v) for k, v in obj["elements"].items()}
     inc = matrix_from_json(obj["inconclusive"]) if "inconclusive" in obj else None
     return Povm(elements=elements, inconclusive=inc)
+
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_json(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_WORDS.get(text, text)
+
+
+def _key_json(key: Any) -> str:
+    """A dict key as ``json`` writes it: a string, or a scalar's text quoted."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):  # bools are ints
+        return '"' + _json(key, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _pair_texts(o: list | tuple) -> list[str] | None:
+    """The float texts of a list of ``[re, im]`` float pairs, flattened, or
+    ``None`` if ``o`` is not one."""
+    if set(map(type, o)) != {list} or set(map(len, o)) != {2}:
+        return None
+    flat = list(chain.from_iterable(o))
+    if set(map(type, flat)) != {float}:
+        return None
+    texts = list(map(float.__repr__, flat))
+    # finite reprs hold no "n"; nan and inf are spelled as json spells them
+    return [_FLOAT_WORDS.get(t, t) for t in texts] if "n" in "".join(texts) else texts
+
+
+def _json(o: Any, pad: str) -> str:
+    """``o`` as indented JSON text whose lines after the first start with ``pad``.
+
+    No type matches two branches (``bool`` is tested before ``int``), so the
+    commonest come first: floats, then containers."""
+    if isinstance(o, float):
+        return _float_json(o)
+    inner = pad + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [_key_json(k) + ": " + _json(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        texts = _pair_texts(o)
+        if texts is not None:  # the [[re, im], ...] of a matrix, in one join
+            first, sep, last = inner + "[" + inner + "  ", "," + inner + "  ", inner + "]"
+            pairs = map(sep.join, zip(*[iter(texts)] * 2))
+            return "[" + first + (last + "," + first).join(pairs) + last + pad + "]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in o]) + pad + "]"
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def json_text(obj: Any) -> str:
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, built by
+    string joins instead of the pure-Python encoder that ``indent`` selects.
+
+    Floats are spelled as ``json`` spells them (``float.__repr__``, ``NaN``,
+    ``Infinity``), strings are ASCII-escaped, and keys are sorted and then
+    converted as ``json`` converts them.
+    """
+    return _json(obj, "\n") + "\n"
 
 
 def _csv_cell(value: Any) -> str:

@@ -26,7 +26,6 @@ probabilities are reconstructed by operator composition:
 
 from __future__ import annotations
 
-import math
 import types
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -46,7 +45,6 @@ from .qcore import (
     matrix_to_json,
     povm_to_json,
     sqrt_psd,
-    trace_norm,
 )
 
 COMPLETENESS_TOL = 1e-10
@@ -92,16 +90,15 @@ class KrausChannel:
     ops: Mapping[int, np.ndarray]
 
     def __post_init__(self) -> None:
-        ops = {
-            int(label): qcore._frozen(as_matrix(op, f"Kraus op {label}"))
-            for label, op in self.ops.items()
-        }
+        ops = {int(label): as_matrix(op, f"Kraus op {label}") for label, op in self.ops.items()}
         if not ops:
             raise ChannelConstructionError("a channel needs at least one Kraus operator")
         dims = {op.shape[0] for op in ops.values()}
         if len(dims) != 1:
             raise ChannelConstructionError(f"Kraus operators of mixed dimension {sorted(dims)}")
-        total = sum(op.conj().T @ op for op in ops.values())
+        stack = qcore._frozen(np.stack(list(ops.values())))
+        ops = dict(zip(ops, stack))
+        total = (qcore._adjoint(stack) @ stack).sum(axis=0)
         residual = float(np.max(np.abs(total - np.eye(dims.pop()))))
         if residual > COMPLETENESS_TOL:
             raise ChannelConstructionError(
@@ -109,14 +106,18 @@ class KrausChannel:
             )
         object.__setattr__(self, "ops", types.MappingProxyType(ops))
 
+    def _image(self, r: np.ndarray) -> np.ndarray:
+        """``sum_i K_i r K_i^dag`` for a matrix or a ``(n, d, d)`` stack."""
+        return sum(op @ r @ op.conj().T for op in self.ops.values())
+
     def apply(self, rho: Any) -> DensityMatrix:
-        r = as_matrix(rho, "rho")
-        out = sum(op @ r @ op.conj().T for op in self.ops.values())
-        return DensityMatrix(out)
+        return DensityMatrix(self._image(as_matrix(rho, "rho")))
 
     def apply_ensemble(self, e: Ensemble) -> Ensemble:
-        """The channel acting on every state; priors are untouched."""
-        return Ensemble(priors=e.priors, states=tuple(self.apply(s.mat) for s in e.states))
+        """The channel acting on every state, as one stack; priors are
+        untouched."""
+        states = np.stack([s.mat for s in e.states])
+        return Ensemble(priors=e.priors, states=DensityMatrix.stack(self._image(states)))
 
 
 def random_channel(rng: np.random.Generator, dim: int, n_kraus: int) -> KrausChannel:
@@ -161,14 +162,13 @@ def ensemble_distance(e1: Ensemble, e2: Ensemble) -> tuple[float, float]:
         raise ValueError(f"ensembles of different sizes: {e1.n} vs {e2.n}")
     if any(abs(p - q) > 1e-12 for p, q in zip(e1.priors, e2.priors)):
         raise ValueError("ensembles carry different priors; disturbance undefined")
-    d = float(
-        sum(
-            q * trace_norm(s1.mat - s2.mat)
-            for q, s1, s2 in zip(e1.priors, e1.states, e2.states)
-        )
+    # the N state differences and the difference of averages, one svd call
+    diffs = np.stack(
+        [s1.mat - s2.mat for s1, s2 in zip(e1.states, e2.states)]
+        + [e1.average().mat - e2.average().mat]
     )
-    lower = trace_norm(e1.average().mat - e2.average().mat)
-    return d, lower
+    norms = [float(n) for n in np.linalg.svd(diffs, compute_uv=False).sum(axis=-1)]
+    return sum(q * n for q, n in zip(e1.priors, norms)), norms[-1]
 
 
 def linear_independence(operators: Iterable[Any]) -> bool:
@@ -228,22 +228,23 @@ def rank_one_plan(
     """
     if not weights or set(weights) != set(vectors):
         raise ValueError(f"weights for labels {sorted(weights)} but vectors for {sorted(vectors)}")
-    elements: dict[int, np.ndarray] = {}
-    ops: dict[int, np.ndarray] = {}
-    for x in sorted(weights):
-        w = float(weights[x])
-        if w < 0.0:
-            raise ValueError(f"weight {x} is negative: {w!r}")
-        v = as_vector(vectors[x], f"vector {x}")
-        elements[x] = w * np.outer(v, v.conj())
-        if w > 0.0:
-            t = as_vector((targets or {}).get(x, v), f"target {x}")
-            ops[x] = math.sqrt(w) * np.outer(t, v.conj())
-    m0 = np.eye(v.size) - sum(elements.values())
+    labels = sorted(weights)
+    for x in labels:
+        if float(weights[x]) < 0.0:
+            raise ValueError(f"weight {x} is negative: {float(weights[x])!r}")
+    # every label's |v_x><v_x| and |t_x><v_x| as one (n, d, d) stack each
+    w = np.array([float(weights[x]) for x in labels])[:, None, None]
+    v = np.stack([as_vector(vectors[x], f"vector {x}") for x in labels])[:, :, None]
+    t = np.stack([as_vector((targets or {}).get(x, vectors[x]), f"target {x}") for x in labels])
+    bras = v.conj().swapaxes(-1, -2)
+    elements = w * (v * bras)
+    kraus = np.sqrt(w) * (t[:, :, None] * bras)
+    m0 = np.eye(v.shape[1]) - sum(elements)
+    ops = {x: k for x, k, wx in zip(labels, kraus, w.flat) if wx > 0.0}
     # K_0 is listed even when zero: every party's channel names its inconclusive branch
     ops[0] = sqrt_psd(m0)
     return PartyPlan(
-        povm=Povm(elements=elements, inconclusive=m0),
+        povm=Povm(elements=dict(zip(labels, elements)), inconclusive=m0),
         channel=KrausChannel(ops=ops),
         extras=dict(extras or {}),
     )

@@ -16,14 +16,23 @@ class EigensolveLog:
         return sum(name == kind for name, _ in self.calls)
 
     def of(self, matrix: np.ndarray, kind: str = "eigh") -> int:
-        """How many ``kind`` calls took ``matrix`` (to 1e-12) as input."""
+        """How many ``kind`` calls took ``matrix`` (to 1e-12) as input, alone
+        or as one slice of a stacked ``(..., d, d)`` input."""
         return sum(
             1
             for name, a in self.calls
             if name == kind
-            and a.shape == matrix.shape
-            and np.allclose(a, matrix, rtol=0.0, atol=1e-12)
+            and a.shape[-2:] == matrix.shape
+            and np.any(
+                np.all(np.isclose(a, matrix, rtol=0.0, atol=1e-12), axis=(-2, -1))
+            )
         )
+
+    def stacks(self, kind: str = "eigh") -> list[int]:
+        """How many matrices each ``kind`` call took, in call order."""
+        return [
+            int(np.prod(a.shape[:-2], dtype=int)) for name, a in self.calls if name == kind
+        ]
 
 
 @pytest.fixture

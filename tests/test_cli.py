@@ -478,3 +478,81 @@ def test_cli_digests_corpus_lines_parse(monkeypatch):
         doc = json.loads(json.dumps(tool.digest(cli.main, argv)))
         assert doc["argv"] == argv and doc["exit"] == 0
         assert all(len(doc[k]) == 32 for k in ("stdout_md5", "stderr_md5"))
+
+
+def _qubit_doc() -> dict:
+    e = qcore.random_ensemble(np.random.default_rng(5), 2, 3)
+    return qcore.ensemble_to_json(e)
+
+
+@pytest.mark.parametrize(
+    "where, index, value, message",
+    [
+        ("states", (1, 0, 0), math.nan, "density matrix has a non-finite entry"),
+        ("states", (1, 1, 0), math.inf, "density matrix has a non-finite entry"),
+        ("priors", (0,), math.nan, "non-finite prior: nan"),
+    ],
+    ids=["nan-entry", "infinity-entry", "nan-prior"],
+)
+def test_nonfinite_ensemble_file_exits_2(where, index, value, message, tmp_path, capsys):
+    """``json`` reads NaN and Infinity, and every comparison with NaN is
+    false, so the validators must reject them before any check compares."""
+    doc = _qubit_doc()
+    if where == "priors":
+        doc["priors"][index[0]] = value
+    else:
+        state, entry, part = index
+        doc["states"][state]["entries"][entry][part] = value
+    path = tmp_path / "spoiled.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["mcm", "--ensemble", str(path)],
+                 ["sequence", "--ensemble", str(path), "--parties", "2", "--eta0", "0.6"]):
+        code, out, err = run(capsys, argv)
+        assert code == cli.EXIT_INPUT and out == ""
+        assert err == f"error: cannot load ensemble {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--family", "lifted_gu", "--eta0", "nan"], "--eta0 must be finite, got 'nan'"),
+        (["sweep", "--family", "lifted_gu", "--eta0", "5"], "inconclusive rate 5.0 outside [0, 1]"),
+        (["sweep", "--family", "gu", "--eta0", "5"], "inconclusive rate 5.0 outside [0, 1]"),
+        (["sweep", "--family", "gu", "--eta0", "0.5,nan"], "--eta0 must be finite, got 'nan'"),
+        (["sweep", "--family", "mirror", "--eta0", "-0.5"],
+         "inconclusive rate -0.5 outside [0, 1]"),
+        (["sweep", "--family", "mirror", "--eta0", "nan"], "--eta0 must be finite, got 'nan'"),
+        (["sweep", "--family", "lifted_gu", "--threshold", "nan"],
+         "--threshold nan outside [0, 1]"),
+        (["sweep", "--family", "lifted_gu", "--threshold", "inf"],
+         "--threshold inf outside [0, 1]"),
+        (["sweep", "--family", "lifted_gu", "--threshold", "-0.1"],
+         "--threshold -0.1 outside [0, 1]"),
+        (["sequence", "--family", "two_mixed", "--parties", "2", "--gains", "nan"],
+         "--gains must be finite, got 'nan'"),
+        (["sequence", "--family", "mirror", "--parties", "2", "--eta0", "0.5",
+          "--retarget-angle", "inf"], "--retarget-angle must be finite, got 'inf'"),
+        (["sweep", "--family", "two_mixed", "--grid", '{"p": [NaN]}'], "p must be finite, got nan"),
+        (["family", "--family", "gu", "--params", '{"n": Infinity}'],
+         "bad parameters for family gu: cannot convert float infinity to integer"),
+    ],
+    ids=[
+        "lifted-eta0-nan", "lifted-eta0-5", "gu-eta0-5", "gu-eta0-nan", "mirror-eta0-negative",
+        "mirror-eta0-nan", "threshold-nan", "threshold-inf", "threshold-negative", "gains-nan",
+        "retarget-angle-inf", "grid-nan", "params-count-infinity",
+    ],
+)
+def test_out_of_range_or_nonfinite_number_exits_2(argv, message, capsys):
+    """A sweep checks its rates as ``sequence`` does, its threshold is a
+    confidence, and no number parsed from the command line may be NaN or
+    infinite: each exits 2 before any row is computed."""
+    code, out, err = run(capsys, argv)
+    assert code == cli.EXIT_INPUT and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("threshold", ["0", "1"])
+def test_sweep_threshold_endpoints_are_confidences(threshold, capsys):
+    code, out, err = run(capsys, ["sweep", "--family", "lifted_gu", "--threshold", threshold])
+    assert code == cli.EXIT_OK and err == ""
+    assert out.count("\n") == 1 + 8

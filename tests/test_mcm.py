@@ -294,8 +294,8 @@ class TestSolveOnce:
 
     def test_average_factored_once(self, eigensolves):
         """One eigensolve (and one validation) of rho for all N labels;
-        otherwise one shaped-operator eigensolve per label plus one
-        complement eigensolve per label with r > 0."""
+        otherwise one stacked eigensolve of the N shaped operators and one
+        of the complements of the labels with r > 0."""
         e = random_ensemble(np.random.default_rng(42), 3, 5)
         eigensolves.calls.clear()
         entries = solve_mcm(e)
@@ -303,7 +303,11 @@ class TestSolveOnce:
         assert eigensolves.of(rho, "eigh") == 1
         assert eigensolves.of(rho, "eigvalsh") == 1
         with_complement = sum(entry.sigma is not None for entry in entries.values())
-        assert eigensolves.count("eigh") == 1 + e.n + with_complement
+        assert with_complement > 0
+        assert eigensolves.count("eigh") == 3
+        assert eigensolves.stacks("eigh") == [1, e.n, with_complement]
+        # the sigma states are validated as one stack too
+        assert eigensolves.stacks("eigvalsh") == [1, with_complement]
 
     def test_callers_reuse_the_solution(self, eigensolves):
         e = random_ensemble(np.random.default_rng(43), 2, 3)

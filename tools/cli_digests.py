@@ -18,7 +18,10 @@ lengths (full-strength parties, ``gu --eta0 1,0.5``, explicit retargets and
 ``two_mixed`` gains among them), a generic ``--ensemble`` chain, every
 default ``sweep`` and some with flags, ``mcm`` and ``family`` for every
 family, ``verify --count 20``, and malformed command lines that must exit 2
-or 4.  ``--ensemble`` reads files this script writes into a temporary
+or 4, the last of them ensemble files holding ``NaN`` or ``Infinity`` and
+non-finite or out-of-range rates, thresholds, gains, angles and grid values.
+New lines go at the end, so earlier lines keep their place in a diff.
+``--ensemble`` reads files this script writes into a temporary
 working directory, under fixed relative names, so no message carries a
 machine-specific path.
 """
@@ -63,6 +66,26 @@ def _random_ensemble(seed: int, dim: int, n: int) -> dict:
 ENSEMBLES = {
     "qubit3.json": _random_ensemble(11, 2, 3),
     "qutrit4.json": _random_ensemble(12, 3, 4),
+}
+
+
+def _spoiled(where: str, index: tuple[int, ...], value: float) -> dict:
+    """``qubit3.json`` with one number replaced: ``where`` is ``"priors"``
+    (``index`` = (label index,)) or ``"states"`` (state, entry, re/im)."""
+    doc = json.loads(json.dumps(ENSEMBLES["qubit3.json"]))
+    if where == "priors":
+        doc["priors"][index[0]] = value
+    else:
+        state, entry, part = index
+        doc["states"][state]["entries"][entry][part] = value
+    return doc
+
+
+# ensembles with a non-finite number, which json writes and reads as NaN/Infinity
+NONFINITE = {
+    "nan_entry.json": _spoiled("states", (1, 0, 0), float("nan")),
+    "inf_entry.json": _spoiled("states", (1, 1, 0), float("inf")),
+    "nan_prior.json": _spoiled("priors", (0,), float("nan")),
 }
 
 
@@ -130,18 +153,36 @@ def corpus() -> list[list[str]]:
               ["sequence", "--ensemble", "", "--parties", "2", "--eta0", "0.5"]]
     for family in ("two_mixed", "gu", "lifted_gu"):
         lines += [["sweep", "--family", family, "--parties", p] for p in ("0", "-3")]
+    # non-finite or out-of-range numbers, each exit 2 (appended: keep the lines above first)
+    lines += [["mcm", "--ensemble", name] for name in NONFINITE]
+    lines.append(["sequence", "--ensemble", "nan_prior.json", "--parties", "2", "--eta0", "0.6"])
+    for family, rates in (("lifted_gu", "nan"), ("lifted_gu", "5"), ("gu", "5"), ("gu", "nan"),
+                          ("mirror", "-0.5"), ("mirror", "nan")):
+        lines.append(["sweep", "--family", family, "--eta0", rates])
+    lines += [["sweep", "--family", "lifted_gu", "--threshold", t] for t in ("nan", "inf", "1.5")]
+    lines += [
+        ["sequence", "--family", "two_mixed", "--parties", "2", "--gains", "nan"],
+        ["sequence", "--family", "mirror", "--parties", "2", "--eta0", "0.5",
+         "--retarget-angle", "inf"],
+        ["sweep", "--family", "two_mixed", "--grid", '{"p": [NaN]}'],
+        ["family", "--family", "gu", "--params", '{"n": Infinity}'],
+    ]
     return lines
 
 
 def digest(run, argv: list[str]) -> dict:
     """Run one command line through ``run`` (``cli.main``); its exit code and
-    output md5s."""
+    output md5s.  An uncaught exception counts as exit 1, with its last
+    traceback line (type and message) as stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = run(argv)
         except SystemExit as exc:  # argparse rejections
             code = exc.code
+        except Exception as exc:  # uncaught: python would print a traceback, exit 1
+            code = 1
+            err.write(f"{type(exc).__name__}: {exc}\n")
     return {
         "argv": argv,
         "exit": code,
@@ -163,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for name, doc in ENSEMBLES.items():
+            for name, doc in {**ENSEMBLES, **NONFINITE}.items():
                 Path(name).write_text(json.dumps(doc))
             for line in corpus():
                 print(json.dumps(digest(cli.main, line)), flush=True)
