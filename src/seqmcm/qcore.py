@@ -402,14 +402,16 @@ class Ensemble:
     def __post_init__(self) -> None:
         priors = tuple(float(q) for q in self.priors)
         states = list(self.states)
-        mats = [s.mat if isinstance(s, DensityMatrix) else as_matrix(s, "density matrix")
-                for s in states]
-        dims = {m.shape[0] for m in mats}
+        raw = {
+            i: as_matrix(s, "density matrix")
+            for i, s in enumerate(states)
+            if not isinstance(s, DensityMatrix)
+        }
+        dims = {raw[i].shape[0] if i in raw else s.dim for i, s in enumerate(states)}
         if len(dims) > 1:
             raise DimensionError(f"states have mixed dimensions {sorted(dims)}")
-        raw = [i for i, s in enumerate(states) if not isinstance(s, DensityMatrix)]
         if raw:  # validated as one stack
-            for i, state in zip(raw, DensityMatrix.stack([mats[i] for i in raw])):
+            for i, state in zip(raw, DensityMatrix.stack(list(raw.values()))):
                 states[i] = state
         if len(priors) != len(states) or not priors:
             raise ValueError("need one prior per state, at least one of each")
@@ -421,9 +423,8 @@ class Ensemble:
         total = math.fsum(priors)
         if abs(total - 1.0) > PRIOR_TOL:
             raise ValueError(f"priors sum to {total!r}, expected 1")
-        states = tuple(states)
         object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "states", tuple(states))
         # values derived from this ensemble, keyed by what they are; see cached()
         object.__setattr__(self, "_memo", {})
 

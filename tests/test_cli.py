@@ -480,36 +480,31 @@ def test_cli_digests_corpus_lines_parse(monkeypatch):
         assert all(len(doc[k]) == 32 for k in ("stdout_md5", "stderr_md5"))
 
 
-def _qubit_doc() -> dict:
-    e = qcore.random_ensemble(np.random.default_rng(5), 2, 3)
-    return qcore.ensemble_to_json(e)
-
-
 @pytest.mark.parametrize(
-    "where, index, value, message",
+    "path, value, message",
     [
-        ("states", (1, 0, 0), math.nan, "density matrix has a non-finite entry"),
-        ("states", (1, 1, 0), math.inf, "density matrix has a non-finite entry"),
-        ("priors", (0,), math.nan, "non-finite prior: nan"),
+        (("states", 1, "entries", 0, 0), math.nan, "density matrix has a non-finite entry"),
+        (("states", 1, "entries", 1, 0), math.inf, "density matrix has a non-finite entry"),
+        (("priors", 0), math.nan, "non-finite prior: nan"),
     ],
     ids=["nan-entry", "infinity-entry", "nan-prior"],
 )
-def test_nonfinite_ensemble_file_exits_2(where, index, value, message, tmp_path, capsys):
+def test_nonfinite_ensemble_file_exits_2(path, value, message, tmp_path, capsys):
     """``json`` reads NaN and Infinity, and every comparison with NaN is
     false, so the validators must reject them before any check compares."""
-    doc = _qubit_doc()
-    if where == "priors":
-        doc["priors"][index[0]] = value
-    else:
-        state, entry, part = index
-        doc["states"][state]["entries"][entry][part] = value
-    path = tmp_path / "spoiled.json"
-    path.write_text(json.dumps(doc))
-    for argv in (["mcm", "--ensemble", str(path)],
-                 ["sequence", "--ensemble", str(path), "--parties", "2", "--eta0", "0.6"]):
+    doc = qcore.ensemble_to_json(qcore.random_ensemble(np.random.default_rng(5), 2, 3))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    spoiled = tmp_path / "spoiled.json"
+    spoiled.write_text(json.dumps(doc))
+    for argv in (["mcm", "--ensemble", str(spoiled)],
+                 ["sequence", "--ensemble", str(spoiled), "--parties", "2", "--eta0", "0.6"]):
         code, out, err = run(capsys, argv)
         assert code == cli.EXIT_INPUT and out == ""
-        assert err == f"error: cannot load ensemble {path}: {message}\n"
+        assert err == f"error: cannot load ensemble {spoiled}: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,12 +163,9 @@ class TestStackedChannel:
         good = np.diag([0.5, 0.5]).astype(complex)
         bad_trace = np.diag([0.5, 0.6]).astype(complex)
         negative = np.diag([1.5, -0.5]).astype(complex)
-        try:
+        with pytest.raises(ValueError) as info:
             qcore.DensityMatrix.stack([good, negative, bad_trace])
-        except ValueError as exc:
-            assert str(exc) == "density matrix has eigenvalue -5.000e-01 < 0"
-        else:
-            raise AssertionError("an invalid stack validated")
+        assert str(info.value) == "density matrix has eigenvalue -5.000e-01 < 0"
 
 
 # nested documents: every JSON type, empty containers, non-ASCII strings,
@@ -202,11 +200,8 @@ class TestJsonText:
 
     def test_unserializable_raises_type_error(self):
         for doc in ([np.int64(1)], {"a": object()}, {(1, 2): 3}):
-            try:
+            with pytest.raises(TypeError):
                 qcore.json_text(doc)
-            except TypeError:
-                continue
-            raise AssertionError(f"{doc!r} serialized")
 
     def test_every_json_output_of_the_corpus(self, monkeypatch, tmp_path):
         """Run the output-diff corpus with every document the CLI writes

@@ -69,23 +69,22 @@ ENSEMBLES = {
 }
 
 
-def _spoiled(where: str, index: tuple[int, ...], value: float) -> dict:
-    """``qubit3.json`` with one number replaced: ``where`` is ``"priors"``
-    (``index`` = (label index,)) or ``"states"`` (state, entry, re/im)."""
+def _spoiled(path: tuple, value: float) -> dict:
+    """``qubit3.json`` with the number at ``path`` (keys and indices) replaced."""
     doc = json.loads(json.dumps(ENSEMBLES["qubit3.json"]))
-    if where == "priors":
-        doc["priors"][index[0]] = value
-    else:
-        state, entry, part = index
-        doc["states"][state]["entries"][entry][part] = value
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
     return doc
 
 
 # ensembles with a non-finite number, which json writes and reads as NaN/Infinity
 NONFINITE = {
-    "nan_entry.json": _spoiled("states", (1, 0, 0), float("nan")),
-    "inf_entry.json": _spoiled("states", (1, 1, 0), float("inf")),
-    "nan_prior.json": _spoiled("priors", (0,), float("nan")),
+    "nan_entry.json": _spoiled(("states", 1, "entries", 0, 0), float("nan")),
+    "inf_entry.json": _spoiled(("states", 1, "entries", 1, 0), float("inf")),
+    "nan_prior.json": _spoiled(("priors", 0), float("nan")),
 }
 
 
