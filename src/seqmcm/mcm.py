@@ -177,7 +177,8 @@ def _solve(e: Ensemble, labels: Sequence[int]) -> dict[int, McmEntry]:
         for i, sigma in zip(np.flatnonzero(kept), DensityMatrix.stack(mats / traces)):
             sigmas[i] = sigma
     # the top eigenvectors of every label, mapped back through rho^(-1/2)
-    # as one stack of matrix-vector products
+    # as one stack of matrix-vector products (a matrix-matrix product, like
+    # a norm over an axis, rounds differently from the one-vector call)
     owner = np.repeat(np.arange(len(live)), degs)
     top = vecs[owner, :, np.concatenate([np.arange(n) for n in degs])]
     phis = (shaping @ top[:, :, None])[:, :, 0]
