@@ -13,175 +13,11 @@ The package answers three questions about an ensemble of quantum states:
 
 :mod:`seqmcm.families` packages four qubit families whose chains have
 closed forms; :mod:`seqmcm.cli` exposes everything as a command line.
+Nothing is re-exported: ``from seqmcm import qcore, mcm, optim, seqchan, families``.
 
 Conventions: labels are 1..N with 0 reserved for inconclusive outcomes;
 angles are radians; ``trace_norm_distance`` carries no 1/2 factor;
 confidences are probabilities, min-entropies are bits.
 """
 
-from .qcore import (
-    DensityMatrix,
-    DimensionError,
-    Ensemble,
-    FeasibilityError,
-    NotHermitianError,
-    Povm,
-    PovmReport,
-    PureState,
-    bloch_vector,
-    density_from_bloch,
-    ensemble_from_json,
-    ensemble_to_json,
-    load_ensemble,
-    matrix_from_json,
-    matrix_to_json,
-    povm_from_json,
-    povm_to_json,
-    purity,
-    random_density,
-    random_ensemble,
-    random_pure_state,
-    trace_norm,
-    trace_norm_distance,
-    validate_povm,
-)
-from .mcm import (
-    KktReport,
-    McmEntry,
-    SupportError,
-    confidence_entropy_identity,
-    guessing_probability,
-    max_confidence,
-    max_relative_entropy,
-    mcm_povm,
-    solve_mcm,
-    verify_kkt,
-)
-from .optim import (
-    GainSchedule,
-    InfeasibleGainError,
-    UnsupportedScaleError,
-    WeightSolution,
-    min_error_guessing,
-    min_inconclusive_rate,
-    optimal_joint_schedule,
-    random_feasible_weights,
-    two_state_least_disturbing,
-)
-from .seqchan import (
-    ChannelConstructionError,
-    KrausChannel,
-    PartyPlan,
-    PartyRecord,
-    SequentialTrace,
-    Strategy,
-    StrategyInfeasibleError,
-    ensemble_distance,
-    inconclusive_rate,
-    information_gain,
-    joint_outcomes,
-    rank_one_plan,
-    run_sequence,
-    trace_to_csv,
-    trace_to_json,
-)
-from .families import (
-    GuFamily,
-    InfeasibleRateError,
-    LiftedGuFamily,
-    MirrorFamily,
-    MirrorMcm,
-    MirrorState,
-    TwoMixedFamily,
-    gu,
-    lifted_gu,
-    mirror,
-    mirror_mcm,
-    mirror_plan,
-    mirror_retarget,
-    mirror_state_of,
-    mirror_step,
-    pure_mirror_phi,
-    two_mixed,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DensityMatrix",
-    "DimensionError",
-    "Ensemble",
-    "FeasibilityError",
-    "NotHermitianError",
-    "Povm",
-    "PovmReport",
-    "PureState",
-    "bloch_vector",
-    "density_from_bloch",
-    "ensemble_from_json",
-    "ensemble_to_json",
-    "load_ensemble",
-    "matrix_from_json",
-    "matrix_to_json",
-    "povm_from_json",
-    "povm_to_json",
-    "purity",
-    "random_density",
-    "random_ensemble",
-    "random_pure_state",
-    "trace_norm",
-    "trace_norm_distance",
-    "validate_povm",
-    "KktReport",
-    "McmEntry",
-    "SupportError",
-    "confidence_entropy_identity",
-    "guessing_probability",
-    "max_confidence",
-    "max_relative_entropy",
-    "mcm_povm",
-    "solve_mcm",
-    "verify_kkt",
-    "GainSchedule",
-    "InfeasibleGainError",
-    "UnsupportedScaleError",
-    "WeightSolution",
-    "min_error_guessing",
-    "min_inconclusive_rate",
-    "optimal_joint_schedule",
-    "random_feasible_weights",
-    "two_state_least_disturbing",
-    "ChannelConstructionError",
-    "KrausChannel",
-    "PartyPlan",
-    "PartyRecord",
-    "SequentialTrace",
-    "Strategy",
-    "StrategyInfeasibleError",
-    "ensemble_distance",
-    "inconclusive_rate",
-    "information_gain",
-    "joint_outcomes",
-    "rank_one_plan",
-    "run_sequence",
-    "trace_to_csv",
-    "trace_to_json",
-    "GuFamily",
-    "InfeasibleRateError",
-    "LiftedGuFamily",
-    "MirrorFamily",
-    "MirrorMcm",
-    "MirrorState",
-    "TwoMixedFamily",
-    "gu",
-    "lifted_gu",
-    "mirror",
-    "mirror_mcm",
-    "mirror_plan",
-    "mirror_retarget",
-    "mirror_state_of",
-    "mirror_step",
-    "pure_mirror_phi",
-    "two_mixed",
-    "__version__",
-]

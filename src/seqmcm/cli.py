@@ -21,18 +21,18 @@ angle, grid value or threshold); 3 KKT check failure (also an SDP solve
 that stops short of its gap bound); 4 infeasible strategy (message names
 the party).
 
-Each family is one row of :data:`FAMILIES`: how ``--params`` builds it,
-how ``sweep`` runs it, and which ``sweep`` flags and ``--grid`` keys that
-sweep reads; ``sweep`` rejects any other with exit 2.  ``family`` prints
-the family's ``describe()``; ``sequence`` chains come from its
-``strategies`` at the ``--eta0`` rates (``two_mixed``: from its gains
-instead, ``--gains`` or the joint-probability optimum).  A given
-``--retarget-angle`` replaces the least-disturbing collapse of a
-``lifted_gu`` (polar angle) or ``mirror`` (azimuth) chain.  ``sequence``
-rejects any of these three flags its chain does not read with exit 2,
-as ``sweep`` does.  An ``--ensemble`` chain weakens the rate-optimal
-measurement, which needs a one-vector optimal subspace for every label it
-measures (exit 4, "not rank-one", otherwise).
+Each family is one row of :data:`FAMILIES`: how ``--params`` builds it, how
+``sweep`` runs it (over every ``--eta0`` rate given, in order), and which
+``sweep`` flags and ``--grid`` keys that sweep reads; ``sweep`` rejects any
+other with exit 2.  ``family`` prints the family's ``describe()``;
+``sequence`` chains come from its ``strategies`` at the ``--eta0`` rates
+(``two_mixed``: from its gains, ``--gains`` or the joint-probability
+optimum).  A given ``--retarget-angle`` replaces the least-disturbing
+collapse of a ``lifted_gu`` (polar angle) or ``mirror`` (azimuth) chain.
+``sequence`` rejects any of these three flags its chain does not read with
+exit 2, as ``sweep`` does.  An ``--ensemble`` chain is
+:func:`seqchan.weakened_mcm_strategies`, which needs a one-vector optimal
+subspace for every label it measures (exit 4, "not rank-one", otherwise).
 
 A flag given an empty value is malformed, not absent: ``--ensemble ""``,
 ``--family ""`` and ``--out ""`` exit 2 before any work is done, and
@@ -263,45 +263,6 @@ def cmd_mcm(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _mcm_plan(
-    e: Ensemble, weights: dict[int, float], extras: dict[str, float] | None = None
-) -> seqchan.PartyPlan:
-    """The rank-one party measuring each label's optimal vector
-    (``solve_mcm``'s ``basis[0]``) at the given weight, collapsing onto it.
-    A label of positive weight whose optimal subspace has more than one
-    vector has no rank-one element: :class:`seqchan.ChannelConstructionError`."""
-    entries = mcm_mod.solve_mcm(e)
-    for x, w in weights.items():
-        if w > 0.0 and len(entries[x].basis) > 1:
-            raise seqchan.ChannelConstructionError(
-                f"label {x} is not rank-one (its optimal subspace has dimension "
-                f"{len(entries[x].basis)}); the rank-one Kraus construction does not apply"
-            )
-    vectors = {x: entries[x].basis[0] for x in weights}
-    return seqchan.rank_one_plan(weights, vectors, extras=extras)
-
-
-def _generic_strategies(parties: int, rates: list[float]) -> list[seqchan.Strategy]:
-    """Family-free chain policy: each party plays the rate-optimal
-    measurement weakened uniformly to its requested inconclusive rate,
-    collapsing conclusive outcomes onto the measurement vectors."""
-
-    def strat(e: Ensemble, j: int):
-        eta0 = rates[j - 1]
-        sol = optim_mod.min_inconclusive_rate(e)
-        floor = max(sol.eta0, 0.0)
-        if eta0 < floor - 1e-9:
-            raise FeasibilityError(
-                f"inconclusive rate {eta0!r} below this ensemble's floor {floor!r}"
-            )
-        denom = 1.0 - floor
-        alpha = 1.0 if denom <= 1e-15 else min((1.0 - eta0) / denom, 1.0)
-        weights = {x: alpha * w for x, w in sol.weights.items()}
-        return _mcm_plan(e, weights, {"eta0_target": eta0, "alpha": alpha})
-
-    return [strat] * parties
-
-
 def _family_strategies(fam: Any, args: argparse.Namespace, parties: int) -> list:
     if isinstance(fam, fam_mod.TwoMixedFamily):  # a chain set by gains, not rates
         if args.gains is not None:
@@ -325,7 +286,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
             name = flag.replace("_", "-")
             raise CliError(EXIT_INPUT, f"sequence {source} does not read --{name}")
     if fam is None:
-        strategies = _generic_strategies(parties, _parse_rates(args.eta0, parties))
+        strategies = seqchan.weakened_mcm_strategies(_parse_rates(args.eta0, parties))
     else:
         try:
             strategies = _family_strategies(fam, args, parties)
@@ -441,36 +402,35 @@ def _sweep_gu(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list[lis
 
 
 def _sweep_lifted(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list[list[Any]]]:
-    del grid  # a lifted_gu sweep runs over parties, not parameters
+    del grid  # a lifted_gu sweep runs over rates and parties, not parameters
     fam = _build_family(args.family, _parse_params(args.params))
     parties = args.parties or 8
     threshold = 0.4 if args.threshold is None else _unit_interval(args.threshold, "--threshold")
-    eta0 = 0.5 if args.eta0 is None else _parse_rates(args.eta0)[0]
-    _guard_grid(parties)
-
-    try:
-        bound = fam.party_bound(threshold, eta0)
-    except FeasibilityError as exc:  # rate below the floor cos(theta)
-        raise CliError(EXIT_INFEASIBLE, f"infeasible: {exc}")
-    except ValueError as exc:  # n < 3: no sequential closed forms
-        raise CliError(EXIT_INPUT, f"bad parameters for family {args.family}: {exc}")
-    max_r = fam.max_parties(threshold, eta0) if math.isfinite(bound) else None
-    schedule = [eta0] * parties
-    try:
-        trace = seqchan.run_sequence(fam.ensemble(), fam.strategies(schedule))
-    except seqchan.StrategyInfeasibleError as exc:
-        raise CliError(EXIT_INFEASIBLE, f"infeasible: {exc}")
-
+    rates = [0.5] if args.eta0 is None else _parse_rates(args.eta0)
+    _guard_grid(len(rates) * parties)
     header = (
         "parties eta0 threshold bound max_parties confidence_oracle confidence_engine "
         "residual feasible_oracle feasible_engine error"
     ).split()
     rows = []
-    for r in range(1, parties + 1):
-        oracle = fam.confidence_at(r, schedule)
-        engine = trace.records[r - 1].confidences[1]
-        row = [r, eta0, threshold, bound, max_r, oracle, engine, abs(engine - oracle)]
-        rows.append(row + [int(oracle >= threshold), int(engine >= threshold), None])
+    for eta0 in rates:
+        try:
+            bound = fam.party_bound(threshold, eta0)
+        except FeasibilityError as exc:  # rate below the floor cos(theta)
+            raise CliError(EXIT_INFEASIBLE, f"infeasible: {exc}")
+        except ValueError as exc:  # n < 3: no sequential closed forms
+            raise CliError(EXIT_INPUT, f"bad parameters for family {args.family}: {exc}")
+        max_r = fam.max_parties(threshold, eta0) if math.isfinite(bound) else None
+        schedule = [eta0] * parties
+        try:
+            trace = seqchan.run_sequence(fam.ensemble(), fam.strategies(schedule))
+        except seqchan.StrategyInfeasibleError as exc:
+            raise CliError(EXIT_INFEASIBLE, f"infeasible: {exc}")
+        for r in range(1, parties + 1):
+            oracle = fam.confidence_at(r, schedule)
+            engine = trace.records[r - 1].confidences[1]
+            row = [r, eta0, threshold, bound, max_r, oracle, engine, abs(engine - oracle)]
+            rows.append(row + [int(oracle >= threshold), int(engine >= threshold), None])
     return header, rows
 
 
@@ -479,11 +439,12 @@ def _sweep_mirror(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list
         thetas = [_parse_angle(v, "theta") for v in grid["theta"]]
     else:
         thetas = sorted(set(np.linspace(5 * math.pi / 9, 7 * math.pi / 9, 13)) | {2 * math.pi / 3})
-    eta0 = 0.5 if args.eta0 is None else _parse_rates(args.eta0)[0]
-    _guard_grid(len(thetas))
+    rates = [0.5] if args.eta0 is None else _parse_rates(args.eta0)
+    _guard_grid(len(rates) * len(thetas))
     header = "theta eta0 theta_next_oracle theta_next_engine residual dtheta sign error".split()
 
-    def one(theta: float) -> list[Any]:
+    def one(point: tuple[float, float]) -> list[Any]:
+        eta0, theta = point
         try:
             fam = fam_mod.mirror(theta)
             oracle = fam_mod.mirror_step(fam.initial(), eta0).theta
@@ -495,7 +456,7 @@ def _sweep_mirror(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list
         except Exception as exc:
             return [theta, eta0] + [None] * 5 + [str(exc)]
 
-    return header, _map_points(list(thetas), one)
+    return header, _map_points([(eta0, theta) for eta0 in rates for theta in thetas], one)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -624,7 +585,7 @@ def _suite_trace_preservation(count: int, rng: np.random.Generator) -> dict[str,
             e, weights = _draw_mcm_weights(rng)
             alpha = float(rng.uniform(0.2, 1.0))
             try:
-                ch = _mcm_plan(e, {x: alpha * w for x, w in weights.items()}).channel
+                ch = seqchan.mcm_plan(e, {x: alpha * w for x, w in weights.items()}).channel
             except seqchan.ChannelConstructionError:
                 continue  # degenerate (non-rank-one) draw; not this suite's target
         rho = qcore.random_density(rng, 2)
@@ -638,11 +599,10 @@ def _suite_monotonicity(count: int, rng: np.random.Generator) -> dict[str, Any]:
     witness = None
     for _ in range(count):
         e = _draw_ensemble(rng, 4)
-        sol = optim_mod.min_inconclusive_rate(e)
-        floor = max(sol.eta0, 0.0)
+        floor = max(optim_mod.min_inconclusive_rate(e).eta0, 0.0)  # party 1 reuses the solve
         eta0 = floor + float(rng.uniform(0.1, 0.8)) * (1.0 - floor)
         try:
-            seqchan.run_sequence(e, _generic_strategies(2, [eta0, eta0]))
+            seqchan.run_sequence(e, seqchan.weakened_mcm_strategies([eta0, eta0]))
         except seqchan.StrategyInfeasibleError:
             continue  # non-rank-one optimal subspace; outside this policy
         except ValueError as exc:

@@ -32,7 +32,9 @@ Every solver here is deterministic and carries no seed.
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -66,9 +68,9 @@ class WeightSolution:
     strictly inside the feasible set, so ``M_0`` is positive definite up to
     rounding (``psd_margin`` of order the gap).  On a degenerate optimal
     face they are one optimal point among many, fixed only to about 1e-7
-    (see :func:`min_inconclusive_rate`)."""
+    (see :func:`min_inconclusive_rate`).  ``weights`` is read-only."""
 
-    weights: dict[int, float]
+    weights: Mapping[int, float]
     eta0: float
     psd_margin: float
 
@@ -194,8 +196,12 @@ def min_inconclusive_rate(e: Ensemble) -> WeightSolution:
     central-path point at which :data:`RIDGE` freezes the face direction
     (``mu`` near 1e-6), within about 1e-7 of the face's analytic center:
     symmetric faces keep symmetric weights, but the digits beyond 1e-7
-    depend on the ridge, not on the problem.
+    depend on the ridge, not on the problem.  Solved once per ensemble.
     """
+    return e.cached("optim.weights", lambda: _min_inconclusive_rate(e))
+
+
+def _min_inconclusive_rate(e: Ensemble) -> WeightSolution:
     from . import mcm as _mcm
 
     projectors = _mcm.optimal_projectors(_mcm.solve_mcm(e))
@@ -218,7 +224,7 @@ def min_inconclusive_rate(e: Ensemble) -> WeightSolution:
 
     slack = np.eye(dim) - np.tensordot(a, mats, axes=1)
     margin = float(np.linalg.eigvalsh(0.5 * (slack + slack.conj().T))[0])
-    weights = {x: float(w) for x, w in zip(labels, a)}
+    weights = types.MappingProxyType({x: float(w) for x, w in zip(labels, a)})
     return WeightSolution(weights=weights, eta0=1.0 - float(c @ a), psd_margin=margin)
 
 

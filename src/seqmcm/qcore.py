@@ -526,13 +526,6 @@ class PovmReport:
     psd_margins: dict[int, float]
     completeness_residual: float
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        lines = [f"POVM {'valid' if self.ok else 'INVALID'}"]
-        for label, margin in sorted(self.psd_margins.items()):
-            lines.append(f"  label {label}: min eigenvalue {margin:+.3e}")
-        lines.append(f"  completeness residual {self.completeness_residual:.3e}")
-        return "\n".join(lines)
-
 
 def validate_povm(povm: Povm) -> PovmReport:
     """Check PSD-ness of every element and completeness ``sum_i M_i = 1``.

@@ -14,6 +14,9 @@ measures and the weights ``w_x = alpha_x a_x``: the POVM
 whose collapse targets ``t_x`` (default ``phi_x``) let the party
 *re-target*: leave a chosen state instead of the measurement projector,
 which is the lever the analytic families pull to minimize disturbance.
+For an ensemble outside the families, :func:`weakened_mcm_strategies` is
+the chain policy: each party weakens the rate-optimal measurement of the
+ensemble it receives to its own inconclusive rate.
 
 The chain bookkeeping lives in :class:`SequentialTrace`: per-party
 confidences (nonincreasing along the chain — that is the data-processing
@@ -26,6 +29,7 @@ probabilities are reconstructed by operator composition:
 
 from __future__ import annotations
 
+import functools
 import types
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -33,7 +37,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import mcm as _mcm
-from . import qcore
+from . import optim, qcore
 from .qcore import (
     DensityMatrix,
     Ensemble,
@@ -248,6 +252,45 @@ def rank_one_plan(
         channel=KrausChannel(ops=ops),
         extras=dict(extras or {}),
     )
+
+
+def mcm_plan(
+    e: Ensemble, weights: Mapping[int, float], extras: Mapping[str, float] | None = None
+) -> PartyPlan:
+    """The rank-one party measuring each label's optimal vector
+    (:func:`seqmcm.mcm.solve_mcm`'s ``basis[0]``) at the given weight,
+    collapsing onto it.  A label of positive weight whose optimal subspace
+    has more than one vector has no rank-one element:
+    :class:`ChannelConstructionError`, "not rank-one"."""
+    entries = _mcm.solve_mcm(e)
+    for x, w in weights.items():
+        if w > 0.0 and len(entries[x].basis) > 1:
+            raise ChannelConstructionError(
+                f"label {x} is not rank-one (its optimal subspace has dimension "
+                f"{len(entries[x].basis)}); the rank-one Kraus construction does not apply"
+            )
+    return rank_one_plan(weights, {x: entries[x].basis[0] for x in weights}, extras=extras)
+
+
+def _weakened_mcm_party(eta0: float, e: Ensemble, _: int) -> PartyPlan:
+    sol = optim.min_inconclusive_rate(e)
+    floor = max(sol.eta0, 0.0)
+    if eta0 < floor - 1e-9:
+        raise FeasibilityError(f"inconclusive rate {eta0!r} below this ensemble's floor {floor!r}")
+    denom = 1.0 - floor
+    alpha = 1.0 if denom <= 1e-15 else min((1.0 - eta0) / denom, 1.0)
+    weights = {x: alpha * w for x, w in sol.weights.items()}
+    return mcm_plan(e, weights, {"eta0_target": eta0, "alpha": alpha})
+
+
+def weakened_mcm_strategies(rates: Sequence[float]) -> list[Strategy]:
+    """One party per inconclusive rate: it scales the weights of
+    :func:`seqmcm.optim.min_inconclusive_rate` on the ensemble it receives
+    by one ``alpha`` down to its rate and plays them as :func:`mcm_plan`
+    (extras ``eta0_target``, ``alpha``).  A rate below that ensemble's floor
+    is a :class:`FeasibilityError`; :func:`run_sequence` reports it, as
+    "not rank-one", as :class:`StrategyInfeasibleError`."""
+    return [functools.partial(_weakened_mcm_party, float(eta0)) for eta0 in rates]
 
 
 @dataclass(frozen=True)

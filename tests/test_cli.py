@@ -62,6 +62,7 @@ def test_malformed_input_exits_2(argv, capsys):
     [
         pytest.param(1.0, ["--eta0", "0.1"], id="explicit-rate"),
         pytest.param(0.9, [], id="default-rate"),
+        pytest.param(1.0, ["--eta0", "0.7,0.1"], id="second-rate"),
     ],
 )
 def test_lifted_gu_rate_below_floor_exits_4(theta, rate, capsys):
@@ -544,6 +545,37 @@ def test_out_of_range_or_nonfinite_number_exits_2(argv, message, capsys):
     code, out, err = run(capsys, argv)
     assert code == cli.EXIT_INPUT and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "family, flags, rates",
+    [
+        pytest.param("mirror", [], ["0.3", "0.9"], id="mirror"),
+        pytest.param(
+            "mirror", ["--grid", '{"theta": ["110deg", 2.2]}'], ["0.7", "0.2", "0.7"],
+            id="mirror-grid",
+        ),
+        pytest.param(
+            "lifted_gu", ["--params", '{"n": 4, "theta": 1.0, "lam": 0.9}', "--parties", "3"],
+            ["0.9", "0.7"], id="lifted-gu",
+        ),
+        pytest.param("lifted_gu", [], ["0.7", "0.9"], id="lifted-gu-defaults"),
+        pytest.param("gu", ["--parties", "2"], ["0.3", "0.6"], id="gu"),
+    ],
+)
+def test_sweep_runs_every_rate_in_order(family, flags, rates, capsys):
+    """A sweep over several rates prints the rows of the single-rate
+    sweeps one after the other, under one header."""
+    argv = ["sweep", "--family", family, *flags, "--eta0"]
+    code, out, err = run(capsys, argv + [",".join(rates)])
+    assert code == cli.EXIT_OK and err == ""
+    header, *rows = out.splitlines(keepends=True)
+    expected = []
+    for rate in rates:
+        code, single, _ = run(capsys, argv + [rate])
+        assert code == cli.EXIT_OK and single.splitlines(keepends=True)[0] == header
+        expected += single.splitlines(keepends=True)[1:]
+    assert rows == expected
 
 
 @pytest.mark.parametrize("threshold", ["0", "1"])

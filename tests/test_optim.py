@@ -149,8 +149,16 @@ class TestMinInconclusiveRate:
         assert np.abs(a - centre).max() < 1e-7
 
         monkeypatch.setattr(optim, "RIDGE", 1e-14)
-        again = min_inconclusive_rate(e)
+        again = min_inconclusive_rate(Ensemble(priors=e.priors, states=e.states))  # not cached
         assert max(abs(again.weights[x] - sol.weights[x]) for x in sol.weights) < 1e-7
+
+    def test_solved_once_per_ensemble_with_read_only_weights(self, monkeypatch):
+        e = random_ensemble(np.random.default_rng(64), 3, 4)
+        sol = min_inconclusive_rate(e)
+        monkeypatch.setattr(optim, "_barrier_lmi", None)  # a second solve would fail
+        assert min_inconclusive_rate(e) is sol
+        with pytest.raises(TypeError):
+            sol.weights[1] = 0.0
 
     def test_povm_validates(self):
         rng = np.random.default_rng(61)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from seqmcm import cli, families, mcm, optim, qcore, seqchan
+from seqmcm import families, mcm, optim, qcore, seqchan
 from seqmcm.qcore import Ensemble, FeasibilityError, Povm
 from seqmcm.seqchan import (
     ChannelConstructionError,
@@ -261,7 +261,7 @@ class TestKrausFromWeak:
         """A measured label whose optimal subspace is two-dimensional has
         no rank-one element to build a plan from."""
         with pytest.raises(ChannelConstructionError, match="not rank-one"):
-            cli._mcm_plan(degenerate_qutrit(), {1: 0.5, 2: 0.5})
+            seqchan.mcm_plan(degenerate_qutrit(), {1: 0.5, 2: 0.5})
 
     def test_fully_weakened_label_dropped(self):
         ch = trine_plan({1: 0.0, 2: 0.5, 3: 0.5}).channel
@@ -542,6 +542,41 @@ def uniform_trine_strategy(alpha: float):
         )
 
     return strategy
+
+
+class TestWeakenedMcmStrategies:
+    """The family-free chain policy: each party weakens the rate-optimal
+    measurement of the ensemble it receives to its own rate."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_each_party_meets_its_own_rate(self, dim, seed):
+        """Pure states make party 1 rank-one by construction; every later
+        party must be rank-one too, or the chain raises and the test fails."""
+        e = qcore.random_ensemble(np.random.default_rng(seed), dim, dim + 1, pure=True)
+        floor = optim.min_inconclusive_rate(e).eta0
+        rates = [floor + (1.0 - floor) * t for t in (0.2, 0.5, 0.8)]
+        trace = run_sequence(e, seqchan.weakened_mcm_strategies(rates))
+        assert [rec.extras["eta0_target"] for rec in trace.records] == rates
+        for rec in trace.records:
+            assert abs(rec.eta0 - rec.extras["eta0_target"]) < 1e-9
+            assert 0.0 < rec.extras["alpha"] <= 1.0
+
+    @pytest.mark.parametrize("party", [1, 2])
+    def test_rate_below_floor_names_the_party(self, party):
+        e = qcore.random_ensemble(np.random.default_rng(0), 2, 3, pure=True)
+        floor = optim.min_inconclusive_rate(e).eta0
+        assert floor > 0.1
+        rates = [0.5 * floor] if party == 1 else [floor + 0.5 * (1.0 - floor), 0.0]
+        with pytest.raises(StrategyInfeasibleError, match="below this ensemble's floor") as info:
+            run_sequence(e, seqchan.weakened_mcm_strategies(rates))
+        assert info.value.party == party
+        assert str(info.value).startswith(f"party {party}: inconclusive rate")
+        assert isinstance(info.value.__cause__, FeasibilityError)
+
+    def test_degenerate_qutrit_is_not_rank_one(self):
+        with pytest.raises(StrategyInfeasibleError, match="party 1: label 1 is not rank-one"):
+            run_sequence(degenerate_qutrit(), seqchan.weakened_mcm_strategies([0.5, 0.5]))
 
 
 class TestRunSequence:

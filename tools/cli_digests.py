@@ -15,8 +15,9 @@ lists every command line whose output changed.  ``--src`` defaults to the
 
 The corpus covers every family's ``sequence`` in JSON and CSV at several
 lengths (full-strength parties, ``gu --eta0 1,0.5``, explicit retargets and
-``two_mixed`` gains among them), a generic ``--ensemble`` chain, every
-default ``sweep`` and some with flags, ``mcm`` and ``family`` for every
+``two_mixed`` gains among them), generic ``--ensemble`` chains of a qubit and
+a qutrit ensemble, every default ``sweep`` and some with flags (``mirror``
+and ``lifted_gu`` over two rates among them), ``mcm`` and ``family`` for every
 family, ``verify --count 20``, and malformed command lines that must exit 2
 or 4, the last of them ensemble files holding ``NaN`` or ``Infinity`` and
 non-finite or out-of-range rates, thresholds, gains, angles and grid values.
@@ -166,6 +167,12 @@ def corpus() -> list[list[str]]:
         ["sweep", "--family", "two_mixed", "--grid", '{"p": [NaN]}'],
         ["family", "--family", "gu", "--params", '{"n": Infinity}'],
     ]
+    # a three-party generic qutrit chain, and sweeps over more than one rate
+    for fmt in ("json", "csv"):
+        lines.append(["sequence", "--ensemble", "qutrit4.json", "--parties", "3", "--format", fmt,
+                      "--eta0", "0.6,0.7,0.8"])
+    lines += [["sweep", "--family", "mirror", "--eta0", "0.3,0.9"],
+              ["sweep", "--family", "lifted_gu", "--eta0", "0.7,0.9"]]
     return lines
 
 
