@@ -45,7 +45,11 @@ too (exit 2).
 Outputs are deterministic for a fixed command line (``verify`` draws its
 instances from ``--seed``): dictionaries are serialized with sorted keys
 and floats with ``repr`` precision, so reruns are byte-identical.
-``SEQMCM_THREADS`` caps sweep parallelism.
+``sweep`` runs its points one after another.  Setting ``SEQMCM_THREADS``
+to an integer above 1 opts in to a thread pool of that size (a value that
+is not an integer exits 2).  The pool is off by default because a sweep
+point is Python-bound and holds the interpreter lock, so threads only add
+switching cost.  The output is the same either way.
 """
 
 from __future__ import annotations
@@ -192,13 +196,14 @@ def _load_source(args: argparse.Namespace) -> tuple[Ensemble, Any]:
 
 
 def _thread_count() -> int:
+    """Sweep threads: 1 unless ``SEQMCM_THREADS`` asks for more."""
     raw = os.environ.get("SEQMCM_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise CliError(EXIT_INPUT, f"SEQMCM_THREADS={raw!r} is not an integer")
-    return min(8, os.cpu_count() or 1)
+    if not raw:
+        return 1
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise CliError(EXIT_INPUT, f"SEQMCM_THREADS={raw!r} is not an integer")
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,15 @@ eigensolve, which yields both ``rho^(-1/2)`` and the support projector,
 then pays one stacked eigensolve of the ``N`` shaped operators per
 ensemble, one stacked eigensolve of the complements ``C_x rho - q_x rho_x``
 of the labels with ``r_x > 0``, and one stacked validation of their
-``sigma_x``.  The result is kept on the ensemble itself
-(:meth:`Ensemble.cached`), so :func:`mcm_povm`, :func:`verify_kkt`, the
-weight optimizer and the chain runner all reuse it.  It cannot go stale:
-an ensemble's fields are frozen and its state arrays read-only, and
-callers get a fresh dict of frozen entries, never the stored one.
+``sigma_x``, which reads the clipped spectrum they are built from instead
+of eigensolving them again.  The average is validated when it is formed,
+and each stack is symmetrised on the line before its eigensolve, so these
+three eigensolves skip the Hermiticity check (see :mod:`seqmcm.qcore`).
+The result is kept on the ensemble itself (:meth:`Ensemble.cached`), so
+:func:`mcm_povm`, :func:`verify_kkt`, the weight optimizer and the chain
+runner all reuse it.  It cannot go stale: an ensemble's fields are frozen
+and its state arrays read-only, and callers get a fresh dict of frozen
+entries, never the stored one.
 :func:`max_confidence` runs the same solve on the single label it is
 asked for, against the same cached factorisation, so a leak outside the
 support is reported only for the label that leaks, and its entry equals
@@ -57,7 +61,6 @@ from .qcore import (
     Ensemble,
     Povm,
     as_matrix,
-    eig_hermitian,
     fix_phase,
     matrix_to_json,
     require_hermitian,
@@ -123,9 +126,12 @@ class McmEntry:
 def _average_factors(e: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(rho, rho^(-1/2) on the support, support projector)``, from one
     eigensolve of ``rho`` per ensemble."""
-    rho = e.average().mat
+    rho = e.average().mat  # validated, so exactly Hermitian: no second check
     shaping, support = e.cached(
-        "mcm.factors", lambda: tuple(qcore._frozen(m) for m in support_factors(rho)[:2])
+        "mcm.factors",
+        lambda: tuple(
+            qcore._frozen(m) for m in qcore._support_factors(*qcore._eigh_descending(rho))[:2]
+        ),
     )
     return rho, shaping, support
 
@@ -152,9 +158,10 @@ def _solve(e: Ensemble, labels: Sequence[int]) -> dict[int, McmEntry]:
                 "ensemble average; the confidence is infinite (no valid finite maximum exists)"
             )
     # Hermitian by construction: the rounding asymmetry of the products
-    # grows with ||rho^-1|| and would trip an absolute Hermiticity check
+    # grows with ||rho^-1|| and would trip an absolute Hermiticity check, so
+    # they are symmetrised, which makes them exactly Hermitian
     ops = shaping @ (q[:, None, None] * states) @ shaping
-    vals, vecs = eig_hermitian(0.5 * (ops + qcore._adjoint(ops)), "shaped operator")
+    vals, vecs = qcore._eigh_descending(0.5 * (ops + qcore._adjoint(ops)))
     c = vals[:, 0]
     degs = (vals > (c - DEGENERACY_TOL * c)[:, None]).sum(axis=-1)
     r = c - q
@@ -165,16 +172,19 @@ def _solve(e: Ensemble, labels: Sequence[int]) -> dict[int, McmEntry]:
         # of the shaped operator); clip the float dust so a small r cannot
         # blow it up past the state validator.
         raw = c[kept, None, None] * rho - q[kept, None, None] * states[kept]
-        rvals, rvecs = eig_hermitian(0.5 * (raw + qcore._adjoint(raw)), "complement")
+        rvals, rvecs = qcore._eigh_descending(0.5 * (raw + qcore._adjoint(raw)))
         for low, conf in zip(rvals[:, -1], c[kept]):
             if low < -1e-8 * max(conf, 1.0):
                 raise ValueError(
                     f"complement operator has eigenvalue {low:.3e}; "
                     "the confidence eigenvalue is inconsistent"
                 )
-        mats = (rvecs * np.clip(rvals, 0.0, None)[:, None, :]) @ qcore._adjoint(rvecs)
-        traces = np.real(np.trace(mats, axis1=-2, axis2=-1))[:, None, None]
-        for i, sigma in zip(np.flatnonzero(kept), DensityMatrix.stack(mats / traces)):
+        clipped = np.clip(rvals, 0.0, None)
+        mats = (rvecs * clipped[:, None, :]) @ qcore._adjoint(rvecs)
+        traces = np.real(np.trace(mats, axis1=-2, axis2=-1))
+        # their spectra are clipped / tr, nonnegative: no eigvalsh to check it
+        stack = DensityMatrix.stack(mats / traces[:, None, None], clipped[:, -1] / traces)
+        for i, sigma in zip(np.flatnonzero(kept), stack):
             sigmas[i] = sigma
     # the top eigenvectors of every label, mapped back through rho^(-1/2)
     # as one stack of matrix-vector products (a matrix-matrix product, like

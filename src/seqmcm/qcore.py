@@ -24,6 +24,23 @@ Conventions used throughout the package
   are the stack-of-one case of the same code.  LAPACK solves each slice
   of a stack as it solves the matrix alone, and ``tests/test_stacked.py``
   checks that stacked and one-at-a-time results agree bit for bit.
+* **Each matrix is checked once.**  The public functions that take a
+  caller's matrix check it: :func:`eig_hermitian`, :func:`support_factors`
+  and :func:`sqrt_psd` raise :class:`NotHermitianError` above
+  :data:`HERM_TOL`, and :func:`validate_states` checks every state and
+  channel image.  That covers input read from outside and the results of
+  arithmetic that can break Hermiticity, such as ``1 - sum_x M_x`` or a
+  product ``K rho K^dag``.  The private kernel ``_eigh_descending`` takes
+  only matrices that are exactly Hermitian by construction, where the
+  check could never fire: ``0.5 (A + A^dag)`` (its ``(i, j)`` and
+  ``(j, i)`` entries are the same two numbers added in either order, so
+  they are exact conjugates), a validated state (stored in that form), and
+  a real-weighted sum of validated states such as the ensemble average
+  (scaling by a real and adding in the same order keep conjugate pairs
+  exact).  The maximum-confidence solve feeds it only such matrices.
+  States built from a known nonnegative spectrum (its complement states)
+  are validated against that spectrum in place of an ``eigvalsh``; their
+  finiteness, Hermiticity and trace are still checked.
 * Matrices serialize to JSON as ``{"dim": d, "entries": [[re, im], ...]}``
   with the ``d*d`` entries flattened in row-major order.  :func:`json_text`
   writes the indented, key-sorted text that ``json.dumps(obj,
@@ -183,10 +200,22 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
     flat = w.reshape(-1, w.shape[-1])
     mag = np.abs(flat)
     lead = (mag > PHASE_TOL * mag.max(axis=1, keepdims=True)).argmax(axis=1)
-    # abs(c) / c on numpy scalars, one vector at a time: dividing the arrays
-    # rounds differently in the last bit
+    # abs(c) / c on numpy scalars, one vector at a time.  np.abs of a complex
+    # array rounds differently in the last bit from the scalar abs (which is
+    # np.hypot of the parts; np.hypot(c.real, c.imag) / c gives these bits),
+    # but below about 12 vectors the array form is no faster than this loop
     factors = [abs(c) / c if c else 1.0 for c in flat[np.arange(len(flat)), lead]]
     return (flat * np.array(factors, dtype=complex)[:, None]).reshape(w.shape)
+
+
+def _eigh_descending(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eig_hermitian` without its check, for a ``(..., d, d)`` stack
+    that is exactly Hermitian by construction (see the module docstring)."""
+    vals, vecs = np.linalg.eigh(h)
+    # eigh's values ascend, so a reversal orders tied values as a one-matrix
+    # descending argsort does
+    rows = fix_phase(vecs.swapaxes(-1, -2)[..., ::-1, :])  # eigenvectors as rows
+    return np.ascontiguousarray(vals[..., ::-1]), np.ascontiguousarray(rows.swapaxes(-1, -2))
 
 
 def eig_hermitian(a: Any, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
@@ -199,16 +228,20 @@ def eig_hermitian(a: Any, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]
     :class:`NotHermitianError` (naming the max asymmetry over the stack)
     for non-Hermitian input.
     """
-    h = require_hermitian(_as_stack(a, name), name)
-    d = h.shape[-1]
-    vals, vecs = np.linalg.eigh(h.reshape(-1, d, d))
-    # argsort, not a plain reversal: it orders tied eigenvalues as a
-    # one-matrix sort does
-    order = np.argsort(vals, axis=-1)[:, ::-1]
-    rows = np.arange(len(order))[:, None]
-    ordered = fix_phase(vecs.swapaxes(1, 2)[rows, order])  # eigenvectors as rows
-    vecs = np.ascontiguousarray(ordered.swapaxes(1, 2))
-    return vals[rows, order].reshape(h.shape[:-1]), vecs.reshape(h.shape)
+    return _eigh_descending(require_hermitian(_as_stack(a, name), name))
+
+
+def _support_factors(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`support_factors` from the descending eigensolve of the matrix."""
+    top = float(vals[0]) if vals.size else 0.0
+    if top <= 0.0:
+        zero = np.zeros_like(vecs)
+        return zero, zero, 0
+    keep = vals > RANK_TOL * top
+    inv = np.zeros_like(vals)
+    inv[keep] = 1.0 / np.sqrt(vals[keep])
+    kept = vecs[:, keep]
+    return (vecs * inv) @ vecs.conj().T, kept @ kept.conj().T, int(np.sum(keep))
 
 
 def support_factors(a: Any) -> tuple[np.ndarray, np.ndarray, int]:
@@ -219,16 +252,7 @@ def support_factors(a: Any) -> tuple[np.ndarray, np.ndarray, int]:
     (treated as exact zeros); the inverse square root acts as ``A^(-1/2)``
     on the support and as 0 on the kernel.
     """
-    vals, vecs = eig_hermitian(a)
-    top = float(vals[0]) if vals.size else 0.0
-    if top <= 0.0:
-        zero = np.zeros_like(as_matrix(a))
-        return zero, zero, 0
-    keep = vals > RANK_TOL * top
-    inv = np.zeros_like(vals)
-    inv[keep] = 1.0 / np.sqrt(vals[keep])
-    kept = vecs[:, keep]
-    return (vecs * inv) @ vecs.conj().T, kept @ kept.conj().T, int(np.sum(keep))
+    return _support_factors(*eig_hermitian(as_matrix(a)))
 
 
 def sqrt_psd(a: Any) -> np.ndarray:
@@ -298,7 +322,9 @@ def density_from_bloch(r: Sequence[float]) -> "DensityMatrix":
 # ---------------------------------------------------------------------------
 
 
-def validate_states(mats: Any, name: str = "density matrix") -> np.ndarray:
+def validate_states(
+    mats: Any, name: str = "density matrix", lowest: np.ndarray | None = None
+) -> np.ndarray:
     """The Hermitian parts of a ``(..., d, d)`` stack of density matrices,
     read-only, after one validation pass over the whole stack.
 
@@ -306,7 +332,9 @@ def validate_states(mats: Any, name: str = "density matrix") -> np.ndarray:
     :data:`HERM_TOL`, of unit trace within :data:`TRACE_TOL` and positive
     within :data:`PSD_TOL` (one ``eigvalsh`` call for the stack), checked in
     that order.  The error raised is the first failed check of the first
-    state that fails one.
+    state that fails one.  ``lowest`` gives each state's smallest eigenvalue
+    when the caller built the states from their spectra; the positivity
+    check then reads it in place of the ``eigvalsh`` call.
     """
     m = _as_stack(mats, name)
     if not np.isfinite(m).all():  # NaN passes every comparison below
@@ -315,7 +343,9 @@ def validate_states(mats: Any, name: str = "density matrix") -> np.ndarray:
     defect = np.abs(m - adj).max(axis=(-2, -1)).reshape(-1)
     h = 0.5 * (m + adj)
     tr = h.trace(axis1=-2, axis2=-1).real.reshape(-1)
-    low = np.linalg.eigvalsh(h)[..., 0].reshape(-1)
+    if lowest is None:
+        lowest = np.linalg.eigvalsh(h)[..., 0]
+    low = np.reshape(lowest, -1)
     failed = (defect > HERM_TOL) | (np.abs(tr - 1.0) > TRACE_TOL) | (low < -PSD_TOL)
     if failed.any():
         i = int(np.argmax(failed))
@@ -346,11 +376,11 @@ class DensityMatrix:
         object.__setattr__(self, "mat", validate_states(as_matrix(self.mat, "density matrix")))
 
     @classmethod
-    def stack(cls, mats: Any) -> tuple[DensityMatrix, ...]:
+    def stack(cls, mats: Any, lowest: np.ndarray | None = None) -> tuple[DensityMatrix, ...]:
         """One state per matrix of a ``(n, d, d)`` stack, validated together
-        by one :func:`validate_states` pass."""
+        by one :func:`validate_states` pass (``lowest`` as there)."""
         states = []
-        for m in validate_states(mats):
+        for m in validate_states(mats, lowest=lowest):
             state = object.__new__(cls)
             object.__setattr__(state, "mat", m)
             states.append(state)

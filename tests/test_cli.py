@@ -28,6 +28,15 @@ def run(capsys, argv):
     return code, out, err
 
 
+def _digest_tool():
+    """``tools/cli_digests.py``, the output-diff harness, as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_digests.py"
+    spec = importlib.util.spec_from_file_location("cli_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 MALFORMED = [
     pytest.param(["sweep", "--family", "gu", "--eta0", "abc"], id="sweep-gu-eta0"),
     pytest.param(["sweep", "--family", "lifted_gu", "--eta0", "abc"], id="sweep-lifted-eta0"),
@@ -469,10 +478,7 @@ def test_sweep_parties_below_one_exits_2(family, parties, capsys):
 
 def test_cli_digests_corpus_lines_parse(monkeypatch):
     """The output-diff harness prints one JSON digest per command line."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "cli_digests.py"
-    spec = importlib.util.spec_from_file_location("cli_digests", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _digest_tool()
     assert len(tool.corpus()) >= 60
     monkeypatch.setenv("SEQMCM_THREADS", "1")
     for argv in tool.corpus()[:3]:  # the first lines read no ensemble file
@@ -583,3 +589,54 @@ def test_sweep_threshold_endpoints_are_confidences(threshold, capsys):
     code, out, err = run(capsys, ["sweep", "--family", "lifted_gu", "--threshold", threshold])
     assert code == cli.EXIT_OK and err == ""
     assert out.count("\n") == 1 + 8
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("nonhermitian.json", "density matrix is not Hermitian: max |A - A^dag| entry = 1.000e-06"),
+        ("negative.json", "density matrix has eigenvalue -1.000e-01 < 0"),
+        ("trace11.json", "density matrix trace = 1.1, expected 1"),
+    ],
+)
+def test_state_failing_a_density_check_exits_2(name, message, tmp_path, monkeypatch, capsys):
+    """Every matrix read from a file is checked before any solve: a state
+    that fails one check stops both commands with the validator's message."""
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_text(json.dumps(_digest_tool().INVALID[name]))
+    for argv in (["mcm", "--ensemble", name],
+                 ["sequence", "--ensemble", name, "--parties", "2", "--eta0", "0.6"]):
+        code, out, err = run(capsys, argv)
+        assert code == cli.EXIT_INPUT and out == ""
+        assert err == f"error: cannot load ensemble {name}: {message}\n"
+
+
+def test_sweep_is_serial_unless_threads_are_asked_for(monkeypatch, capsys):
+    """With ``SEQMCM_THREADS`` unset no pool is made, and the output is the
+    pooled run's, byte for byte."""
+    argv = ["sweep", "--family", "two_mixed"]
+    pools = []
+
+    class CountedPool(cli.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setenv("SEQMCM_THREADS", "2")
+    pooled = run(capsys, argv)
+    assert pools == [2] and pooled[0] == cli.EXIT_OK
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a serial sweep made a thread pool")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    monkeypatch.delenv("SEQMCM_THREADS")
+    assert run(capsys, argv) == pooled
+
+
+def test_sweep_threads_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("SEQMCM_THREADS", "x")
+    code, out, err = run(capsys, ["sweep", "--family", "two_mixed"])
+    assert code == cli.EXIT_INPUT and out == ""
+    assert err == "error: SEQMCM_THREADS='x' is not an integer\n"

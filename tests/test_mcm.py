@@ -295,7 +295,7 @@ class TestSolveOnce:
     def test_average_factored_once(self, eigensolves):
         """One eigensolve (and one validation) of rho for all N labels;
         otherwise one stacked eigensolve of the N shaped operators and one
-        of the complements of the labels with r > 0."""
+        of the complements of the labels with r > 0, and no other."""
         e = random_ensemble(np.random.default_rng(42), 3, 5)
         eigensolves.calls.clear()
         entries = solve_mcm(e)
@@ -306,8 +306,9 @@ class TestSolveOnce:
         assert with_complement > 0
         assert eigensolves.count("eigh") == 3
         assert eigensolves.stacks("eigh") == [1, e.n, with_complement]
-        # the sigma states are validated as one stack too
-        assert eigensolves.stacks("eigvalsh") == [1, with_complement]
+        # the sigma states are built from their spectra, so their validation
+        # reads those and makes no eigvalsh call
+        assert eigensolves.stacks("eigvalsh") == [1]
 
     def test_callers_reuse_the_solution(self, eigensolves):
         e = random_ensemble(np.random.default_rng(43), 2, 3)
@@ -410,6 +411,13 @@ class TestMaxRelativeEntropy:
         rho = np.diag([0.0, 1.0]).astype(complex)
         sigma = np.diag([1.0, 0.0]).astype(complex)
         assert max_relative_entropy(rho, sigma) == math.inf
+
+    @pytest.mark.parametrize("bad_argument", [0, 1])
+    def test_rejects_non_hermitian_argument(self, bad_argument):
+        args = [np.eye(2) / 2, np.eye(2) / 2]
+        args[bad_argument] = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(qcore.NotHermitianError):
+            max_relative_entropy(*args)
 
     def test_confidence_identity_random(self):
         """C_x = q_x 2**Dmax(rho_x || rho), checked both ways."""

@@ -79,6 +79,13 @@ class TestEigHermitian:
         with pytest.raises(NotHermitianError):
             qcore.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), "bad")
 
+    @pytest.mark.parametrize("solve", [qcore.support_factors, qcore.sqrt_psd])
+    def test_public_factorisations_reject_non_hermitian(self, solve):
+        """Only the private kernel skips the check; every public function
+        that factors a caller's matrix still makes it."""
+        with pytest.raises(NotHermitianError):
+            solve(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
 
 class TestPinvSqrt:
     """The inverse square root on the support, from :func:`qcore.support_factors`."""

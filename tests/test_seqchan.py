@@ -661,6 +661,23 @@ class TestRunSequence:
             rho = sum(q * s.mat for q, s in zip(rec.ensemble.priors, rec.ensemble.states))
             assert eigensolves.of(rho) == 1, rec.index
 
+    def test_eigensolve_budget_of_one_party(self, eigensolves):
+        """A party after the first makes 4 eigh calls (the average's
+        factorisation, the shaped stack, the complement stack, ``sqrt(M_0)``)
+        and 2 eigvalsh calls (validating the average and the channel's image
+        states); the complement states are built from their spectra and are
+        not eigensolved again."""
+        fam = families.gu(5)
+        strategies = fam.strategies([0.5, 0.6, 0.7])
+        counts = []
+        for parties in (2, 3):
+            e0 = fam.ensemble()
+            eigensolves.calls.clear()
+            run_sequence(e0, strategies[:parties])
+            counts.append((eigensolves.count("eigh"), eigensolves.count("eigvalsh")))
+        (eigh_2, eigvalsh_2), (eigh_3, eigvalsh_3) = counts
+        assert (eigh_3 - eigh_2, eigvalsh_3 - eigvalsh_2) == (4, 2)
+
 
 class TestTraceMonotonicityGuard:
     def _record(self, index: int, conf: float) -> PartyRecord:

@@ -19,8 +19,10 @@ lengths (full-strength parties, ``gu --eta0 1,0.5``, explicit retargets and
 a qutrit ensemble, every default ``sweep`` and some with flags (``mirror``
 and ``lifted_gu`` over two rates among them), ``mcm`` and ``family`` for every
 family, ``verify --count 20``, and malformed command lines that must exit 2
-or 4, the last of them ensemble files holding ``NaN`` or ``Infinity`` and
-non-finite or out-of-range rates, thresholds, gains, angles and grid values.
+or 4, the last of them ensemble files holding ``NaN`` or ``Infinity``,
+non-finite or out-of-range rates, thresholds, gains, angles and grid values,
+and ensemble files holding a non-Hermitian state, a state with a negative
+eigenvalue and a state of trace 1.1.
 New lines go at the end, so earlier lines keep their place in a diff.
 ``--ensemble`` reads files this script writes into a temporary
 working directory, under fixed relative names, so no message carries a
@@ -86,6 +88,20 @@ NONFINITE = {
     "nan_entry.json": _spoiled(("states", 1, "entries", 0, 0), float("nan")),
     "inf_entry.json": _spoiled(("states", 1, "entries", 1, 0), float("inf")),
     "nan_prior.json": _spoiled(("priors", 0), float("nan")),
+}
+
+_STATE = ENSEMBLES["qubit3.json"]["states"][1]["entries"]
+
+# ensembles whose state 2 is no density matrix: entry [0][1] 1e-6 off the
+# conjugate of [1][0], an eigenvalue -0.1, and trace 1.1
+INVALID = {
+    "nonhermitian.json": _spoiled(("states", 1, "entries", 1, 0), _STATE[1][0] + 1e-6),
+    "negative.json": _spoiled(
+        ("states", 1), {"dim": 2, "entries": [[1.1, 0.0], [0.0, 0.0], [0.0, 0.0], [-0.1, 0.0]]}
+    ),
+    "trace11.json": _spoiled(
+        ("states", 1, "entries"), [[1.1 * re, 1.1 * im] for re, im in _STATE]
+    ),
 }
 
 
@@ -173,6 +189,10 @@ def corpus() -> list[list[str]]:
                       "--eta0", "0.6,0.7,0.8"])
     lines += [["sweep", "--family", "mirror", "--eta0", "0.3,0.9"],
               ["sweep", "--family", "lifted_gu", "--eta0", "0.7,0.9"]]
+    # a state that fails each density-matrix check, each exit 2
+    for name in INVALID:
+        lines += [["mcm", "--ensemble", name],
+                  ["sequence", "--ensemble", name, "--parties", "2", "--eta0", "0.6"]]
     return lines
 
 
@@ -210,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for name, doc in {**ENSEMBLES, **NONFINITE}.items():
+            for name, doc in {**ENSEMBLES, **NONFINITE, **INVALID}.items():
                 Path(name).write_text(json.dumps(doc))
             for line in corpus():
                 print(json.dumps(digest(cli.main, line)), flush=True)
