@@ -21,26 +21,27 @@ angle, grid value or threshold); 3 KKT check failure (also an SDP solve
 that stops short of its gap bound); 4 infeasible strategy (message names
 the party).
 
-Each family is one row of :data:`FAMILIES`: how ``--params`` builds it, how
-``sweep`` runs it (over every ``--eta0`` rate given, in order), and which
-``sweep`` flags and ``--grid`` keys that sweep reads; ``sweep`` rejects any
-other with exit 2.  ``family`` prints the family's ``describe()``;
-``sequence`` chains come from its ``strategies`` at the ``--eta0`` rates
-(``two_mixed``: from its gains, ``--gains`` or the joint-probability
-optimum).  A given ``--retarget-angle`` replaces the least-disturbing
-collapse of a ``lifted_gu`` (polar angle) or ``mirror`` (azimuth) chain.
-``sequence`` rejects any of these three flags its chain does not read with
-exit 2, as ``sweep`` does.  An ``--ensemble`` chain is
+Each family is one row of :data:`FAMILIES`: how ``--params`` builds it and
+from which keys (any other key exits 2, as does a non-integral count ``n``),
+how ``sweep`` runs it (over every ``--eta0`` rate given, in order), and
+which ``sweep`` flags and ``--grid`` keys that sweep reads; ``sweep``
+rejects any other with exit 2.  ``family`` prints the family's
+``describe()``; ``sequence`` chains come from its ``strategies`` at the
+``--eta0`` rates (``two_mixed``: from its gains, ``--gains`` or the
+joint-probability optimum).  A given ``--retarget-angle`` replaces the
+least-disturbing collapse of a ``lifted_gu`` (polar angle) or ``mirror``
+(azimuth) chain.  ``sequence`` rejects any of these three flags its chain
+does not read with exit 2, as ``sweep`` does.  An ``--ensemble`` chain is
 :func:`seqchan.weakened_mcm_strategies`, which needs a one-vector optimal
 subspace for every label it measures (exit 4, "not rank-one", otherwise).
 
 A flag given an empty value is malformed, not absent: ``--ensemble ""``,
 ``--family ""`` and ``--out ""`` exit 2 before any work is done, and
 ``--eta0 ""``, ``--gains ""``, ``--params ""`` and ``--grid ""`` exit 2
-wherever they are read.  ``--parties`` must be a
-positive integer for ``sweep`` as for ``sequence`` (exit 2).  So must every
-``--eta0`` rate lie in [0, 1], and ``sweep``'s ``--threshold`` confidence
-too (exit 2).
+wherever they are read.  ``--parties`` (for ``sweep`` as for ``sequence``)
+and ``verify``'s ``--count`` must be positive integers, ``--seed`` must be
+nonnegative, and every ``--eta0`` rate and ``sweep``'s ``--threshold``
+confidence must lie in [0, 1] (each exits 2 otherwise).
 
 Outputs are deterministic for a fixed command line (``verify`` draws its
 instances from ``--seed``): dictionaries are serialized with sorted keys
@@ -158,7 +159,10 @@ def _parse_rates(text: str | None, parties: int | None = None) -> list[float]:
 
 
 def _count(params: dict[str, Any]) -> int:
-    return int(params.get("n", params.get("N", 3)))
+    value = params.get("n", params.get("N", 3))
+    if int(value) != float(value):  # int(inf) overflows; int(nan) is a ValueError
+        raise ValueError(f"n must be an integer, got {value!r}")
+    return int(value)
 
 
 def _angle(params: dict[str, Any], name: str, default: float) -> float:
@@ -173,9 +177,18 @@ def _family_row(name: str) -> _Family:
     return FAMILIES[name]
 
 
+def _reject_unread(given: dict[str, Any], known: tuple[str, ...], where: str) -> None:
+    """Exit 2 naming each key of ``given`` outside ``known``."""
+    unknown = ", ".join(sorted(set(given) - set(known)))
+    if unknown:
+        raise CliError(EXIT_INPUT, f"{where} key {unknown}; its keys are {', '.join(known)}")
+
+
 def _build_family(name: str, params: dict[str, Any]) -> Any:
+    row = _family_row(name)
+    _reject_unread(params, row.keys, f"family {name} reads no --params")
     try:
-        return _family_row(name).build(params)
+        return row.build(params)
     except (ValueError, TypeError, OverflowError) as exc:  # int(inf) overflows
         raise CliError(EXIT_INPUT, f"bad parameters for family {name}: {exc}")
 
@@ -474,13 +487,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.parties is not None and args.parties < 1:
         raise CliError(EXIT_INPUT, "--parties must be a positive integer")
     grid = _parse_grid(args.grid)
-    unknown = sorted(set(grid) - set(row.grid))
-    if unknown:
-        raise CliError(
-            EXIT_INPUT,
-            f"sweep --family {args.family} reads no --grid key {', '.join(unknown)}; "
-            f"its keys are {', '.join(row.grid)}",
-        )
+    _reject_unread(grid, row.grid, f"sweep --family {args.family} reads no --grid")
     header, rows = row.sweep(args, grid)
     _emit(args.out, "sweep.csv", qcore.csv_text(header, rows))
     return EXIT_OK
@@ -491,6 +498,7 @@ class _Family(NamedTuple):
     sweep: Callable[[argparse.Namespace, Grid], tuple[list[str], list[list[Any]]]]
     reads: tuple[str, ...]  # the sweep flags it reads; cmd_sweep rejects the others
     grid: tuple[str, ...] = ()  # the --grid keys it reads
+    keys: tuple[str, ...] = ()  # the --params keys it reads; _build_family rejects the others
     chain: tuple[str, ...] = ("eta0",)  # the sequence flags it reads; cmd_sequence likewise
 
 
@@ -503,9 +511,12 @@ FAMILIES: dict[str, _Family] = {
         _sweep_two_mixed,
         ("grid", "parties"),
         ("p", "theta"),
+        keys=("p", "theta"),
         chain=("gains",),
     ),
-    "gu": _Family(lambda q: fam_mod.gu(n=_count(q)), _sweep_gu, ("params", "parties", "eta0")),
+    "gu": _Family(
+        lambda q: fam_mod.gu(n=_count(q)), _sweep_gu, ("params", "parties", "eta0"), keys=("n", "N")
+    ),
     "lifted_gu": _Family(
         lambda q: fam_mod.lifted_gu(
             n=_count(q),
@@ -514,6 +525,7 @@ FAMILIES: dict[str, _Family] = {
         ),
         _sweep_lifted,
         ("params", "parties", "eta0", "threshold"),
+        keys=("n", "N", "theta", "lam", "lambda"),
         chain=("eta0", "retarget_angle"),
     ),
     "mirror": _Family(
@@ -521,6 +533,7 @@ FAMILIES: dict[str, _Family] = {
         _sweep_mirror,
         ("grid", "eta0"),
         ("theta",),
+        keys=("theta",),
         chain=("eta0", "retarget_angle"),
     ),
 }
@@ -630,7 +643,7 @@ def _suite_proposition(count: int, rng: np.random.Generator) -> dict[str, Any]:
     del count, rng  # fixed check; randomness adds nothing
     trine = fam_mod.gu(3)
     eye = np.eye(2, dtype=complex)
-    trine_ops = [m for _, m in trine.full_povm().all_operators() if np.trace(m).real > 1e-12]
+    trine_ops = [m for _, m in trine.plan(0.0).povm.all_operators() if np.trace(m).real > 1e-12]
     trine_dependent = not seqchan.linear_independence(trine_ops + [eye])
 
     two = fam_mod.two_mixed(0.8, math.pi / 3)
@@ -708,6 +721,8 @@ def _suite_report(name: str, count: int, seed: int) -> dict[str, Any]:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise CliError(EXIT_INPUT, f"--count must be a positive integer, got {args.count}")
+    if args.seed < 0:
+        raise CliError(EXIT_INPUT, f"--seed must be a nonnegative integer, got {args.seed}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:

@@ -12,19 +12,19 @@ two_mixed(p, theta)
     projectors overlap by ``|p cos t|``.  These are the ensembles with
     exact equal-confidence chains of any length.
 
-gu(n)
-    Geometrically uniform equatorial qubit states
-    ``(|0> + e^(i 2 pi x / n) |1>) / sqrt(2)`` for labels ``x = 1..n``;
-    the phase is taken mod ``2 pi``, so label ``n`` has phase 0 and an
-    exactly real state vector.  The average is maximally mixed, the
-    maximum-confidence value is ``2/n``, and the full-strength
-    measurement has no inconclusive outcome at all.
-
 lifted_gu(n, theta, lam)
-    The same phases at polar angle ``theta`` and visibility ``lam``:
-    ``rho_x = lam |psi_x><psi_x| + (1 - lam) rho``.  Everything relevant
-    to chains is carried by a single per-step contraction ``Delta`` of
-    the visibility.
+    Geometrically uniform (GU) phases ``2 pi x / n`` (mod ``2 pi``, so
+    label ``n`` has phase 0 and an exactly real state vector) at polar
+    angle ``theta`` and visibility ``lam``: ``rho_x = lam |psi_x><psi_x|
+    + (1 - lam) rho``.  A single per-step contraction ``Delta`` of the
+    visibility carries everything relevant to chains.
+
+gu(n)
+    The pure equatorial member ``lifted_gu(n, pi/2, 1)``, states
+    ``(|0> + e^(i 2 pi x / n) |1>) / sqrt(2)``: the average is maximally
+    mixed, ``C = 2/n``, the full-strength measurement has weights ``2/n``
+    and no inconclusive outcome, and a party at rate ``eta0`` contracts
+    the Bloch radius by ``Delta = (1 + eta0) / 2``.
 
 mirror(theta)
     Three equiprobable states on the X-Y equator at azimuths
@@ -34,11 +34,11 @@ mirror(theta)
     evolving state triple ``(r_1, r_2, theta)``.
 
 Every family has ``ensemble()`` and ``describe()``, the closed-form
-values as the JSON object ``seqmcm family`` prints.  ``gu``, ``lifted_gu``
-and ``mirror`` build chains with ``strategies(eta0s, retarget=None)``: one
-party per inconclusive rate, collapsing onto the family's least-disturbing
-targets, or onto the polar angle (``lifted_gu``) or azimuth (``mirror``)
-``retarget`` for comparison runs; ``gu`` refuses a retarget.  Each of
+values as the JSON object ``seqmcm family`` prints.  ``lifted_gu`` (so
+``gu``) and ``mirror`` build chains with ``strategies(eta0s, retarget=None)``:
+one party per inconclusive rate, collapsing onto the family's
+least-disturbing targets, or onto the polar angle (``lifted_gu``) or
+azimuth (``mirror``) ``retarget`` for comparison runs.  Each of
 these parties is a :func:`seqmcm.seqchan.rank_one_plan` built from the
 family's closed-form measurement vectors and weights, so no eigensolve
 recovers a vector the family already knows (``LiftedGuFamily.plan`` and
@@ -68,7 +68,7 @@ import numpy as np
 
 from . import mcm as _mcm
 from . import optim as _optim
-from .qcore import DensityMatrix, Ensemble, FeasibilityError, Povm, vector_to_json
+from .qcore import DensityMatrix, Ensemble, FeasibilityError, vector_to_json
 from .seqchan import PartyPlan, Strategy, rank_one_plan
 
 
@@ -259,117 +259,6 @@ def two_mixed(p: float, theta: float) -> TwoMixedFamily:
 
 
 # ===========================================================================
-# geometrically uniform equatorial states
-# ===========================================================================
-
-
-@dataclass(frozen=True)
-class GuFamily:
-    """``n`` equiprobable equatorial states with uniformly spaced phases."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need at least 2 states, got {self.n!r}")
-
-    def phase(self, x: int) -> float:
-        """Phase of label ``x`` in ``[0, 2 pi)``; label ``n`` has phase 0."""
-        return 2.0 * math.pi * (x % self.n) / self.n
-
-    def state_vector(self, x: int) -> np.ndarray:
-        return _equator(self.phase(x))
-
-    def ensemble(self) -> Ensemble:
-        states = tuple(
-            DensityMatrix(_projector(self.state_vector(x))) for x in range(1, self.n + 1)
-        )
-        return Ensemble(priors=(1.0 / self.n,) * self.n, states=states)
-
-    @property
-    def confidence(self) -> float:
-        return 2.0 / self.n
-
-    @property
-    def weights(self) -> dict[int, float]:
-        return {x: 2.0 / self.n for x in range(1, self.n + 1)}
-
-    def full_povm(self) -> Povm:
-        """The optimal measurement ``(2/n) |psi_x><psi_x|`` — complete, with
-        an identically-zero inconclusive element."""
-        elements = {
-            x: (2.0 / self.n) * _projector(self.state_vector(x))
-            for x in range(1, self.n + 1)
-        }
-        inc = np.eye(2, dtype=complex) - sum(elements.values())
-        return Povm(elements=elements, inconclusive=inc)
-
-    # -- sequential closed forms (n >= 3) -------------------------------------
-
-    def _require_sequential(self) -> None:
-        # the per-step Bloch contraction below relies on the second-harmonic
-        # phase sum vanishing, which needs n >= 3; for n = 2 the states are
-        # orthogonal and the chain is trivial (no disturbance at all)
-        if self.n < 3:
-            raise ValueError(
-                "sequential closed forms require n >= 3 (for n = 2 the states "
-                "are orthogonal and every party sees the unchanged ensemble)"
-            )
-
-    def radius_at(self, j: int, eta0s: Sequence[float]) -> float:
-        """Bloch radius seen by party ``j``: each earlier party shrinks it
-        by ``(1 + eta0) / 2``."""
-        self._require_sequential()
-        r = 1.0
-        for k in range(j - 1):
-            r *= 0.5 * (1.0 + float(eta0s[k]))
-        return r
-
-    def p_plus(self, j: int, eta0s: Sequence[float]) -> float:
-        """Larger eigenvalue of party ``j``'s states, ``(1 + radius)/2``."""
-        return 0.5 * (1.0 + self.radius_at(j, eta0s))
-
-    def confidence_at(self, j: int, eta0s: Sequence[float]) -> float:
-        """Party ``j``'s confidence ``(2/n) p_plus``."""
-        return self.confidence * self.p_plus(j, eta0s)
-
-    def describe(self) -> dict[str, Any]:
-        return {
-            "family": "gu",
-            "n": self.n,
-            "confidence": self.confidence,
-            "weights": {str(x): w for x, w in sorted(self.weights.items())},
-            "eta0_floor": 0.0,
-            "states": [vector_to_json(self.state_vector(x)) for x in range(1, self.n + 1)],
-        }
-
-    def strategies(self, eta0s: Sequence[float], retarget: float | None = None) -> list[Strategy]:
-        """Per-party uniform weakening to inconclusive rate ``eta0s[j-1]``,
-        collapsing onto the original states (the least-disturbing choice,
-        so a ``retarget`` is refused)."""
-        if retarget is not None:
-            raise ValueError("a gu chain collapses onto the states themselves; it takes no retarget")
-        self._require_sequential()
-        rates = [float(v) for v in eta0s]
-        for v in rates:
-            if not (0.0 <= v <= 1.0):
-                raise InfeasibleRateError(f"inconclusive rate {v!r} outside [0, 1]")
-        vectors = {x: self.state_vector(x) for x in range(1, self.n + 1)}
-
-        def strat(e: Ensemble, j: int) -> PartyPlan:
-            eta0 = rates[j - 1]
-            weights = {x: (1.0 - eta0) * a for x, a in self.weights.items()}
-            return rank_one_plan(weights, vectors, extras={"eta0_target": eta0})
-
-        return [strat] * len(rates)
-
-
-def gu(n: int) -> GuFamily:
-    """Geometrically uniform equatorial qubit family."""
-    return GuFamily(n=n)
-
-
-# ===========================================================================
 # lifted geometrically uniform states
 # ===========================================================================
 
@@ -379,7 +268,7 @@ class LiftedGuFamily:
     """GU phases at polar angle ``theta`` with visibility ``lam``.
 
     ``theta`` is restricted to ``(0, pi/2]``; ``lam = 1, theta = pi/2``
-    recovers :class:`GuFamily`.  The average state is
+    is :func:`gu`.  The average state is
     ``diag(1 + cos t, 1 - cos t)/2`` independent of ``lam``, which is why
     the whole chain analysis reduces to one visibility contraction.  A
     party measures the :meth:`measurement_vector` states at weight
@@ -573,6 +462,12 @@ class LiftedGuFamily:
 def lifted_gu(n: int, theta: float, lam: float) -> LiftedGuFamily:
     """GU phases lifted off the equator with reduced visibility."""
     return LiftedGuFamily(n=n, theta=theta, lam=lam)
+
+
+def gu(n: int) -> LiftedGuFamily:
+    """Geometrically uniform equatorial qubit family: the pure equatorial
+    member ``lifted_gu(n, pi/2, 1)``."""
+    return LiftedGuFamily(n=n, theta=math.pi / 2.0, lam=1.0)
 
 
 # ===========================================================================

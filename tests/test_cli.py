@@ -55,6 +55,7 @@ MALFORMED = [
     pytest.param(["sweep", "--family", "lifted_gu", "--params", '{"n": 2}'], id="sweep-lifted-n2"),
     pytest.param(["verify", "--count", "0"], id="verify-count-0"),
     pytest.param(["verify", "--count", "-5"], id="verify-count-negative"),
+    pytest.param(["verify", "--seed", "-1"], id="verify-seed-negative"),
 ]
 
 
@@ -347,12 +348,33 @@ def test_out_layout(tmp_path, capsys):
         ("gu", {"n": 5}, families.gu(5)),
         ("lifted_gu", {"n": 4, "theta": 1.0, "lam": 0.9}, families.lifted_gu(4, 1.0, 0.9)),
         ("mirror", {"theta": 2.2}, families.mirror(2.2)),
+        ("gu", {"n": 4}, families.gu(4)),
+        ("gu", {"N": 4}, families.gu(4)),
+        ("lifted_gu", {"lambda": 0.9}, families.lifted_gu(3, math.pi / 2, 0.9)),
     ],
 )
 def test_describe_is_the_family_json(name, params, fam, capsys):
     code, out, _ = run(capsys, ["family", "--family", name, "--params", json.dumps(params)])
     assert code == cli.EXIT_OK
     assert out == json.dumps(fam.describe(), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("gu", {"n": 3.7}, "bad parameters for family gu: n must be an integer, got 3.7"),
+        ("gu", {"m": 5}, "family gu reads no --params key m; its keys are n, N"),
+        ("two_mixed", {"P": 0.5}, "family two_mixed reads no --params key P; its keys are p, theta"),
+        ("gu", {"n": 4, "theta": 1.0}, "family gu reads no --params key theta; its keys are n, N"),
+    ],
+    ids=["gu-fractional-n", "gu-m", "two-mixed-P", "gu-theta"],
+)
+def test_params_a_family_never_reads_exits_2(name, params, message, capsys):
+    """A key the family ignores, or a truncated count, must not build a
+    default or different family silently."""
+    code, out, err = run(capsys, ["family", "--family", name, "--params", json.dumps(params)])
+    assert code == cli.EXIT_INPUT and out == ""
+    assert err == f"error: {message}\n"
 
 
 MIRROR_CHAIN = ["sequence", "--family", "mirror", "--parties", "2", "--eta0", "0.8"]

@@ -14,7 +14,6 @@ import pytest
 
 from seqmcm import cli, families, mcm, optim, qcore, seqchan
 from seqmcm.families import (
-    GuFamily,
     InfeasibleRateError,
     LiftedGuFamily,
     MirrorFamily,
@@ -245,6 +244,10 @@ class TestTwoMixedChains:
 
 
 class TestGuFamily:
+    def test_is_lifted_gu_at_equator(self):
+        for n in range(2, 7):
+            assert gu(n) == lifted_gu(n, math.pi / 2, 1.0)
+
     def test_ensemble_geometry(self):
         fam = gu(4)
         e = fam.ensemble()
@@ -271,6 +274,7 @@ class TestGuFamily:
     def test_confidence_against_solver(self):
         for n in (2, 3, 4, 5, 6):
             fam = gu(n)
+            assert fam.confidence == 2.0 / n
             entries = mcm.solve_mcm(fam.ensemble())
             for x in fam.ensemble().labels:
                 np.testing.assert_allclose(
@@ -290,33 +294,39 @@ class TestGuFamily:
             )
 
     def test_full_povm_complete(self):
+        """The full-strength party measures ``(2/n) |psi_x><psi_x|``, a
+        complete measurement with an identically-zero inconclusive element."""
         for n in (3, 4, 5):
-            povm = gu(n).full_povm()
+            povm = gu(n).plan(0.0).povm
             assert validate_povm(povm).ok
             np.testing.assert_allclose(povm.inconclusive, 0.0, atol=1e-12)
 
     def test_weights_against_rate_solver(self):
         for n in (3, 4, 5):
             fam = gu(n)
+            np.testing.assert_allclose(fam.full_weight, 2.0 / n, atol=1e-15)
+            np.testing.assert_allclose(fam.eta0_floor, 0.0, atol=1e-15)
             sol = optim.min_inconclusive_rate(fam.ensemble())
-            for x, a in fam.weights.items():
-                np.testing.assert_allclose(sol.weights[x], a, atol=1e-9)
+            for x in fam.ensemble().labels:
+                np.testing.assert_allclose(sol.weights[x], 2.0 / n, atol=1e-9)
             np.testing.assert_allclose(sol.eta0, 0.0, atol=1e-9)
 
     def test_two_states_static_but_not_sequential(self):
         fam = gu(2)
         assert fam.confidence == 1.0
         with pytest.raises(ValueError, match="n >= 3"):
-            fam.radius_at(1, [0.5])
+            fam.visibility_at(1, [0.5])
         with pytest.raises(ValueError, match="n >= 3"):
             fam.strategies([0.5])
 
     def test_radius_recursion(self):
+        """Each party shrinks the Bloch radius (the visibility of a pure
+        equatorial family) by ``(1 + eta0) / 2``."""
         fam = gu(3)
         rates = [0.2, 0.6]
-        np.testing.assert_allclose(fam.radius_at(1, rates), 1.0, atol=0.0)
-        np.testing.assert_allclose(fam.radius_at(2, rates), 0.6, atol=1e-15)
-        np.testing.assert_allclose(fam.radius_at(3, rates), 0.6 * 0.8, atol=1e-15)
+        np.testing.assert_allclose(fam.visibility_at(1, rates), 1.0, atol=0.0)
+        np.testing.assert_allclose(fam.visibility_at(2, rates), 0.6, atol=1e-15)
+        np.testing.assert_allclose(fam.visibility_at(3, rates), 0.6 * 0.8, atol=1e-15)
 
     def test_chain_against_solver(self):
         """Engine-run chains land exactly on the closed-form per-party
@@ -329,6 +339,19 @@ class TestGuFamily:
                 want = fam.confidence_at(j, rates)
                 for x in range(1, n + 1):
                     np.testing.assert_allclose(rec.confidences[x], want, atol=1e-9)
+
+    def test_chain_against_product(self):
+        """Party ``j`` sees Bloch radius ``prod_(k < j) (1 + eta0_k) / 2``,
+        so its confidence is ``(1 + radius) / n``."""
+        rates = [0.1, 0.5, 0.9, 0.3]
+        for n in (3, 4, 5, 6):
+            fam = gu(n)
+            trace = run_sequence(fam.ensemble(), fam.strategies(rates))
+            radius = 1.0
+            for rec, eta0 in zip(trace.records, rates):
+                for x in range(1, n + 1):
+                    np.testing.assert_allclose(rec.confidences[x], (1 + radius) / n, atol=1e-9)
+                radius *= (1 + eta0) / 2
 
     def test_inconclusive_rate_hit_exactly(self):
         """Uniform weakening of the complete POVM gives tr[rho M0] = eta0
@@ -345,13 +368,16 @@ class TestGuFamily:
         states are within 1e-2 of the maximally mixed state."""
         fam = gu(3)
         rates = [0.1] * 19
-        p_plus = fam.p_plus(20, rates)
+        p_plus = 0.5 * (1.0 + fam.visibility_at(20, rates))  # the larger eigenvalue
         assert p_plus - 0.5 < 0.01
         np.testing.assert_allclose(p_plus - 0.5, 0.5 * 0.55**19, atol=1e-18)
 
     def test_rate_validation(self):
-        with pytest.raises(InfeasibleRateError):
-            gu(3).strategies([0.5, 1.2])
+        """A rate above 1 is refused when its party runs, naming the party."""
+        fam = gu(3)
+        with pytest.raises(StrategyInfeasibleError) as exc:
+            run_sequence(fam.ensemble(), fam.strategies([0.5, 1.2]))
+        assert exc.value.party == 2
         assert issubclass(InfeasibleRateError, FeasibilityError)
 
 
@@ -361,17 +387,6 @@ class TestGuFamily:
 
 
 class TestLiftedGuStatic:
-    def test_reduces_to_gu(self):
-        lifted = lifted_gu(4, math.pi / 2, 1.0)
-        plain = gu(4)
-        for x in range(1, 5):
-            np.testing.assert_allclose(
-                lifted.state(x).mat, plain.ensemble().state(x).mat, atol=1e-12
-            )
-        np.testing.assert_allclose(lifted.confidence, plain.confidence, atol=0.0)
-        np.testing.assert_allclose(lifted.full_weight, 2.0 / 4.0, atol=1e-15)
-        np.testing.assert_allclose(lifted.eta0_floor, 0.0, atol=1e-15)
-
     def test_phases_reduced(self):
         """Phases lie in [0, 2 pi) and label n's state, measurement and
         retarget vectors are exactly real."""

@@ -21,8 +21,9 @@ and ``lifted_gu`` over two rates among them), ``mcm`` and ``family`` for every
 family, ``verify --count 20``, and malformed command lines that must exit 2
 or 4, the last of them ensemble files holding ``NaN`` or ``Infinity``,
 non-finite or out-of-range rates, thresholds, gains, angles and grid values,
-and ensemble files holding a non-Hermitian state, a state with a negative
-eigenvalue and a state of trace 1.1.
+ensemble files holding a non-Hermitian state, a state with a negative
+eigenvalue and a state of trace 1.1, ``--params`` keys a family never
+reads, a fractional state count, and a negative ``verify --seed``.
 New lines go at the end, so earlier lines keep their place in a diff.
 ``--ensemble`` reads files this script writes into a temporary
 working directory, under fixed relative names, so no message carries a
@@ -193,6 +194,12 @@ def corpus() -> list[list[str]]:
     for name in INVALID:
         lines += [["mcm", "--ensemble", name],
                   ["sequence", "--ensemble", name, "--parties", "2", "--eta0", "0.6"]]
+    # --params keys a family never reads, a fractional count and a negative seed, each exit 2
+    lines += [["family", "--family", "gu", "--params", '{"n": 3.7}'],
+              ["family", "--family", "gu", "--params", '{"m": 5}'],
+              ["family", "--family", "two_mixed", "--params", '{"P": 0.5}'],
+              ["family", "--family", "gu", "--params", '{"n": 4, "theta": 1.0}'],
+              ["verify", "--seed", "-1"]]
     return lines
 
 
