@@ -18,11 +18,13 @@ state outside the support of the ensemble average, message names the label;
 and a non-finite number: ``NaN`` or ``Infinity`` among an ``--ensemble``
 file's entries or priors, or ``nan`` or ``inf`` given for a rate, gain,
 angle, grid value or threshold); 3 KKT check failure (also an SDP solve
-that stops short of its gap bound); 4 infeasible strategy (message names
-the party).
+that stops short of its gap bound, and a maximum-confidence solution whose
+complement operator fails its positivity check); 4 infeasible strategy
+(message names the party).
 
 Each family is one row of :data:`FAMILIES`: how ``--params`` builds it and
-from which keys (any other key exits 2, as does a non-integral count ``n``),
+from which keys (any other key exits 2, as do a non-integral count ``n`` and
+two spellings of one parameter, ``n`` and ``N`` or ``lam`` and ``lambda``),
 how ``sweep`` runs it (over every ``--eta0`` rate given, in order), and
 which ``sweep`` flags and ``--grid`` keys that sweep reads; ``sweep``
 rejects any other with exit 2.  ``family`` prints the family's
@@ -158,8 +160,17 @@ def _parse_rates(text: str | None, parties: int | None = None) -> list[float]:
     return [_unit_interval(v, "inconclusive rate") for v in rates]
 
 
+def _spelled(params: dict[str, Any], names: tuple[str, ...], default: Any) -> Any:
+    """The value of the one parameter that ``names`` spell; giving more
+    than one spelling is an error, not a silent choice."""
+    given = [name for name in names if name in params]
+    if len(given) > 1:
+        raise ValueError(f"{' and '.join(given)} spell one parameter; give one of them")
+    return params[given[0]] if given else default
+
+
 def _count(params: dict[str, Any]) -> int:
-    value = params.get("n", params.get("N", 3))
+    value = _spelled(params, ("n", "N"), 3)
     if int(value) != float(value):  # int(inf) overflows; int(nan) is a ValueError
         raise ValueError(f"n must be an integer, got {value!r}")
     return int(value)
@@ -521,7 +532,7 @@ FAMILIES: dict[str, _Family] = {
         lambda q: fam_mod.lifted_gu(
             n=_count(q),
             theta=_angle(q, "theta", math.pi / 2),
-            lam=float(q.get("lam", q.get("lambda", 1.0))),
+            lam=float(_spelled(q, ("lam", "lambda"), 1.0)),
         ),
         _sweep_lifted,
         ("params", "parties", "eta0", "threshold"),
@@ -846,7 +857,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (qcore.DimensionError, mcm_mod.SupportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except optim_mod.ConvergenceError as exc:
+    except (optim_mod.ConvergenceError, mcm_mod.ComplementCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_KKT
 

@@ -88,6 +88,14 @@ class SupportError(ValueError):
     would make the confidence (or max-relative entropy) infinite."""
 
 
+class ComplementCheckError(ArithmeticError):
+    """Raised when a complement operator ``C_x rho - q_x rho_x`` has an
+    eigenvalue below ``-1e-8 max(C_x, 1)``: the solution fails its own
+    check, since that operator is positive at a true maximum.  It happens
+    when the rank cut of ``rho`` drops a direction in which ``rho_x`` keeps
+    weight below :data:`SUPPORT_TOL`."""
+
+
 @dataclass(frozen=True)
 class McmEntry:
     """Solution data for one label of a maximum-confidence measurement.
@@ -175,7 +183,7 @@ def _solve(e: Ensemble, labels: Sequence[int]) -> dict[int, McmEntry]:
         rvals, rvecs = qcore._eigh_descending(0.5 * (raw + qcore._adjoint(raw)))
         for low, conf in zip(rvals[:, -1], c[kept]):
             if low < -1e-8 * max(conf, 1.0):
-                raise ValueError(
+                raise ComplementCheckError(
                     f"complement operator has eigenvalue {low:.3e}; "
                     "the confidence eigenvalue is inconsistent"
                 )

@@ -13,8 +13,12 @@ solve that stops short of the gap bound raises :class:`ConvergenceError`.
 1. **Inconclusive-rate minimization.**  Given the optimal projectors
    ``P_x`` of a maximum-confidence measurement, choose weights
    ``a_x >= 0`` with ``1 - sum_x a_x P_x >= 0`` minimizing the
-   inconclusive probability ``eta_0 = 1 - sum_x a_x tr[rho P_x]``:
-   one ``d x d`` block and ``N`` scalar blocks.  On a degenerate optimal
+   inconclusive probability ``eta_0 = 1 - sum_x a_x tr[rho P_x]``.
+   One or two labels with a nonempty optimal subspace are solved exactly
+   in closed form (Jordan's lemma reduces the constraint to one
+   inequality in the two weights; :func:`_pair_weights`), unless the two
+   subspaces share a direction.  Otherwise the barrier core runs on one
+   ``d x d`` block and ``N`` scalar blocks.  On a degenerate optimal
    face the weights come within about 1e-7 of the face's analytic
    center, no closer (see :func:`min_inconclusive_rate`).
 
@@ -62,13 +66,15 @@ class ConvergenceError(ArithmeticError):
 class WeightSolution:
     """Optimal weights for ``M_x = a_x P_x``.
 
-    ``eta0`` is the inconclusive rate ``tr[rho M_0]``, within the barrier's
-    gap bound :data:`GAP_TOL` above the optimum, and ``psd_margin`` the
-    smallest eigenvalue of ``M_0``.  The weights are a barrier iterate,
-    strictly inside the feasible set, so ``M_0`` is positive definite up to
-    rounding (``psd_margin`` of order the gap).  On a degenerate optimal
-    face they are one optimal point among many, fixed only to about 1e-7
-    (see :func:`min_inconclusive_rate`).  ``weights`` is read-only."""
+    ``eta0`` is the inconclusive rate ``tr[rho M_0]`` and ``psd_margin``
+    the smallest eigenvalue of ``M_0``.  Weights solved in closed form (one
+    or two labels) are the optimum itself: ``M_0`` is singular, and
+    ``psd_margin`` sits at rounding level, of either sign (about 1e-16).
+    Otherwise they are a barrier iterate, strictly inside the feasible set,
+    ``eta0`` lies within the gap bound :data:`GAP_TOL` above the optimum,
+    and ``psd_margin`` is positive, of order the gap.  On a degenerate
+    optimal face they are one optimal point among many, fixed only to about
+    1e-7 (see :func:`min_inconclusive_rate`).  ``weights`` is read-only."""
 
     weights: Mapping[int, float]
     eta0: float
@@ -186,7 +192,14 @@ def min_inconclusive_rate(e: Ensemble) -> WeightSolution:
 
     ``P_x`` are the orthogonal projectors onto each label's optimal
     subspace, from the ensemble's once-computed
-    :func:`seqmcm.mcm.solve_mcm` solution.  The barrier core runs on one
+    :func:`seqmcm.mcm.solve_mcm` solution.  When one label has such a
+    subspace its weight is 1.  When two do, and their subspaces share no
+    direction, the weights are the exact optimum on the boundary of the
+    feasible set (:func:`_pair_weights`): no Newton step is taken, and the
+    weights agree with the barrier's to about 1e-8 where the problem is well
+    conditioned.  When ``c_x = tr[rho P_x]`` is itself near rounding (pure
+    states a small angle apart), the weights are as uncertain as the
+    ``c_x``, though ``eta0`` is not.  Otherwise the barrier core runs on one
     ``d x d`` block ``1 - sum_x a_x P_x`` and the ``N`` scalars ``a_x``,
     joined into one block-diagonal matrix.
 
@@ -201,10 +214,43 @@ def min_inconclusive_rate(e: Ensemble) -> WeightSolution:
     return e.cached("optim.weights", lambda: _min_inconclusive_rate(e))
 
 
+def _pair_weights(bases: list[np.ndarray], c: np.ndarray) -> np.ndarray | None:
+    """The exact optimal weights of two labels, or None when their optimal
+    subspaces share a direction.
+
+    ``bases`` holds orthonormal bases ``Q_x`` of the subspaces
+    (``P_x = Q_x Q_x^dag``) and ``c`` the values ``c_x = tr[rho P_x] > 0``.
+    By Jordan's lemma, ``a_1 P_1 + a_2 P_2 <= 1`` holds exactly when ``a``
+    lies in the unit square with ``(1 - a_1)(1 - a_2) >= s a_1 a_2``, where
+    ``s = t**2`` and ``t = ||Q_1^dag Q_2||`` is the cosine of the smallest
+    principal angle.  For ``s < 1`` the objective is strictly concave along
+    that boundary, with maximiser ``a_x = (1 - t sqrt(c_y / c_x)) / (1 - s)``
+    clipped to [0, 1].  It is evaluated as
+    ``1 / (1 + t) +- t (c_1 - c_2) / ((1 - s)(c_x + sqrt(c_1 c_2)))``,
+    which cancels nothing as ``s -> 1`` or ``c_1 -> c_2``, with ``1 - s``
+    taken as the squared smallest singular value of ``(1 - P_1) Q_2``,
+    accurate to rounding where ``s`` itself rounds to 1.
+
+    A shared direction (``s = 1``) leaves ``1 - s`` at rounding level, below
+    machine epsilon.  The optimal face may then be a segment (``c_1 = c_2``),
+    and the barrier core picks its centre.
+    """
+    q1, q2 = bases
+    t = float(np.linalg.svd(q1.conj().T @ q2, compute_uv=False)[0])
+    g = float(np.linalg.svd(q2 - q1 @ (q1.conj().T @ q2), compute_uv=False)[-1]) ** 2
+    if g <= np.finfo(float).eps:
+        return None
+    tilt = t * (c[0] - c[1]) / g
+    mean = math.sqrt(c[0] * c[1])
+    a = 1.0 / (1.0 + t) + np.array([tilt / (c[0] + mean), -tilt / (c[1] + mean)])
+    return np.clip(a, 0.0, 1.0)
+
+
 def _min_inconclusive_rate(e: Ensemble) -> WeightSolution:
     from . import mcm as _mcm
 
-    projectors = _mcm.optimal_projectors(_mcm.solve_mcm(e))
+    entries = _mcm.solve_mcm(e)
+    projectors = _mcm.optimal_projectors(entries)
     if not projectors:
         raise ValueError("no label has a nonempty optimal subspace")
 
@@ -212,15 +258,21 @@ def _min_inconclusive_rate(e: Ensemble) -> WeightSolution:
     n, dim = mats.shape[:2]
     rho = e.average().mat
     c = np.real(np.einsum("ij,xji->x", rho, mats))
-    # one block diag(1 - sum_x a_x P_x, a_1, ..., a_N)
-    f0 = np.zeros((1, dim + n, dim + n), dtype=complex)
-    f0[0, :dim, :dim] = np.eye(dim)
-    f = np.zeros((n, 1, dim + n, dim + n), dtype=complex)
-    f[:, 0, :dim, :dim] = -mats
-    f[np.arange(n), 0, dim + np.arange(n), dim + np.arange(n)] = 1.0
-    # sum_x a_x P_x <= (sum_x tr P_x) a for PSD P_x, so this start is interior
-    start = np.full(n, 0.5 / float(np.real(np.einsum("xii->", mats))))
-    a = _barrier_lmi(-c, f0, f, start, max(0.1, float(np.max(np.abs(c)))))
+    a = None
+    if n == 1:
+        a = np.ones(1)
+    elif n == 2:  # the same orthonormal bases optimal_projectors builds P_x from
+        a = _pair_weights([np.linalg.qr(np.stack(entries[x].basis, axis=1))[0] for x in labels], c)
+    if a is None:
+        # one block diag(1 - sum_x a_x P_x, a_1, ..., a_N)
+        f0 = np.zeros((1, dim + n, dim + n), dtype=complex)
+        f0[0, :dim, :dim] = np.eye(dim)
+        f = np.zeros((n, 1, dim + n, dim + n), dtype=complex)
+        f[:, 0, :dim, :dim] = -mats
+        f[np.arange(n), 0, dim + np.arange(n), dim + np.arange(n)] = 1.0
+        # sum_x a_x P_x <= (sum_x tr P_x) a for PSD P_x, so this start is interior
+        start = np.full(n, 0.5 / float(np.real(np.einsum("xii->", mats))))
+        a = _barrier_lmi(-c, f0, f, start, max(0.1, float(np.max(np.abs(c)))))
 
     slack = np.eye(dim) - np.tensordot(a, mats, axes=1)
     margin = float(np.linalg.eigvalsh(0.5 * (slack + slack.conj().T))[0])

@@ -629,9 +629,10 @@ def ensemble_from_json(obj: dict[str, Any]) -> Ensemble:
         states = obj["states"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed ensemble object: {exc}") from exc
+    # raw matrices: the ensemble validates them as one stack
     return Ensemble(
         priors=tuple(float(q) for q in priors),
-        states=tuple(DensityMatrix(matrix_from_json(s)) for s in states),
+        states=tuple(matrix_from_json(s) for s in states),
     )
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import seqmcm
-from seqmcm import cli, families, optim, qcore
+from seqmcm import cli, families, mcm, optim, qcore
 
 
 def run(capsys, argv):
@@ -375,6 +375,46 @@ def test_params_a_family_never_reads_exits_2(name, params, message, capsys):
     code, out, err = run(capsys, ["family", "--family", name, "--params", json.dumps(params)])
     assert code == cli.EXIT_INPUT and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "name, first, second, value, other",
+    [("gu", "n", "N", 4, 5), ("lifted_gu", "lam", "lambda", 0.5, 0.9)],
+    ids=["gu-n-N", "lifted-lam-lambda"],
+)
+def test_two_spellings_of_one_parameter_exit_2(name, first, second, value, other, capsys):
+    """Both spellings at once name both keys, whichever value each holds;
+    either spelling alone prints the same family."""
+    for params in ({first: value, second: other}, {second: value, first: value}):
+        code, out, err = run(capsys, ["family", "--family", name, "--params", json.dumps(params)])
+        assert code == cli.EXIT_INPUT and out == ""
+        assert err == (
+            f"error: bad parameters for family {name}: "
+            f"{first} and {second} spell one parameter; give one of them\n"
+        )
+    alone = [run(capsys, ["family", "--family", name, "--params", json.dumps({key: value})])
+             for key in (first, second)]
+    assert alone[0] == alone[1] and alone[0][0] == cli.EXIT_OK and alone[0][1]
+
+
+def test_solution_failing_its_complement_check_exits_3(tmp_path, monkeypatch, capsys):
+    """The average of this qutrit pair has an eigenvalue of about 1e-11,
+    which the rank cut drops, while state 1 keeps about 1e-10 of its weight
+    there, which the support check passes; the complement operator of the
+    confidence it gets has an eigenvalue of -2.0e-6.  Both commands stop
+    with an error line, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    Path("illcond.json").write_text(json.dumps(_digest_tool().PAIRS["illcond.json"]))
+    with pytest.raises(ArithmeticError, match="complement operator has eigenvalue"):
+        mcm.solve_mcm(qcore.load_ensemble("illcond.json"))
+    for argv in (["mcm", "--ensemble", "illcond.json"],
+                 ["sequence", "--ensemble", "illcond.json", "--parties", "2", "--eta0", "0.6"]):
+        code, out, err = run(capsys, argv)
+        assert code == cli.EXIT_KKT and out == ""
+        assert err == (
+            "error: complement operator has eigenvalue -2.049e-06; "
+            "the confidence eigenvalue is inconsistent\n"
+        )
 
 
 MIRROR_CHAIN = ["sequence", "--family", "mirror", "--parties", "2", "--eta0", "0.8"]

@@ -5,6 +5,7 @@ gain schedules.
 Run with:  pytest tests/test_optim.py -v
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -91,8 +92,7 @@ class TestMinInconclusiveRate:
             priors=(0.5, 0.5), states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
         )
         sol = min_inconclusive_rate(e)
-        np.testing.assert_allclose(sorted(sol.weights.values()), [1.0, 1.0], atol=1e-9)
-        np.testing.assert_allclose(sol.eta0, 0.0, atol=1e-9)
+        assert dict(sol.weights) == {1: 1.0, 2: 1.0} and sol.eta0 == 0.0  # exact, not interior
 
     def test_shrunk_ring_floor(self):
         """Mixing each ring state with white noise while keeping the same
@@ -224,9 +224,127 @@ class TestMinInconclusiveRate:
         e = Ensemble(
             priors=(1.0, 0.0), states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
         )
-        # label 2 has an empty basis; only label 1 should carry weight
+        # label 2 has an empty basis; only label 1 should carry weight, all of it
         sol = min_inconclusive_rate(e)
-        assert sorted(sol.weights) == [1]
+        assert dict(sol.weights) == {1: 1.0} and sol.eta0 == 0.0
+
+
+def _barrier_solution(e: Ensemble, monkeypatch) -> optim.WeightSolution:
+    """The weights the barrier core finds for ``e``, on a fresh copy (the
+    ensemble caches its own solution) with the closed form switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(optim, "_pair_weights", lambda bases, c: None)
+        return min_inconclusive_rate(Ensemble(priors=e.priors, states=e.states))
+
+
+def _weights(sol) -> np.ndarray:
+    return np.array([sol.weights[x] for x in sorted(sol.weights)])
+
+
+class TestExactPairWeights:
+    """One or two labels with a nonempty optimal subspace are solved in
+    closed form, with no Newton step; the barrier core is the reference."""
+
+    def test_random_pairs_match_the_barrier(self, monkeypatch, solver_calls):
+        rng = np.random.default_rng(81)
+        for dim in range(2, 9):
+            for pure in (False, True):
+                for _ in range(4):
+                    e = random_ensemble(rng, dim, 2, pure=pure)
+                    solver_calls.clear()
+                    exact = min_inconclusive_rate(e)
+                    assert solver_calls["solve"] == 0
+                    barrier = _barrier_solution(e, monkeypatch)
+                    assert barrier.eta0 - 1e-10 <= exact.eta0 <= barrier.eta0
+                    assert np.abs(_weights(exact) - _weights(barrier)).max() < 1e-7
+                    assert abs(exact.psd_margin) < 1e-14  # on the boundary, to rounding
+
+    def test_optimum_of_the_boundary_scan(self):
+        """The weights lie on the curve (1 - a_1)(1 - a_2) = s a_1 a_2 and
+        beat every point of a fine scan along it."""
+        rng = np.random.default_rng(82)
+        for dim in (2, 3, 5):
+            e = random_ensemble(rng, dim, 2)
+            projectors = mcm.optimal_projectors(mcm.solve_mcm(e))
+            p1, p2 = projectors[1], projectors[2]
+            s = float(np.linalg.eigvalsh(p1 @ p2 @ p1)[-1])
+            rho = e.average().mat
+            c = np.array([np.trace(rho @ p).real for p in (p1, p2)])
+            a = _weights(min_inconclusive_rate(e))
+            assert abs((1 - a[0]) * (1 - a[1]) - s * a[0] * a[1]) < 1e-12
+            a1 = np.linspace(0.0, 1.0, 200_001)
+            a2 = (1.0 - a1) / (1.0 - (1.0 - s) * a1)
+            scan = c[0] * a1 + c[1] * a2
+            assert scan.max() <= c @ a + 1e-13
+            assert abs(a1[np.argmax(scan)] - a[0]) < 1e-4
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-7])
+    def test_nearly_parallel_subspaces_against_50_digits(self, eps):
+        """With 1 - s = sin(eps)**2 near rounding, the weights still match
+        (1 - t sqrt(c_y / c_x)) / (1 - t**2) evaluated in 50-digit decimals
+        on the same inputs; taking 1 - s as 1 - t**2 in doubles would lose
+        up to half their digits."""
+        x, y = math.cos(eps), math.sin(eps)
+        c = np.array([0.6, 0.6 * (1.0 - 0.5 * y * y)])  # interior: s < c_2 / c_1 < 1
+        a = optim._pair_weights([np.array([[1.0], [0.0]]), np.array([[x], [y]])], c)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            dx, dy, c1, c2 = (decimal.Decimal(v) for v in (x, y, *c))
+            t = dx / (dx * dx + dy * dy).sqrt()
+            want = [(1 - t * (cy / cx).sqrt()) / (1 - t * t) for cx, cy in ((c1, c2), (c2, c1))]
+        assert 0.0 < a[0] < 1.0 and 0.0 < a[1] < 1.0
+        np.testing.assert_allclose(a, [float(w) for w in want], rtol=0.0, atol=1e-10)
+
+    def test_rank_two_qutrit_projector(self, monkeypatch, solver_calls):
+        """A shaped operator with a doubly degenerate top eigenvalue gives
+        label 1 a rank-2 optimal projector; label 2's is rank one."""
+        rng = np.random.default_rng(83)
+        for _ in range(5):
+            u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+            shaped = u @ np.diag([0.8, 0.8, 0.3]) @ u.conj().T
+            root = qcore.sqrt_psd(qcore.random_density(rng, 3).mat)
+            weighted = (root @ shaped @ root, root @ (np.eye(3) - shaped) @ root)
+            priors = tuple(float(np.trace(m).real) for m in weighted)
+            e = Ensemble(priors=priors, states=tuple(m / q for m, q in zip(weighted, priors)))
+            assert [entry.degeneracy for entry in mcm.solve_mcm(e).values()] == [2, 1]
+            solver_calls.clear()
+            exact = min_inconclusive_rate(e)
+            assert solver_calls["solve"] == 0
+            barrier = _barrier_solution(e, monkeypatch)
+            assert barrier.eta0 - 1e-10 <= exact.eta0 <= barrier.eta0
+            assert np.abs(_weights(exact) - _weights(barrier)).max() < 1e-7
+            assert validate_povm(mcm.mcm_povm(e, exact.weights)).ok
+
+    @pytest.mark.parametrize("eps", [10.0**-k for k in range(2, 11)])
+    def test_near_identical_pairs(self, eps, monkeypatch):
+        """Mixed states eps apart keep their optimal vectors well apart;
+        pure states eps apart make s = cos(eps)**2 and c_x of order eps**2,
+        so their weights are as uncertain as those c_x, and from eps near
+        1e-5 on, the rank cut merges the two optimal subspaces into one
+        and the barrier solves the shared face."""
+        base = np.diag([0.7, 0.3]).astype(complex)
+        mixed = Ensemble(priors=(0.4, 0.6), states=(base, base + eps * np.array([[0, 1], [1, 0]])))
+        pure = Ensemble(
+            priors=(0.5, 0.5),
+            states=(_projector([1.0, 0.0]), _projector([math.cos(eps), math.sin(eps)])),
+        )
+        for e, weights_tol in ((mixed, 1e-7), (pure, 1.0)):  # pure: weights not pinned
+            exact = min_inconclusive_rate(e)
+            barrier = _barrier_solution(e, monkeypatch)
+            assert barrier.eta0 - 1e-10 <= exact.eta0 <= barrier.eta0
+            assert np.abs(_weights(exact) - _weights(barrier)).max() < weights_tol
+            assert validate_povm(mcm.mcm_povm(e, exact.weights)).ok
+            assert exact.psd_margin > -1e-14
+
+    def test_identical_states_take_the_barrier(self, solver_calls):
+        """Identical states share their optimal subspace (s = 1): the
+        optimal face is a segment, and the barrier returns its centre."""
+        state = np.array([[0.6, 0.2], [0.2, 0.4]])
+        for priors in ((0.5, 0.5), (0.3, 0.7)):
+            solver_calls.clear()
+            sol = min_inconclusive_rate(Ensemble(priors=priors, states=(state, state)))
+            assert solver_calls["solve"] > 0
+            np.testing.assert_allclose(_weights(sol), [0.5, 0.5], atol=1e-7)
 
 
 class TestNewtonBudget:
@@ -242,7 +360,10 @@ class TestNewtonBudget:
                     mcm.solve_mcm(e)
                     solver_calls.clear()
                     min_inconclusive_rate(e)
-                    assert 0 < solver_calls["solve"] <= 80
+                    if n == 2:  # solved in closed form
+                        assert solver_calls["solve"] == 0
+                    else:
+                        assert 0 < solver_calls["solve"] <= 80
 
     def test_guessing_sdp(self, solver_calls):
         rng = np.random.default_rng(65)

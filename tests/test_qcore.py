@@ -329,6 +329,17 @@ class TestLoadEnsemble(object):
         e2 = qcore.load_ensemble(path)
         np.testing.assert_allclose(e.state(1).mat, e2.state(1).mat, atol=0.0)
 
+    def test_file_states_validated_as_one_stack(self, tmp_path, eigensolves):
+        e = random_ensemble(np.random.default_rng(9), 3, 4)
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps(ensemble_to_json(e)))
+        eigensolves.calls.clear()
+        e2 = qcore.load_ensemble(path)
+        assert eigensolves.stacks("eigvalsh") == [4] and eigensolves.count() == 0
+        assert all(isinstance(s, qcore.DensityMatrix) for s in e2.states)
+        for x in e.labels:
+            assert np.array_equal(e.state(x).mat, e2.state(x).mat)
+
 
 # ---------------------------------------------------------------------------
 # random generators

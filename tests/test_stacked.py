@@ -220,7 +220,7 @@ class TestJsonText:
         monkeypatch.setattr(qcore, "json_text", checked)
         monkeypatch.setenv("SEQMCM_THREADS", "1")
         monkeypatch.chdir(tmp_path)
-        for name, doc in {**tool.ENSEMBLES, **tool.NONFINITE, **tool.INVALID}.items():
+        for name, doc in tool.FILES.items():
             Path(name).write_text(json.dumps(doc))
         for argv in tool.corpus():
             if argv[0] in ("mcm", "sequence", "verify", "family"):

@@ -23,7 +23,10 @@ or 4, the last of them ensemble files holding ``NaN`` or ``Infinity``,
 non-finite or out-of-range rates, thresholds, gains, angles and grid values,
 ensemble files holding a non-Hermitian state, a state with a negative
 eigenvalue and a state of trace 1.1, ``--params`` keys a family never
-reads, a fractional state count, and a negative ``verify --seed``.
+reads, a fractional state count, and a negative ``verify --seed``; then
+``mcm`` and ``sequence`` on two-state ensembles, on a qutrit pair whose
+solution fails its own complement check (exit 3), and a parameter given
+in two spellings (exit 2).
 New lines go at the end, so earlier lines keep their place in a diff.
 ``--ensemble`` reads files this script writes into a temporary
 working directory, under fixed relative names, so no message carries a
@@ -104,6 +107,28 @@ INVALID = {
         ("states", 1, "entries"), [[1.1 * re, 1.1 * im] for re, im in _STATE]
     ),
 }
+
+
+def _ill_conditioned() -> dict:
+    """A qutrit pair whose average has an eigenvalue of about 1e-11, which
+    the rank cut drops, while state 1 keeps about 1e-10 of its weight
+    there, which the support check passes."""
+    psi = np.array([1.0, 0.0, 1e-5])
+    states = [np.outer(psi, psi) / (psi @ psi), np.diag([0.7, 0.3, 0.0])]
+    return {"priors": [0.4, 0.6],
+            "states": [{"dim": 3, "entries": [[float(x), 0.0] for x in m.reshape(-1)]}
+                       for m in states]}
+
+
+# two-state ensembles (a separate dict: ENSEMBLES is looped mid-corpus)
+PAIRS = {
+    "qubit2.json": _random_ensemble(13, 2, 2),
+    "qutrit2.json": _random_ensemble(14, 3, 2),
+    "illcond.json": _ill_conditioned(),
+}
+
+# every file the corpus reads, by name
+FILES = {**ENSEMBLES, **NONFINITE, **INVALID, **PAIRS}
 
 
 def _sequence(family: str, params: str | None, parties: int, fmt: str, *flags: str) -> list[str]:
@@ -200,6 +225,15 @@ def corpus() -> list[list[str]]:
               ["family", "--family", "two_mixed", "--params", '{"P": 0.5}'],
               ["family", "--family", "gu", "--params", '{"n": 4, "theta": 1.0}'],
               ["verify", "--seed", "-1"]]
+    # two-state ensembles, whose weights are solved in closed form
+    lines += [["mcm", "--ensemble", "qubit2.json"], ["mcm", "--ensemble", "qutrit2.json"],
+              ["sequence", "--ensemble", "qubit2.json", "--parties", "3", "--eta0", "0.6,0.7,0.8"]]
+    # a solution that fails its own complement check, each exit 3
+    lines += [["mcm", "--ensemble", "illcond.json"],
+              ["sequence", "--ensemble", "illcond.json", "--parties", "2", "--eta0", "0.6"]]
+    # two spellings of one parameter, each exit 2
+    lines += [["family", "--family", "gu", "--params", '{"n": 4, "N": 5}'],
+              ["family", "--family", "lifted_gu", "--params", '{"lam": 0.5, "lambda": 0.9}']]
     return lines
 
 
@@ -237,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for name, doc in {**ENSEMBLES, **NONFINITE, **INVALID}.items():
+            for name, doc in FILES.items():
                 Path(name).write_text(json.dumps(doc))
             for line in corpus():
                 print(json.dumps(digest(cli.main, line)), flush=True)
