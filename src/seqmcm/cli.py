@@ -15,12 +15,13 @@ value with a ``deg`` suffix (``{"theta": "120deg"}``) is converted.
 
 Exit codes: 0 success; 1 verification failure; 2 malformed input (also a
 state outside the support of the ensemble average, message names the label;
-and a non-finite number: ``NaN`` or ``Infinity`` among an ``--ensemble``
-file's entries or priors, or ``nan`` or ``inf`` given for a rate, gain,
-angle, grid value or threshold); 3 KKT check failure (also an SDP solve
-that stops short of its gap bound, and a maximum-confidence solution whose
-complement operator fails its positivity check); 4 infeasible strategy
-(message names the party).
+a non-finite number: ``NaN`` or ``Infinity`` among an ``--ensemble`` file's
+entries or priors, or ``nan`` or ``inf`` given for a rate, gain, angle,
+grid value or threshold; and a ``gu`` or ``lifted_gu`` chain of fewer than
+3 states under ``sequence`` or ``sweep``); 3 KKT check failure (also an SDP
+solve that stops short of its gap bound, and a maximum-confidence solution
+whose complement operator fails its positivity check); 4 infeasible
+strategy (message names the party).
 
 Each family is one row of :data:`FAMILIES`: how ``--params`` builds it and
 from which keys (any other key exits 2, as do a non-integral count ``n`` and
@@ -260,7 +261,8 @@ def cmd_mcm(args: argparse.Namespace) -> int:
     weights = optim_mod.min_inconclusive_rate(e)
     report = mcm_mod.verify_kkt(e, mcm_mod.mcm_povm(e, weights.weights))
     try:
-        p_guess, h_min = mcm_mod.guessing_probability(e)
+        p_guess = optim_mod.min_error_guessing(e)
+        h_min = 0.0 - math.log2(p_guess)  # the min-entropy; +0.0, not -0.0, at P_guess = 1
         guess_doc: dict[str, Any] | None = {"p_guess": p_guess, "h_min_bits": h_min}
     except optim_mod.UnsupportedScaleError:
         guess_doc = None
@@ -404,30 +406,38 @@ def _sweep_two_mixed(args: argparse.Namespace, grid: Grid) -> tuple[list[str], l
     return header, _map_points(points, one)
 
 
+def _rate_chain(args: argparse.Namespace, fam: Any, eta0: float, parties: int) -> list[tuple]:
+    """``(oracle, engine)`` label-1 confidences of each party of a ``lifted_gu``
+    chain at one rate.  Exits 2 for ``n < 3`` and 4 for an infeasible party."""
+    schedule = [eta0] * parties
+    try:
+        strategies = fam.strategies(schedule)
+    except ValueError as exc:  # n < 3: no sequential closed forms
+        raise CliError(EXIT_INPUT, f"bad parameters for family {args.family}: {exc}")
+    try:
+        trace = seqchan.run_sequence(fam.ensemble(), strategies)
+    except seqchan.StrategyInfeasibleError as exc:
+        raise CliError(EXIT_INFEASIBLE, f"infeasible: {exc}")
+    engine = [rec.confidences[1] for rec in trace.records]
+    return [(fam.confidence_at(j, schedule), c) for j, c in enumerate(engine, start=1)]
+
+
 def _sweep_gu(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list[list[Any]]]:
     del grid  # a gu sweep runs over rates, not parameters
     fam = _build_family(args.family, _parse_params(args.params))
-    n = fam.n
     parties = args.parties or 10
     rates = [0.1, 0.5, 0.9] if args.eta0 is None else _parse_rates(args.eta0)
     _guard_grid(len(rates) * parties)
 
     def chain(eta0: float) -> list[list[Any]]:
-        rows: list[list[Any]] = []
-        try:
-            schedule = [eta0] * parties
-            trace = seqchan.run_sequence(fam.ensemble(), fam.strategies(schedule))
-            for j in range(1, parties + 1):
-                oracle = fam.confidence_at(j, schedule)
-                engine = trace.records[j - 1].confidences[1]
-                rows.append([n, eta0, j, oracle, engine, abs(engine - oracle), None])
-        except Exception as exc:
-            rows.append([n, eta0, None, None, None, None, str(exc)])
-        return rows
+        pairs = _rate_chain(args, fam, eta0, parties)
+        return [
+            [fam.n, eta0, j, oracle, engine, abs(engine - oracle), None]
+            for j, (oracle, engine) in enumerate(pairs, start=1)
+        ]
 
     header = ["n", "eta0", "party", "confidence_oracle", "confidence_engine", "residual", "error"]
-    nested = _map_points(rates, chain)
-    return header, [row for rows in nested for row in rows]
+    return header, [row for rows in _map_points(rates, chain) for row in rows]
 
 
 def _sweep_lifted(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list[list[Any]]]:
@@ -450,14 +460,7 @@ def _sweep_lifted(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list
         except ValueError as exc:  # n < 3: no sequential closed forms
             raise CliError(EXIT_INPUT, f"bad parameters for family {args.family}: {exc}")
         max_r = fam.max_parties(threshold, eta0) if math.isfinite(bound) else None
-        schedule = [eta0] * parties
-        try:
-            trace = seqchan.run_sequence(fam.ensemble(), fam.strategies(schedule))
-        except seqchan.StrategyInfeasibleError as exc:
-            raise CliError(EXIT_INFEASIBLE, f"infeasible: {exc}")
-        for r in range(1, parties + 1):
-            oracle = fam.confidence_at(r, schedule)
-            engine = trace.records[r - 1].confidences[1]
+        for r, (oracle, engine) in enumerate(_rate_chain(args, fam, eta0, parties), start=1):
             row = [r, eta0, threshold, bound, max_r, oracle, engine, abs(engine - oracle)]
             rows.append(row + [int(oracle >= threshold), int(engine >= threshold), None])
     return header, rows

@@ -664,7 +664,7 @@ def mirror_plan(ms: MirrorState, eta0: float, retarget_azimuth: float | None = N
     )
 
 
-def mirror_step(ms: MirrorState, eta0: float, retarget_azimuth: float | None = None) -> MirrorState:
+def mirror_step(ms: MirrorState, eta0: float) -> MirrorState:
     """Closed-form Bloch recursion for one weakened mirror step.
 
     With measurement azimuth ``phi``, collapse azimuth ``r``, weights
@@ -675,7 +675,7 @@ def mirror_step(ms: MirrorState, eta0: float, retarget_azimuth: float | None = N
     """
     sol = mirror_mcm(ms)
     phi = sol.phi
-    ra = mirror_retarget(ms, phi) if retarget_azimuth is None else float(retarget_azimuth)
+    ra = mirror_retarget(ms, phi)
     a1, a2 = sol.a1, sol.a2
     w = 1.0 - eta0
 

@@ -40,18 +40,16 @@ The result is kept on the ensemble itself (:meth:`Ensemble.cached`), so
 :func:`mcm_povm`, :func:`verify_kkt`, the weight optimizer and the chain
 runner all reuse it.  It cannot go stale: an ensemble's fields are frozen
 and its state arrays read-only, and callers get a fresh dict of frozen
-entries, never the stored one.
-:func:`max_confidence` runs the same solve on the single label it is
-asked for, against the same cached factorisation, so a leak outside the
-support is reported only for the label that leaks, and its entry equals
-the one :func:`solve_mcm` gives for that label bit for bit.
+entries, never the stored one.  :func:`max_confidence` reads its label's
+entry from that one solution, so it raises :class:`SupportError` when
+any label of the ensemble leaks outside the support.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -144,18 +142,16 @@ def _average_factors(e: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rho, shaping, support
 
 
-def _solve(e: Ensemble, labels: Sequence[int]) -> dict[int, McmEntry]:
-    """Entries for ``labels``: one stacked eigensolve of their shaped
+def _solve(e: Ensemble) -> dict[int, McmEntry]:
+    """Entries for every label: one stacked eigensolve of the shaped
     operators, one of the complements of those with ``r > R_ZERO_TOL``."""
     rho, shaping, support = _average_factors(e)
-    live = [x for x in labels if e.prior(x) != 0.0]
+    live = [x for x in e.labels if e.prior(x) != 0.0]
     entries = {
         x: McmEntry(label=x, confidence=0.0, degeneracy=0, basis=(), sigma=None, r=0.0, mu=0.0)
-        for x in labels
+        for x in e.labels
         if x not in live
     }
-    if not live:
-        return entries
     q = np.array([e.prior(x) for x in live])
     states = np.array([e.state(x).mat for x in live])
     leaks = np.einsum("nij,ji->n", states, np.eye(e.dim) - support).real  # tr[rho_x (1 - P)]
@@ -216,22 +212,22 @@ def _solve(e: Ensemble, labels: Sequence[int]) -> dict[int, McmEntry]:
             r=float(r[i]) if kept[i] else 0.0,
             mu=e.prior(x) / ci,
         )
-    return {x: entries[x] for x in labels}
+    return {x: entries[x] for x in e.labels}
 
 
 def max_confidence(e: Ensemble, x: int) -> McmEntry:
-    """Solve the maximum-confidence problem for label ``x``.
+    """Label ``x``'s entry of the ensemble's :func:`solve_mcm` solution.
 
     Returns the full :class:`McmEntry`.  A zero-prior label gets
-    ``C_x = 0`` with an empty basis.  If the state leaks outside the
+    ``C_x = 0`` with an empty basis.  If any state leaks outside the
     support of the ensemble average (possible only when the rank cutoff
     :data:`seqmcm.qcore.RANK_TOL` truncates the part of the average that
     carries it), :class:`SupportError` is raised rather than reporting a
-    spuriously finite value; other labels' leaks do not matter here.
+    spuriously finite value.
     """
     if x not in e.labels:
         raise ValueError(f"label {x} not in 1..{e.n}")
-    return _solve(e, (x,))[x]
+    return solve_mcm(e)[x]
 
 
 def solve_mcm(e: Ensemble) -> dict[int, McmEntry]:
@@ -239,7 +235,7 @@ def solve_mcm(e: Ensemble) -> dict[int, McmEntry]:
 
     Solved once per ensemble; later calls return a fresh dict of the same
     (immutable) entries."""
-    return dict(e.cached("mcm.solution", lambda: _solve(e, e.labels)))
+    return dict(e.cached("mcm.solution", lambda: _solve(e)))
 
 
 def optimal_projectors(entries: dict[int, McmEntry]) -> dict[int, np.ndarray]:
@@ -333,32 +329,6 @@ def max_relative_entropy(rho: Any, sigma: Any) -> float:
     if top <= 0.0:
         return -math.inf
     return math.log2(top)
-
-
-def confidence_entropy_identity(e: Ensemble, x: int) -> tuple[float, float]:
-    """Both sides of ``C_x = q_x 2**Dmax(rho_x || rho)``.
-
-    Returns ``(eigenvalue side, entropy side)``; they agree to solver
-    precision because both are the same top eigenvalue computed two ways.
-    """
-    lhs = max_confidence(e, x).confidence
-    dmax = max_relative_entropy(e.state(x).mat, e.average().mat)
-    q = e.prior(x)
-    rhs = 0.0 if q == 0.0 else q * 2.0**dmax
-    return lhs, rhs
-
-
-def guessing_probability(e: Ensemble) -> tuple[float, float]:
-    """Optimal guessing probability and min-entropy ``(P_guess, H_min)``.
-
-    ``H_min = -log2 P_guess`` is the conditional min-entropy of the label
-    given the quantum system; ``P_guess`` comes from
-    :func:`seqmcm.optim.min_error_guessing`.
-    """
-    from . import optim
-
-    p = optim.min_error_guessing(e)
-    return p, 0.0 - math.log2(p)  # +0.0, not -0.0, at P_guess = 1
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import mcm as _mcm
 from .qcore import Ensemble, FeasibilityError, as_matrix, trace_norm
 
 
@@ -247,8 +248,6 @@ def _pair_weights(bases: list[np.ndarray], c: np.ndarray) -> np.ndarray | None:
 
 
 def _min_inconclusive_rate(e: Ensemble) -> WeightSolution:
-    from . import mcm as _mcm
-
     entries = _mcm.solve_mcm(e)
     projectors = _mcm.optimal_projectors(entries)
     if not projectors:

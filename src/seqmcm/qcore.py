@@ -322,9 +322,7 @@ def density_from_bloch(r: Sequence[float]) -> "DensityMatrix":
 # ---------------------------------------------------------------------------
 
 
-def validate_states(
-    mats: Any, name: str = "density matrix", lowest: np.ndarray | None = None
-) -> np.ndarray:
+def validate_states(mats: Any, lowest: np.ndarray | None = None) -> np.ndarray:
     """The Hermitian parts of a ``(..., d, d)`` stack of density matrices,
     read-only, after one validation pass over the whole stack.
 
@@ -336,9 +334,9 @@ def validate_states(
     when the caller built the states from their spectra; the positivity
     check then reads it in place of the ``eigvalsh`` call.
     """
-    m = _as_stack(mats, name)
+    m = _as_stack(mats, "density matrix")
     if not np.isfinite(m).all():  # NaN passes every comparison below
-        raise ValueError(f"{name} has a non-finite entry")
+        raise ValueError("density matrix has a non-finite entry")
     adj = _adjoint(m)
     defect = np.abs(m - adj).max(axis=(-2, -1)).reshape(-1)
     h = 0.5 * (m + adj)
@@ -351,11 +349,11 @@ def validate_states(
         i = int(np.argmax(failed))
         if defect[i] > HERM_TOL:
             raise NotHermitianError(
-                f"{name} is not Hermitian: max |A - A^dag| entry = {defect[i]:.3e}"
+                f"density matrix is not Hermitian: max |A - A^dag| entry = {defect[i]:.3e}"
             )
         if abs(tr[i] - 1.0) > TRACE_TOL:
-            raise ValueError(f"{name} trace = {float(tr[i])!r}, expected 1")
-        raise ValueError(f"{name} has eigenvalue {low[i]:.3e} < 0")
+            raise ValueError(f"density matrix trace = {float(tr[i])!r}, expected 1")
+        raise ValueError(f"density matrix has eigenvalue {low[i]:.3e} < 0")
     h.setflags(write=False)
     return h
 
@@ -502,14 +500,14 @@ class Povm:
     """POVM with integer-labelled conclusive elements and an inconclusive one.
 
     ``elements`` maps label -> operator for the conclusive outcomes
-    (labels 1..N by convention); ``inconclusive`` is the label-0 element
-    and may be absent (``None``) for complete conclusive POVMs.  This is a
-    plain container: use :func:`validate_povm` for the PSD/completeness
-    report, since invalid candidates must remain representable.
+    (labels 1..N by convention); ``inconclusive`` is the label-0 element,
+    a zero matrix for a complete conclusive POVM.  This is a plain
+    container: use :func:`validate_povm` for the PSD/completeness report,
+    since invalid candidates must remain representable.
     """
 
     elements: dict[int, np.ndarray]
-    inconclusive: np.ndarray | None = None
+    inconclusive: np.ndarray
 
     def __post_init__(self) -> None:
         elems = {int(k): _frozen(as_matrix(v, f"element {k}")) for k, v in self.elements.items()}
@@ -517,11 +515,8 @@ class Povm:
             raise ValueError("a POVM needs at least one conclusive element")
         if 0 in elems:
             raise ValueError("label 0 is reserved for the inconclusive element")
-        dims = {m.shape[0] for m in elems.values()}
-        inc = self.inconclusive
-        if inc is not None:
-            inc = _frozen(as_matrix(inc, "inconclusive element"))
-            dims.add(inc.shape[0])
+        inc = _frozen(as_matrix(self.inconclusive, "inconclusive element"))
+        dims = {m.shape[0] for m in [*elems.values(), inc]}
         if len(dims) != 1:
             raise DimensionError(f"POVM elements have mixed dimensions {sorted(dims)}")
         object.__setattr__(self, "elements", elems)
@@ -536,11 +531,8 @@ class Povm:
         return sorted(self.elements)
 
     def all_operators(self) -> list[tuple[int, np.ndarray]]:
-        """(label, operator) pairs, inconclusive (label 0) last if present."""
-        out = [(k, self.elements[k]) for k in self.labels]
-        if self.inconclusive is not None:
-            out.append((0, self.inconclusive))
-        return out
+        """(label, operator) pairs, inconclusive (label 0) last."""
+        return [(k, self.elements[k]) for k in self.labels] + [(0, self.inconclusive)]
 
     def total(self) -> np.ndarray:
         return sum(op for _, op in self.all_operators())
@@ -588,19 +580,25 @@ def matrix_to_json(a: Any) -> dict[str, Any]:
     return {"dim": int(arr.shape[0]), "entries": _pairs(arr)}
 
 
-def matrix_from_json(obj: dict[str, Any]) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`; validates shape consistency."""
+def _array_from_json(obj: dict[str, Any], kind: str, ndim: int) -> np.ndarray:
+    """The vector (``ndim`` 1) or matrix (2) of a ``{"dim": d, "entries": ...}``
+    object, with ``d`` in ``1..DIM_CAP`` and ``d**ndim`` entries."""
     try:
         dim = int(obj["dim"])
         entries = obj["entries"]
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix object: {exc}") from exc
+        raise ValueError(f"malformed {kind} object: {exc}") from exc
     if dim < 1 or dim > DIM_CAP:
-        raise DimensionError(f"matrix dim {dim} outside 1..{DIM_CAP}")
-    if len(entries) != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
+        raise DimensionError(f"{kind} dim {dim} outside 1..{DIM_CAP}")
+    if len(entries) != dim**ndim:
+        raise ValueError(f"expected {dim**ndim} entries, got {len(entries)}")
     flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    return flat.reshape(dim, dim)
+    return flat.reshape((dim,) * ndim)
+
+
+def matrix_from_json(obj: dict[str, Any]) -> np.ndarray:
+    """Inverse of :func:`matrix_to_json`; validates shape consistency."""
+    return _array_from_json(obj, "matrix", 2)
 
 
 def vector_to_json(v: Any) -> dict[str, Any]:
@@ -609,11 +607,8 @@ def vector_to_json(v: Any) -> dict[str, Any]:
 
 
 def vector_from_json(obj: dict[str, Any]) -> np.ndarray:
-    dim = int(obj["dim"])
-    entries = obj["entries"]
-    if len(entries) != dim:
-        raise ValueError(f"expected {dim} entries, got {len(entries)}")
-    return np.array([complex(re, im) for re, im in entries], dtype=complex)
+    """Inverse of :func:`vector_to_json`, with the checks of :func:`matrix_from_json`."""
+    return _array_from_json(obj, "vector", 1)
 
 
 def ensemble_to_json(e: Ensemble) -> dict[str, Any]:
@@ -643,18 +638,15 @@ def load_ensemble(path: str) -> Ensemble:
 
 
 def povm_to_json(p: Povm) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "elements": {str(k): matrix_to_json(v) for k, v in sorted(p.elements.items())}
+    return {
+        "elements": {str(k): matrix_to_json(v) for k, v in sorted(p.elements.items())},
+        "inconclusive": matrix_to_json(p.inconclusive),
     }
-    if p.inconclusive is not None:
-        out["inconclusive"] = matrix_to_json(p.inconclusive)
-    return out
 
 
 def povm_from_json(obj: dict[str, Any]) -> Povm:
     elements = {int(k): matrix_from_json(v) for k, v in obj["elements"].items()}
-    inc = matrix_from_json(obj["inconclusive"]) if "inconclusive" in obj else None
-    return Povm(elements=elements, inconclusive=inc)
+    return Povm(elements=elements, inconclusive=matrix_from_json(obj["inconclusive"]))
 
 
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

@@ -149,9 +149,7 @@ def information_gain(e: Ensemble, povm: Povm) -> float:
 
 
 def inconclusive_rate(e: Ensemble, povm: Povm) -> float:
-    """``eta_0 = tr[rho M_0]`` (zero when there is no inconclusive element)."""
-    if povm.inconclusive is None:
-        return 0.0
+    """``eta_0 = tr[rho M_0]``."""
     return float(np.real(np.trace(e.average().mat @ povm.inconclusive)))
 
 
@@ -369,10 +367,7 @@ def joint_outcomes(e0: Ensemble, records: Sequence[PartyRecord]) -> tuple[float,
         acc = _pull_back(last.povm.elements[x], x, records[:-1])
         if x in e0.labels:
             p_joint += e0.prior(x) * float(np.real(np.trace(e0.state(x).mat @ acc)))
-    m0 = last.povm.inconclusive
-    if m0 is None:
-        m0 = np.zeros((last.povm.dim, last.povm.dim), dtype=complex)
-    acc0 = _pull_back(m0, 0, records[:-1])
+    acc0 = _pull_back(last.povm.inconclusive, 0, records[:-1])
     p_inc = float(
         sum(q * np.real(np.trace(s.mat @ acc0)) for q, s in zip(e0.priors, e0.states))
     )

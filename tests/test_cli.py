@@ -702,3 +702,37 @@ def test_sweep_threads_must_be_an_integer(monkeypatch, capsys):
     code, out, err = run(capsys, ["sweep", "--family", "two_mixed"])
     assert code == cli.EXIT_INPUT and out == ""
     assert err == "error: SEQMCM_THREADS='x' is not an integer\n"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_two_state_gu_sweep_exits_2_as_its_chain_does(threads, monkeypatch, capsys):
+    """gu(2) has no sequential closed forms: its sweep, pooled or not, exits 2
+    with the message its ``sequence`` gives and prints no rows."""
+    params = ["--params", '{"n": 2}']
+    chain = run(capsys, ["sequence", "--family", "gu", *params, "--parties", "2", "--eta0", "0.5"])
+    monkeypatch.setenv("SEQMCM_THREADS", threads)
+    sweep = run(capsys, ["sweep", "--family", "gu", *params])
+    reason = "sequential closed forms require n >= 3"
+    assert sweep == chain == (cli.EXIT_INPUT, "", f"error: bad parameters for family gu: {reason}\n")
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        pytest.param(qcore.Ensemble(priors=(1.0,), states=(np.eye(2) / 2,)), id="single-state"),
+        pytest.param(
+            qcore.Ensemble(priors=(0.5, 0.5), states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))),
+            id="orthogonal-pair",
+        ),
+    ],
+)
+def test_certain_guess_prints_positive_zero_entropy(e, tmp_path, capsys):
+    """``mcm`` writes H_min = -log2 P_guess as ``0.0``, never ``-0.0``, at P_guess = 1."""
+    path = tmp_path / "ensemble.json"
+    path.write_text(json.dumps(qcore.ensemble_to_json(e)))
+    code, out, _ = run(capsys, ["mcm", "--ensemble", str(path)])
+    assert code == cli.EXIT_OK
+    guessing = json.loads(out)["guessing"]
+    assert guessing["p_guess"] == 1.0
+    assert math.copysign(1.0, guessing["h_min_bits"]) == 1.0
+    assert '"h_min_bits": 0.0,' in out

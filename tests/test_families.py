@@ -134,7 +134,7 @@ class TestTwoMixedClosedForms:
             fam = two_mixed(
                 float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.2, math.pi - 0.2))
             )
-            got, _ = mcm.guessing_probability(fam.ensemble())
+            got = optim.min_error_guessing(fam.ensemble())
             np.testing.assert_allclose(got, fam.helstrom, atol=1e-10)
 
     def test_confidence_dominates_helstrom(self):

@@ -23,8 +23,6 @@ from seqmcm import mcm, qcore
 from seqmcm.mcm import (
     McmEntry,
     SupportError,
-    confidence_entropy_identity,
-    guessing_probability,
     max_confidence,
     max_relative_entropy,
     mcm_povm,
@@ -32,6 +30,7 @@ from seqmcm.mcm import (
     solve_mcm,
     verify_kkt,
 )
+from seqmcm.optim import min_error_guessing
 from seqmcm.qcore import Ensemble, random_ensemble, validate_povm
 
 
@@ -156,16 +155,16 @@ class TestMaxConfidence:
         with pytest.raises(SupportError):
             max_confidence(e, 2)
 
-    def test_support_leak_is_per_label(self):
-        """Only label 2 leaks, so label 1 still solves on its own, while
-        solving every label raises."""
+    def test_support_leak_of_any_label_raises(self):
+        """The ensemble is solved whole: label 2 leaks, so asking for label 1
+        raises too, as solving every label does."""
         e = Ensemble(
             priors=(1.0 - 1e-12, 1e-12),
             states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
         )
-        entry = max_confidence(e, 1)
-        assert entry.confidence == pytest.approx(1.0)
-        with pytest.raises(SupportError):
+        with pytest.raises(SupportError, match="label 2"):
+            max_confidence(e, 1)
+        with pytest.raises(SupportError, match="label 2"):
             solve_mcm(e)
 
 
@@ -316,10 +315,8 @@ class TestSolveOnce:
         eigensolves.calls.clear()
         povm = mcm_povm(e, {x: 0.1 for x in e.labels})
         assert verify_kkt(e, povm).ok
-        max_confidence(e, 2)
-        # max_confidence solves its label afresh, but against the cached rho factors
-        assert eigensolves.of(average_of(e)) == 0
-        assert eigensolves.count("eigh") == 1 + (entries[2].sigma is not None)
+        assert max_confidence(e, 2) is entries[2]
+        assert eigensolves.calls == []
 
     def test_cached_solution_cannot_be_mutated(self):
         e = trine_ensemble()
@@ -425,8 +422,10 @@ class TestMaxRelativeEntropy:
         for _ in range(60):
             e = random_ensemble(rng, 2, rng.integers(2, 6))
             for x in e.labels:
-                lhs, rhs = confidence_entropy_identity(e, x)
-                np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+                dmax = max_relative_entropy(e.state(x).mat, e.average().mat)
+                np.testing.assert_allclose(
+                    max_confidence(e, x).confidence, e.prior(x) * 2.0**dmax, atol=1e-9
+                )
 
     def test_monotone_in_scaling(self):
         """Dmax(rho || t sigma + (1-t) rho) decreases as the reference
@@ -449,26 +448,15 @@ class TestMaxRelativeEntropy:
 
 class TestGuessingProbability:
     def test_orthogonal_pair(self):
-        p, hmin = guessing_probability(orthogonal_pair())
-        np.testing.assert_allclose(p, 1.0, atol=1e-12)
-        np.testing.assert_allclose(hmin, 0.0, atol=1e-12)
+        np.testing.assert_allclose(min_error_guessing(orthogonal_pair()), 1.0, atol=1e-12)
 
     def test_single_state(self):
         e = Ensemble(priors=(1.0,), states=(np.eye(2) / 2,))
-        assert guessing_probability(e) == (1.0, 0.0)
-
-    def test_certain_guess_has_positive_zero_entropy(self):
-        """``mcm.json`` prints ``0.0``, never ``-0.0``, when P_guess is 1."""
-        single = Ensemble(priors=(1.0,), states=(np.eye(2) / 2,))
-        for e in (single, orthogonal_pair()):
-            p, hmin = guessing_probability(e)
-            assert p == 1.0 and math.copysign(1.0, hmin) == 1.0
+        assert min_error_guessing(e) == 1.0
 
     def test_identical_states_give_prior(self):
         e = Ensemble(priors=(0.7, 0.3), states=(np.eye(2) / 2, np.eye(2) / 2))
-        p, hmin = guessing_probability(e)
-        np.testing.assert_allclose(p, 0.7, atol=1e-12)
-        np.testing.assert_allclose(hmin, -math.log2(0.7), atol=1e-12)
+        np.testing.assert_allclose(min_error_guessing(e), 0.7, atol=1e-12)
 
     def test_two_state_discrimination_formula(self):
         """P = (1 + ||q1 rho1 - q2 rho2||_1)/2 for pure pairs reduces to
@@ -481,18 +469,16 @@ class TestGuessingProbability:
             e = Ensemble(priors=(q1, 1 - q1), states=(_projector(v1), _projector(v2)))
             overlap = abs(np.vdot(v1, v2)) ** 2
             want = 0.5 * (1 + math.sqrt(1 - 4 * q1 * (1 - q1) * overlap))
-            np.testing.assert_allclose(guessing_probability(e)[0], want, atol=1e-10)
+            np.testing.assert_allclose(min_error_guessing(e), want, atol=1e-10)
 
     def test_trine_guessing_two_thirds(self):
-        p, _ = guessing_probability(trine_ensemble())
-        np.testing.assert_allclose(p, 2.0 / 3.0, atol=1e-5)
+        np.testing.assert_allclose(min_error_guessing(trine_ensemble()), 2.0 / 3.0, atol=1e-5)
 
     def test_guessing_at_least_best_prior(self):
         rng = np.random.default_rng(52)
         for _ in range(10):
             e = random_ensemble(rng, 2, 3)
-            p, _ = guessing_probability(e)
-            assert p >= max(e.priors) - 1e-6
+            assert min_error_guessing(e) >= max(e.priors) - 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,9 @@ class TestEnsemble:
 
 class TestPovmValidation:
     def test_valid_projective(self):
-        povm = Povm(elements={1: np.diag([1.0, 0]), 2: np.diag([0, 1.0])})
+        povm = Povm(
+            elements={1: np.diag([1.0, 0]), 2: np.diag([0, 1.0])}, inconclusive=np.zeros((2, 2))
+        )
         report = validate_povm(povm)
         assert report.ok
         assert report.completeness_residual < 1e-14
@@ -256,12 +258,18 @@ class TestPovmValidation:
         np.testing.assert_allclose(report.psd_margins[0], -0.5, atol=1e-12)
 
     def test_incomplete_fails(self):
-        povm = Povm(elements={1: 0.5 * np.diag([1.0, 0.0])})
+        povm = Povm(elements={1: 0.5 * np.diag([1.0, 0.0])}, inconclusive=np.zeros((2, 2)))
         assert not validate_povm(povm).ok
 
     def test_label_zero_reserved(self):
         with pytest.raises(ValueError):
-            Povm(elements={0: np.eye(2)})
+            Povm(elements={0: np.eye(2)}, inconclusive=np.zeros((2, 2)))
+
+    def test_inconclusive_element_is_required(self):
+        with pytest.raises(TypeError):
+            Povm(elements={1: np.eye(2)})
+        with pytest.raises(KeyError):
+            povm_from_json({"elements": {"1": matrix_to_json(np.eye(2))}})
 
 
 class TestPureState:
@@ -313,6 +321,19 @@ class TestJsonRoundTrips:
             matrix_from_json({"dim": 2})
         with pytest.raises(ValueError, match="expected 4 entries"):
             matrix_from_json({"dim": 2, "entries": [[1.0, 0.0]]})
+
+    def test_malformed_vector_rejected(self):
+        """The vector reader makes the matrix reader's checks."""
+        with pytest.raises(ValueError, match="malformed vector object"):
+            vector_from_json({"entries": [[1.0, 0.0]]})
+        with pytest.raises(ValueError, match="malformed vector object"):
+            vector_from_json([[1.0, 0.0]])
+        with pytest.raises(DimensionError, match="vector dim 9 outside 1..8"):
+            vector_from_json({"dim": 9, "entries": [[1.0, 0.0]] * 9})
+        with pytest.raises(DimensionError, match="vector dim 0 outside 1..8"):
+            vector_from_json({"dim": 0, "entries": []})
+        with pytest.raises(ValueError, match="expected 2 entries"):
+            vector_from_json({"dim": 2, "entries": [[1.0, 0.0]]})
 
     def test_json_serializable(self):
         rng = np.random.default_rng(6)

@@ -25,8 +25,9 @@ ensemble files holding a non-Hermitian state, a state with a negative
 eigenvalue and a state of trace 1.1, ``--params`` keys a family never
 reads, a fractional state count, and a negative ``verify --seed``; then
 ``mcm`` and ``sequence`` on two-state ensembles, on a qutrit pair whose
-solution fails its own complement check (exit 3), and a parameter given
-in two spellings (exit 2).
+solution fails its own complement check (exit 3), a parameter given
+in two spellings (exit 2), and a ``gu`` sweep of two states, which has no
+sequential closed forms (exit 2).
 New lines go at the end, so earlier lines keep their place in a diff.
 ``--ensemble`` reads files this script writes into a temporary
 working directory, under fixed relative names, so no message carries a
@@ -234,6 +235,8 @@ def corpus() -> list[list[str]]:
     # two spellings of one parameter, each exit 2
     lines += [["family", "--family", "gu", "--params", '{"n": 4, "N": 5}'],
               ["family", "--family", "lifted_gu", "--params", '{"lam": 0.5, "lambda": 0.9}']]
+    # a gu sweep of two states, exit 2
+    lines.append(["sweep", "--family", "gu", "--params", '{"n": 2}'])
     return lines
 
 
