@@ -75,7 +75,7 @@ from . import mcm as mcm_mod
 from . import optim as optim_mod
 from . import qcore
 from . import seqchan
-from .qcore import Ensemble, FeasibilityError
+from .qcore import Ensemble
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -453,14 +453,10 @@ def _sweep_lifted(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list
     ).split()
     rows = []
     for eta0 in rates:
-        try:
-            bound = fam.party_bound(threshold, eta0)
-        except FeasibilityError as exc:  # rate below the floor cos(theta)
-            raise CliError(EXIT_INFEASIBLE, f"infeasible: {exc}")
-        except ValueError as exc:  # n < 3: no sequential closed forms
-            raise CliError(EXIT_INPUT, f"bad parameters for family {args.family}: {exc}")
+        pairs = _rate_chain(args, fam, eta0, parties)  # exits as sequence does, naming the party
+        bound = fam.party_bound(threshold, eta0)
         max_r = fam.max_parties(threshold, eta0) if math.isfinite(bound) else None
-        for r, (oracle, engine) in enumerate(_rate_chain(args, fam, eta0, parties), start=1):
+        for r, (oracle, engine) in enumerate(pairs, start=1):
             row = [r, eta0, threshold, bound, max_r, oracle, engine, abs(engine - oracle)]
             rows.append(row + [int(oracle >= threshold), int(engine >= threshold), None])
     return header, rows
@@ -567,7 +563,7 @@ def _draw_mcm_weights(rng: np.random.Generator) -> tuple[Ensemble, dict[int, flo
     """A random 2..4-state qubit ensemble and random feasible weights for
     its optimal projectors."""
     e = _draw_ensemble(rng, 4)
-    projectors = mcm_mod.optimal_projectors(mcm_mod.solve_mcm(e))
+    projectors = mcm_mod.optimal_projectors(e)
     return e, optim_mod.random_feasible_weights(rng, projectors)
 
 

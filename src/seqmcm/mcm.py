@@ -40,7 +40,10 @@ The result is kept on the ensemble itself (:meth:`Ensemble.cached`), so
 :func:`mcm_povm`, :func:`verify_kkt`, the weight optimizer and the chain
 runner all reuse it.  It cannot go stale: an ensemble's fields are frozen
 and its state arrays read-only, and callers get a fresh dict of frozen
-entries, never the stored one.  :func:`max_confidence` reads its label's
+entries, never the stored one.  The orthonormal bases of the optimal
+subspaces and their projectors are kept the same way, read-only, so the
+weight optimizer, :func:`mcm_povm` and :func:`optimal_projectors` share one
+QR per label.  :func:`max_confidence` reads its label's
 entry from that one solution, so it raises :class:`SupportError` when
 any label of the ensemble leaks outside the support.
 """
@@ -48,8 +51,9 @@ any label of the ensemble leaks outside the support.
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -238,18 +242,30 @@ def solve_mcm(e: Ensemble) -> dict[int, McmEntry]:
     return dict(e.cached("mcm.solution", lambda: _solve(e)))
 
 
-def optimal_projectors(entries: dict[int, McmEntry]) -> dict[int, np.ndarray]:
-    """Orthogonal projectors onto each label's optimal subspace.
+def _optimal_subspaces(e: Ensemble) -> Mapping[int, tuple[np.ndarray, np.ndarray]]:
+    """Label to ``(Q_x, P_x)``: an orthonormal basis of the label's optimal
+    subspace (one QR of its :attr:`McmEntry.basis`) and the projector
+    ``P_x = Q_x Q_x^dag``, both read-only.  Computed once per ensemble and
+    kept next to the :func:`solve_mcm` solution; zero-prior labels are
+    omitted."""
+
+    def compute() -> Mapping[int, tuple[np.ndarray, np.ndarray]]:
+        subspaces = {}
+        for x, entry in solve_mcm(e).items():
+            if entry.basis:
+                qmat, _ = np.linalg.qr(np.stack(entry.basis, axis=1))
+                subspaces[x] = (qcore._frozen(qmat), qcore._frozen(qmat @ qmat.conj().T))
+        return types.MappingProxyType(subspaces)
+
+    return e.cached("mcm.subspaces", compute)
+
+
+def optimal_projectors(e: Ensemble) -> dict[int, np.ndarray]:
+    """Orthogonal projectors onto each label's optimal subspace, read-only
+    and computed once per ensemble.
 
     Labels whose optimal basis is empty (zero prior) are omitted."""
-    projectors: dict[int, np.ndarray] = {}
-    for x, entry in entries.items():
-        if not entry.basis:
-            continue
-        stacked = np.stack(entry.basis, axis=1)
-        qmat, _ = np.linalg.qr(stacked)
-        projectors[x] = qmat @ qmat.conj().T
-    return projectors
+    return {x: p for x, (_, p) in _optimal_subspaces(e).items()}
 
 
 def mcm_povm(e: Ensemble, weights: dict[int, float]) -> Povm:
@@ -260,7 +276,7 @@ def mcm_povm(e: Ensemble, weights: dict[int, float]) -> Povm:
     inconclusive element is ``M_0 = 1 - sum_x M_x``; callers are expected
     to validate the result, since arbitrary weights need not be feasible.
     """
-    projectors = optimal_projectors(solve_mcm(e))
+    projectors = optimal_projectors(e)
     elements: dict[int, np.ndarray] = {}
     for x, a in weights.items():
         if x not in projectors:

@@ -14,13 +14,18 @@ solve that stops short of the gap bound raises :class:`ConvergenceError`.
    ``P_x`` of a maximum-confidence measurement, choose weights
    ``a_x >= 0`` with ``1 - sum_x a_x P_x >= 0`` minimizing the
    inconclusive probability ``eta_0 = 1 - sum_x a_x tr[rho P_x]``.
-   One or two labels with a nonempty optimal subspace are solved exactly
-   in closed form (Jordan's lemma reduces the constraint to one
-   inequality in the two weights; :func:`_pair_weights`), unless the two
-   subspaces share a direction.  Otherwise the barrier core runs on one
-   ``d x d`` block and ``N`` scalar blocks.  On a degenerate optimal
-   face the weights come within about 1e-7 of the face's analytic
-   center, no closer (see :func:`min_inconclusive_rate`).
+   A qubit problem (up to :data:`QUBIT_LABELS` labels) is solved exactly
+   through its dual, with no Newton step and a certificate on every
+   solve: the dual has four real unknowns, its optimum is fixed by at most
+   four active constraints, and every candidate set is enumerated in a few
+   batches (:func:`_qubit_weights`).  Above qubits, one or two labels with
+   a nonempty optimal subspace are solved exactly in closed form (Jordan's
+   lemma reduces the constraint to one inequality in the two weights;
+   :func:`_pair_weights`), unless the two subspaces share a direction.
+   Otherwise the barrier core runs on one ``d x d`` block and ``N`` scalar
+   blocks; on a degenerate optimal face its weights come within about
+   1e-7 of the face's analytic center, no closer (see
+   :func:`min_inconclusive_rate`).
 
 2. **Minimum-error guessing.**  ``P_guess = min tr[Y]`` over Hermitian
    ``Y >= q_x rho_x`` (the dual of Eldar, Megretski & Verghese, IEEE TIT
@@ -35,6 +40,9 @@ Every solver here is deterministic and carries no seed.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import math
 import types
 from dataclasses import dataclass
@@ -68,14 +76,17 @@ class WeightSolution:
     """Optimal weights for ``M_x = a_x P_x``.
 
     ``eta0`` is the inconclusive rate ``tr[rho M_0]`` and ``psd_margin``
-    the smallest eigenvalue of ``M_0``.  Weights solved in closed form (one
-    or two labels) are the optimum itself: ``M_0`` is singular, and
+    the smallest eigenvalue of ``M_0``.  Weights solved exactly (every
+    qubit problem of up to :data:`QUBIT_LABELS` labels; one or two labels
+    above qubits) are the optimum itself: ``M_0`` is singular or zero, and
     ``psd_margin`` sits at rounding level, of either sign (about 1e-16).
-    Otherwise they are a barrier iterate, strictly inside the feasible set,
-    ``eta0`` lies within the gap bound :data:`GAP_TOL` above the optimum,
-    and ``psd_margin`` is positive, of order the gap.  On a degenerate
-    optimal face they are one optimal point among many, fixed only to about
-    1e-7 (see :func:`min_inconclusive_rate`).  ``weights`` is read-only."""
+    On a degenerate optimal face, exact qubit weights are the face's exact
+    analytic center.  Otherwise (``d >= 3``) they are a barrier iterate,
+    strictly inside the feasible set, ``eta0`` lies within the gap bound
+    :data:`GAP_TOL` above the optimum, and ``psd_margin`` is positive, of
+    order the gap; on a degenerate optimal face they are one optimal point
+    among many, fixed only to about 1e-7 (see :func:`min_inconclusive_rate`).
+    ``weights`` is read-only."""
 
     weights: Mapping[int, float]
     eta0: float
@@ -192,25 +203,33 @@ def min_inconclusive_rate(e: Ensemble) -> WeightSolution:
     """Weights minimizing the inconclusive rate of ``{a_x P_x}``.
 
     ``P_x`` are the orthogonal projectors onto each label's optimal
-    subspace, from the ensemble's once-computed
-    :func:`seqmcm.mcm.solve_mcm` solution.  When one label has such a
-    subspace its weight is 1.  When two do, and their subspaces share no
-    direction, the weights are the exact optimum on the boundary of the
-    feasible set (:func:`_pair_weights`): no Newton step is taken, and the
-    weights agree with the barrier's to about 1e-8 where the problem is well
-    conditioned.  When ``c_x = tr[rho P_x]`` is itself near rounding (pure
-    states a small angle apart), the weights are as uncertain as the
-    ``c_x``, though ``eta0`` is not.  Otherwise the barrier core runs on one
-    ``d x d`` block ``1 - sum_x a_x P_x`` and the ``N`` scalars ``a_x``,
-    joined into one block-diagonal matrix.
+    subspace, read once per ensemble from its :func:`seqmcm.mcm.solve_mcm`
+    solution.  When one label has such a subspace its weight is 1.
 
-    Where the optimal face is degenerate (symmetric families; qubit
-    ensembles of five or more states whose optimal projectors admit a
-    complete POVM) the weights are not unique.  They are then the
-    central-path point at which :data:`RIDGE` freezes the face direction
-    (``mu`` near 1e-6), within about 1e-7 of the face's analytic center:
-    symmetric faces keep symmetric weights, but the digits beyond 1e-7
-    depend on the ridge, not on the problem.  Solved once per ensemble.
+    A qubit problem of up to :data:`QUBIT_LABELS` labels is solved exactly
+    through its dual (:func:`_qubit_weights`): no Newton step is taken, and
+    every answer is certified (dual-feasible ``z``, feasible weights, and a
+    gap of at most :data:`GAP_TOL`) or :class:`ConvergenceError` is raised.
+    Where the optimal face is degenerate (identical states; five or more
+    states whose optimal projectors admit a complete POVM), the weights
+    are the face's exact analytic center, so symmetric faces keep
+    symmetric weights to rounding.
+
+    Above qubits, when two labels have a subspace, and their subspaces
+    share no direction, the weights are the exact optimum on the boundary
+    of the feasible set (:func:`_pair_weights`): no Newton step is taken,
+    and the weights agree with the barrier's to about 1e-8 where the
+    problem is well conditioned.  When ``c_x = tr[rho P_x]`` is itself near
+    rounding (pure states a small angle apart), the weights of either exact
+    solver are as uncertain as the ``c_x``, though ``eta0`` is not.
+    Otherwise the barrier core runs on one ``d x d`` block
+    ``1 - sum_x a_x P_x`` and the ``N`` scalars ``a_x``, joined into one
+    block-diagonal matrix.  On a degenerate face (``d >= 3``) its weights
+    are the central-path point at which :data:`RIDGE` freezes the face
+    direction (``mu`` near 1e-6), within about 1e-7 of the face's analytic
+    center: symmetric faces keep symmetric weights, but the digits beyond
+    1e-7 depend on the ridge, not on the problem.  Solved once per
+    ensemble.
     """
     return e.cached("optim.weights", lambda: _min_inconclusive_rate(e))
 
@@ -247,21 +266,236 @@ def _pair_weights(bases: list[np.ndarray], c: np.ndarray) -> np.ndarray | None:
     return np.clip(a, 0.0, 1.0)
 
 
+# ---------------------------------------------------------------------------
+# qubit weights, exact through the dual
+# ---------------------------------------------------------------------------
+
+QUBIT_LABELS = 12
+"""Qubit problems with at most this many labels are solved through the
+dual.  Its candidate sets grow as ``N**3`` and a degenerate face's vertex
+sets as ``N**4``; from about 16 labels on, the barrier core is as fast."""
+
+FACE_TOL = 1e-9
+"""A qubit dual constraint whose slack at the optimum is below this,
+relative to the optimum, may carry weight (:func:`_qubit_weights`)."""
+
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+"""``1, sigma_x, sigma_y, sigma_z``: ``tr[P sigma_k]`` are ``P``'s coordinates."""
+
+_LEVI_CIVITA = np.zeros((3, 3, 3))
+_LEVI_CIVITA[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+_LEVI_CIVITA[[0, 1, 2], [2, 0, 1], [1, 2, 0]] = -1.0
+
+
+@functools.lru_cache(maxsize=None)
+def _subsets(n: int, k: int) -> np.ndarray:
+    """Every ``k``-subset of ``range(n)``, one per row (read-only: shared)."""
+    subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    subsets.setflags(write=False)
+    return subsets
+
+
+def _inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(kept, inverses)``: which of the square ``mats`` are safely
+    invertible (``|det|`` above ``1e-14`` times Hadamard's bound, the
+    product of the row norms), and their inverses."""
+    bound = np.prod(np.sqrt(np.einsum("...ij,...ij->...i", mats, mats)), axis=-1)
+    kept = np.abs(np.linalg.det(mats)) > 1e-14 * bound
+    return kept, np.linalg.inv(mats[kept])
+
+
+def _cone_candidates(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Every dual point ``z`` on the cone ``z0 = |z|`` at which ``r``
+    independent constraints are active besides it; ``rows`` holds each
+    label's ``(tr P_x, b_x)``.
+
+    Each kind is one batch over all subsets of one size.  One label on the
+    cone has ``u = b_x / |b_x|`` in closed form.  ``r`` labels give ``r``
+    equations ``t z0 + M z = rhs``; for ``r = 3``, two labels take the
+    normal of their Bloch vectors' plane as a third, homogeneous equation,
+    which keeps ``u`` in their span.  Then ``z = pc - z0 pt`` with
+    ``pc = M^-1 rhs`` and ``pt = M^-1 t``, and ``|z| = z0`` is a quadratic in
+    ``z0``.  Its coefficients grow with the conditioning of ``M``, so each
+    root takes one Newton step on the equations and the cone together, whose
+    Jacobian rows ``(t, M)`` and ``(1, -u)`` are well scaled; the step is
+    eliminated through ``M^-1``.  A nearly singular ``M`` gives a point
+    that is merely not optimal."""
+    n, r = rows.shape[0], rows.shape[1] - 1
+    b = rows[:, 1:]
+    norms = np.sqrt(np.einsum("xk,xk->x", b, b))
+    live = norms > 0.0
+    one = b[live] * (c[live] / (rows[live, 0] + norms[live]) / norms[live])[:, None]
+    if r < 2:
+        return one
+    idx = _subsets(n, r)
+    lin, rhs = rows[idx], c[idx]
+    if r == 3:
+        pairs = _subsets(n, 2)
+        plane = np.zeros((len(pairs), 1, 4))
+        plane[:, 0, 1:] = np.einsum("ijk,sj,sk->si", _LEVI_CIVITA, b[pairs[:, 0]], b[pairs[:, 1]])
+        lin = np.concatenate([lin, np.concatenate([rows[pairs], plane], axis=1)])
+        rhs = np.concatenate([rhs, np.concatenate([c[pairs], plane[:, :, 0]], axis=1)])
+    try:
+        inv = np.linalg.inv(lin[:, :, 1:])
+    except np.linalg.LinAlgError:  # labels that coincide
+        kept, inv = _inverses(lin[:, :, 1:])
+        lin, rhs = lin[kept], rhs[kept]
+    pc, pt = (inv @ rhs[..., None])[..., 0], (inv @ lin[:, :, :1])[..., 0]
+    alpha, beta, gamma = (np.einsum("sk,sk->s", u, v) for u, v in ((pc, pc), (pc, pt), (pt, pt)))
+    with np.errstate(all="ignore"):
+        q = beta + np.copysign(np.sqrt(np.maximum(beta * beta - alpha * (gamma - 1.0), 0.0)), beta)
+        z0 = np.stack([q / (gamma - 1.0), alpha / q], axis=1)  # both roots, cancellation-free
+        z = pc[:, None] - z0[..., None] * pt[:, None]
+        radius = np.sqrt(np.einsum("sak,sak->sa", z, z))
+        # one Newton step: t d0 + M dz = res and d0 - u . dz = z0 - |z|,
+        # so dz = M^-1 res - pt d0
+        res = lin[:, None, :, 0] * z0[..., None] + (lin[:, None, :, 1:] @ z[..., None])[..., 0]
+        step = (inv[:, None] @ (res - rhs[:, None])[..., None])[..., 0]
+        d0 = (z0 - radius + np.einsum("sak,sak->sa", z, step) / radius) / (
+            1.0 + np.einsum("sak,sk->sa", z, pt) / radius
+        )
+        z = (z - step + d0[..., None] * pt[:, None]).reshape(-1, r)
+        keep = (z0.reshape(-1) > 0.0) & np.isfinite(z).all(axis=1)
+    return np.concatenate([one, z[keep]])
+
+
+def _face_centre(cols: np.ndarray, target: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The analytic centre of the optimal face ``{w >= 0 : cols @ w = target}``
+    of a qubit problem, where the face has more than one point or its
+    columns are nearly dependent.
+
+    Every vertex is enumerated in one batch, one square system per subset
+    of ``rank`` columns.  Where ``cols`` has fewer independent columns than
+    rows (singular values below ``1e-7`` of the largest count as zero, so
+    nearly parallel projectors share a face), the systems are taken in its
+    column space.  The feasible vertices within ``1e-3`` :data:`GAP_TOL` of
+    the best objective (``c`` weights the label columns, which come first)
+    span the face, and their mean is interior to it.  Damped Newton steps on
+    the face's free coordinates (the null space of the columns in use) then
+    maximise ``sum log w``; none is taken where the gradient is already at
+    rounding level, so a symmetric face keeps its symmetric mean."""
+    left, sing, _ = np.linalg.svd(cols, full_matrices=False)
+    rank = int((sing > 1e-7 * sing[0]).sum())
+    if rank < len(cols):
+        cols, target = left[:, :rank].T @ cols, left[:, :rank].T @ target
+    idx = _subsets(cols.shape[1], rank)
+    kept, inv = _inverses(np.swapaxes(cols[:, idx], 0, 1))
+    points = np.zeros((len(inv), cols.shape[1]))
+    np.put_along_axis(points, idx[kept], inv @ target, axis=1)
+    points = points[points.min(axis=1, initial=0.0) >= -GAP_TOL]
+    value = points[:, : c.size] @ c
+    face = np.maximum(points[value >= value.max(initial=0.0) - 1e-3 * GAP_TOL], 0.0)
+    if not len(face):
+        raise ConvergenceError("qubit weights: no vertex of the optimal face is feasible")
+    w = face.mean(axis=0)
+    used = face.max(axis=0) > 0.0
+    _, sing, vt = np.linalg.svd(cols[:, used])
+    free = vt[int((sing > 1e-12 * sing[0]).sum()) :].T
+    x = w[used]
+    for _ in range(MAX_STEPS if free.shape[1] else 0):
+        grad = free.T @ (1.0 / x)
+        inv = np.linalg.inv(free.T @ (free / x[:, None] ** 2))
+        decrement = float(grad @ inv @ grad)
+        if decrement < 1e-24:
+            break
+        x = x + (free @ (inv @ grad)) / (1.0 + math.sqrt(decrement))  # stays inside
+    w[used] = x
+    return w
+
+
+def _qubit_weights(mats: np.ndarray, c: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The exact optimal weights of a qubit problem, from its dual.
+
+    With ``P_x = (tr P_x + b_x . sigma) / 2`` and ``Z = z0 1 + z . sigma``,
+    the dual of the weight SDP is ``min 2 z0`` over ``z0 >= |z|`` and
+    ``z0 tr P_x + z . b_x >= c_x``.  Only ``z`` in the span of the ``b_x``
+    matters (``r <= 3`` dimensions), and for a given ``z`` the least
+    feasible ``z0`` is ``f(z) = max(|z|, max_x (c_x - z . b_x) / tr P_x)``.
+    Where a complete POVM exists (``eta0 = 0``) the average state itself,
+    ``Z = rho``, is optimal: it is feasible with every constraint active.
+    Otherwise ``M_0 != 0`` makes the optimal ``Z`` singular, on the cone,
+    with ``r`` more active constraints (:func:`_cone_candidates`).  The
+    candidate of least ``f`` is the optimum; ``f`` makes every candidate
+    feasible, so no tolerance decides which.
+
+    The weights follow by complementary slackness: ``w >= 0`` on the
+    constraints active at the optimum (slack below :data:`FACE_TOL`), where
+    the cone's weight is ``m0`` in ``M_0 = m0 (1 - u . sigma) / 2``, with
+    ``sum_x a_x (tr P_x, b_x) + m0 (1, -u) = (2, 0)``.  Where that has one
+    solution it is the answer; otherwise the optimal face is a segment or
+    a polygon (identical states; five or more states that admit a complete
+    POVM), and the answer is its exact analytic centre
+    (:func:`_face_centre`).
+
+    Raises :class:`ConvergenceError` unless the answer carries its own
+    certificate: ``z`` dual feasible, ``a >= 0`` and
+    ``1 - sum_x a_x P_x >= 0``, each within :data:`GAP_TOL`, and the gap
+    ``2 z0 - c . a`` at most :data:`GAP_TOL`.
+    """
+    coords = np.einsum("xij,kji->xk", mats, _PAULI).real  # (tr P_x, b_x)
+    _, sing, vt = np.linalg.svd(coords[:, 1:])
+    span = vt[: int((sing > 1e-12).sum())]  # orthonormal basis of the b_x
+    # tr P_x is the projector's rank, an integer: taken exactly
+    rows = np.concatenate([np.rint(coords[:, :1]), coords[:, 1:] @ span.T], axis=1)
+    tr, b = rows[:, 0], rows[:, 1:]
+    z_rho = 0.5 * (np.einsum("ij,kji->k", rho, _PAULI[1:]).real @ span.T)
+    z_all = np.concatenate([z_rho[None], _cone_candidates(rows, c)])
+    z0_all = np.maximum(
+        np.sqrt(np.einsum("sk,sk->s", z_all, z_all)), ((c - z_all @ b.T) / tr).max(axis=1)
+    )
+    best = int(np.argmin(z0_all))
+    z, z0 = z_all[best], float(z0_all[best])
+    radius = math.sqrt(float(z @ z))
+
+    slack = z0 * tr + b @ z - c
+    active = np.flatnonzero(slack <= FACE_TOL * z0)
+    cols = rows[active].T
+    if z0 - radius <= FACE_TOL * z0:
+        cols = np.concatenate([cols, np.concatenate([[1.0], -z / radius])[:, None]], axis=1)
+    target = np.zeros(len(rows[0]))
+    target[0] = 2.0
+    # one point in the common case (independent columns): solved directly
+    w = None
+    if cols.shape[0] == cols.shape[1]:  # a vertex of r + 1 constraints
+        with contextlib.suppress(np.linalg.LinAlgError):
+            w = np.linalg.inv(cols) @ target
+    elif cols.shape[1] < cols.shape[0]:  # least squares, exact for independent columns
+        left, sing, vt = np.linalg.svd(cols, full_matrices=False)
+        if sing[-1] > np.finfo(float).eps * max(cols.shape) * sing[0]:
+            w = vt.T @ ((left.T @ target) / sing)
+    if w is None or w.min(initial=0.0) < -GAP_TOL:  # a face, or columns nearly dependent
+        w = _face_centre(cols, target, c[active])
+
+    a = np.zeros(len(c))
+    a[active] = w[: active.size]
+    total = a @ coords
+    margin = 0.5 * (2.0 - float(total[0]) - math.sqrt(float(total[1:] @ total[1:])))
+    gap = 2.0 * z0 - float(c @ a)
+    if not (min(float(slack.min()), float(a.min()), margin) >= -GAP_TOL and gap <= GAP_TOL):
+        raise ConvergenceError(
+            f"qubit weights fail their certificate: dual slack {slack.min():.1e}, "
+            f"weight {a.min():.1e}, psd margin {margin:.1e}, gap {gap:.1e}"
+        )
+    return np.maximum(a, 0.0)
+
+
 def _min_inconclusive_rate(e: Ensemble) -> WeightSolution:
-    entries = _mcm.solve_mcm(e)
-    projectors = _mcm.optimal_projectors(entries)
-    if not projectors:
+    subspaces = _mcm._optimal_subspaces(e)
+    if not subspaces:
         raise ValueError("no label has a nonempty optimal subspace")
 
-    labels, mats = _stack_projectors(projectors)
+    labels = list(subspaces)
+    mats = np.stack([p for _, p in subspaces.values()])
     n, dim = mats.shape[:2]
     rho = e.average().mat
     c = np.real(np.einsum("ij,xji->x", rho, mats))
     a = None
     if n == 1:
         a = np.ones(1)
-    elif n == 2:  # the same orthonormal bases optimal_projectors builds P_x from
-        a = _pair_weights([np.linalg.qr(np.stack(entries[x].basis, axis=1))[0] for x in labels], c)
+    elif dim == 2 and n <= QUBIT_LABELS:
+        a = _qubit_weights(mats, c, rho)
+    elif n == 2:
+        a = _pair_weights([q for q, _ in subspaces.values()], c)
     if a is None:
         # one block diag(1 - sum_x a_x P_x, a_1, ..., a_N)
         f0 = np.zeros((1, dim + n, dim + n), dtype=complex)

@@ -84,6 +84,18 @@ def test_lifted_gu_rate_below_floor_exits_4(theta, rate, capsys):
     assert repr(math.cos(theta)) in err  # the floor cos(theta)
 
 
+def test_lifted_gu_sweep_below_floor_names_the_party_as_its_chain_does(capsys):
+    """A below-floor rate stops the sweep with the message its ``sequence``
+    gives, which names the party; two states still exit 2."""
+    family = ["--family", "lifted_gu", "--params", '{"theta": 1.0}']
+    chain = run(capsys, ["sequence", *family, "--parties", "8", "--eta0", "0.1"])
+    sweep = run(capsys, ["sweep", *family, "--eta0", "0.1"])
+    assert sweep == chain
+    assert sweep[0] == cli.EXIT_INFEASIBLE and sweep[2].startswith("error: infeasible: party 1: ")
+    pair = run(capsys, ["sweep", "--family", "lifted_gu", "--params", '{"n": 2}'])
+    assert pair[0] == cli.EXIT_INPUT and "require n >= 3" in pair[2]
+
+
 RERUN = [
     pytest.param(["mcm", "--family", "mirror"], id="mcm-mirror"),
     pytest.param(

@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from seqmcm import mcm, qcore
+from seqmcm import mcm, optim, qcore
 from seqmcm.mcm import (
     McmEntry,
     SupportError,
@@ -247,7 +247,7 @@ class TestOptimalBasis:
     def test_projectors_idempotent(self):
         rng = np.random.default_rng(15)
         e = random_ensemble(rng, 3, 4)
-        projs = optimal_projectors(solve_mcm(e))
+        projs = optimal_projectors(e)
         assert sorted(projs) == [1, 2, 3, 4]
         for p in projs.values():
             np.testing.assert_allclose(p @ p, p, atol=1e-12)
@@ -257,7 +257,27 @@ class TestOptimalBasis:
         e = Ensemble(
             priors=(1.0, 0.0), states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
         )
-        assert list(optimal_projectors(solve_mcm(e))) == [1]
+        assert list(optimal_projectors(e)) == [1]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_qr_per_label_shared_by_every_caller(self, dim, monkeypatch):
+        """The weight solver, mcm_povm and optimal_projectors read one
+        read-only copy of the projectors (and, for a pair, their bases)."""
+        e = random_ensemble(np.random.default_rng(16), dim, 2)
+        solve_mcm(e)
+        calls = []
+        real = np.linalg.qr
+
+        def qr(a, *args, **kwargs):
+            calls.append(a)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        weights = optim.min_inconclusive_rate(e).weights
+        mcm_povm(e, weights)
+        projs = optimal_projectors(e)
+        assert len(calls) == 2
+        assert projs[1] is optimal_projectors(e)[1] and not projs[1].flags.writeable
 
 
 class TestDegeneracy:

@@ -124,15 +124,13 @@ class TestMinInconclusiveRate:
         np.testing.assert_allclose(vals, [vals[0]] * 3, atol=1e-12)
         np.testing.assert_allclose(vals[0], 2.0 / 3.0, atol=1e-9)
 
-    def test_degenerate_face_near_analytic_centre(self, monkeypatch):
+    def test_degenerate_face_near_analytic_centre(self):
         """The optimal projectors of these five qubit states admit a line
         of complete POVMs (eta0 = 0), so the optimal weights are not
-        unique.  The solver returns a point within 1e-7 of the face's
-        analytic center, the maximizer of sum_x log a_x subject to
-        sum_x a_x P_x = 1; the ridge of the Newton system moves it by less
-        than that."""
+        unique.  The solver returns the face's analytic center, the
+        maximizer of sum_x log a_x subject to sum_x a_x P_x = 1, to 1e-12."""
         e = random_ensemble(np.random.default_rng(52), 2, 5, pure=True)
-        projectors = mcm.optimal_projectors(mcm.solve_mcm(e))
+        projectors = mcm.optimal_projectors(e)
         mats = np.stack([projectors[x] for x in sorted(projectors)]).reshape(5, 4)
         sol = min_inconclusive_rate(e)
         a = np.array([sol.weights[x] for x in sorted(sol.weights)])
@@ -146,11 +144,7 @@ class TestMinInconclusiveRate:
             hess = null.T @ (null / centre[:, None] ** 2)
             centre = centre + null @ np.linalg.solve(hess, null.T @ (1.0 / centre))
         assert np.abs(null.T @ (1.0 / centre)).max() < 1e-12
-        assert np.abs(a - centre).max() < 1e-7
-
-        monkeypatch.setattr(optim, "RIDGE", 1e-14)
-        again = min_inconclusive_rate(Ensemble(priors=e.priors, states=e.states))  # not cached
-        assert max(abs(again.weights[x] - sol.weights[x]) for x in sol.weights) < 1e-7
+        assert np.abs(a - centre).max() < 1e-12
 
     def test_solved_once_per_ensemble_with_read_only_weights(self, monkeypatch):
         e = random_ensemble(np.random.default_rng(64), 3, 4)
@@ -175,8 +169,7 @@ class TestMinInconclusiveRate:
         total = 0
         for _ in range(4):
             e = random_ensemble(rng, 2, int(rng.integers(2, 5)))
-            entries = mcm.solve_mcm(e)
-            projectors = mcm.optimal_projectors(entries)
+            projectors = mcm.optimal_projectors(e)
             sol = min_inconclusive_rate(e)
             rho = e.average().mat
             for _ in range(300):
@@ -193,7 +186,7 @@ class TestMinInconclusiveRate:
         the objective beyond solver precision."""
         rng = np.random.default_rng(63)
         e = random_ensemble(rng, 2, 3)
-        projectors = mcm.optimal_projectors(mcm.solve_mcm(e))
+        projectors = mcm.optimal_projectors(e)
         sol = min_inconclusive_rate(e)
         labels = sorted(projectors)
         rho = e.average().mat
@@ -231,9 +224,15 @@ class TestMinInconclusiveRate:
 
 def _barrier_solution(e: Ensemble, monkeypatch) -> optim.WeightSolution:
     """The weights the barrier core finds for ``e``, on a fresh copy (the
-    ensemble caches its own solution) with the closed form switched off."""
+    ensemble caches its own solution) with both exact solvers switched off.
+    Its gap bound (1e-13) and ridge (1e-15) are a hundred times tighter than
+    the defaults, so that on a degenerate face its weights come within
+    1e-7 of the face's analytic center."""
     with monkeypatch.context() as patch:
+        patch.setattr(optim, "_qubit_weights", lambda mats, c, rho: None)
         patch.setattr(optim, "_pair_weights", lambda bases, c: None)
+        patch.setattr(optim, "GAP_TOL", 1e-13)
+        patch.setattr(optim, "RIDGE", 1e-15)
         return min_inconclusive_rate(Ensemble(priors=e.priors, states=e.states))
 
 
@@ -265,7 +264,7 @@ class TestExactPairWeights:
         rng = np.random.default_rng(82)
         for dim in (2, 3, 5):
             e = random_ensemble(rng, dim, 2)
-            projectors = mcm.optimal_projectors(mcm.solve_mcm(e))
+            projectors = mcm.optimal_projectors(e)
             p1, p2 = projectors[1], projectors[2]
             s = float(np.linalg.eigvalsh(p1 @ p2 @ p1)[-1])
             rho = e.average().mat
@@ -337,14 +336,121 @@ class TestExactPairWeights:
             assert exact.psd_margin > -1e-14
 
     def test_identical_states_take_the_barrier(self, solver_calls):
-        """Identical states share their optimal subspace (s = 1): the
+        """Identical qutrit states share their optimal subspace (s = 1): the
         optimal face is a segment, and the barrier returns its centre."""
-        state = np.array([[0.6, 0.2], [0.2, 0.4]])
+        state = np.array([[0.5, 0.1, 0.0], [0.1, 0.3, 0.05], [0.0, 0.05, 0.2]])
         for priors in ((0.5, 0.5), (0.3, 0.7)):
             solver_calls.clear()
             sol = min_inconclusive_rate(Ensemble(priors=priors, states=(state, state)))
             assert solver_calls["solve"] > 0
             np.testing.assert_allclose(_weights(sol), [0.5, 0.5], atol=1e-7)
+
+
+class TestExactQubitWeights:
+    """Every qubit weight problem is solved exactly through its dual, with
+    no Newton step and a certificate on every solve; the barrier core,
+    forced on a fresh copy, is the reference."""
+
+    @staticmethod
+    def _assert_matches_barrier(e, monkeypatch):
+        exact = min_inconclusive_rate(e)
+        barrier = _barrier_solution(e, monkeypatch)
+        assert barrier.eta0 - 1e-10 <= exact.eta0 <= barrier.eta0
+        assert np.abs(_weights(exact) - _weights(barrier)).max() < 1e-7
+        assert abs(exact.psd_margin) < 1e-14  # on the boundary, to rounding
+        assert validate_povm(mcm.mcm_povm(e, exact.weights)).ok
+
+    def test_random_draws_match_the_barrier(self, monkeypatch, solver_calls):
+        """1,000 seeded draws, N = 2..6, pure and mixed, within the bounds
+        the pair closed form meets."""
+        rng = np.random.default_rng(91)
+        for n in range(2, 7):
+            for pure in (False, True):
+                for _ in range(100):
+                    e = random_ensemble(rng, 2, n, pure=pure)
+                    mcm.solve_mcm(e)
+                    solver_calls.clear()
+                    min_inconclusive_rate(e)
+                    assert solver_calls["solve"] == 0
+                    self._assert_matches_barrier(e, monkeypatch)
+
+    def test_families_match_the_barrier(self, monkeypatch):
+        """gu(4) and up have a degenerate face at eta0 = 0, lifted_gu(4) and
+        up one with the cone active; the exact centre is symmetric, at the
+        families' closed-form weight."""
+        for fam in [families.gu(n) for n in range(2, 8)] + [
+            families.lifted_gu(n, 1.0, 0.9) for n in range(3, 8)
+        ]:
+            e = fam.ensemble()
+            self._assert_matches_barrier(e, monkeypatch)
+            w = _weights(min_inconclusive_rate(e))
+            np.testing.assert_allclose(w, fam.full_weight, rtol=0.0, atol=1e-14)
+        for fam in (families.mirror(2.2), families.two_mixed(0.8, 1.0)):
+            self._assert_matches_barrier(fam.ensemble(), monkeypatch)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_hard_set_is_certified(self, eps, monkeypatch):
+        """Near-parallel states, as a mixed pair, a pure pair, a pure pair
+        with a third state, and a pure pair at priors of 1e-7: every solve
+        passes its certificate (no ConvergenceError), eta0 is never above
+        the barrier's, and the POVM validates.  Where near-parallel states
+        make the c_x or the split between two nearly equal projectors a
+        rounding matter, the weights are not pinned, and the barrier's eta0
+        may stay above the optimum by more than its gap bound."""
+        base = np.diag([0.7, 0.3]).astype(complex)
+        near = [_projector([1.0, 0.0]), _projector([math.cos(eps), math.sin(eps)])]
+        cases = [
+            Ensemble(priors=(0.4, 0.6), states=(base, base + eps * np.array([[0, 1], [1, 0]]))),
+            Ensemble(priors=(0.5, 0.5), states=tuple(near)),
+            Ensemble(priors=(0.3, 0.3, 0.4), states=(*near, _projector([1.0, 1j]))),
+            Ensemble(
+                priors=(1.0 - 2e-7, 1e-7, 1e-7),
+                states=(base, *near),
+            ),
+        ]
+        for e in cases:
+            exact = min_inconclusive_rate(e)
+            assert exact.eta0 <= _barrier_solution(e, monkeypatch).eta0
+            assert validate_povm(mcm.mcm_povm(e, exact.weights)).ok
+            assert abs(exact.psd_margin) < 1e-14
+
+    def test_rank_two_and_tiny_priors(self, monkeypatch):
+        """A rank-two P_x = 1 (a state equal to the average) and priors of
+        1e-7 match the barrier."""
+        rng = np.random.default_rng(92)
+        mixed = Ensemble(
+            priors=(0.2, 0.4, 0.4),
+            states=(np.eye(2) / 2, _projector([1.0, 0.0]), _projector([0.0, 1.0])),
+        )
+        assert [len(entry.basis) for entry in mcm.solve_mcm(mixed).values()] == [2, 1, 1]
+        self._assert_matches_barrier(mixed, monkeypatch)
+        for _ in range(10):
+            e = random_ensemble(rng, 2, 4)
+            q = np.array(e.priors)
+            q[: int(rng.integers(1, 3))] = 1e-7
+            self._assert_matches_barrier(
+                Ensemble(priors=tuple(q / q.sum()), states=e.states), monkeypatch
+            )
+
+    def test_identical_states_take_no_newton_step(self, solver_calls):
+        """Identical qubit states, mixed (P_x = 1) or pure, give a segment of
+        optimal weights; its exact centre is [0.5, 0.5]."""
+        for state in (np.array([[0.6, 0.2], [0.2, 0.4]]), _projector([1.0, 1j])):
+            for priors in ((0.5, 0.5), (0.3, 0.7)):
+                solver_calls.clear()
+                sol = min_inconclusive_rate(Ensemble(priors=priors, states=(state, state)))
+                assert solver_calls["solve"] == 0
+                assert list(_weights(sol)) == [0.5, 0.5]
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        """Cone candidates knocked off the optimum (the optimum of
+        lifted_gu lies on the cone, eta0 = cos theta) leave a dual point
+        whose weights cannot close the gap: ConvergenceError, never a
+        silent fallback."""
+        real = optim._cone_candidates
+        monkeypatch.setattr(optim, "_cone_candidates", lambda rows, c: 1.01 * real(rows, c))
+        with pytest.raises(optim.ConvergenceError):
+            min_inconclusive_rate(families.lifted_gu(3, 1.0, 0.9).ensemble())
 
 
 class TestNewtonBudget:
@@ -354,13 +460,13 @@ class TestNewtonBudget:
     def test_weight_sdp(self, solver_calls):
         rng = np.random.default_rng(64)
         for dim in (2, 4, 8):
-            for n in (2, 3, 4, 6):
+            for n in (2, 3, 4, 5, 6):
                 for pure in (False, True):
                     e = random_ensemble(rng, dim, n, pure=pure)
                     mcm.solve_mcm(e)
                     solver_calls.clear()
                     min_inconclusive_rate(e)
-                    if n == 2:  # solved in closed form
+                    if dim == 2 or n == 2:  # solved exactly
                         assert solver_calls["solve"] == 0
                     else:
                         assert 0 < solver_calls["solve"] <= 80
@@ -390,7 +496,7 @@ class TestRandomFeasibleWeights:
     def test_always_feasible(self):
         rng = np.random.default_rng(71)
         e = random_ensemble(rng, 2, 3)
-        projectors = mcm.optimal_projectors(mcm.solve_mcm(e))
+        projectors = mcm.optimal_projectors(e)
         labels = sorted(projectors)
         mats = np.stack([projectors[x] for x in labels])
         for _ in range(300):
@@ -402,7 +508,7 @@ class TestRandomFeasibleWeights:
 
     def test_seeded_reproducible(self):
         e = trine_ensemble()
-        projectors = mcm.optimal_projectors(mcm.solve_mcm(e))
+        projectors = mcm.optimal_projectors(e)
         w1 = random_feasible_weights(np.random.default_rng(5), projectors)
         w2 = random_feasible_weights(np.random.default_rng(5), projectors)
         assert w1 == w2

@@ -299,7 +299,7 @@ class TestRankOnePlanProperties:
         e = qcore.random_ensemble(rng, dim, n, pure=True)
         entries = mcm.solve_mcm(e)
         assume(all(len(entry.basis) == 1 for entry in entries.values()))
-        weights = optim.random_feasible_weights(rng, mcm.optimal_projectors(entries))
+        weights = optim.random_feasible_weights(rng, mcm.optimal_projectors(e))
         assume(min(weights.values()) > 0.0)
         plan = rank_one_plan(
             {x: alpha * w for x, w in weights.items()},

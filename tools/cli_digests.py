@@ -26,8 +26,11 @@ eigenvalue and a state of trace 1.1, ``--params`` keys a family never
 reads, a fractional state count, and a negative ``verify --seed``; then
 ``mcm`` and ``sequence`` on two-state ensembles, on a qutrit pair whose
 solution fails its own complement check (exit 3), a parameter given
-in two spellings (exit 2), and a ``gu`` sweep of two states, which has no
-sequential closed forms (exit 2).
+in two spellings (exit 2), a ``gu`` sweep of two states, which has no
+sequential closed forms (exit 2), a ``lifted_gu`` sweep at a rate below its
+floor (exit 4), and ``mcm`` on two weight problems whose optimal weights
+form a face: five qubit states that admit a complete POVM, and an
+identical qubit pair.
 New lines go at the end, so earlier lines keep their place in a diff.
 ``--ensemble`` reads files this script writes into a temporary
 working directory, under fixed relative names, so no message carries a
@@ -128,8 +131,16 @@ PAIRS = {
     "illcond.json": _ill_conditioned(),
 }
 
+# weight problems with a segment of optimal weights: five qubit states that
+# admit a complete POVM, and qubit2.json's first state twice at priors 0.3
+# and 0.7
+FACES = {
+    "qubit5.json": _random_ensemble(16, 2, 5),
+    "twin2.json": {"priors": [0.3, 0.7], "states": [PAIRS["qubit2.json"]["states"][0]] * 2},
+}
+
 # every file the corpus reads, by name
-FILES = {**ENSEMBLES, **NONFINITE, **INVALID, **PAIRS}
+FILES = {**ENSEMBLES, **NONFINITE, **INVALID, **PAIRS, **FACES}
 
 
 def _sequence(family: str, params: str | None, parties: int, fmt: str, *flags: str) -> list[str]:
@@ -237,6 +248,10 @@ def corpus() -> list[list[str]]:
               ["family", "--family", "lifted_gu", "--params", '{"lam": 0.5, "lambda": 0.9}']]
     # a gu sweep of two states, exit 2
     lines.append(["sweep", "--family", "gu", "--params", '{"n": 2}'])
+    # a lifted_gu sweep below its floor, exit 4 naming the party
+    lines.append(["sweep", "--family", "lifted_gu", "--params", '{"theta": 1.0}', "--eta0", "0.1"])
+    # weight problems on a face of optimal points
+    lines += [["mcm", "--ensemble", name] for name in FACES]
     return lines
 
 
