@@ -29,8 +29,14 @@ solve that stops short of the gap bound raises :class:`ConvergenceError`.
 
 2. **Minimum-error guessing.**  ``P_guess = min tr[Y]`` over Hermitian
    ``Y >= q_x rho_x`` (the dual of Eldar, Megretski & Verghese, IEEE TIT
-   49, 2003), over the ``d**2`` real coordinates of ``Y`` with one
-   ``d x d`` block per state, then shifted to exact feasibility so the
+   49, 2003).  For qubits the dual is the smallest weighted enclosing ball
+   of the states' Bloch points (Bae & Hwang, PRA 87, 012334, 2013), solved
+   exactly with no Newton step: its centre is fixed by at most four
+   points, every candidate set is enumerated in a few batches, and a
+   measurement of the same value certifies every solve
+   (:func:`_qubit_guessing`).  For ``d = 3, 4`` the barrier core runs over
+   the ``d**2`` real coordinates of ``Y`` with one ``d x d`` block per
+   state.  Either ``Y`` is then shifted to exact feasibility, so the
    reported value is a true upper bound, within the gap of the optimum.
 
 3. **Sequential gain scheduling for two-state chains** (closed forms).
@@ -304,6 +310,18 @@ def _inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kept, np.linalg.inv(mats[kept])
 
 
+def _inverses_or_nan(mats: np.ndarray) -> np.ndarray:
+    """The inverses of a batch of square matrices in one call, with NaN in
+    place of those :func:`_inverses` does not keep where one is singular."""
+    try:
+        return np.linalg.inv(mats)
+    except np.linalg.LinAlgError:
+        kept, inv = _inverses(mats)
+        out = np.full(mats.shape, np.nan)
+        out[kept] = inv
+        return out
+
+
 def _cone_candidates(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Every dual point ``z`` on the cone ``z0 = |z|`` at which ``r``
     independent constraints are active besides it; ``rows`` holds each
@@ -335,11 +353,7 @@ def _cone_candidates(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
         plane[:, 0, 1:] = np.einsum("ijk,sj,sk->si", _LEVI_CIVITA, b[pairs[:, 0]], b[pairs[:, 1]])
         lin = np.concatenate([lin, np.concatenate([rows[pairs], plane], axis=1)])
         rhs = np.concatenate([rhs, np.concatenate([c[pairs], plane[:, :, 0]], axis=1)])
-    try:
-        inv = np.linalg.inv(lin[:, :, 1:])
-    except np.linalg.LinAlgError:  # labels that coincide
-        kept, inv = _inverses(lin[:, :, 1:])
-        lin, rhs = lin[kept], rhs[kept]
+    inv = _inverses_or_nan(lin[:, :, 1:])  # NaN where labels coincide
     pc, pt = (inv @ rhs[..., None])[..., 0], (inv @ lin[:, :, :1])[..., 0]
     alpha, beta, gamma = (np.einsum("sk,sk->s", u, v) for u, v in ((pc, pc), (pc, pt), (pt, pt)))
     with np.errstate(all="ignore"):
@@ -386,7 +400,7 @@ def _face_centre(cols: np.ndarray, target: np.ndarray, c: np.ndarray) -> np.ndar
     value = points[:, : c.size] @ c
     face = np.maximum(points[value >= value.max(initial=0.0) - 1e-3 * GAP_TOL], 0.0)
     if not len(face):
-        raise ConvergenceError("qubit weights: no vertex of the optimal face is feasible")
+        raise ConvergenceError("qubit dual: no vertex of the optimal face is feasible")
     w = face.mean(axis=0)
     used = face.max(axis=0) > 0.0
     _, sing, vt = np.linalg.svd(cols[:, used])
@@ -400,6 +414,28 @@ def _face_centre(cols: np.ndarray, target: np.ndarray, c: np.ndarray) -> np.ndar
             break
         x = x + (free @ (inv @ grad)) / (1.0 + math.sqrt(decrement))  # stays inside
     w[used] = x
+    return w
+
+
+def _face_weights(cols: np.ndarray, target: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Weights ``w >= 0`` with ``cols @ w = target`` on the constraints
+    active at a qubit optimum.  In the common case (independent columns)
+    there is one such point, solved directly: a square system by its
+    inverse, a tall one by least squares, which is exact for a consistent
+    system.  Otherwise, or where that point is not nonnegative, the
+    optimal face is a segment or a polygon, or its columns are nearly
+    dependent, and the answer is its analytic centre (:func:`_face_centre`;
+    ``c`` weights the label columns)."""
+    w = None
+    if cols.shape[0] == cols.shape[1]:
+        with contextlib.suppress(np.linalg.LinAlgError):
+            w = np.linalg.inv(cols) @ target
+    elif cols.shape[1] < cols.shape[0]:
+        left, sing, vt = np.linalg.svd(cols, full_matrices=False)
+        if sing[-1] > np.finfo(float).eps * max(cols.shape) * sing[0]:
+            w = vt.T @ ((left.T @ target) / sing)
+    if w is None or w.min(initial=0.0) < -GAP_TOL:
+        w = _face_centre(cols, target, c)
     return w
 
 
@@ -454,17 +490,7 @@ def _qubit_weights(mats: np.ndarray, c: np.ndarray, rho: np.ndarray) -> np.ndarr
         cols = np.concatenate([cols, np.concatenate([[1.0], -z / radius])[:, None]], axis=1)
     target = np.zeros(len(rows[0]))
     target[0] = 2.0
-    # one point in the common case (independent columns): solved directly
-    w = None
-    if cols.shape[0] == cols.shape[1]:  # a vertex of r + 1 constraints
-        with contextlib.suppress(np.linalg.LinAlgError):
-            w = np.linalg.inv(cols) @ target
-    elif cols.shape[1] < cols.shape[0]:  # least squares, exact for independent columns
-        left, sing, vt = np.linalg.svd(cols, full_matrices=False)
-        if sing[-1] > np.finfo(float).eps * max(cols.shape) * sing[0]:
-            w = vt.T @ ((left.T @ target) / sing)
-    if w is None or w.min(initial=0.0) < -GAP_TOL:  # a face, or columns nearly dependent
-        w = _face_centre(cols, target, c[active])
+    w = _face_weights(cols, target, c[active])
 
     a = np.zeros(len(c))
     a[active] = w[: active.size]
@@ -544,6 +570,155 @@ def _hermitian_coordinates(dim: int) -> np.ndarray:
     return basis
 
 
+def _barrier_guessing(weighted: np.ndarray) -> np.ndarray:
+    """The barrier core's ``Y`` for the weighted states ``q_x rho_x``, within
+    the gap bound :data:`GAP_TOL` of the optimum and strictly feasible up
+    to rounding."""
+    n, dim = weighted.shape[:2]
+    basis = _hermitian_coordinates(dim)
+    trace = np.real(np.einsum("kii->k", basis))
+    # Y = 2 * 1 is strictly interior (q_x rho_x <= 1); mu = 2 / N would
+    # make it central if every q_x rho_x were 0
+    start = np.zeros(dim * dim)
+    start[:dim] = 2.0
+    y = _barrier_lmi(trace, -weighted, basis[:, None], start, 2.0 / n)
+    return np.tensordot(y, basis, axes=1)
+
+
+def _ball_candidates(s: np.ndarray, p: np.ndarray, r: int) -> np.ndarray:
+    """Every point ``y`` in the affine hull of ``k = 2 .. r + 1`` of the
+    points ``p_x`` at which ``s_x + |y - p_x|`` is the same ``R`` for all
+    ``k``, with ``r`` the dimension of the hull of all of them, after the
+    points ``p_x`` themselves.
+
+    Each size is one batch over its subsets.  Two points fix ``y`` on their
+    segment, ``R - s_0 = (s_1 - s_0 + L) / 2`` from ``p_0`` (``L`` their
+    distance).  For more, with ``y = p_0 + D^T t``, the rows of ``D`` being
+    ``p_j - p_0``, the differences of the squared distances are linear:
+    ``G t = u + R v`` with ``G = D D^T``,
+    ``u_j = (|p_j - p_0|**2 - s_j**2 + s_0**2) / 2`` and ``v_j = s_j - s_0``.
+    Then ``|D^T t| = R - s_0`` is a quadratic in ``R``; both roots are kept,
+    so some points are spurious (``R < s_x`` for a label of the subset).
+    Where two of the balls nearly touch, one inside the other, the squared
+    differences lose the digits the point is fixed by (1e-9 was seen), so
+    each root also takes one Newton step on ``s_j + |y - p_j| = R``
+    themselves: their Jacobian rows ``(n_j^T D^T, -1)``, ``n_j`` the unit
+    vector from ``p_j`` to ``y``, are well scaled, and subtracting the
+    first row eliminates the step in ``R``.  Both points are returned.  A
+    spurious, inaccurate or diverging point costs nothing: the caller
+    evaluates its objective at each, which is an upper bound anywhere."""
+    n = len(s)
+    points = [p]
+    if min(n, r + 1) >= 2:
+        pair = _subsets(n, 2)
+        d = p[pair[:, 1]] - p[pair[:, 0]]
+        with np.errstate(all="ignore"):
+            length = np.sqrt(np.einsum("sk,sk->s", d, d))
+            reach = (s[pair[:, 1]] - s[pair[:, 0]] + length) / (2.0 * length)
+        points.append(p[pair[:, 0]] + reach[:, None] * d)
+    for k in range(3, min(n, r + 1) + 1):
+        idx = _subsets(n, k)
+        d = p[idx[:, 1:]] - p[idx[:, :1]]
+        v = s[idx[:, 1:]] - s[idx[:, :1]]
+        u = 0.5 * (np.einsum("sjk,sjk->sj", d, d) - v * (s[idx[:, 1:]] + s[idx[:, :1]]))
+        inv = _inverses_or_nan(d @ np.swapaxes(d, 1, 2))
+        s0 = s[idx[:, 0]]
+        a, b = (inv @ u[..., None])[..., 0], (inv @ v[..., None])[..., 0]
+        alpha = 1.0 - np.einsum("sj,sj->s", b, v)
+        beta = np.einsum("sj,sj->s", b, u) + s0
+        gamma = np.einsum("sj,sj->s", a, u) - s0 * s0
+        with np.errstate(all="ignore"):
+            q = beta + np.copysign(np.sqrt(np.maximum(beta * beta + alpha * gamma, 0.0)), beta)
+            radius = np.stack([q / alpha, -gamma / q], axis=1)  # both roots, cancellation-free
+            y = p[idx[:, 0], None] + (a[:, None] + radius[..., None] * b[:, None]) @ d
+            # one Newton step: jac_j . dt - dR = -res_j for every j of the subset
+            offset = y[:, :, None] - p[idx][:, None]
+            dist = np.sqrt(np.einsum("sajk,sajk->saj", offset, offset))
+            res = s[idx][:, None] + dist - radius[..., None]
+            jac = (offset / dist[..., None]) @ np.swapaxes(d, 1, 2)[:, None]
+            shift = (res[:, :, 1:] - res[:, :, :1])[..., None]
+            dt = (_inverses_or_nan(jac[:, :, 1:] - jac[:, :, :1]) @ shift)[..., 0]
+            points += [y.reshape(-1, 3), (y - dt @ d).reshape(-1, 3)]
+    points = np.concatenate(points)
+    return points[np.isfinite(points).all(axis=1)]
+
+
+def _qubit_guessing(weighted: np.ndarray) -> np.ndarray:
+    """The exact optimal ``Y`` of the guessing dual of qubit states.
+
+    With ``q_x rho_x = s_x 1 + p_x . sigma`` (``s_x = q_x / 2``) and
+    ``Y = y0 1 + y . sigma``, ``Y >= q_x rho_x`` reads
+    ``y0 - s_x >= |y - p_x|``, so ``P_guess = 2 min_y f(y)`` with
+    ``f(y) = max_x (s_x + |y - p_x|)``: the smallest weighted enclosing ball
+    of the points ``p_x`` (Bae & Hwang, PRA 87, 012334, 2013).  Its centre is
+    a point ``p_x`` itself or is at equal weighted distance from ``2 .. r + 1``
+    points, in their affine hull (:func:`_ball_candidates`).  The candidate
+    of least ``f`` is the optimum; ``f`` makes every candidate feasible, so
+    no tolerance decides which.
+
+    The certificate is a measurement of the same value.  Where the centre
+    lies on the likeliest label's own point, or within :data:`GAP_TOL` of
+    its value, ``M_x = 1`` guesses that label always and succeeds with
+    ``q_x``.  Otherwise the optimal measurement is ``M_x = w_x (1 - v_x .
+    sigma)`` on the labels active at the centre, with
+    ``v_x = (y - p_x) / |y - p_x|``,
+    ``sum_x w_x = 1`` and ``sum_x w_x v_x = 0`` (:func:`_face_weights`, in
+    the coordinates of the points' affine hull).  A label counts as active
+    where its slack is at most ``GAP_TOL / 2``: weight on it then costs at
+    most :data:`GAP_TOL` in all, while a label that merely nears the ball
+    (a state repeated at a lower prior, whose ball touches the first from
+    inside) could take weight it does not earn.  The active label nearest
+    the centre has the least accurate direction: at a distance of 1e-8, the
+    rounding of ``y`` turns it by about 1e-9.  So that label takes the
+    remainder ``1 - sum M_x`` of the others, scaled by one factor so that
+    the remainder is positive and singular, as the optimal one is: the
+    measurement is complete by construction.  Raises
+    :class:`ConvergenceError` unless ``w >= -GAP_TOL`` and its success
+    probability is within :data:`GAP_TOL` of ``tr[Y]``.
+    """
+    coords = 0.5 * np.einsum("xij,kji->xk", weighted, _PAULI).real  # (s_x, p_x)
+    s, p = coords[:, 0], coords[:, 1:]
+    _, sing, vt = np.linalg.svd(p - p[0])
+    span = vt[: int((sing > 1e-12).sum())]  # orthonormal basis of the affine hull's directions
+    points = _ball_candidates(s, p, len(span))
+    offsets = points[:, None] - p
+    f_all = (s + np.sqrt(np.einsum("cxk,cxk->cx", offsets, offsets))).max(axis=1)
+    best = int(np.argmin(f_all))
+    y, radius = points[best], float(f_all[best])
+    ymat = np.einsum("k,kij->ij", np.concatenate([[radius], y]), _PAULI)
+
+    top = int(np.argmax(s))
+    if 2.0 * (radius - s[top]) <= GAP_TOL:  # always guessing label top is optimal
+        return ymat
+    dist = np.sqrt(np.einsum("xk,xk->x", y - p, y - p))
+    # a label may carry weight where its slack costs at most GAP_TOL in all
+    active = np.flatnonzero((radius - s - dist <= 0.5 * GAP_TOL) & (dist > 0.0))
+    v = (y - p[active]) / dist[active, None]
+    # each label's success tr[q_x rho_x (1 - v_x . sigma)] per unit weight
+    value = 2.0 * (s[active] - np.einsum("xk,xk->x", p[active], v))
+    target = np.zeros(len(span) + 1)
+    target[0] = 1.0
+    w = _face_weights(np.concatenate([np.ones((1, active.size)), span @ v.T]), target, value)
+    # the label nearest the centre, whose direction v_x is the least
+    # accurate, takes the remainder a 1 + b . sigma, with the others scaled
+    # so that it is positive and singular (a = |b|), as the optimal one is
+    near = int(np.argmin(dist[active]))
+    others = np.arange(active.size) != near
+    rest = np.maximum(w[others], 0.0)
+    b = rest @ v[others]
+    scale = float(rest.sum()) + math.sqrt(float(b @ b))
+    t = 1.0 / scale if scale > 0.0 else 0.0
+    a, b = 1.0 - t * float(rest.sum()), t * b
+    x = active[near]
+    success = t * float(rest @ value[others]) + 2.0 * (s[x] * a + float(p[x] @ b))
+    gap = 2.0 * radius - success
+    if not (float(w.min()) >= -GAP_TOL and gap <= GAP_TOL):
+        raise ConvergenceError(
+            f"qubit guessing fails its certificate: weight {w.min():.1e}, gap {gap:.1e}"
+        )
+    return ymat
+
+
 def min_error_guessing(e: Ensemble) -> float:
     """Optimal guessing probability via the semidefinite dual
     ``min tr[Y]`` subject to ``Y >= q_x rho_x`` for every ``x``.
@@ -552,7 +727,10 @@ def min_error_guessing(e: Ensemble) -> float:
     values: 1, and ``(1 + || q_1 rho_1 - q_2 rho_2 ||_1) / 2`` (trace norm
     without the 1/2 factor, so an orthogonal pair gives exactly 1).  The
     SDP is sized for ``dim <= 4`` and ``N <= 6``; anything larger raises
-    :class:`UnsupportedScaleError`.  Otherwise the barrier
+    :class:`UnsupportedScaleError`.  Qubit states are solved exactly
+    (:func:`_qubit_guessing`): no Newton step is taken, and every answer is
+    certified by a measurement within :data:`GAP_TOL` of it or
+    :class:`ConvergenceError` is raised.  Otherwise (``d = 3, 4``) the barrier
     core solves the dual over the ``d**2`` real coordinates of ``Y``, with
     one ``d x d`` block ``Y - q_x rho_x`` per state, to a duality gap below
     :data:`GAP_TOL`.  A final shift by the largest remaining violation
@@ -570,21 +748,11 @@ def min_error_guessing(e: Ensemble) -> float:
         )
     weighted = np.stack([q * s.mat for q, s in zip(e.priors, e.states)])
 
-    dim = e.dim
-    basis = _hermitian_coordinates(dim)
-    trace = np.real(np.einsum("kii->k", basis))
-    # Y = 2 * 1 is strictly interior (q_x rho_x <= 1); mu = 2 / N would
-    # make it central if every q_x rho_x were 0
-    start = np.zeros(dim * dim)
-    start[:dim] = 2.0
-    y = _barrier_lmi(trace, -weighted, basis[:, None], start, 2.0 / e.n)
-    ymat = np.tensordot(y, basis, axes=1)
+    ymat = (_qubit_guessing if e.dim == 2 else _barrier_guessing)(weighted)
     diffs = weighted - ymat
-    violation = max(
-        float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]) for m in diffs
-    )
+    violation = float(np.linalg.eigvalsh(0.5 * (diffs + np.swapaxes(diffs.conj(), 1, 2))).max())
     if violation > 0.0:
-        ymat = ymat + violation * np.eye(dim)
+        ymat = ymat + violation * np.eye(e.dim)
     return float(np.real(np.trace(ymat)))
 
 

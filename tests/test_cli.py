@@ -179,15 +179,22 @@ def test_support_leak_exits_2(tmp_path, capsys):
     assert err.startswith("error: label 2: ") and "Traceback" not in err
 
 
-def test_unconverged_sdp_exits_3(monkeypatch, capsys):
+def test_unconverged_sdp_exits_3(monkeypatch, capsys, tmp_path):
     """An SDP solve that runs out of Newton steps before its gap bound
-    reaches the tolerance is reported, not printed as a solution."""
+    reaches the tolerance is reported, not printed as a solution.  Qubit
+    problems take no Newton step, so a qutrit ensemble runs the barrier,
+    and a qubit family is untouched by the cap."""
     monkeypatch.setattr(optim, "MAX_STEPS", 5)
-    code, out, err = run(capsys, ["mcm", "--family", "gu", "--params", '{"n": 4}'])
+    path = tmp_path / "qutrit4.json"
+    e = qcore.random_ensemble(np.random.default_rng(12), 3, 4)
+    path.write_text(json.dumps(qcore.ensemble_to_json(e)))
+    code, out, err = run(capsys, ["mcm", "--ensemble", str(path)])
     assert code == cli.EXIT_KKT
     assert out == ""
     assert err.startswith("error: 5 Newton steps left the gap bound at ")
     assert "Traceback" not in err
+    code, _, _ = run(capsys, ["mcm", "--family", "gu", "--params", '{"n": 4}'])
+    assert code == 0
 
 
 def test_ill_conditioned_average_is_solved(tmp_path, capsys):

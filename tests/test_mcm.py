@@ -400,6 +400,22 @@ class TestKkt:
         assert not report.ok
         assert report.slackness[1] > 1e-3
 
+    def test_stacked_trace_norms_match_one_call_per_label(self):
+        """The stability residuals' trace norms, taken in one stacked SVD,
+        equal one ``trace_norm`` call per label bit for bit, at every
+        dimension."""
+        rng = np.random.default_rng(22)
+        for dim in range(2, 9):
+            for n in (2, 4, 6):
+                e = random_ensemble(rng, dim, n, pure=bool(dim % 2))
+                povm = mcm_povm(e, dict(optim.min_inconclusive_rate(e).weights))
+                entries, rho = solve_mcm(e), e.average().mat
+                for x, norm in verify_kkt(e, povm).stability.items():
+                    entry = entries[x]
+                    comp = entry.r * entry.sigma.mat if entry.sigma is not None else 0.0
+                    residual = entry.confidence * rho - e.prior(x) * e.state(x).mat - comp
+                    assert norm == qcore.trace_norm(residual)
+
     def test_report_tolerance_recorded(self):
         e = orthogonal_pair()
         povm = mcm_povm(e, {1: 1.0, 2: 1.0})

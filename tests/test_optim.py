@@ -48,27 +48,50 @@ def trine_ensemble() -> Ensemble:
     return Ensemble(priors=(1 / 3, 1 / 3, 1 / 3), states=states)
 
 
-def jrf_lower_bound(e: Ensemble) -> float:
-    """Success probability of the Jezek-Rehacek-Fiurasek fixed point
-    (PRA 65, 060301, 2002), ``P_x <- S^-1/2 R_x P_x R_x S^-1/2`` with
-    ``R_x = q_x rho_x`` and ``S = sum_x R_x P_x R_x`` (inverse square root
-    on the support of ``S``): a valid measurement, so a lower bound on
-    ``P_guess``.  Iterates until 100 more iterations gain < 1e-13."""
-    weighted = [q * s.mat for q, s in zip(e.priors, e.states)]
-    povm = [np.eye(e.dim) / e.n] * e.n
-    best = -1.0
+def _weighted(e: Ensemble) -> np.ndarray:
+    return np.stack([q * s.mat for q, s in zip(e.priors, e.states)])
+
+
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over stacks of small matrices, by broadcasting: many times
+    faster than ``numpy.matmul`` on thousands of 2 x 2 matrices."""
+    return (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2)
+
+
+def jrf_lower_bounds(weighted: np.ndarray) -> np.ndarray:
+    """Success probabilities of the Jezek-Rehacek-Fiurasek fixed point
+    (PRA 65, 060301, 2002) for a stack of ensembles, ``weighted[b, x]``
+    holding ``R_x = q_x rho_x`` of ensemble ``b``: ``P_x <- S^-1/2 R_x P_x
+    R_x S^-1/2`` with ``S = sum_x R_x P_x R_x`` (inverse square root on the
+    support of ``S``).  Each iterate is a valid measurement (completed on
+    the kernel of ``S``), so each value is a lower bound on ``P_guess``.
+    Each ensemble iterates until 100 more iterations gain < 1e-13."""
+    n, dim = weighted.shape[1:3]
+    povm = np.broadcast_to(np.eye(dim) / n, weighted.shape).astype(complex)
+    best = np.full(weighted.shape[0], -1.0)
+    live = np.arange(weighted.shape[0])
     for _ in range(50):
+        r, p = weighted[live], povm[live]
         for _ in range(100):
-            sandwiches = [r @ p @ r for r, p in zip(weighted, povm)]
-            vals, vecs = np.linalg.eigh(sum(sandwiches))
-            keep = vals > 1e-14 * vals[-1]
-            inv_sqrt = (vecs[:, keep] / np.sqrt(vals[keep])) @ vecs[:, keep].conj().T
-            povm = [inv_sqrt @ m @ inv_sqrt for m in sandwiches]
-        value = sum(float(np.real(np.trace(r @ p))) for r, p in zip(weighted, povm))
-        if value - best < 1e-13:
+            sandwiches = _products(_products(r, p), r)
+            vals, vecs = np.linalg.eigh(sandwiches.sum(axis=1))
+            keep = vals > 1e-14 * vals[:, -1:]
+            scale = np.where(keep, 1.0 / np.sqrt(np.where(keep, vals, 1.0)), 0.0)
+            inv_sqrt = _products(vecs * scale[:, None, :], np.swapaxes(vecs.conj(), -1, -2))
+            p = _products(_products(inv_sqrt[:, None], sandwiches), inv_sqrt[:, None])
+        povm[live] = p
+        value = np.einsum("bxij,bxji->b", r, p).real
+        gain = value - best[live]
+        best[live] = np.maximum(best[live], value)
+        live = live[gain >= 1e-13]
+        if not live.size:
             break
-        best = value
-    return max(value, best)
+    return best
+
+
+def jrf_lower_bound(e: Ensemble) -> float:
+    """:func:`jrf_lower_bounds` of one ensemble."""
+    return float(jrf_lower_bounds(_weighted(e)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +502,10 @@ class TestNewtonBudget:
                     e = random_ensemble(rng, dim, n, pure=pure)
                     solver_calls.clear()
                     min_error_guessing(e)
-                    assert 0 < solver_calls["solve"] <= 50
+                    if dim == 2:  # solved exactly
+                        assert solver_calls["solve"] == 0
+                    else:
+                        assert 0 < solver_calls["solve"] <= 50
 
     def test_stopping_short_raises(self, monkeypatch):
         """A solve cut off before its gap bound reaches GAP_TOL raises
@@ -522,13 +548,13 @@ class TestRandomFeasibleWeights:
 class TestMinErrorGuessing:
     def test_trine(self):
         np.testing.assert_allclose(
-            min_error_guessing(trine_ensemble()), 2.0 / 3.0, atol=1e-5
+            min_error_guessing(trine_ensemble()), 2.0 / 3.0, atol=1e-12
         )
 
     def test_square(self):
         """Four symmetric equatorial states: P_guess = 1/2."""
         np.testing.assert_allclose(
-            min_error_guessing(ring_ensemble(4)), 0.5, atol=1e-5
+            min_error_guessing(ring_ensemble(4)), 0.5, atol=1e-12
         )
 
     def test_two_state_short_circuit_exact(self):
@@ -546,10 +572,10 @@ class TestMinErrorGuessing:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_gu_tight(self, n):
-        """n equiprobable equatorial pure states: P_guess = 2/n exactly; the
-        dual value is an upper bound within the barrier's gap."""
+        """n equiprobable equatorial pure states: P_guess = 2/n exactly, and
+        the exact qubit solve finds it to rounding."""
         p = min_error_guessing(families.gu(n).ensemble())
-        assert 2.0 / n - 1e-12 <= p <= 2.0 / n + 1e-9
+        assert 2.0 / n - 1e-12 <= p <= 2.0 / n + 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_gu_insensitive_to_last_bits(self, n):
@@ -588,6 +614,120 @@ class TestMinErrorGuessing:
         big_d = random_ensemble(rng, 5, 3)
         with pytest.raises(UnsupportedScaleError):
             min_error_guessing(big_d)
+
+
+def _barrier_guessing(e: Ensemble, monkeypatch) -> float:
+    """The guessing probability the barrier core finds for ``e``, forced for
+    qubits too, at a gap bound of 1e-13, a hundred times tighter than the
+    default (as :func:`_barrier_solution` does for the weights)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(optim, "_qubit_guessing", optim._barrier_guessing)
+        patch.setattr(optim, "GAP_TOL", 1e-13)
+        return min_error_guessing(e)
+
+
+def _bloch_state(x: float, y: float, z: float) -> np.ndarray:
+    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
+
+
+class TestExactQubitGuessing:
+    """Every qubit guessing problem is solved exactly through its dual, the
+    smallest weighted enclosing ball of the Bloch points, with no Newton
+    step and a measurement certifying every answer; the barrier core,
+    forced, is the reference, and the JRF measurement a primal bound."""
+
+    def test_random_draws_match_the_barrier(self, monkeypatch, solver_calls):
+        """512 seeded draws, N = 3..6, pure and mixed: never above the
+        barrier's value, at most 1e-10 below it, never below the primal
+        bound."""
+        rng = np.random.default_rng(93)
+        for n in range(3, 7):
+            for pure in (False, True):
+                draws = [random_ensemble(rng, 2, n, pure=pure) for _ in range(64)]
+                bounds = jrf_lower_bounds(np.stack([_weighted(e) for e in draws]))
+                for e, bound in zip(draws, bounds):
+                    solver_calls.clear()
+                    exact = min_error_guessing(e)
+                    assert solver_calls["solve"] == 0
+                    barrier = _barrier_guessing(e, monkeypatch)
+                    assert barrier - 1e-10 <= exact <= barrier
+                    assert exact >= bound - 1e-12
+
+    def test_tetrahedral_states(self):
+        """Four equiprobable pure states at the vertices of a tetrahedron on
+        the Bloch sphere: the ball's centre is the origin, P_guess = 1/2."""
+        signs = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+        states = tuple(_bloch_state(*(np.array(v) / math.sqrt(3.0))) for v in signs)
+        e = Ensemble(priors=(0.25,) * 4, states=states)
+        assert abs(min_error_guessing(e) - 0.5) <= 1e-15
+
+    def test_dominant_prior(self):
+        """A mixed state whose weighted operator dominates every other one
+        (q_1 rho_1 >= q_x rho_x): always guessing it is optimal, P_guess =
+        q_1."""
+        states = (
+            _bloch_state(0.0, 0.0, 0.1),
+            _projector([1.0, 0.0]),
+            _projector([1.0, 1j]),
+            _projector([0.3, 1.0]),
+        )
+        for q1 in (0.7, 0.9):
+            rest = (1.0 - q1) / 3.0
+            e = Ensemble(priors=(q1, rest, rest, rest), states=states)
+            assert abs(min_error_guessing(e) - q1) <= 1e-15
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_gu_faces(self, n):
+        """gu(5) and gu(6): every state is active at the centre, more than
+        the plane's three coordinates fix, so the measurement is the
+        analytic centre of a face of optimal ones."""
+        assert abs(min_error_guessing(families.gu(n).ensemble()) - 2.0 / n) <= 1e-12
+
+    @pytest.mark.parametrize("theta", [0.1, 1.0])
+    @pytest.mark.parametrize("tiny", [1e-6, 1e-8])
+    def test_nearly_touching_balls(self, theta, tiny, monkeypatch):
+        """|0> at priors 0.53 and 0.47 - tiny (the second ball touches the
+        first from inside) and a pure state theta away at prior tiny, whose
+        ball reaches out of the first by about tiny theta**2 / 4: the
+        centre lies that close to the likelier state's point, where the
+        squared differences lose its digits and the second |0> nears the
+        ball without earning weight.  Certified, within the barrier's
+        bounds."""
+        e = Ensemble(
+            priors=(0.53, tiny, 0.47 - tiny),
+            states=(
+                _bloch_state(0.0, 0.0, 1.0),
+                _bloch_state(math.sin(theta), 0.0, math.cos(theta)),
+                _bloch_state(0.0, 0.0, 1.0),
+            ),
+        )
+        barrier = _barrier_guessing(e, monkeypatch)
+        assert barrier - 1e-10 <= min_error_guessing(e) <= barrier
+
+    def test_pairs_match_the_trace_norm(self):
+        """Two states through the qubit solver itself (min_error_guessing
+        short-circuits them) give the trace-norm formula."""
+        rng = np.random.default_rng(94)
+        for pure in (False, True):
+            for _ in range(20):
+                e = random_ensemble(rng, 2, 2, pure=pure)
+                weighted = _weighted(e)
+                want = 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(weighted[0] - weighted[1])).sum())
+                got = np.trace(optim._qubit_guessing(weighted)).real
+                assert abs(got - want) <= 1e-12
+
+    def test_perturbed_candidates_raise(self, monkeypatch):
+        """Candidate centres knocked off the optimum leave a ball whose
+        measurement cannot close the gap: ConvergenceError, never a silent
+        fallback."""
+        real = optim._ball_candidates
+        monkeypatch.setattr(optim, "_ball_candidates", lambda s, p, r: real(s, p, r) + 1e-6)
+        rng = np.random.default_rng(95)
+        for e in [trine_ensemble(), families.gu(5).ensemble()] + [
+            random_ensemble(rng, 2, n) for n in (3, 4, 5, 6)
+        ]:
+            with pytest.raises(optim.ConvergenceError):
+                min_error_guessing(e)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ in two spellings (exit 2), a ``gu`` sweep of two states, which has no
 sequential closed forms (exit 2), a ``lifted_gu`` sweep at a rate below its
 floor (exit 4), and ``mcm`` on two weight problems whose optimal weights
 form a face: five qubit states that admit a complete POVM, and an
-identical qubit pair.
+identical qubit pair; and ``mcm`` on two qubit guessing problems with a
+known optimum: four tetrahedral states and a dominant prior.
 New lines go at the end, so earlier lines keep their place in a diff.
 ``--ensemble`` reads files this script writes into a temporary
 working directory, under fixed relative names, so no message carries a
@@ -139,8 +140,32 @@ FACES = {
     "twin2.json": {"priors": [0.3, 0.7], "states": [PAIRS["qubit2.json"]["states"][0]] * 2},
 }
 
+
+def _qubits(priors: list[float], blochs: list[list[float]]) -> dict:
+    """Ensemble JSON of qubit states ``(1 + r . sigma) / 2`` from their Bloch
+    vectors ``r``."""
+    states = []
+    for x, y, z in blochs:
+        entries = [[0.5 + 0.5 * z, 0.0], [0.5 * x, -0.5 * y],
+                   [0.5 * x, 0.5 * y], [0.5 - 0.5 * z, 0.0]]
+        states.append({"dim": 2, "entries": entries})
+    return {"priors": priors, "states": states}
+
+
+_TETRA = [[s1 * 3**-0.5, s2 * 3**-0.5, s1 * s2 * 3**-0.5] for s1 in (1, -1) for s2 in (1, -1)]
+
+# guessing problems with a known optimum: four equiprobable tetrahedral pure
+# states (P_guess = 1/2), and a mixed state at prior 0.7 that dominates three
+# pure states at 0.1 (P_guess = 0.7: always guess it)
+GUESSES = {
+    "tetra4.json": _qubits([0.25] * 4, _TETRA),
+    "dominant4.json": _qubits(
+        [0.7, 0.1, 0.1, 0.1], [[0.0, 0.0, 0.1], [1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.0, 0.0, -1.0]]
+    ),
+}
+
 # every file the corpus reads, by name
-FILES = {**ENSEMBLES, **NONFINITE, **INVALID, **PAIRS, **FACES}
+FILES = {**ENSEMBLES, **NONFINITE, **INVALID, **PAIRS, **FACES, **GUESSES}
 
 
 def _sequence(family: str, params: str | None, parties: int, fmt: str, *flags: str) -> list[str]:
@@ -252,6 +277,8 @@ def corpus() -> list[list[str]]:
     lines.append(["sweep", "--family", "lifted_gu", "--params", '{"theta": 1.0}', "--eta0", "0.1"])
     # weight problems on a face of optimal points
     lines += [["mcm", "--ensemble", name] for name in FACES]
+    # guessing problems with a known optimum
+    lines += [["mcm", "--ensemble", name] for name in GUESSES]
     return lines
 
 
