@@ -26,17 +26,25 @@ strategy (message names the party).
 Each family is one row of :data:`FAMILIES`: how ``--params`` builds it and
 from which keys (any other key exits 2, as do a non-integral count ``n`` and
 two spellings of one parameter, ``n`` and ``N`` or ``lam`` and ``lambda``),
-how ``sweep`` runs it (over every ``--eta0`` rate given, in order), and
-which ``sweep`` flags and ``--grid`` keys that sweep reads; ``sweep``
-rejects any other with exit 2.  ``family`` prints the family's
-``describe()``; ``sequence`` chains come from its ``strategies`` at the
-``--eta0`` rates (``two_mixed``: from its gains, ``--gains`` or the
-joint-probability optimum).  A given ``--retarget-angle`` replaces the
-least-disturbing collapse of a ``lifted_gu`` (polar angle) or ``mirror``
-(azimuth) chain.  ``sequence`` rejects any of these three flags its chain
-does not read with exit 2, as ``sweep`` does.  An ``--ensemble`` chain is
+which ``sequence`` flags it reads, the first setting its schedule
+(``--eta0``, one rate per party; ``two_mixed``: ``--gains``, one gain per
+party, or without it the joint-probability optimum), and its default sweep.
+``family`` prints its ``describe()``; ``sequence`` runs its ``strategies``,
+where a ``--retarget-angle`` replaces the least-disturbing collapse of a
+``lifted_gu`` (polar angle) or ``mirror`` (azimuth) chain, and rejects with
+exit 2 any flag its chain does not read.  An ``--ensemble`` chain is
 :func:`seqchan.weakened_mcm_strategies`, which needs a one-vector optimal
 subspace for every label it measures (exit 4, "not rank-one", otherwise).
+
+``sweep`` checks the engine against a family's ``oracle``.  It runs each
+point of the family's keys (``--params`` gives values, ``--grid`` lists; a
+key in both exits 2) with each chain, one per ``--eta0`` rate in order, that
+rate for all ``--parties`` (``two_mixed``: its optimal chain).  It prints one
+CSV row per party and quantity: the parameters, ``eta0``, ``party``,
+``quantity`` (a trace CSV name), ``oracle``, ``engine`` and ``residual``.
+``--threshold c`` adds a ``parties_at_threshold`` row per chain: how many
+leading parties keep every confidence at least ``c``.  A point fails as its
+``sequence`` does, printing no row.
 
 A flag given an empty value is malformed, not absent: ``--ensemble ""``,
 ``--family ""`` and ``--out ""`` exit 2 before any work is done, and
@@ -49,7 +57,7 @@ confidence must lie in [0, 1] (each exits 2 otherwise).
 Outputs are deterministic for a fixed command line (``verify`` draws its
 instances from ``--seed``): dictionaries are serialized with sorted keys
 and floats with ``repr`` precision, so reruns are byte-identical.
-``sweep`` runs its points one after another.  Setting ``SEQMCM_THREADS``
+``sweep`` runs its chains one after another.  Setting ``SEQMCM_THREADS``
 to an integer above 1 opts in to a thread pool of that size (a value that
 is not an integer exits 2).  The pool is off by default because a sweep
 point is Python-bound and holds the interpreter lock, so threads only add
@@ -60,6 +68,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -116,16 +125,16 @@ def _parse_angle(value: Any, name: str) -> float:
     return _parse_number(value, name)
 
 
-def _parse_params(text: str | None) -> dict[str, Any]:
+def _parse_object(text: str | None, flag: str) -> dict[str, Any]:
     if text is None:
         return {}
     try:
-        params = json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(EXIT_INPUT, f"--params is not valid JSON: {exc}")
-    if not isinstance(params, dict):
-        raise CliError(EXIT_INPUT, "--params must be a JSON object")
-    return params
+        raise CliError(EXIT_INPUT, f"{flag} is not valid JSON: {exc}")
+    if not isinstance(obj, dict):
+        raise CliError(EXIT_INPUT, f"{flag} must be a JSON object")
+    return obj
 
 
 def _parse_numbers(text: str, flag: str, parties: int | None = None) -> list[float]:
@@ -215,7 +224,7 @@ def _load_source(args: argparse.Namespace) -> tuple[Ensemble, Any]:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CliError(EXIT_INPUT, f"cannot load ensemble {args.ensemble}: {exc}")
     if args.family is not None:
-        fam = _build_family(args.family, _parse_params(args.params))
+        fam = _build_family(args.family, _parse_object(args.params, "--params"))
         return fam.ensemble(), fam
     raise CliError(EXIT_INPUT, "an ensemble source is required: --ensemble or --family")
 
@@ -294,15 +303,23 @@ def cmd_mcm(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _family_strategies(fam: Any, args: argparse.Namespace, parties: int) -> list:
-    if isinstance(fam, fam_mod.TwoMixedFamily):  # a chain set by gains, not rates
-        if args.gains is not None:
-            return fam.strategies_for_gains(_parse_numbers(args.gains, "--gains", parties))
-        return fam.chain_strategies(parties)
-    angle = args.retarget_angle
-    if angle is not None:
-        angle = _parse_angle(angle, "--retarget-angle")
-    return fam.strategies(_parse_rates(args.eta0, parties), retarget=angle)
+def _run(e: Ensemble, strategies: list) -> seqchan.SequentialTrace:
+    try:
+        return seqchan.run_sequence(e, strategies)
+    except seqchan.StrategyInfeasibleError as exc:
+        raise CliError(EXIT_INFEASIBLE, f"infeasible: {exc}")
+
+
+def _run_family(
+    name: str, fam: Any, e: Ensemble, schedule: Any, **retarget: float
+) -> seqchan.SequentialTrace:
+    """The chain of ``fam`` (ensemble ``e``) at ``schedule``: exit 2 for
+    parameters it has no chain for, 4 naming an infeasible party."""
+    try:
+        strategies = fam.strategies(schedule, **retarget)
+    except ValueError as exc:  # e.g. gu/lifted_gu chains need n >= 3
+        raise CliError(EXIT_INPUT, f"bad parameters for family {name}: {exc}")
+    return _run(e, strategies)
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
@@ -317,17 +334,16 @@ def cmd_sequence(args: argparse.Namespace) -> int:
             name = flag.replace("_", "-")
             raise CliError(EXIT_INPUT, f"sequence {source} does not read --{name}")
     if fam is None:
-        strategies = seqchan.weakened_mcm_strategies(_parse_rates(args.eta0, parties))
+        trace = _run(e, seqchan.weakened_mcm_strategies(_parse_rates(args.eta0, parties)))
     else:
-        try:
-            strategies = _family_strategies(fam, args, parties)
-        except ValueError as exc:  # e.g. gu/lifted_gu chains need n >= 3
-            raise CliError(EXIT_INPUT, f"bad parameters for family {args.family}: {exc}")
-
-    try:
-        trace = seqchan.run_sequence(e, strategies)
-    except seqchan.StrategyInfeasibleError as exc:
-        raise CliError(EXIT_INFEASIBLE, f"infeasible: {exc}")
+        angle = args.retarget_angle
+        retarget = {} if angle is None else {"retarget": _parse_angle(angle, "--retarget-angle")}
+        if reads[0] == "eta0":
+            schedule = _parse_rates(args.eta0, parties)
+        else:  # two_mixed: per-party gains, or the party count for the optimum
+            gains = args.gains
+            schedule = parties if gains is None else _parse_numbers(gains, "--gains", parties)
+        trace = _run_family(args.family, fam, e, schedule, **retarget)
 
     # serialize only what is written: one format on stdout, both under --out
     for fmt in ("json", "csv") if args.out is not None else (args.format,):
@@ -344,21 +360,6 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-Grid = dict[str, list[Any]]
-
-
-def _parse_grid(text: str | None) -> Grid:
-    if text is None:
-        return {}
-    try:
-        grid = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_INPUT, f"--grid is not valid JSON: {exc}")
-    if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
-        raise CliError(EXIT_INPUT, "--grid must be a JSON object of lists")
-    return grid
-
-
 def _map_points(points: list, fn: Callable[[Any], list[Any]]) -> list[list[Any]]:
     threads = _thread_count()
     if threads <= 1 or len(points) < 2:
@@ -367,184 +368,121 @@ def _map_points(points: list, fn: Callable[[Any], list[Any]]) -> list[list[Any]]
         return list(ex.map(fn, points))
 
 
-def _guard_grid(n_points: int) -> None:
-    if n_points > GRID_CAP:
-        raise CliError(EXIT_INPUT, f"grid has {n_points} points; the cap is {GRID_CAP}")
-    if n_points == 0:
-        raise CliError(EXIT_INPUT, "grid is empty")
+def _parties_at(threshold: float, parties: list[dict[str, float]]) -> int:
+    """How many leading parties have every confidence at least ``threshold``."""
+    lows = [min(v for k, v in q.items() if k.startswith("confidence_")) for q in parties]
+    return next((j for j, c in enumerate(lows) if c < threshold), len(lows))
 
 
-def _sweep_two_mixed(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list[list[Any]]]:
-    ps = [_parse_number(v, "p") for v in grid.get("p", np.linspace(0.05, 1.0, 10))]
-    thetas = [
-        _parse_angle(v, "theta")
-        for v in grid.get("theta", np.linspace(0.1 * math.pi, 0.9 * math.pi, 10))
+def _compare(name: str, fam: Any, schedule: Any, threshold: float | None) -> list[list[Any]]:
+    """``[party, quantity, oracle, engine, residual]`` rows of one chain."""
+    trace = _run_family(name, fam, fam.ensemble(), schedule)  # first: a failure names the party
+    engine = [  # each party's values under the trace CSV's names
+        {f"confidence_{x}": c for x, c in rec.confidences.items()}
+        | {"disturbance": rec.disturbance, "p_joint": trace.p_joint, **rec.extras}
+        for rec in trace.records
     ]
-    parties = args.parties
-    points = [(p, th) for p in ps for th in thetas]
-    _guard_grid(len(points))
-    header = (
-        "p theta confidence_oracle confidence_engine confidence_residual "
-        "p_joint_oracle p_joint_engine p_joint_residual error"
-    ).split()
-
-    def one(point: tuple[float, float]) -> list[Any]:
-        p, th = point
-        try:
-            fam = fam_mod.two_mixed(p, th)
-            e = fam.ensemble()
-            engine = mcm_mod.solve_mcm(e)[1].confidence
-            row = [p, th, fam.confidence, engine, abs(engine - fam.confidence)]
-            if parties is None:
-                return row + [None] * 4
-            sched = fam.schedule(parties)
-            pj = seqchan.run_sequence(e, fam.chain_strategies(parties)).p_joint
-            return row + [sched.p_joint, pj, abs(pj - sched.p_joint), None]
-        except Exception as exc:  # recorded per-point, sweep continues
-            return [p, th] + [None] * 6 + [str(exc)]
-
-    return header, _map_points(points, one)
-
-
-def _rate_chain(args: argparse.Namespace, fam: Any, eta0: float, parties: int) -> list[tuple]:
-    """``(oracle, engine)`` label-1 confidences of each party of a ``lifted_gu``
-    chain at one rate.  Exits 2 for ``n < 3`` and 4 for an infeasible party."""
-    schedule = [eta0] * parties
-    try:
-        strategies = fam.strategies(schedule)
-    except ValueError as exc:  # n < 3: no sequential closed forms
-        raise CliError(EXIT_INPUT, f"bad parameters for family {args.family}: {exc}")
-    try:
-        trace = seqchan.run_sequence(fam.ensemble(), strategies)
-    except seqchan.StrategyInfeasibleError as exc:
-        raise CliError(EXIT_INFEASIBLE, f"infeasible: {exc}")
-    engine = [rec.confidences[1] for rec in trace.records]
-    return [(fam.confidence_at(j, schedule), c) for j, c in enumerate(engine, start=1)]
-
-
-def _sweep_gu(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list[list[Any]]]:
-    del grid  # a gu sweep runs over rates, not parameters
-    fam = _build_family(args.family, _parse_params(args.params))
-    parties = args.parties or 10
-    rates = [0.1, 0.5, 0.9] if args.eta0 is None else _parse_rates(args.eta0)
-    _guard_grid(len(rates) * parties)
-
-    def chain(eta0: float) -> list[list[Any]]:
-        pairs = _rate_chain(args, fam, eta0, parties)
-        return [
-            [fam.n, eta0, j, oracle, engine, abs(engine - oracle), None]
-            for j, (oracle, engine) in enumerate(pairs, start=1)
-        ]
-
-    header = ["n", "eta0", "party", "confidence_oracle", "confidence_engine", "residual", "error"]
-    return header, [row for rows in _map_points(rates, chain) for row in rows]
-
-
-def _sweep_lifted(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list[list[Any]]]:
-    del grid  # a lifted_gu sweep runs over rates and parties, not parameters
-    fam = _build_family(args.family, _parse_params(args.params))
-    parties = args.parties or 8
-    threshold = 0.4 if args.threshold is None else _unit_interval(args.threshold, "--threshold")
-    rates = [0.5] if args.eta0 is None else _parse_rates(args.eta0)
-    _guard_grid(len(rates) * parties)
-    header = (
-        "parties eta0 threshold bound max_parties confidence_oracle confidence_engine "
-        "residual feasible_oracle feasible_engine error"
-    ).split()
-    rows = []
-    for eta0 in rates:
-        pairs = _rate_chain(args, fam, eta0, parties)  # exits as sequence does, naming the party
-        bound = fam.party_bound(threshold, eta0)
-        max_r = fam.max_parties(threshold, eta0) if math.isfinite(bound) else None
-        for r, (oracle, engine) in enumerate(pairs, start=1):
-            row = [r, eta0, threshold, bound, max_r, oracle, engine, abs(engine - oracle)]
-            rows.append(row + [int(oracle >= threshold), int(engine >= threshold), None])
-    return header, rows
-
-
-def _sweep_mirror(args: argparse.Namespace, grid: Grid) -> tuple[list[str], list[list[Any]]]:
-    if "theta" in grid:
-        thetas = [_parse_angle(v, "theta") for v in grid["theta"]]
-    else:
-        thetas = sorted(set(np.linspace(5 * math.pi / 9, 7 * math.pi / 9, 13)) | {2 * math.pi / 3})
-    rates = [0.5] if args.eta0 is None else _parse_rates(args.eta0)
-    _guard_grid(len(rates) * len(thetas))
-    header = "theta eta0 theta_next_oracle theta_next_engine residual dtheta sign error".split()
-
-    def one(point: tuple[float, float]) -> list[Any]:
-        eta0, theta = point
-        try:
-            fam = fam_mod.mirror(theta)
-            oracle = fam_mod.mirror_step(fam.initial(), eta0).theta
-            trace = seqchan.run_sequence(fam.ensemble(), fam.strategies([eta0]))
-            engine = fam_mod.mirror_state_of(trace.final_ensemble).theta
-            d = oracle - theta
-            sign = "0" if abs(d) < 1e-9 else ("+" if d > 0 else "-")
-            return [theta, eta0, oracle, engine, abs(engine - oracle), d, sign, None]
-        except Exception as exc:
-            return [theta, eta0] + [None] * 5 + [str(exc)]
-
-    return header, _map_points([(eta0, theta) for eta0 in rates for theta in thetas], one)
+    oracle = fam.oracle(schedule)
+    rows = [
+        [j, k, v, got[k], abs(got[k] - v)]
+        for j, (want, got) in enumerate(zip(oracle, engine), start=1)
+        for k, v in want.items()
+    ]
+    if threshold is not None:
+        counts = [_parties_at(threshold, side) for side in (oracle, engine)]
+        rows.append([len(oracle), "parties_at_threshold", *counts, abs(counts[1] - counts[0])])
+    return rows
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.family is None:
         raise CliError(EXIT_INPUT, "sweep needs --family")
     row = _family_row(args.family)
-    for flag in ("params", "grid", "parties", "eta0", "threshold"):
-        if getattr(args, flag) is not None and flag not in row.reads:
-            raise CliError(EXIT_INPUT, f"sweep --family {args.family} does not read --{flag}")
-    if args.parties is not None and args.parties < 1:
+    if args.eta0 is not None and row.chain[0] != "eta0":
+        raise CliError(EXIT_INPUT, f"sweep --family {args.family} does not read --eta0")
+    parties = row.parties if args.parties is None else args.parties
+    if parties < 1:
         raise CliError(EXIT_INPUT, "--parties must be a positive integer")
-    grid = _parse_grid(args.grid)
-    _reject_unread(grid, row.grid, f"sweep --family {args.family} reads no --grid")
-    header, rows = row.sweep(args, grid)
+    if args.threshold is not None:
+        _unit_interval(args.threshold, "--threshold")
+    params, grid = _parse_object(args.params, "--params"), _parse_object(args.grid, "--grid")
+    if not all(isinstance(v, list) for v in grid.values()):
+        raise CliError(EXIT_INPUT, "--grid must be a JSON object of lists")
+    _reject_unread(grid, row.keys, f"sweep --family {args.family} reads no --grid")
+    both = ", ".join(sorted(set(params) & set(grid)))
+    if both:
+        raise CliError(EXIT_INPUT, f"--params and --grid both give {both}")
+    axes = {**{k: v for k, v in row.points.items() if k not in params}, **grid}
+    if row.chain[0] == "eta0":
+        rates = row.rates if args.eta0 is None else _parse_rates(args.eta0)
+        chains = [(eta0, [eta0] * parties) for eta0 in rates]
+    else:  # two_mixed: the optimal chain
+        chains = [(None, parties)]
+    size = math.prod(len(v) for v in axes.values()) * len(chains) * parties
+    if not 0 < size <= GRID_CAP:
+        raise CliError(EXIT_INPUT, f"grid has {size} points; it must have 1 to {GRID_CAP}")
+    fams = [
+        _build_family(args.family, {**params, **dict(zip(axes, values))})
+        for values in itertools.product(*axes.values())
+    ]
+    columns = [k for k in row.keys if hasattr(fams[0], k)]  # one spelling each: the attribute's
+
+    def one(job: tuple[Any, float | None, Any]) -> list[list[Any]]:
+        fam, eta0, schedule = job
+        cells = [getattr(fam, k) for k in columns] + [eta0]
+        return [cells + r for r in _compare(args.family, fam, schedule, args.threshold)]
+
+    jobs = [(fam, eta0, schedule) for eta0, schedule in chains for fam in fams]
+    rows = [r for rows in _map_points(jobs, one) for r in rows]
+    header = columns + ["eta0", "party", "quantity", "oracle", "engine", "residual"]
     _emit(args.out, "sweep.csv", qcore.csv_text(header, rows))
     return EXIT_OK
 
 
 class _Family(NamedTuple):
     build: Callable[[dict[str, Any]], Any]  # the family from --params
-    sweep: Callable[[argparse.Namespace, Grid], tuple[list[str], list[list[Any]]]]
-    reads: tuple[str, ...]  # the sweep flags it reads; cmd_sweep rejects the others
-    grid: tuple[str, ...] = ()  # the --grid keys it reads
-    keys: tuple[str, ...] = ()  # the --params keys it reads; _build_family rejects the others
-    chain: tuple[str, ...] = ("eta0",)  # the sequence flags it reads; cmd_sequence likewise
+    keys: tuple[str, ...]  # the --params and --grid keys it reads; any other exits 2
+    chain: tuple[str, ...] = ("eta0",)  # the sequence flags it reads, its schedule's first
+    points: dict[str, Any] = {}  # sweep defaults: values of the keys it sweeps,
+    rates: tuple[float, ...] = ()  # the rates (one chain each)
+    parties: int = 1  # and the chain length
 
 
 # every family name lookup goes through _family_row
 FAMILIES: dict[str, _Family] = {
     "two_mixed": _Family(
         lambda q: fam_mod.two_mixed(
-            p=float(q.get("p", 1.0)), theta=_angle(q, "theta", math.pi / 2)
+            p=_parse_number(q.get("p", 1.0), "p"), theta=_angle(q, "theta", math.pi / 2)
         ),
-        _sweep_two_mixed,
-        ("grid", "parties"),
         ("p", "theta"),
-        keys=("p", "theta"),
         chain=("gains",),
+        points={
+            "p": np.linspace(0.05, 1.0, 10),
+            "theta": np.linspace(0.1 * math.pi, 0.9 * math.pi, 10),
+        },
     ),
-    "gu": _Family(
-        lambda q: fam_mod.gu(n=_count(q)), _sweep_gu, ("params", "parties", "eta0"), keys=("n", "N")
-    ),
+    "gu": _Family(lambda q: fam_mod.gu(n=_count(q)), ("n", "N"), rates=(0.1, 0.5, 0.9), parties=10),
     "lifted_gu": _Family(
         lambda q: fam_mod.lifted_gu(
             n=_count(q),
             theta=_angle(q, "theta", math.pi / 2),
             lam=float(_spelled(q, ("lam", "lambda"), 1.0)),
         ),
-        _sweep_lifted,
-        ("params", "parties", "eta0", "threshold"),
-        keys=("n", "N", "theta", "lam", "lambda"),
+        ("n", "N", "theta", "lam", "lambda"),
         chain=("eta0", "retarget_angle"),
+        rates=(0.5,),
+        parties=8,
     ),
     "mirror": _Family(
         lambda q: fam_mod.mirror(theta=_angle(q, "theta", 2 * math.pi / 3)),
-        _sweep_mirror,
-        ("grid", "eta0"),
         ("theta",),
-        keys=("theta",),
         chain=("eta0", "retarget_angle"),
+        # 13 angles about the trine, where the drift of the angle changes sign
+        points={
+            "theta": sorted({*np.linspace(5 * math.pi / 9, 7 * math.pi / 9, 13), 2 * math.pi / 3})
+        },
+        rates=(0.5,),
+        parties=2,
     ),
 }
 
@@ -758,7 +696,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_family(args: argparse.Namespace) -> int:
     if args.family is None:
         raise CliError(EXIT_INPUT, "family needs --family")
-    fam = _build_family(args.family, _parse_params(args.params))
+    fam = _build_family(args.family, _parse_object(args.params, "--params"))
     _emit(args.out, "family.json", qcore.json_text(fam.describe()))
     return EXIT_OK
 
@@ -806,11 +744,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="oracle-vs-engine residuals over a grid")
     _add_source_flags(p_sweep, ensemble=False)
-    p_sweep.add_argument("--grid", help="JSON object of parameter lists")
-    p_sweep.add_argument("--parties", type=int, help="chain length (family dependent)")
-    p_sweep.add_argument("--eta0", help="inconclusive rates, comma separated")
+    p_sweep.add_argument("--grid", help="family parameters as a JSON object of lists")
+    p_sweep.add_argument("--parties", type=int, help="chain length (default: the family's)")
+    p_sweep.add_argument("--eta0", help="not two_mixed: inconclusive rates, one chain each")
     p_sweep.add_argument(
-        "--threshold", type=float, help="lifted_gu: confidence threshold (default 0.4)"
+        "--threshold", type=float, help="count the leading parties whose confidences reach it"
     )
 
     p_verify = sub.add_parser("verify", help="randomized invariant suites")

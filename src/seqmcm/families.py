@@ -33,24 +33,27 @@ mirror(theta)
     the measurement azimuth, weights, and retargets all depend on the
     evolving state triple ``(r_1, r_2, theta)``.
 
-Every family has ``ensemble()`` and ``describe()``, the closed-form
-values as the JSON object ``seqmcm family`` prints.  ``lifted_gu`` (so
-``gu``) and ``mirror`` build chains with ``strategies(eta0s, retarget=None)``:
-one party per inconclusive rate, collapsing onto the family's
-least-disturbing targets, or onto the polar angle (``lifted_gu``) or
-azimuth (``mirror``) ``retarget`` for comparison runs.  Each of
-these parties is a :func:`seqmcm.seqchan.rank_one_plan` built from the
-family's closed-form measurement vectors and weights, so no eigensolve
-recovers a vector the family already knows (``LiftedGuFamily.plan`` and
-:func:`mirror_plan` build one party).  A ``two_mixed`` chain is set by
-gains instead of rates: ``chain_strategies(parties)`` for the
-joint-probability optimum, ``strategies_for_gains(gains)`` for given gains.
-Its party is a ``rank_one_plan`` too: weights ``a`` on both measured
-vectors (``phi_2`` rephased to the real overlap ``s``) and the overlap
-``s'`` it leaves, both from :func:`seqmcm.optim.two_state_least_disturbing`;
-in the frame ``u ~ phi_1 + phi_2``, ``w ~ phi_1 - phi_2`` the next party
-measures ``cu u +- cw w`` (``cu, cw = sqrt((1 +- s')/2)``), and each label
-collapses onto the state orthogonal to the next vector of the other label,
+Every family has ``ensemble()``, ``describe()`` (the closed-form values
+``seqmcm family`` prints) and one chain protocol: ``strategies(schedule)``
+builds a chain's parties, and ``oracle(schedule)`` gives each party's closed
+forms of what :func:`seqmcm.seqchan.run_sequence` reports, under the trace
+CSV's names (``confidence_<x>``; ``disturbance`` for ``lifted_gu``; ``r1``,
+``r2``, ``theta`` for ``mirror``; ``p_joint``, where a closed form exists,
+on the last party).  A ``lifted_gu`` (so ``gu``) or ``mirror`` schedule is
+one inconclusive rate per party; a ``retarget`` polar angle (``lifted_gu``)
+or azimuth (``mirror``) replaces the least-disturbing collapse for
+comparison runs.  Each party is a :func:`seqmcm.seqchan.rank_one_plan` built
+from the family's closed-form measurement vectors and weights, so no
+eigensolve recovers a vector the family already knows
+(``LiftedGuFamily.plan`` and :func:`mirror_plan` build one party).  A
+``two_mixed`` schedule is one gain per party, or a party count for the
+joint-probability optimum.  Its party is a ``rank_one_plan`` too: weights
+``a`` on both measured vectors (``phi_2`` rephased to the real overlap
+``s``) and the overlap ``s'`` it leaves, both from
+:func:`seqmcm.optim.two_state_least_disturbing`; in the frame
+``u ~ phi_1 + phi_2``, ``w ~ phi_1 - phi_2`` the next party measures
+``cu u +- cw w`` (``cu, cw = sqrt((1 +- s')/2)``), and each label collapses
+onto the state orthogonal to the next vector of the other label,
 ``t_1 = cw u + cu w``, ``t_2 = cw u - cu w``.  Then ``K_0 = sqrt(M_0)`` is
 diagonal in that frame and the confidence is preserved exactly.
 
@@ -68,7 +71,7 @@ import numpy as np
 
 from . import mcm as _mcm
 from . import optim as _optim
-from .qcore import DensityMatrix, Ensemble, FeasibilityError, vector_to_json
+from .qcore import DensityMatrix, Ensemble, FeasibilityError, density_from_bloch, vector_to_json
 from .seqchan import PartyPlan, Strategy, rank_one_plan
 
 
@@ -236,6 +239,27 @@ class TwoMixedFamily:
             )
 
         return [strat] * parties
+
+    def strategies(self, schedule: int | Sequence[float]) -> list[Strategy]:
+        """The chain of ``schedule``: per-party gains, or a party count for
+        the joint-probability optimum."""
+        if isinstance(schedule, int):
+            return self.chain_strategies(schedule)
+        return self.strategies_for_gains(schedule)
+
+    def oracle(self, schedule: int | Sequence[float]) -> list[dict[str, float]]:
+        """Closed forms of the chain of ``schedule``.  Every party sees
+        confidence ``C``; gains ``G_j`` make the chain jointly conclusive
+        with ``P_J = C prod_j (G_j / C)``, and a party count with the
+        optimum's ``P_J`` of :meth:`schedule`."""
+        c = self.confidence
+        if isinstance(schedule, int):
+            parties, p_joint = schedule, self.schedule(schedule).p_joint
+        else:
+            parties, p_joint = len(schedule), c * math.prod(g / c for g in schedule)
+        out = [{"confidence_1": c, "confidence_2": c} for _ in range(parties)]
+        out[-1]["p_joint"] = p_joint
+        return out
 
     def strategies_for_gains(self, gains: Sequence[float]) -> list[Strategy]:
         """One equal-confidence party per given gain."""
@@ -458,6 +482,19 @@ class LiftedGuFamily:
 
         return [strat] * len(rates)
 
+    def oracle(self, eta0s: Sequence[float]) -> list[dict[str, float]]:
+        """Closed forms of the chain :meth:`strategies` builds at ``eta0s``:
+        each party's confidence (every label's) and the disturbance
+        :meth:`disturbance_at` of its step, at the visibility it receives."""
+        self._require_sequential()
+        out, party = [], self
+        for eta0 in eta0s:
+            row = {f"confidence_{x}": party.confidence for x in range(1, self.n + 1)}
+            row["disturbance"] = party.disturbance_at(eta0)
+            out.append(row)
+            party = party.contracted(eta0)
+        return out
+
 
 def lifted_gu(n: int, theta: float, lam: float) -> LiftedGuFamily:
     """GU phases lifted off the equator with reduced visibility."""
@@ -511,16 +548,7 @@ class MirrorState:
         ]
 
     def ensemble(self) -> Ensemble:
-        eye = np.eye(2, dtype=complex)
-        paulis = (
-            np.array([[0, 1], [1, 0]], dtype=complex),
-            np.array([[0, -1j], [1j, 0]], dtype=complex),
-            np.array([[1, 0], [0, -1]], dtype=complex),
-        )
-        states = tuple(
-            DensityMatrix(0.5 * (eye + sum(b[i] * paulis[i] for i in range(3))))
-            for b in self.blochs()
-        )
+        states = tuple(density_from_bloch(b) for b in self.blochs())
         return Ensemble(priors=(1 / 3, 1 / 3, 1 / 3), states=states)
 
     def purity(self) -> tuple[float, float]:
@@ -753,6 +781,17 @@ class MirrorFamily:
             return mirror_plan(mirror_state_of(e), rates[j - 1], retarget)
 
         return [strat] * len(rates)
+
+    def oracle(self, eta0s: Sequence[float]) -> list[dict[str, float]]:
+        """Closed forms of the chain :meth:`strategies` builds at ``eta0s``:
+        the :meth:`trajectory` state each party receives and its
+        :func:`mirror_mcm` confidences."""
+        out = []
+        for ms in self.trajectory(list(eta0s)[:-1]):
+            sol = mirror_mcm(ms)
+            out.append({"confidence_1": sol.c1, "confidence_2": sol.c2, "confidence_3": sol.c2,
+                        "r1": ms.r1, "r2": ms.r2, "theta": ms.theta})
+        return out
 
 
 def mirror(theta: float) -> MirrorFamily:

@@ -7,7 +7,9 @@ print the same bytes every time it runs.
 Run with:  pytest tests/test_cli.py -v
 """
 
+import csv
 import importlib.util
+import io
 import json
 import math
 import os
@@ -478,28 +480,110 @@ def test_retarget_angle_rejected_where_no_chain_reads_it(tmp_path, capsys):
         assert err.startswith("error: ") and "retarget" in err, source
 
 
+def _flag_case(family, flag, value, code, message=""):
+    return pytest.param(family, flag, value, code, message, id=f"{family}-{flag}-{value}")
+
+
 @pytest.mark.parametrize(
-    "family, flag, value",
+    "family, flag, value, code, message",
     [
-        ("two_mixed", "--params", '{"p": 5}'),
-        ("mirror", "--params", '{"theta": 9}'),
-        ("gu", "--grid", '{"n": [3]}'),
-        ("lifted_gu", "--grid", '{"theta": [1.0]}'),
-        ("two_mixed", "--eta0", "0.5"),
-        ("mirror", "--parties", "3"),
-        ("two_mixed", "--threshold", "0.5"),
-        ("gu", "--threshold", "0.5"),
-        ("mirror", "--threshold", "0.5"),
-        ("two_mixed", "--grid", '{"q": [0.5]}'),
-        ("mirror", "--grid", '{"p": [0.5]}'),
+        _flag_case("two_mixed", "--params", '{"p": 5}', cli.EXIT_INPUT,
+                   "bad parameters for family two_mixed: purity weight p must be in (0, 1]"),
+        _flag_case("mirror", "--params", '{"theta": 9}', cli.EXIT_INPUT,
+                   "bad parameters for family mirror: theta must be in (0, pi)"),
+        _flag_case("gu", "--grid", '{"n": [3]}', cli.EXIT_OK),
+        _flag_case("lifted_gu", "--grid", '{"theta": [1.0]}', cli.EXIT_INFEASIBLE,
+                   "infeasible: party 1: inconclusive rate 0.5 below the floor"),
+        _flag_case("two_mixed", "--eta0", "0.5", cli.EXIT_INPUT,
+                   "sweep --family two_mixed does not read --eta0"),
+        _flag_case("mirror", "--parties", "3", cli.EXIT_OK),
+        _flag_case("two_mixed", "--threshold", "0.5", cli.EXIT_OK),
+        _flag_case("gu", "--threshold", "0.5", cli.EXIT_OK),
+        _flag_case("mirror", "--threshold", "0.5", cli.EXIT_OK),
+        _flag_case("two_mixed", "--grid", '{"q": [0.5]}', cli.EXIT_INPUT,
+                   "sweep --family two_mixed reads no --grid key q; its keys are p, theta"),
+        _flag_case("mirror", "--grid", '{"p": [0.5]}', cli.EXIT_INPUT,
+                   "sweep --family mirror reads no --grid key p; its keys are theta"),
+        _flag_case("gu", "--params", '{"theta": 1.0}', cli.EXIT_INPUT,
+                   "family gu reads no --params key theta; its keys are n, N"),
     ],
 )
-def test_sweep_rejects_flags_its_family_never_reads(family, flag, value, capsys):
-    code, out, err = run(capsys, ["sweep", "--family", family, flag, value])
-    assert code == cli.EXIT_INPUT and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
-    if flag == "--grid" and family in ("two_mixed", "mirror"):
-        assert next(iter(json.loads(value))) in err  # the unknown key is named
+def test_sweep_rejects_flags_its_family_never_reads(family, flag, value, code, message, capsys):
+    """Every family's sweep reads --params and --grid over its own keys,
+    --parties and --threshold; only two_mixed, whose chain is its optimal
+    schedule, reads no --eta0.  What a family never reads exits 2 naming
+    it; what it reads runs, and exits as its parameters say."""
+    got, out, err = run(capsys, ["sweep", "--family", family, flag, value])
+    assert got == code
+    if code == cli.EXIT_OK:
+        assert err == "" and out.startswith(f"{cli.FAMILIES[family].keys[0]},")
+    else:
+        assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_sweep_key_in_params_and_grid_exits_2(capsys):
+    argv = ["sweep", "--family", "two_mixed", "--params", '{"p": 0.8, "theta": 1.0}',
+            "--grid", '{"theta": [1.0, 2.0], "p": [0.5]}']
+    err = "error: --params and --grid both give p, theta\n"
+    assert run(capsys, argv) == (cli.EXIT_INPUT, "", err)
+
+
+@pytest.mark.parametrize(
+    "family, point",
+    [
+        pytest.param("two_mixed", {"p": 1.5, "theta": 1.0}, id="two_mixed-p"),
+        pytest.param("mirror", {"theta": 0}, id="mirror-theta"),
+    ],
+)
+def test_failing_sweep_point_exits_as_its_chain_does(family, point, capsys):
+    """A point the family cannot be built at stops the sweep with the exit
+    code and message its ``sequence`` gives, and prints no rows."""
+    rate = ["--eta0", "0.5"] if family == "mirror" else []
+    chain = run(capsys, ["sequence", "--family", family, "--params", json.dumps(point),
+                         "--parties", "1", *rate])
+    grid = json.dumps({k: [v] for k, v in point.items()})
+    sweep = run(capsys, ["sweep", "--family", family, "--grid", grid])
+    assert sweep == chain
+    assert sweep[0] == cli.EXIT_INPUT
+    assert sweep[2].startswith(f"error: bad parameters for family {family}: ")
+
+
+def _sweep_rows(capsys, argv):
+    code, out, err = run(capsys, ["sweep", *argv])
+    assert code == cli.EXIT_OK and err == ""
+    return list(csv.DictReader(io.StringIO(out)))
+
+
+def test_sweep_counts_parties_at_threshold(capsys):
+    """lifted_gu defaults at rate 0.5 keep every confidence at or above 0.4
+    for 6 of 8 parties: ``max_parties``, as the oracle and the engine both count."""
+    rows = _sweep_rows(capsys, ["--family", "lifted_gu", "--threshold", "0.4"])
+    last = rows[-1]
+    want = min(8, families.lifted_gu(3, math.pi / 2, 1.0).max_parties(0.4, 0.5))
+    assert want == 6
+    assert (last["party"], last["quantity"]) == ("8", "parties_at_threshold")
+    assert int(last["oracle"]) == int(last["engine"]) == want and last["residual"] == "0"
+
+
+def test_sweep_mirror_angle_trichotomy(capsys):
+    """``family --family mirror`` states sign(theta_next - theta) =
+    sign(theta - 2 pi/3): the trine is an unstable fixed angle.  Party 2's
+    ``theta`` is theta_next, in closed form and in the engine."""
+    rows = _sweep_rows(capsys, ["--family", "mirror", "--eta0", "0.3,0.5,0.9"])
+    seen = 0
+    for row in rows:
+        if (row["party"], row["quantity"]) != ("2", "theta"):
+            continue
+        seen += 1
+        theta = float(row["theta"])
+        want = theta - 2 * math.pi / 3
+        for key in ("oracle", "engine"):
+            drift = float(row[key]) - theta
+            if abs(want) < 1e-12:
+                assert abs(drift) < 1e-9
+            else:
+                assert math.copysign(1.0, drift) == math.copysign(1.0, want)
+    assert seen == 3 * 13
 
 
 def test_degenerate_generic_chain_exits_4(tmp_path, capsys):
@@ -667,9 +751,13 @@ def test_sweep_runs_every_rate_in_order(family, flags, rates, capsys):
 
 @pytest.mark.parametrize("threshold", ["0", "1"])
 def test_sweep_threshold_endpoints_are_confidences(threshold, capsys):
+    """Every party clears threshold 0 and none clears 1: the count row after
+    the 8 parties' four rows (three confidences and the disturbance)."""
     code, out, err = run(capsys, ["sweep", "--family", "lifted_gu", "--threshold", threshold])
     assert code == cli.EXIT_OK and err == ""
-    assert out.count("\n") == 1 + 8
+    assert out.count("\n") == 1 + 8 * 4 + 1
+    want = "8" if threshold == "0" else "0"
+    assert out.splitlines()[-1].endswith(f",8,parties_at_threshold,{want},{want},0")
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ mirror-symmetric triple.
 Run with:  pytest tests/test_families.py -v
 """
 
+import csv
+import io
 import json
 import math
 
@@ -35,6 +37,41 @@ from seqmcm.qcore import FeasibilityError, validate_povm
 from seqmcm.seqchan import StrategyInfeasibleError, run_sequence
 
 TRINE = 2.0 * math.pi / 3.0
+
+
+# ===========================================================================
+# the chain protocol every family offers
+# ===========================================================================
+
+# family -> (its --params, two schedules); a two_mixed party count stands
+# for its joint-probability optimum
+ORACLE_CASES = {
+    "two_mixed": ({"p": 0.8, "theta": 1.0}, [3, [0.1, 0.05]]),
+    "gu": ({"n": 4}, [[0.2, 0.5, 0.7], [0.9] * 5]),
+    "lifted_gu": ({"n": 3, "theta": 1.0, "lam": 0.85}, [[0.75], [0.8, 0.7, 0.9]]),
+    "mirror": ({"theta": 1.9}, [[0.9, 0.9, 0.9], [0.3, 0.5, 0.7, 0.6]]),
+}
+
+
+@pytest.mark.parametrize("name", list(cli.FAMILIES))
+def test_oracle_matches_its_chain(name):
+    """``oracle(schedule)`` names, per party, quantities of the trace CSV of
+    ``run_sequence(strategies(schedule))``, every label's confidence among
+    them, and agrees with each within 1e-9 (``p_joint`` on the last party,
+    where the CSV puts it)."""
+    assert set(ORACLE_CASES) == set(cli.FAMILIES)
+    params, schedules = ORACLE_CASES[name]
+    fam = cli.FAMILIES[name].build(params)
+    for schedule in schedules:
+        trace = run_sequence(fam.ensemble(), fam.strategies(schedule))
+        table = list(csv.DictReader(io.StringIO(seqchan.trace_to_csv(trace))))
+        closed = fam.oracle(schedule)
+        assert len(closed) == len(table) == trace.parties
+        for row, quantities in zip(table, closed):
+            assert {f"confidence_{x}" for x in fam.ensemble().labels} <= set(quantities)
+            for quantity, value in quantities.items():
+                assert abs(float(row[quantity]) - value) <= 1e-9, (schedule, row["party"], quantity)
+        assert ("p_joint" in closed[-1]) == (name == "two_mixed")
 
 
 # ===========================================================================
@@ -514,14 +551,6 @@ class TestLiftedGuSequential:
                 rec.extras["visibility"], fam.visibility_at(j, rates), atol=1e-9
             )
 
-    def test_disturbance_against_engine(self):
-        fam = lifted_gu(3, 1.0, 0.85)
-        eta0 = 0.75
-        trace = run_sequence(fam.ensemble(), fam.strategies([eta0]))
-        np.testing.assert_allclose(
-            trace.records[0].disturbance, fam.disturbance_at(eta0), atol=1e-9
-        )
-
     def test_equatorial_collapse_disturbs_least(self):
         """Any non-equatorial retarget polar angle strictly increases the
         one-step disturbance."""
@@ -836,19 +865,6 @@ class TestMirrorStep:
 
 
 class TestMirrorFamily:
-    def test_trajectory_matches_engine_chain(self):
-        fam = mirror(1.9)
-        rates = [0.9, 0.9, 0.9]
-        states = fam.trajectory(rates)
-        trace = run_sequence(fam.ensemble(), fam.strategies(rates))
-        for rec, ms in zip(trace.records, states):
-            np.testing.assert_allclose(rec.extras["r1"], ms.r1, atol=1e-9)
-            np.testing.assert_allclose(rec.extras["r2"], ms.r2, atol=1e-9)
-            np.testing.assert_allclose(rec.extras["theta"], ms.theta, atol=1e-9)
-            sol = mirror_mcm(ms)
-            np.testing.assert_allclose(rec.confidences[1], sol.c1, atol=1e-9)
-            np.testing.assert_allclose(rec.confidences[2], sol.c2, atol=1e-9)
-
     def test_confidence_and_purity_monotone(self):
         for theta in (5 * math.pi / 9, TRINE, 7 * math.pi / 9):
             for eta0 in (0.5, 0.9):

@@ -30,8 +30,14 @@ in two spellings (exit 2), a ``gu`` sweep of two states, which has no
 sequential closed forms (exit 2), a ``lifted_gu`` sweep at a rate below its
 floor (exit 4), and ``mcm`` on two weight problems whose optimal weights
 form a face: five qubit states that admit a complete POVM, and an
-identical qubit pair; and ``mcm`` on two qubit guessing problems with a
-known optimum: four tetrahedral states and a dominant prior.
+identical qubit pair; ``mcm`` on two qubit guessing problems with a
+known optimum: four tetrahedral states and a dominant prior; and ``sweep``
+over a ``gu`` count grid, over a ``two_mixed`` angle grid at a fixed purity
+with a threshold, and over a three-party ``mirror`` chain, then a key given
+in both ``--params`` and ``--grid`` and a ``two_mixed`` and a ``mirror``
+point outside the family (each exit 2).  Every ``sweep`` prints long-format
+rows, one per party and quantity: the family's parameters, the rate, the
+party, the quantity and its closed-form, engine and residual values.
 New lines go at the end, so earlier lines keep their place in a diff.
 ``--ensemble`` reads files this script writes into a temporary
 working directory, under fixed relative names, so no message carries a
@@ -279,6 +285,19 @@ def corpus() -> list[list[str]]:
     lines += [["mcm", "--ensemble", name] for name in FACES]
     # guessing problems with a known optimum
     lines += [["mcm", "--ensemble", name] for name in GUESSES]
+    # sweeps over a parameter grid, a threshold and a longer chain
+    lines += [
+        ["sweep", "--family", "gu", "--grid", '{"n": [3, 5]}'],
+        ["sweep", "--family", "two_mixed", "--params", '{"p": 0.8}', "--grid",
+         '{"theta": [1.0, 2.0]}', "--parties", "3", "--threshold", "0.6"],
+        ["sweep", "--family", "mirror", "--parties", "3"],
+    ]
+    # a key in both --params and --grid, and sweep points the family rejects, each exit 2
+    lines += [
+        ["sweep", "--family", "gu", "--params", '{"n": 4}', "--grid", '{"n": [3, 5]}'],
+        ["sweep", "--family", "two_mixed", "--grid", '{"p": [1.5], "theta": [1.0]}'],
+        ["sweep", "--family", "mirror", "--grid", '{"theta": [0]}'],
+    ]
     return lines
 
 
