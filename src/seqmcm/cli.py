@@ -31,10 +31,10 @@ which ``sequence`` flags it reads, the first setting its schedule
 party, or without it the joint-probability optimum), and its default sweep.
 ``family`` prints its ``describe()``; ``sequence`` runs its ``strategies``,
 where a ``--retarget-angle`` replaces the least-disturbing collapse of a
-``lifted_gu`` (polar angle) or ``mirror`` (azimuth) chain, and rejects with
-exit 2 any flag its chain does not read.  An ``--ensemble`` chain is
-:func:`seqchan.weakened_mcm_strategies`, which needs a one-vector optimal
-subspace for every label it measures (exit 4, "not rank-one", otherwise).
+``gu`` or ``lifted_gu`` (polar angle) or ``mirror`` (azimuth) chain, and
+rejects with exit 2 any flag its chain does not read.  An ``--ensemble``
+chain is :func:`seqchan.weakened_mcm_strategies`, which measures each
+label's whole optimal subspace, of any dimension.
 
 ``sweep`` checks the engine against a family's ``oracle``.  It runs each
 point of the family's keys (``--params`` gives values, ``--grid`` lists; a
@@ -461,7 +461,10 @@ FAMILIES: dict[str, _Family] = {
             "theta": np.linspace(0.1 * math.pi, 0.9 * math.pi, 10),
         },
     ),
-    "gu": _Family(lambda q: fam_mod.gu(n=_count(q)), ("n", "N"), rates=(0.1, 0.5, 0.9), parties=10),
+    "gu": _Family(
+        lambda q: fam_mod.gu(n=_count(q)), ("n", "N"), chain=("eta0", "retarget_angle"),
+        rates=(0.1, 0.5, 0.9), parties=10,
+    ),
     "lifted_gu": _Family(
         lambda q: fam_mod.lifted_gu(
             n=_count(q),
@@ -550,10 +553,7 @@ def _suite_trace_preservation(count: int, rng: np.random.Generator) -> dict[str,
         else:
             e, weights = _draw_mcm_weights(rng)
             alpha = float(rng.uniform(0.2, 1.0))
-            try:
-                ch = seqchan.mcm_plan(e, {x: alpha * w for x, w in weights.items()}).channel
-            except seqchan.ChannelConstructionError:
-                continue  # degenerate (non-rank-one) draw; not this suite's target
+            ch = seqchan.mcm_plan(e, {x: alpha * w for x, w in weights.items()}).channel
         rho = qcore.random_density(rng, 2)
         out = ch.apply(rho)
         worst = max(worst, abs(float(np.real(np.trace(out.mat))) - 1.0))
@@ -569,8 +569,6 @@ def _suite_monotonicity(count: int, rng: np.random.Generator) -> dict[str, Any]:
         eta0 = floor + float(rng.uniform(0.1, 0.8)) * (1.0 - floor)
         try:
             seqchan.run_sequence(e, seqchan.weakened_mcm_strategies([eta0, eta0]))
-        except seqchan.StrategyInfeasibleError:
-            continue  # non-rank-one optimal subspace; outside this policy
         except ValueError as exc:
             violations += 1
             witness = str(exc)
@@ -601,7 +599,7 @@ def _suite_proposition(count: int, rng: np.random.Generator) -> dict[str, Any]:
 
     # operational side: a two-state chain keeps its confidence exactly,
     # the trine family drops strictly under any weakening
-    chain = seqchan.run_sequence(two.ensemble(), two.chain_strategies(2))
+    chain = seqchan.run_sequence(two.ensemble(), two.strategies(2))
     c_two = [rec.confidences[1] for rec in chain.records]
     keep = abs(c_two[0] - c_two[1])
 
@@ -732,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--gains", help="two_mixed only: per-party gains, comma separated")
     p_seq.add_argument(
         "--retarget-angle",
-        help="lifted_gu, mirror: collapse onto this angle (radians, or e.g. '90deg') "
+        help="gu, lifted_gu, mirror: collapse onto this angle (radians, or e.g. '90deg') "
         "instead of the least-disturbing one",
     )
     p_seq.add_argument(

@@ -42,12 +42,12 @@ CSV's names (``confidence_<x>``; ``disturbance`` for ``lifted_gu``; ``r1``,
 on the last party).  A ``lifted_gu`` (so ``gu``) or ``mirror`` schedule is
 one inconclusive rate per party; a ``retarget`` polar angle (``lifted_gu``)
 or azimuth (``mirror``) replaces the least-disturbing collapse for
-comparison runs.  Each party is a :func:`seqmcm.seqchan.rank_one_plan` built
+comparison runs.  Each party is a :func:`seqmcm.seqchan.projector_plan` built
 from the family's closed-form measurement vectors and weights, so no
 eigensolve recovers a vector the family already knows
 (``LiftedGuFamily.plan`` and :func:`mirror_plan` build one party).  A
 ``two_mixed`` schedule is one gain per party, or a party count for the
-joint-probability optimum.  Its party is a ``rank_one_plan`` too: weights
+joint-probability optimum.  Its party is a ``projector_plan`` too: weights
 ``a`` on both measured vectors (``phi_2`` rephased to the real overlap
 ``s``) and the overlap ``s'`` it leaves, both from
 :func:`seqmcm.optim.two_state_least_disturbing`; in the frame
@@ -65,14 +65,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from . import mcm as _mcm
 from . import optim as _optim
 from .qcore import DensityMatrix, Ensemble, FeasibilityError, density_from_bloch, vector_to_json
-from .seqchan import PartyPlan, Strategy, rank_one_plan
+from .seqchan import PartyPlan, Strategy, projector_plan
 
 
 class InfeasibleRateError(FeasibilityError):
@@ -208,13 +208,19 @@ class TwoMixedFamily:
             "projectors": [vector_to_json(v) for v in self.projector_vectors()],
         }
 
-    def _strategies(
-        self, parties: int, gain_of: Callable[[float, float, int], float]
-    ) -> list[Strategy]:
-        """One equal-confidence party per index ``j`` (the rank-one plan of
-        the module docstring), each reading the ensemble it is handed (so
-        the chain is self-correcting, not open-loop) and extracting the
-        gain ``gain_of(C, s, j)``."""
+    def strategies(self, schedule: int | Sequence[float]) -> list[Strategy]:
+        """The chain of ``schedule``: one equal-confidence party per index
+        ``j`` (the projector plan of the module docstring), each reading the
+        ensemble it is handed (so the chain is self-correcting, not
+        open-loop).  Given per-party gains, party ``j`` extracts ``G_j``.
+        Given a party count ``R``, the chain realises the joint-probability
+        optimum: party ``j`` splits the overlap ``s_j`` it measures evenly
+        over the parties left, ``G_j = C (1 - s_j^(1/(R-j+1)))``, the
+        closed-form :meth:`schedule` in exact arithmetic, and never above the
+        feasible ``C (1 - s_j)`` however far rounding moved ``s_j`` off the
+        ladder."""
+        gains = None if isinstance(schedule, int) else [float(g) for g in schedule]
+        parties = schedule if gains is None else len(gains)
 
         def strat(e: Ensemble, j: int) -> PartyPlan:
             entries = _mcm.solve_mcm(e)
@@ -226,12 +232,12 @@ class TwoMixedFamily:
                 raise FeasibilityError("projector overlap is 1: the states are indistinguishable")
             if s > 0.0:
                 phi2 = phi2 * (t.conjugate() / s)  # rephased: <phi1|phi2> = s
-            gain = gain_of(c, s, j)
+            gain = c * (1.0 - s ** (1.0 / (parties - j + 1))) if gains is None else gains[j - 1]
             a, _, s_new = _optim.two_state_least_disturbing(c, s, gain)
             u = (phi1 + phi2) / float(np.linalg.norm(phi1 + phi2))
             w = (phi1 - phi2) / float(np.linalg.norm(phi1 - phi2))
             cu, cw = math.sqrt((1.0 + s_new) / 2.0), math.sqrt((1.0 - s_new) / 2.0)
-            return rank_one_plan(
+            return projector_plan(
                 {1: a, 2: a},
                 {1: phi1, 2: phi2},
                 targets={1: cw * u + cu * w, 2: cw * u - cu * w},
@@ -239,13 +245,6 @@ class TwoMixedFamily:
             )
 
         return [strat] * parties
-
-    def strategies(self, schedule: int | Sequence[float]) -> list[Strategy]:
-        """The chain of ``schedule``: per-party gains, or a party count for
-        the joint-probability optimum."""
-        if isinstance(schedule, int):
-            return self.chain_strategies(schedule)
-        return self.strategies_for_gains(schedule)
 
     def oracle(self, schedule: int | Sequence[float]) -> list[dict[str, float]]:
         """Closed forms of the chain of ``schedule``.  Every party sees
@@ -260,21 +259,6 @@ class TwoMixedFamily:
         out = [{"confidence_1": c, "confidence_2": c} for _ in range(parties)]
         out[-1]["p_joint"] = p_joint
         return out
-
-    def strategies_for_gains(self, gains: Sequence[float]) -> list[Strategy]:
-        """One equal-confidence party per given gain."""
-        gains = [float(g) for g in gains]
-        return self._strategies(len(gains), lambda c, s, j: gains[j - 1])
-
-    def chain_strategies(self, parties: int) -> list[Strategy]:
-        """Strategies realizing the joint-probability-optimal schedule.
-
-        Party ``j`` splits the overlap ``s_j`` it measures evenly over the
-        parties left, ``G_j = C (1 - s_j^(1/(R-j+1)))``: the closed-form
-        :meth:`schedule` in exact arithmetic, and never above the feasible
-        ``C (1 - s_j)`` however far rounding moved ``s_j`` off the ladder."""
-        r = int(parties)
-        return self._strategies(r, lambda c, s, j: c * (1.0 - s ** (1.0 / (r - j + 1))))
 
 
 def two_mixed(p: float, theta: float) -> TwoMixedFamily:
@@ -434,7 +418,7 @@ class LiftedGuFamily:
         w = (1.0 - max(float(eta0), c)) / (1.0 - c) * self.full_weight
         cr, sr = math.cos(retarget_polar / 2.0), math.sin(retarget_polar / 2.0)
         labels = range(1, self.n + 1)
-        return rank_one_plan(
+        return projector_plan(
             {x: w for x in labels},
             {x: self.measurement_vector(x) for x in labels},
             targets={
@@ -677,7 +661,7 @@ def mirror_plan(ms: MirrorState, eta0: float, retarget_azimuth: float | None = N
     sol = mirror_mcm(ms)
     ra = mirror_retarget(ms, sol.phi) if retarget_azimuth is None else float(retarget_azimuth)
     w = 1.0 - eta0
-    return rank_one_plan(
+    return projector_plan(
         {1: w * sol.a1, 2: w * sol.a2, 3: w * sol.a2},
         {1: _equator(0.0), 2: _equator(sol.phi), 3: _equator(-sol.phi)},
         targets={2: _equator(ra), 3: _equator(-ra)},

@@ -2,21 +2,25 @@
 
 A party that wants to leave something measurable for the next party does
 not apply its full-strength measurement.  Scaling the conclusive elements
-``a_x |phi_x><phi_x|`` down by ``alpha_x in [0, 1]`` keeps every conclusive
-outcome's confidence exactly unchanged (the confidence is a ratio, and the
-scale cancels) while diverting probability into the inconclusive outcome.
-:func:`rank_one_plan` builds such a party straight from the vectors it
-measures and the weights ``w_x = alpha_x a_x``: the POVM
-``w_x |phi_x><phi_x|`` with ``M_0 = 1 - sum_x M_x``, and the channel
+``a_x P_x`` down by ``alpha_x in [0, 1]`` keeps every conclusive outcome's
+confidence exactly unchanged (the confidence is a ratio, and the scale
+cancels) while diverting probability into the inconclusive outcome.
+:func:`projector_plan` builds such a party straight from an orthonormal
+basis ``Q_x`` of each measured subspace (``P_x = Q_x Q_x^dag``; a unit
+vector ``phi_x`` when it has rank one) and the weights
+``w_x = alpha_x a_x``: the POVM ``w_x P_x`` with ``M_0 = 1 - sum_x M_x``,
+and the channel
 
-    K_x = sqrt(w_x) |t_x><phi_x|,    K_0 = sqrt(M_0),
+    K_x = sqrt(w_x) T_x Q_x^dag,    K_0 = sqrt(M_0),
 
-whose collapse targets ``t_x`` (default ``phi_x``) let the party
+whose collapse targets ``T_x`` (default ``Q_x``, the Lüders map
+``sqrt(w_x) P_x``; ``sqrt(w_x) |t_x><phi_x|`` at rank one) let the party
 *re-target*: leave a chosen state instead of the measurement projector,
 which is the lever the analytic families pull to minimize disturbance.
 For an ensemble outside the families, :func:`weakened_mcm_strategies` is
 the chain policy: each party weakens the rate-optimal measurement of the
-ensemble it receives to its own inconclusive rate.
+ensemble it receives to its own inconclusive rate, on optimal subspaces
+of any dimension.
 
 The chain bookkeeping lives in :class:`SequentialTrace`: per-party
 confidences (nonincreasing along the chain — that is the data-processing
@@ -30,6 +34,7 @@ probabilities are reconstructed by operator composition:
 from __future__ import annotations
 
 import functools
+import itertools
 import types
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -44,7 +49,6 @@ from .qcore import (
     FeasibilityError,
     Povm,
     as_matrix,
-    as_vector,
     ensemble_to_json,
     matrix_to_json,
     povm_to_json,
@@ -85,10 +89,11 @@ class KrausChannel:
     """A CPTP map with one Kraus operator per outcome label.
 
     ``ops`` is a read-only mapping from each label (0 = inconclusive, as
-    for POVM outcomes) to its operator; it keeps the given order, which :func:`rank_one_plan` makes
-    the conclusive labels sorted, then 0.  A label the party cannot click
-    has no entry.  Completeness ``sum K^dag K = 1`` is enforced within
-    :data:`COMPLETENESS_TOL` at construction.
+    for POVM outcomes) to its operator; it keeps the given order, which
+    :func:`projector_plan` makes the conclusive labels sorted, then 0.  A
+    label the party cannot click has no entry.  Completeness
+    ``sum K^dag K = 1`` is enforced within :data:`COMPLETENESS_TOL` at
+    construction.
     """
 
     ops: Mapping[int, np.ndarray]
@@ -210,37 +215,44 @@ class PartyPlan:
 Strategy = Callable[[Ensemble, int], PartyPlan]
 
 
-def rank_one_plan(
+def projector_plan(
     weights: Mapping[int, float],
-    vectors: Mapping[int, Any],
+    bases: Mapping[int, Any],
     targets: Mapping[int, Any] | None = None,
     extras: Mapping[str, float] | None = None,
 ) -> PartyPlan:
-    """The party measuring ``M_x = w_x |v_x><v_x|``, ``M_0 = 1 - sum_x M_x``.
+    """The party measuring ``M_x = w_x Q_x Q_x^dag``, ``M_0 = 1 - sum_x M_x``.
 
-    ``vectors`` are unit vectors and ``targets`` optional unit collapse
-    states (default ``v_x``).  Each conclusive click applies
-    ``K_x = sqrt(w_x) |t_x><v_x|`` (no operator for ``w_x = 0``), so
-    ``K_x^dag K_x = M_x`` exactly; the inconclusive branch applies
-    ``K_0 = sqrt(M_0)``, the one eigensolve of the construction.  ``M_0``
-    eigenvalues within rounding of zero (:data:`seqmcm.qcore.SQRT_ZERO_TOL`)
-    are zeros of ``K_0``, so a full-strength party's ``K_0`` is exactly
-    singular (zero for a complete measurement).  Weights that leave ``M_0``
-    indefinite fail the channel's completeness check.
+    Each ``bases[x]`` is a unit vector or a ``d x k`` matrix ``Q_x`` of
+    orthonormal columns, and ``targets[x]`` (default ``Q_x``) one of the
+    same shape.  Each conclusive click applies ``K_x = sqrt(w_x) T_x Q_x^dag``
+    (no operator for ``w_x = 0``), so ``K_x^dag K_x = M_x``; without a
+    target it is the Lüders map ``sqrt(w_x) P_x``.  The inconclusive branch
+    applies ``K_0 = sqrt(M_0)``, the one eigensolve of the construction.
+    ``M_0`` eigenvalues within rounding of zero
+    (:data:`seqmcm.qcore.SQRT_ZERO_TOL`) are zeros of ``K_0``, so a
+    full-strength party's ``K_0`` is exactly singular (zero for a complete
+    measurement).  Weights that leave ``M_0`` indefinite fail the channel's
+    completeness check.
     """
-    if not weights or set(weights) != set(vectors):
-        raise ValueError(f"weights for labels {sorted(weights)} but vectors for {sorted(vectors)}")
+    if not weights or set(weights) != set(bases):
+        raise ValueError(f"weights for labels {sorted(weights)} but bases for {sorted(bases)}")
     labels = sorted(weights)
     for x in labels:
         if float(weights[x]) < 0.0:
             raise ValueError(f"weight {x} is negative: {float(weights[x])!r}")
-    # every label's |v_x><v_x| and |t_x><v_x| as one (n, d, d) stack each
+    # every label's columns as rows of one (K, d) array; each label's sum of
+    # outer products is one reduceat segment, for a vector its product exactly
+    vs = [_columns(bases[x]) for x in labels]
+    ts = [_columns((targets or {}).get(x, bases[x])) for x in labels]
+    if [len(c) for c in ts] != [len(c) for c in vs]:
+        raise ValueError("each target needs as many columns as its basis")
+    starts = list(itertools.accumulate((len(c) for c in vs[:-1]), initial=0))
+    v, t = np.concatenate(vs), np.concatenate(ts)
+    bras = v.conj()[:, None, :]
     w = np.array([float(weights[x]) for x in labels])[:, None, None]
-    v = np.stack([as_vector(vectors[x], f"vector {x}") for x in labels])[:, :, None]
-    t = np.stack([as_vector((targets or {}).get(x, vectors[x]), f"target {x}") for x in labels])
-    bras = v.conj().swapaxes(-1, -2)
-    elements = w * (v * bras)
-    kraus = np.sqrt(w) * (t[:, :, None] * bras)
+    elements = w * np.add.reduceat(v[:, :, None] * bras, starts)
+    kraus = np.sqrt(w) * np.add.reduceat(t[:, :, None] * bras, starts)
     m0 = np.eye(v.shape[1]) - sum(elements)
     ops = {x: k for x, k, wx in zip(labels, kraus, w.flat) if wx > 0.0}
     # K_0 is listed even when zero: every party's channel names its inconclusive branch
@@ -252,22 +264,26 @@ def rank_one_plan(
     )
 
 
+def _columns(basis: Any) -> np.ndarray:
+    """A unit vector as one row, a ``d x k`` basis as its ``k`` columns."""
+    arr = np.asarray(basis, dtype=complex)
+    return arr.reshape(len(arr), -1).T
+
+
 def mcm_plan(
     e: Ensemble, weights: Mapping[int, float], extras: Mapping[str, float] | None = None
 ) -> PartyPlan:
-    """The rank-one party measuring each label's optimal vector
-    (:func:`seqmcm.mcm.solve_mcm`'s ``basis[0]``) at the given weight,
-    collapsing onto it.  A label of positive weight whose optimal subspace
-    has more than one vector has no rank-one element:
-    :class:`ChannelConstructionError`, "not rank-one"."""
-    entries = _mcm.solve_mcm(e)
-    for x, w in weights.items():
-        if w > 0.0 and len(entries[x].basis) > 1:
-            raise ChannelConstructionError(
-                f"label {x} is not rank-one (its optimal subspace has dimension "
-                f"{len(entries[x].basis)}); the rank-one Kraus construction does not apply"
-            )
-    return rank_one_plan(weights, {x: entries[x].basis[0] for x in weights}, extras=extras)
+    """The party measuring each label's whole optimal subspace at the given
+    weight, ``M_x = w_x P_x``, with the Lüders map ``K_x = sqrt(w_x) P_x``
+    (:func:`projector_plan`).  A one-vector subspace is passed as
+    :func:`seqmcm.mcm.solve_mcm`'s ``basis[0]``; a larger one as the
+    orthonormal ``Q_x`` of its QR, since those basis vectors need not be
+    orthogonal."""
+    entries, subspaces = _mcm.solve_mcm(e), _mcm._optimal_subspaces(e)
+    bases = {
+        x: entries[x].basis[0] if len(entries[x].basis) == 1 else subspaces[x][0] for x in weights
+    }
+    return projector_plan(weights, bases, extras=extras)
 
 
 def _weakened_mcm_party(eta0: float, e: Ensemble, _: int) -> PartyPlan:
@@ -285,9 +301,10 @@ def weakened_mcm_strategies(rates: Sequence[float]) -> list[Strategy]:
     """One party per inconclusive rate: it scales the weights of
     :func:`seqmcm.optim.min_inconclusive_rate` on the ensemble it receives
     by one ``alpha`` down to its rate and plays them as :func:`mcm_plan`
-    (extras ``eta0_target``, ``alpha``).  A rate below that ensemble's floor
-    is a :class:`FeasibilityError`; :func:`run_sequence` reports it, as
-    "not rank-one", as :class:`StrategyInfeasibleError`."""
+    (extras ``eta0_target``, ``alpha``): each label's whole optimal subspace,
+    whatever its dimension, under the Lüders map.  A rate below that
+    ensemble's floor is a :class:`FeasibilityError`, which
+    :func:`run_sequence` reports as :class:`StrategyInfeasibleError`."""
     return [functools.partial(_weakened_mcm_party, float(eta0)) for eta0 in rates]
 
 

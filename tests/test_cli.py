@@ -465,12 +465,22 @@ def test_retarget_flag_is_gone(argv, capsys):
     assert "unrecognized arguments: --retarget explicit" in capsys.readouterr().err
 
 
+def test_gu_reads_the_retarget_angle(capsys):
+    """``gu`` is ``lifted_gu`` at the equator: an equatorial retarget is its
+    default chain, byte for byte, and a polar one moves the collapse."""
+    chain = ["sequence", "--family", "gu", "--parties", "2", "--eta0", "0.5"]
+    default = run(capsys, chain)
+    assert default[0] == cli.EXIT_OK
+    assert run(capsys, [*chain, "--retarget-angle", "90deg"]) == default
+    code, out, err = run(capsys, [*chain, "--retarget-angle", "1.0"])
+    assert code == cli.EXIT_OK and err == "" and out != default[1]
+
+
 def test_retarget_angle_rejected_where_no_chain_reads_it(tmp_path, capsys):
     path = tmp_path / "ensemble.json"
     e = qcore.random_ensemble(np.random.default_rng(3), 2, 3)
     path.write_text(json.dumps(qcore.ensemble_to_json(e)))
     for source in (
-        ["--family", "gu", "--eta0", "0.5"],
         ["--family", "two_mixed"],
         ["--ensemble", str(path), "--eta0", "0.9"],
     ):
@@ -586,17 +596,37 @@ def test_sweep_mirror_angle_trichotomy(capsys):
     assert seen == 3 * 13
 
 
-def test_degenerate_generic_chain_exits_4(tmp_path, capsys):
-    """Label 1's optimal subspace is diag(1, 1, 0): no rank-one element."""
-    e = qcore.Ensemble(
-        priors=(0.5, 0.5), states=(np.diag([0.5, 0.5, 0.0]), np.diag([0.0, 0.0, 1.0]))
-    )
-    path = tmp_path / "degenerate.json"
+SYMMETRIC_QUTRIT = qcore.Ensemble(
+    priors=(1 / 3, 1 / 3, 1 / 3),
+    states=(np.diag([0.5, 0.5, 0.0]), np.diag([0.0, 0.5, 0.5]), np.diag([0.5, 0.0, 0.5])),
+)
+DEGENERATE_QUTRIT = qcore.Ensemble(
+    priors=(0.5, 0.5), states=(np.diag([0.5, 0.5, 0.0]), np.diag([0.0, 0.0, 1.0]))
+)
+
+
+@pytest.mark.parametrize(
+    "e, rates, confidence",
+    [
+        pytest.param(SYMMETRIC_QUTRIT, "0.6,0.7", 0.5, id="symmetric-qutrit"),
+        pytest.param(DEGENERATE_QUTRIT, "0.5", 1.0, id="degenerate-qutrit"),
+    ],
+)
+def test_generic_chain_measures_rank_two_subspaces(e, rates, confidence, tmp_path, capsys):
+    """Every label of the symmetric qutrit, and label 1 of the degenerate
+    one, has a two-dimensional optimal subspace; the chain measures it whole
+    and keeps every confidence."""
+    path = tmp_path / "ensemble.json"
     path.write_text(json.dumps(qcore.ensemble_to_json(e)))
-    argv = ["sequence", "--ensemble", str(path), "--parties", "2", "--eta0", "0.5"]
-    code, out, err = run(capsys, argv)
-    assert code == cli.EXIT_INFEASIBLE and out == ""
-    assert err.startswith("error: infeasible: party 1: label 1 is not rank-one")
+    argv = ["sequence", "--ensemble", str(path), "--parties", "2", "--eta0", rates]
+    code, out, err = run(capsys, [*argv, "--format", "csv"])
+    assert code == cli.EXIT_OK and err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 2
+    for x in e.labels:
+        series = [float(row[f"confidence_{x}"]) for row in rows]
+        assert all(abs(c - confidence) < 1e-12 for c in series)
+        assert series[1] <= series[0] + 1e-15
 
 
 @pytest.mark.parametrize(

@@ -208,7 +208,7 @@ class TestTwoMixedClosedForms:
         c = entries[1].confidence
         s = fam.overlap
         gain = 0.45 * c * (1 - s)
-        channel = fam.strategies_for_gains([gain])[0](e, 1).channel
+        channel = fam.strategies([gain])[0](e, 1).channel
         out = channel.apply_ensemble(e)
         t_next = fam.signed_overlap / (1.0 - gain / c)
         rebuilt = TwoMixedFamily.from_confidence_overlap(c, t_next).ensemble()
@@ -243,7 +243,7 @@ class TestTwoMixedChains:
         the chain realizes the scheduled joint probabilities."""
         fam = two_mixed(0.8, math.pi / 3)
         sched = fam.schedule(3)
-        trace = run_sequence(fam.ensemble(), fam.chain_strategies(3))
+        trace = run_sequence(fam.ensemble(), fam.strategies(3))
         series = trace.confidences(1)
         assert max(series) - min(series) < 1e-10
         np.testing.assert_allclose(series[0], fam.confidence, atol=1e-12)
@@ -253,7 +253,7 @@ class TestTwoMixedChains:
     def test_overlap_ladder_recorded(self):
         fam = two_mixed(0.7, 1.9)
         sched = fam.schedule(4)
-        trace = run_sequence(fam.ensemble(), fam.chain_strategies(4))
+        trace = run_sequence(fam.ensemble(), fam.strategies(4))
         for rec, want in zip(trace.records, sched.overlaps):
             np.testing.assert_allclose(rec.extras["overlap"], want, atol=1e-9)
 
@@ -263,13 +263,13 @@ class TestTwoMixedChains:
         read from the measured overlap keep the chain feasible and on
         the scheduled joint probability."""
         fam = two_mixed(1.0, math.pi / 2 - 1e-6)
-        trace = run_sequence(fam.ensemble(), fam.chain_strategies(6))
+        trace = run_sequence(fam.ensemble(), fam.strategies(6))
         assert abs(trace.p_joint - fam.schedule(6).p_joint) < 1e-9
 
     def test_infeasible_gain_names_party(self):
         fam = two_mixed(0.8, math.pi / 3)
         good = fam.schedule(2).gains[0]
-        strategies = fam.strategies_for_gains([good, fam.confidence * 2.0])
+        strategies = fam.strategies([good, fam.confidence * 2.0])
         with pytest.raises(StrategyInfeasibleError) as exc:
             run_sequence(fam.ensemble(), strategies)
         assert exc.value.party == 2

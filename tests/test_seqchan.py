@@ -1,6 +1,7 @@
 """Sequential-channel layer tests: weakened measurements and their
-rank-one party plans, the equal-confidence two-state step (the two_mixed
-family party), disturbance functionals, and the chain runner.
+projector party plans (rank one and higher), the equal-confidence
+two-state step (the two_mixed family party), disturbance functionals, and
+the chain runner.
 
 Run with:  pytest tests/test_seqchan.py -v
 """
@@ -28,7 +29,7 @@ from seqmcm.seqchan import (
     joint_outcomes,
     linear_independence,
     random_channel,
-    rank_one_plan,
+    projector_plan,
     run_sequence,
     trace_to_csv,
     trace_to_json,
@@ -67,13 +68,21 @@ def trine_plan(alphas, targets=None) -> PartyPlan:
     if not isinstance(alphas, dict):
         alphas = {x: alphas for x in (1, 2, 3)}
     vectors = dict(zip((1, 2, 3), trine_vectors()))
-    return rank_one_plan({x: a * 2 / 3 for x, a in alphas.items()}, vectors, targets)
+    return projector_plan({x: a * 2 / 3 for x, a in alphas.items()}, vectors, targets)
 
 
 def degenerate_qutrit() -> Ensemble:
     """Label 1's optimal subspace is two-dimensional (C_1 = 1 on diag(1, 1, 0))."""
     return Ensemble(
         priors=(0.5, 0.5), states=(np.diag([0.5, 0.5, 0.0]), np.diag([0.0, 0.0, 1.0]))
+    )
+
+
+def symmetric_qutrit() -> Ensemble:
+    """Three equiprobable states, each 1/2 on two of three basis states."""
+    return Ensemble(
+        priors=(1 / 3, 1 / 3, 1 / 3),
+        states=(np.diag([0.5, 0.5, 0.0]), np.diag([0.0, 0.5, 0.5]), np.diag([0.5, 0.0, 0.5])),
     )
 
 
@@ -174,7 +183,7 @@ class TestWeaken:
         povm = mcm.mcm_povm(e, sol.weights)
         alphas = {1: 0.7, 2: 0.2, 3: 0.9}
         entries = mcm.solve_mcm(e)
-        weakened = rank_one_plan(
+        weakened = projector_plan(
             {x: alphas[x] * a for x, a in sol.weights.items()},
             {x: entries[x].basis[0] for x in sol.weights},
         ).povm
@@ -190,7 +199,7 @@ class TestWeaken:
 
     def test_partial_map_rejected(self):
         with pytest.raises(ValueError):
-            rank_one_plan({1: 0.5}, dict(zip((1, 2, 3), trine_vectors())))
+            projector_plan({1: 0.5}, dict(zip((1, 2, 3), trine_vectors())))
 
     def test_out_of_range_rejected(self):
         """alpha = 1.5 leaves M_0 = -1/2: the channel cannot be complete."""
@@ -230,7 +239,7 @@ class TestKrausFromWeak:
             priors=(0.5, 0.5), states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
         )
         entries = mcm.solve_mcm(e)
-        ch = rank_one_plan({1: 1.0, 2: 1.0}, {x: entries[x].basis[0] for x in (1, 2)}).channel
+        ch = projector_plan({1: 1.0, 2: 1.0}, {x: entries[x].basis[0] for x in (1, 2)}).channel
         assert 0 in ch.ops
         np.testing.assert_allclose(ch.ops[0], 0.0, atol=1e-7)
 
@@ -257,11 +266,19 @@ class TestKrausFromWeak:
             out / np.real(np.trace(out)), _projector(v), atol=1e-12
         )
 
-    def test_non_rank_one_element_rejected(self):
-        """A measured label whose optimal subspace is two-dimensional has
-        no rank-one element to build a plan from."""
-        with pytest.raises(ChannelConstructionError, match="not rank-one"):
-            seqchan.mcm_plan(degenerate_qutrit(), {1: 0.5, 2: 0.5})
+    def test_rank_two_label_gets_the_luders_map(self):
+        """A label whose optimal subspace is two-dimensional measures its
+        whole projector, ``K_x = sqrt(w_x) P_x``."""
+        e = degenerate_qutrit()
+        plan = seqchan.mcm_plan(e, {1: 0.5, 2: 0.5})
+        p1 = np.diag([1.0, 1.0, 0.0])
+        np.testing.assert_allclose(plan.povm.elements[1], 0.5 * p1, atol=1e-15)
+        np.testing.assert_allclose(plan.channel.ops[1], math.sqrt(0.5) * p1, atol=1e-15)
+        np.testing.assert_allclose(plan.povm.inconclusive, np.diag([0.5, 0.5, 0.5]), atol=1e-15)
+
+    def test_basis_and_target_columns_must_match(self):
+        with pytest.raises(ValueError, match="as many columns"):
+            projector_plan({1: 0.5}, {1: np.eye(3)[:, :2]}, targets={1: np.eye(3)[:, 0]})
 
     def test_fully_weakened_label_dropped(self):
         ch = trine_plan({1: 0.0, 2: 0.5, 3: 0.5}).channel
@@ -301,7 +318,7 @@ class TestRankOnePlanProperties:
         assume(all(len(entry.basis) == 1 for entry in entries.values()))
         weights = optim.random_feasible_weights(rng, mcm.optimal_projectors(e))
         assume(min(weights.values()) > 0.0)
-        plan = rank_one_plan(
+        plan = projector_plan(
             {x: alpha * w for x, w in weights.items()},
             {x: entry.basis[0] for x, entry in entries.items()},
         )
@@ -334,7 +351,7 @@ def mixed_pair(p: float, theta: float) -> Ensemble:
 def step_party(e: Ensemble, gain: float) -> PartyPlan:
     """The two_mixed family party extracting ``gain`` from ``e`` (the party
     reads the ensemble it is handed, not the family it came from)."""
-    return families.two_mixed(0.5, 1.0).strategies_for_gains([gain])[0](e, 1)
+    return families.two_mixed(0.5, 1.0).strategies([gain])[0](e, 1)
 
 
 def qubit_perp(v: np.ndarray) -> np.ndarray:
@@ -535,7 +552,7 @@ def uniform_trine_strategy(alpha: float):
     def strategy(e: Ensemble, j: int) -> PartyPlan:
         sol = optim.min_inconclusive_rate(e)
         entries = mcm.solve_mcm(e)
-        return rank_one_plan(
+        return projector_plan(
             {x: alpha * a for x, a in sol.weights.items()},
             {x: entries[x].basis[0] for x in sol.weights},
             targets={x + 1: vectors[x] for x in range(3)},
@@ -574,9 +591,90 @@ class TestWeakenedMcmStrategies:
         assert str(info.value).startswith(f"party {party}: inconclusive rate")
         assert isinstance(info.value.__cause__, FeasibilityError)
 
-    def test_degenerate_qutrit_is_not_rank_one(self):
-        with pytest.raises(StrategyInfeasibleError, match="party 1: label 1 is not rank-one"):
-            run_sequence(degenerate_qutrit(), seqchan.weakened_mcm_strategies([0.5, 0.5]))
+    def test_degenerate_qutrit_chain(self):
+        """Label 1's optimal subspace is two-dimensional; the chain measures
+        it whole, keeps both confidences at 1 and meets both rates."""
+        trace = run_sequence(degenerate_qutrit(), seqchan.weakened_mcm_strategies([0.5, 0.5]))
+        for rec in trace.records:
+            assert abs(rec.eta0 - 0.5) < 1e-12
+            for x in (1, 2):
+                assert abs(rec.confidences[x] - 1.0) < 1e-12
+                k = rec.channel.ops[x]
+                np.testing.assert_allclose(k.conj().T @ k, rec.povm.elements[x], atol=1e-15)
+        assert trace.records[1].confidences[1] <= trace.records[0].confidences[1] + 1e-15
+
+    def test_symmetric_qutrit_chain_keeps_every_confidence(self):
+        """``rho_x`` is 1/2 on two of three basis states: every optimal
+        subspace is two-dimensional with ``C_x = 1/2``, and each party's
+        operators are diagonal, so three parties at rates 0.6, 0.7 and 0.8
+        keep every confidence at 1/2 and disturb nothing."""
+        trace = run_sequence(symmetric_qutrit(), seqchan.weakened_mcm_strategies([0.6, 0.7, 0.8]))
+        for rec, rate in zip(trace.records, (0.6, 0.7, 0.8)):
+            assert all(abs(c - 0.5) < 1e-12 for c in rec.confidences.values())
+            assert rec.disturbance < 1e-15
+            assert abs(rec.eta0 - rate) < 1e-9
+
+
+def rank_two_ensemble(rng: np.random.Generator, dim: int, eps: float) -> Ensemble:
+    """``dim`` labels whose shaped operators ``rho^(-1/2) q_x rho_x rho^(-1/2)``
+    are ``(1 - eps)/2`` times the projector onto the pair of columns
+    ``x, x + 1 (mod dim)`` of a random unitary, plus ``eps/dim``: they sum to
+    1, so ``rho`` (a random full-rank state) is the average, and each label's
+    optimal subspace is two-dimensional with ``C_x = (1 - eps)/2 + eps/dim``."""
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    root = qcore.sqrt_psd(0.5 * qcore.random_density(rng, dim).mat + 0.5 * np.eye(dim) / dim)
+    priors, states = [], []
+    for x in range(dim):
+        pair = u[:, [x, (x + 1) % dim]]
+        m = root @ (0.5 * (1.0 - eps) * pair @ pair.conj().T + eps / dim * np.eye(dim)) @ root
+        priors.append(float(np.real(np.trace(m))))
+        states.append(0.5 * (m + m.conj().T) / priors[-1])
+    return Ensemble(priors=tuple(priors), states=tuple(states))
+
+
+class TestRankTwoChainProperties:
+    """Chains over ensembles whose every optimal subspace is two-dimensional,
+    each party playing random feasible weights scaled by alpha on the
+    optimal projectors of the ensemble it receives."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(3, qcore.DIM_CAP),
+        seed=st.integers(0, 2**32 - 1),
+        eps=st.floats(0.0, 0.5),
+        alpha=st.floats(0.01, 1.0),
+    )
+    def test_chain_invariants(self, dim, seed, eps, alpha):
+        rng = np.random.default_rng(seed)
+        e = rank_two_ensemble(rng, dim, eps)
+        entries = mcm.solve_mcm(e)
+        assert all(len(entry.basis) == 2 for entry in entries.values())
+        for entry in entries.values():
+            assert abs(entry.confidence - ((1.0 - eps) / 2 + eps / dim)) < 1e-9
+
+        def party(received: Ensemble, j: int) -> PartyPlan:
+            weights = optim.random_feasible_weights(rng, mcm.optimal_projectors(received))
+            return seqchan.mcm_plan(received, {x: alpha * w for x, w in weights.items()})
+
+        trace = run_sequence(e, [party, party])
+        projectors = mcm.optimal_projectors(e)
+        for x, k in trace.records[0].channel.ops.items():
+            if x:  # the Lüders map of the whole optimal subspace
+                w = trace.records[0].povm.elements[x].trace().real / 2
+                np.testing.assert_allclose(k, math.sqrt(w) * projectors[x], atol=1e-12)
+        for rec in trace.records:
+            ch, povm = rec.channel, rec.povm
+            for x, k in ch.ops.items():
+                want = povm.elements[x] if x else povm.inconclusive
+                np.testing.assert_allclose(k.conj().T @ k, want, rtol=0.0, atol=1e-12)
+            total = sum(k.conj().T @ k for k in ch.ops.values())
+            assert np.max(np.abs(total - np.eye(dim))) <= seqchan.COMPLETENESS_TOL
+        first, second = trace.records
+        for x in e.labels:
+            assert second.confidences[x] <= first.confidences[x] + seqchan.MONOTONIC_TOL
+            assert mcm.solve_mcm(trace.final_ensemble)[x].confidence <= (
+                second.confidences[x] + seqchan.MONOTONIC_TOL
+            )
 
 
 class TestRunSequence:
@@ -654,7 +752,7 @@ class TestRunSequence:
         ensemble, so each party's average is eigensolved exactly once."""
         fam = families.two_mixed(0.8, 1.2)
         e0 = fam.ensemble()
-        strategies = fam.chain_strategies(4)
+        strategies = fam.strategies(4)
         eigensolves.calls.clear()
         trace = run_sequence(e0, strategies)
         for rec in trace.records:

@@ -126,7 +126,7 @@ class TestStackedChannel:
         vectors = {x: qcore.random_pure_state(rng, e.dim).vec for x in e.labels}
         targets = {x: qcore.random_pure_state(rng, e.dim).vec for x in e.labels}
         weights = {x: alpha / e.n for x in e.labels}
-        plan = seqchan.rank_one_plan(weights, vectors, targets)
+        plan = seqchan.projector_plan(weights, vectors, targets)
         total = 0
         for x in e.labels:
             v, w = vectors[x], weights[x]

@@ -35,7 +35,10 @@ known optimum: four tetrahedral states and a dominant prior; and ``sweep``
 over a ``gu`` count grid, over a ``two_mixed`` angle grid at a fixed purity
 with a threshold, and over a three-party ``mirror`` chain, then a key given
 in both ``--params`` and ``--grid`` and a ``two_mixed`` and a ``mirror``
-point outside the family (each exit 2).  Every ``sweep`` prints long-format
+point outside the family (each exit 2); then a two-party generic chain on
+a qutrit ensemble whose optimal subspaces are two-dimensional, in JSON and
+CSV, and a ``gu`` chain retargeted onto the equator, its default collapse.
+Every ``sweep`` prints long-format
 rows, one per party and quantity: the family's parameters, the rate, the
 party, the quantity and its closed-form, engine and residual values.
 New lines go at the end, so earlier lines keep their place in a diff.
@@ -170,8 +173,18 @@ GUESSES = {
     ),
 }
 
+# three equiprobable qutrit states, each 1/2 on two of three basis states:
+# every optimal subspace is two-dimensional
+SUBSPACES = {
+    "symqutrit3.json": {
+        "priors": [1 / 3] * 3,
+        "states": [{"dim": 3, "entries": [[float(m), 0.0] for m in np.diag(v).reshape(-1)]}
+                   for v in ([0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5])],
+    },
+}
+
 # every file the corpus reads, by name
-FILES = {**ENSEMBLES, **NONFINITE, **INVALID, **PAIRS, **FACES, **GUESSES}
+FILES = {**ENSEMBLES, **NONFINITE, **INVALID, **PAIRS, **FACES, **GUESSES, **SUBSPACES}
 
 
 def _sequence(family: str, params: str | None, parties: int, fmt: str, *flags: str) -> list[str]:
@@ -298,6 +311,11 @@ def corpus() -> list[list[str]]:
         ["sweep", "--family", "two_mixed", "--grid", '{"p": [1.5], "theta": [1.0]}'],
         ["sweep", "--family", "mirror", "--grid", '{"theta": [0]}'],
     ]
+    # a generic chain on two-dimensional optimal subspaces, and an equatorial gu retarget
+    for fmt in ("json", "csv"):
+        lines.append(["sequence", "--ensemble", "symqutrit3.json", "--parties", "2", "--format",
+                      fmt, "--eta0", "0.6,0.7"])
+    lines.append(_sequence("gu", None, 2, "json", "--eta0", "0.5", "--retarget-angle", "90deg"))
     return lines
 
 
