@@ -567,9 +567,9 @@ def _suite_monotonicity(count: int, rng: np.random.Generator) -> dict[str, Any]:
         e = _draw_ensemble(rng, 4)
         floor = max(optim_mod.min_inconclusive_rate(e).eta0, 0.0)  # party 1 reuses the solve
         eta0 = floor + float(rng.uniform(0.1, 0.8)) * (1.0 - floor)
-        try:
-            seqchan.run_sequence(e, seqchan.weakened_mcm_strategies([eta0, eta0]))
-        except ValueError as exc:
+        try:  # an infeasible party exits 4 naming it, as in sequence
+            _run(e, seqchan.weakened_mcm_strategies([eta0, eta0]))
+        except seqchan.MonotonicityError as exc:
             violations += 1
             witness = str(exc)
     return {"worst": violations, "witness": witness}

@@ -27,25 +27,28 @@ Everything downstream rests on two exact identities:
   identity is what pins ``r_x``, and ``mu_x = q_x / C_x`` rewrites it as
   the mixture ``rho = mu_x rho_x + (1 - mu_x) sigma_x``.
 
-Each ensemble is solved once.  :func:`solve_mcm` factors ``rho`` with one
-eigensolve, which yields both ``rho^(-1/2)`` and the support projector,
-then pays one stacked eigensolve of the ``N`` shaped operators per
-ensemble, one stacked eigensolve of the complements ``C_x rho - q_x rho_x``
-of the labels with ``r_x > 0``, and one stacked validation of their
-``sigma_x``, which reads the clipped spectrum they are built from instead
-of eigensolving them again.  The average is validated when it is formed,
-and each stack is symmetrised on the line before its eigensolve, so these
-three eigensolves skip the Hermiticity check (see :mod:`seqmcm.qcore`).
-The result is kept on the ensemble itself (:meth:`Ensemble.cached`), so
-:func:`mcm_povm`, :func:`verify_kkt`, the weight optimizer and the chain
-runner all reuse it.  It cannot go stale: an ensemble's fields are frozen
-and its state arrays read-only, and callers get a fresh dict of frozen
-entries, never the stored one.  The orthonormal bases of the optimal
-subspaces and their projectors are kept the same way, read-only, so the
-weight optimizer, :func:`mcm_povm` and :func:`optimal_projectors` share one
-QR per label.  :func:`max_confidence` reads its label's
-entry from that one solution, so it raises :class:`SupportError` when
-any label of the ensemble leaks outside the support.
+Each ensemble is solved in two stages, each once and kept on the ensemble
+itself (:meth:`Ensemble.cached`).  The first, :func:`confidences`, reads
+the one eigensolve of ``rho`` that validated the average, which yields
+both ``rho^(-1/2)`` and the support projector, checks the support, and
+pays one stacked eigensolve of the ``N`` shaped operators and one of the
+complements ``C_x rho - q_x rho_x`` of the labels with ``r_x > 0``, whose
+spectra are the complement check.  The second, :func:`solve_mcm`, builds
+the entries on it: the ``sigma_x``, validated as one stack from the
+clipped spectrum they are built from instead of eigensolved again, and the
+back-mapped bases.  Each stack is symmetrised on the line before its
+eigensolve, so these eigensolves skip the Hermiticity check (see
+:mod:`seqmcm.qcore`).  The chain runner reads the first stage only;
+:func:`mcm_povm`, :func:`verify_kkt`, the weight optimizer and the
+strategies that measure the optimal bases read the second.  Neither can go
+stale: an ensemble's fields are frozen and its state arrays read-only, and
+callers get a fresh dict of confidences or of frozen entries, never the
+stored one.  The orthonormal bases of the optimal subspaces and their
+projectors are kept the same way, read-only, so the weight optimizer,
+:func:`mcm_povm` and :func:`optimal_projectors` share one QR per label.
+:func:`max_confidence` reads its label's entry from that one solution, so
+it raises :class:`SupportError` when any label of the ensemble leaks
+outside the support.
 """
 
 from __future__ import annotations
@@ -133,28 +136,22 @@ class McmEntry:
 
 
 def _average_factors(e: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rho, rho^(-1/2) on the support, support projector)``, from one
-    eigensolve of ``rho`` per ensemble."""
-    rho = e.average().mat  # validated, so exactly Hermitian: no second check
+    """``(rho, rho^(-1/2) on the support, support projector)``, from the one
+    eigensolve of ``rho`` that validated it."""
+    average, vals, vecs = e._average_spectrum()
     shaping, support = e.cached(
         "mcm.factors",
-        lambda: tuple(
-            qcore._frozen(m) for m in qcore._support_factors(*qcore._eigh_descending(rho))[:2]
-        ),
+        lambda: tuple(qcore._frozen(m) for m in qcore._support_factors(vals, vecs)[:2]),
     )
-    return rho, shaping, support
+    return average.mat, shaping, support
 
 
-def _solve(e: Ensemble) -> dict[int, McmEntry]:
-    """Entries for every label: one stacked eigensolve of the shaped
-    operators, one of the complements of those with ``r > R_ZERO_TOL``."""
+def _first_stage(e: Ensemble) -> tuple:
+    """The support-leak check, the stacked shaped and complement (``r > R_ZERO_TOL``)
+    eigensolves and the complement check: ``(confidences, live labels, priors, rho^(-1/2),
+    shaped (vals, vecs), complement (vals, vecs) or None)``."""
     rho, shaping, support = _average_factors(e)
     live = [x for x in e.labels if e.prior(x) != 0.0]
-    entries = {
-        x: McmEntry(label=x, confidence=0.0, degeneracy=0, basis=(), sigma=None, r=0.0, mu=0.0)
-        for x in e.labels
-        if x not in live
-    }
     q = np.array([e.prior(x) for x in live])
     states = np.array([e.state(x).mat for x in live])
     leaks = np.einsum("nij,ji->n", states, np.eye(e.dim) - support).real  # tr[rho_x (1 - P)]
@@ -170,22 +167,45 @@ def _solve(e: Ensemble) -> dict[int, McmEntry]:
     ops = shaping @ (q[:, None, None] * states) @ shaping
     vals, vecs = qcore._eigh_descending(0.5 * (ops + qcore._adjoint(ops)))
     c = vals[:, 0]
-    degs = (vals > (c - DEGENERACY_TOL * c)[:, None]).sum(axis=-1)
-    r = c - q
-    kept = r > R_ZERO_TOL
-    sigmas: list[DensityMatrix | None] = [None] * len(live)
+    kept = c - q > R_ZERO_TOL
+    complements = None
     if kept.any():
-        # c*rho - q*rho_x is PSD in exact arithmetic (c is the top eigenvalue
-        # of the shaped operator); clip the float dust so a small r cannot
-        # blow it up past the state validator.
+        # c*rho - q*rho_x is PSD in exact arithmetic: c tops the shaped spectrum
         raw = c[kept, None, None] * rho - q[kept, None, None] * states[kept]
-        rvals, rvecs = qcore._eigh_descending(0.5 * (raw + qcore._adjoint(raw)))
-        for low, conf in zip(rvals[:, -1], c[kept]):
+        complements = qcore._eigh_descending(0.5 * (raw + qcore._adjoint(raw)))
+        for low, conf in zip(complements[0][:, -1], c[kept]):
             if low < -1e-8 * max(conf, 1.0):
                 raise ComplementCheckError(
                     f"complement operator has eigenvalue {low:.3e}; "
                     "the confidence eigenvalue is inconsistent"
                 )
+    conf = dict.fromkeys(e.labels, 0.0) | dict(zip(live, c.tolist()))
+    return conf, live, q, shaping, (vals, vecs), complements
+
+
+def confidences(e: Ensemble) -> dict[int, float]:
+    """``C_x`` for every label (0 for a zero prior): the first stage of
+    :func:`solve_mcm`, with all its checks, cached on the ensemble."""
+    return dict(e.cached("mcm.stage", lambda: _first_stage(e))[0])
+
+
+def _solve(e: Ensemble) -> dict[int, McmEntry]:
+    """Entries for every label, built on the cached first stage: the
+    complement states and the back-mapped bases of the optimal subspaces."""
+    _, live, q, shaping, (vals, vecs), complements = e.cached("mcm.stage", lambda: _first_stage(e))
+    entries = {
+        x: McmEntry(label=x, confidence=0.0, degeneracy=0, basis=(), sigma=None, r=0.0, mu=0.0)
+        for x in e.labels
+        if x not in live
+    }
+    c = vals[:, 0]
+    degs = (vals > (c - DEGENERACY_TOL * c)[:, None]).sum(axis=-1)
+    r = c - q
+    kept = r > R_ZERO_TOL
+    sigmas: list[DensityMatrix | None] = [None] * len(live)
+    if kept.any():
+        # clip the float dust so a small r cannot blow it past the state validator
+        rvals, rvecs = complements
         clipped = np.clip(rvals, 0.0, None)
         mats = (rvecs * clipped[:, None, :]) @ qcore._adjoint(rvecs)
         traces = np.real(np.trace(mats, axis1=-2, axis2=-1))

@@ -38,9 +38,10 @@ Conventions used throughout the package
   a real-weighted sum of validated states such as the ensemble average
   (scaling by a real and adding in the same order keep conjugate pairs
   exact).  The maximum-confidence solve feeds it only such matrices.
-  States built from a known nonnegative spectrum (its complement states)
-  are validated against that spectrum in place of an ``eigvalsh``; their
-  finiteness, Hermiticity and trace are still checked.
+  States whose spectrum is known, the ensemble average (from the
+  eigensolve that factors it) and the complement states (from the clipped
+  spectrum they are built from), are validated against it in place of an
+  ``eigvalsh``; their finiteness, Hermiticity and trace are still checked.
 * Matrices serialize to JSON as ``{"dim": d, "entries": [[re, im], ...]}``
   with the ``d*d`` entries flattened in row-major order.  :func:`json_text`
   writes the indented, key-sorted text that ``json.dumps(obj,
@@ -489,10 +490,21 @@ class Ensemble:
 
     def average(self) -> DensityMatrix:
         """The prior-weighted average state ``sum_x q_x rho_x``."""
-        return self.cached(
-            "average",
-            lambda: DensityMatrix(sum(q * s.mat for q, s in zip(self.priors, self.states))),
-        )
+        return self._average_spectrum()[0]
+
+    def _average_spectrum(self) -> tuple[DensityMatrix, np.ndarray, np.ndarray]:
+        """The average and its descending eigensolve, read-only, which validates it."""
+
+        def compute() -> tuple[DensityMatrix, np.ndarray, np.ndarray]:
+            m = sum(q * s.mat for q, s in zip(self.priors, self.states))
+            if not np.isfinite(m).all():
+                raise ValueError("density matrix has a non-finite entry")
+            vals, vecs = _eigh_descending(m)
+            vals.setflags(write=False)
+            vecs.setflags(write=False)
+            return DensityMatrix.stack(m[None], lowest=vals[-1:])[0], vals, vecs
+
+        return self.cached("average", compute)
 
 
 @dataclass(frozen=True)

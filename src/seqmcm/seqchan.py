@@ -69,6 +69,10 @@ class ChannelConstructionError(ValueError):
     """Raised when a set of Kraus operators misses completeness."""
 
 
+class MonotonicityError(ValueError):
+    """Raised when a label's confidence grows from one party to the next."""
+
+
 class StrategyInfeasibleError(ValueError):
     """A party's strategy asked for something unachievable; carries the
     1-based party index."""
@@ -106,6 +110,7 @@ class KrausChannel:
         if len(dims) != 1:
             raise ChannelConstructionError(f"Kraus operators of mixed dimension {sorted(dims)}")
         stack = qcore._frozen(np.stack(list(ops.values())))
+        object.__setattr__(self, "_stack", stack)
         ops = dict(zip(ops, stack))
         total = (qcore._adjoint(stack) @ stack).sum(axis=0)
         residual = float(np.max(np.abs(total - np.eye(dims.pop()))))
@@ -116,8 +121,9 @@ class KrausChannel:
         object.__setattr__(self, "ops", types.MappingProxyType(ops))
 
     def _image(self, r: np.ndarray) -> np.ndarray:
-        """``sum_i K_i r K_i^dag`` for a matrix or a ``(n, d, d)`` stack."""
-        return sum(op @ r @ op.conj().T for op in self.ops.values())
+        """``sum_i K_i r K_i^dag`` of a matrix or ``(n, d, d)`` stack, one broadcast product."""
+        k = self._stack.reshape(self._stack.shape[:1] + (1,) * (r.ndim - 2) + r.shape[-2:])
+        return (k @ r @ qcore._adjoint(k)).sum(axis=0)
 
     def apply(self, rho: Any) -> DensityMatrix:
         return DensityMatrix(self._image(as_matrix(rho, "rho")))
@@ -143,14 +149,13 @@ def random_channel(rng: np.random.Generator, dim: int, n_kraus: int) -> KrausCha
 
 def information_gain(e: Ensemble, povm: Povm) -> float:
     """Probability of a correct conclusive outcome,
-    ``G = sum_x q_x tr[rho_x M_x]``."""
-    return float(
-        sum(
-            e.prior(x) * np.real(np.trace(e.state(x).mat @ povm.elements[x]))
-            for x in povm.labels
-            if x in e.labels
-        )
-    )
+    ``G = sum_x q_x tr[rho_x M_x]``, summed in label order."""
+    labels = [x for x in povm.labels if x in e.labels]
+    if not labels:
+        return 0.0
+    states = np.stack([e.state(x).mat for x in labels])
+    traces = np.trace(states @ np.stack([povm.elements[x] for x in labels]), axis1=-2, axis2=-1)
+    return float(sum(e.prior(x) * t for x, t in zip(labels, traces.real.tolist())))
 
 
 def inconclusive_rate(e: Ensemble, povm: Povm) -> float:
@@ -342,7 +347,7 @@ class SequentialTrace:
             for x, c in cur.confidences.items():
                 before = prev.confidences.get(x)
                 if before is not None and c > before + MONOTONIC_TOL:
-                    raise ValueError(
+                    raise MonotonicityError(
                         f"confidence of label {x} grew from {before!r} to {c!r} "
                         f"between parties {prev.index} and {cur.index}"
                     )
@@ -397,7 +402,11 @@ def run_sequence(e0: Ensemble, strategies: Sequence[Strategy]) -> SequentialTrac
     Each strategy is called with the ensemble that party receives and the
     1-based party index, and must return a :class:`PartyPlan`.  Any
     feasibility or channel-construction failure aborts the run with a
-    :class:`StrategyInfeasibleError` naming the party.  The trace carries
+    :class:`StrategyInfeasibleError` naming the party.  A party's
+    confidences are the first stage of its ensemble's solve
+    (:func:`seqmcm.mcm.confidences`), with every check of the solve, so a
+    chain whose strategies read no optimal basis builds no
+    :class:`~seqmcm.mcm.McmEntry`.  The trace carries
     the joint outcome probabilities of :func:`joint_outcomes`, so an empty
     strategy list raises :class:`ValueError`.
     """
@@ -408,8 +417,7 @@ def run_sequence(e0: Ensemble, strategies: Sequence[Strategy]) -> SequentialTrac
             plan = strategy(current, j)
         except (FeasibilityError, ChannelConstructionError) as exc:
             raise StrategyInfeasibleError(party=j, reason=str(exc)) from exc
-        entries = _mcm.solve_mcm(current)
-        confidences = {x: entry.confidence for x, entry in entries.items()}
+        confidences = _mcm.confidences(current)
         nxt = plan.channel.apply_ensemble(current)
         d, lower = ensemble_distance(current, nxt)
         records.append(

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import seqmcm
-from seqmcm import cli, families, mcm, optim, qcore
+from seqmcm import cli, families, mcm, optim, qcore, seqchan
 
 
 def run(capsys, argv):
@@ -426,8 +426,12 @@ def test_solution_failing_its_complement_check_exits_3(tmp_path, monkeypatch, ca
     with an error line, not a traceback."""
     monkeypatch.chdir(tmp_path)
     Path("illcond.json").write_text(json.dumps(_digest_tool().PAIRS["illcond.json"]))
-    with pytest.raises(ArithmeticError, match="complement operator has eigenvalue"):
+    with pytest.raises(ArithmeticError, match="complement operator has eigenvalue") as full:
         mcm.solve_mcm(qcore.load_ensemble("illcond.json"))
+    # the first stage alone, as a chain party reads it, fails the same check
+    with pytest.raises(mcm.ComplementCheckError) as first:
+        mcm.confidences(qcore.load_ensemble("illcond.json"))
+    assert str(first.value) == str(full.value)
     for argv in (["mcm", "--ensemble", "illcond.json"],
                  ["sequence", "--ensemble", "illcond.json", "--parties", "2", "--eta0", "0.6"]):
         code, out, err = run(capsys, argv)
@@ -436,6 +440,49 @@ def test_solution_failing_its_complement_check_exits_3(tmp_path, monkeypatch, ca
             "error: complement operator has eigenvalue -2.049e-06; "
             "the confidence eigenvalue is inconsistent\n"
         )
+
+
+MONOTONICITY = ["verify", "--suite", "monotonicity", "--count", "3"]
+
+
+def test_monotonicity_suite_counts_confidence_growth(monkeypatch, capsys):
+    """With a negative tolerance every chain "grows", and each draw is one
+    violation with the growth check's message as witness."""
+    monkeypatch.setattr(seqchan, "MONOTONIC_TOL", -1.0)
+    code, out, _ = run(capsys, MONOTONICITY)
+    assert code == cli.EXIT_VERIFY
+    (check,) = json.loads(out)["checks"]
+    assert check["worst"] == 3 and not check["pass"]
+    assert check["witness"].startswith("confidence of label 1 grew from ")
+
+
+def test_monotonicity_suite_infeasible_draw_exits_4(monkeypatch, capsys):
+    """An infeasible party is not a violation: it exits 4 naming the party,
+    as ``sequence`` does."""
+    real = seqchan.weakened_mcm_strategies
+
+    def party_2_infeasible(rates):
+        def infeasible(e, j):
+            raise qcore.FeasibilityError("rate below this ensemble's floor")
+
+        return [real(rates)[0], infeasible]
+
+    monkeypatch.setattr(seqchan, "weakened_mcm_strategies", party_2_infeasible)
+    code, out, err = run(capsys, MONOTONICITY)
+    assert (code, out) == (cli.EXIT_INFEASIBLE, "")
+    assert err == "error: infeasible: party 2: rate below this ensemble's floor\n"
+
+
+def test_monotonicity_suite_support_error_is_not_a_violation(monkeypatch, capsys):
+    """A support leak in a chain exits 2, as it does for ``sequence``."""
+
+    def leak(e):
+        raise mcm.SupportError("label 1: state has weight outside the support")
+
+    monkeypatch.setattr(mcm, "confidences", leak)
+    code, out, err = run(capsys, MONOTONICITY)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == "error: label 1: state has weight outside the support\n"
 
 
 MIRROR_CHAIN = ["sequence", "--family", "mirror", "--parties", "2", "--eta0", "0.8"]

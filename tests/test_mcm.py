@@ -312,22 +312,23 @@ class TestSolveOnce:
         assert all(second[x] is first[x] for x in e.labels)
 
     def test_average_factored_once(self, eigensolves):
-        """One eigensolve (and one validation) of rho for all N labels;
-        otherwise one stacked eigensolve of the N shaped operators and one
-        of the complements of the labels with r > 0, and no other."""
+        """One eigensolve of rho for all N labels, whose spectrum also
+        validates it; otherwise one stacked eigensolve of the N shaped
+        operators and one of the complements of the labels with r > 0, and
+        no other."""
         e = random_ensemble(np.random.default_rng(42), 3, 5)
         eigensolves.calls.clear()
         entries = solve_mcm(e)
         rho = average_of(e)
         assert eigensolves.of(rho, "eigh") == 1
-        assert eigensolves.of(rho, "eigvalsh") == 1
+        assert eigensolves.of(rho, "eigvalsh") == 0
         with_complement = sum(entry.sigma is not None for entry in entries.values())
         assert with_complement > 0
         assert eigensolves.count("eigh") == 3
         assert eigensolves.stacks("eigh") == [1, e.n, with_complement]
-        # the sigma states are built from their spectra, so their validation
-        # reads those and makes no eigvalsh call
-        assert eigensolves.stacks("eigvalsh") == [1]
+        # rho and the sigma states are validated from the spectra they are
+        # built from or factored by: no eigvalsh call at all
+        assert eigensolves.stacks("eigvalsh") == []
 
     def test_callers_reuse_the_solution(self, eigensolves):
         e = random_ensemble(np.random.default_rng(43), 2, 3)
@@ -354,6 +355,80 @@ class TestSolveOnce:
     def test_mcm_povm_rejects_unknown_label(self):
         with pytest.raises(ValueError):
             mcm_povm(orthogonal_pair(), {3: 0.5})
+
+
+def _copy(e: Ensemble) -> Ensemble:
+    """A fresh ensemble with the same priors and states, and nothing cached."""
+    return Ensemble(priors=e.priors, states=e.states)
+
+
+class TestFirstStage:
+    """:func:`mcm.confidences` is the first stage of :func:`solve_mcm`: the
+    same numbers and the same checks, without the entries."""
+
+    @pytest.mark.parametrize("pure", [False, True], ids=["mixed", "pure"])
+    def test_confidences_equal_the_solution_bit_for_bit(self, pure):
+        rng = np.random.default_rng(61 + pure)
+        for dim in range(2, 9):
+            for n in range(2, 7):
+                e = random_ensemble(rng, dim, n, pure=pure)
+                got = mcm.confidences(e)
+                want = {x: entry.confidence for x, entry in solve_mcm(_copy(e)).items()}
+                assert list(got) == list(want) == list(e.labels)
+                assert [c.hex() for c in got.values()] == [c.hex() for c in want.values()]
+
+    def test_zero_prior_label_gets_zero(self):
+        e = Ensemble(priors=(0.5, 0.0, 0.5), states=trine_ensemble().states)
+        got = mcm.confidences(e)
+        want = {x: entry.confidence for x, entry in solve_mcm(_copy(e)).items()}
+        assert got == want
+        assert got[2] == 0.0 and got[1] > 0.5
+
+    def test_returns_a_fresh_dict(self):
+        e = trine_ensemble()
+        mcm.confidences(e)[1] = 5.0
+        assert mcm.confidences(e)[1] == pytest.approx(2 / 3, abs=1e-12)
+
+    def test_support_leak_raises_as_the_solve_does(self):
+        e = Ensemble(
+            priors=(1.0 - 1e-12, 1e-12),
+            states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+        )
+        with pytest.raises(SupportError) as first:
+            mcm.confidences(e)
+        with pytest.raises(SupportError) as full:
+            solve_mcm(_copy(e))
+        assert str(first.value) == str(full.value)
+        assert "label 2" in str(first.value)
+
+    @pytest.mark.parametrize("order", ["confidences-first", "solve-first"])
+    def test_each_stack_eigensolved_once(self, order, eigensolves):
+        """Whichever is asked first, the average, the shaped stack and the
+        complement stack are each eigensolved once, and the other call
+        eigensolves nothing."""
+        e = random_ensemble(np.random.default_rng(44), 3, 5)
+        calls = [lambda: mcm.confidences(e), lambda: solve_mcm(e)]
+        if order == "solve-first":
+            calls.reverse()
+        eigensolves.calls.clear()
+        calls[0]()
+        first = len(eigensolves.calls)
+        calls[1]()
+        assert len(eigensolves.calls) == first
+        with_complement = sum(entry.sigma is not None for entry in solve_mcm(e).values())
+        assert with_complement > 0
+        assert eigensolves.stacks("eigh") == [1, e.n, with_complement]
+        assert eigensolves.stacks("eigvalsh") == []
+
+    def test_confidences_build_no_entries(self, monkeypatch):
+        def no_entries(e):
+            raise AssertionError("entries built")
+
+        monkeypatch.setattr(mcm, "_solve", no_entries)
+        e = random_ensemble(np.random.default_rng(45), 2, 3)
+        assert sorted(mcm.confidences(e)) == [1, 2, 3]
+        with pytest.raises(AssertionError, match="entries built"):
+            solve_mcm(e)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,37 @@ class TestKrausChannel:
         with pytest.raises(ChannelConstructionError):
             KrausChannel(ops={1: np.eye(2), 2: np.eye(3)})
 
+    @staticmethod
+    def _reference_image(ch: KrausChannel, r: np.ndarray) -> np.ndarray:
+        """``sum_i K_i r K_i^dag``, one operator at a time in label order."""
+        return sum(op @ r @ op.conj().T for op in ch.ops.values())
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
+    def test_image_equals_the_per_operator_sum_bit_for_bit(self, stacked):
+        rng = np.random.default_rng(31)
+        for dim in range(2, 9):
+            for n_kraus in range(1, 5):
+                ch = random_channel(rng, dim, n_kraus)
+                states = np.array([qcore.random_density(rng, dim).mat for _ in range(4)])
+                r = states if stacked else states[0]
+                got = ch._image(r)
+                assert got.shape == r.shape
+                assert got.tobytes() == self._reference_image(ch, r).tobytes()
+
+    def test_image_of_a_channel_missing_a_label_bit_for_bit(self):
+        """A zero weight leaves label 2 without an operator."""
+        plan = projector_plan({1: 0.6, 2: 0.0, 3: 0.3}, dict(enumerate(trine_vectors(), 1)))
+        assert list(plan.channel.ops) == [1, 3, 0]
+        e = trine_ensemble()
+        states = np.stack([s.mat for s in e.states])
+        for r in (states, states[1]):
+            want = self._reference_image(plan.channel, r)
+            assert plan.channel._image(r).tobytes() == want.tobytes()
+        got = plan.channel.apply_ensemble(e)
+        for x in e.labels:
+            want = qcore.DensityMatrix(self._reference_image(plan.channel, e.state(x).mat))
+            assert got.state(x).mat.tobytes() == want.mat.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # weakening
@@ -508,6 +539,31 @@ class TestFunctionals:
             d, lower = ensemble_distance(e, ch.apply_ensemble(e))
             assert d >= lower - 1e-12
 
+    def test_information_gain_equals_the_per_label_sum_bit_for_bit(self):
+        rng = np.random.default_rng(33)
+        for dim in range(2, 9):
+            for n in range(1, 7):
+                e = qcore.random_ensemble(rng, dim, n)
+                # labels 1..n+1: the last is outside the ensemble and adds nothing
+                elements = {
+                    x: float(w) * qcore.random_density(rng, dim).mat
+                    for x, w in enumerate(rng.uniform(0.0, 0.2, n + 1), 1)
+                }
+                povm = Povm(elements=elements, inconclusive=np.eye(dim) - sum(elements.values()))
+                want = float(
+                    sum(
+                        e.prior(x) * np.real(np.trace(e.state(x).mat @ povm.elements[x]))
+                        for x in povm.labels
+                        if x in e.labels
+                    )
+                )
+                assert information_gain(e, povm).hex() == want.hex()
+
+    def test_information_gain_without_a_shared_label_is_zero(self):
+        e = trine_ensemble()
+        povm = Povm(elements={7: 0.5 * np.eye(2)}, inconclusive=0.5 * np.eye(2))
+        assert information_gain(e, povm) == 0.0
+
     def test_prior_mismatch_rejected(self):
         e1 = Ensemble(priors=(0.5, 0.5), states=(np.eye(2) / 2, np.eye(2) / 2))
         e2 = Ensemble(priors=(0.4, 0.6), states=(np.eye(2) / 2, np.eye(2) / 2))
@@ -761,10 +817,10 @@ class TestRunSequence:
 
     def test_eigensolve_budget_of_one_party(self, eigensolves):
         """A party after the first makes 4 eigh calls (the average's
-        factorisation, the shaped stack, the complement stack, ``sqrt(M_0)``)
-        and 2 eigvalsh calls (validating the average and the channel's image
-        states); the complement states are built from their spectra and are
-        not eigensolved again."""
+        factorisation, which also validates it, the shaped stack, the
+        complement stack, ``sqrt(M_0)``) and 1 eigvalsh call (validating the
+        channel's image states); the chain reads only the confidences, so no
+        complement state is built."""
         fam = families.gu(5)
         strategies = fam.strategies([0.5, 0.6, 0.7])
         counts = []
@@ -774,7 +830,53 @@ class TestRunSequence:
             run_sequence(e0, strategies[:parties])
             counts.append((eigensolves.count("eigh"), eigensolves.count("eigvalsh")))
         (eigh_2, eigvalsh_2), (eigh_3, eigvalsh_3) = counts
-        assert (eigh_3 - eigh_2, eigvalsh_3 - eigvalsh_2) == (4, 2)
+        assert (eigh_3 - eigh_2, eigvalsh_3 - eigvalsh_2) == (4, 1)
+
+    @pytest.mark.parametrize(
+        "fam, schedule",
+        [
+            pytest.param(families.gu(4), [0.5, 0.6, 0.7], id="gu"),
+            pytest.param(families.lifted_gu(4, 1.0, 0.9), [0.6, 0.7, 0.8], id="lifted_gu"),
+            pytest.param(families.mirror(2.2), [0.5, 0.7, 0.9], id="mirror"),
+        ],
+    )
+    def test_family_chain_builds_no_entries(self, fam, schedule, monkeypatch):
+        """These chains read only each party's confidences (the first stage
+        of the solve), so no McmEntry is ever built."""
+
+        def no_entries(e):
+            raise AssertionError("entries built")
+
+        monkeypatch.setattr(mcm, "_solve", no_entries)
+        trace = run_sequence(fam.ensemble(), fam.strategies(schedule))
+        assert trace.parties == 3
+        for rec in trace.records:
+            assert rec.confidences == mcm.confidences(rec.ensemble)
+
+    @pytest.mark.parametrize("source", ["two_mixed", "ensemble"])
+    def test_chains_that_read_entries_still_build_them(self, source, monkeypatch):
+        """A two_mixed party reads its optimal bases, and a generic party its
+        optimal subspaces: one solve per party, and the recorded confidences
+        are the solution's."""
+        built = []
+        real = mcm._solve
+
+        def counted(e):
+            built.append(e)
+            return real(e)
+
+        monkeypatch.setattr(mcm, "_solve", counted)
+        if source == "two_mixed":
+            fam = families.two_mixed(0.8, 1.0)
+            e0, strategies = fam.ensemble(), fam.strategies(3)
+        else:
+            e0 = qcore.random_ensemble(np.random.default_rng(5), 2, 3)
+            strategies = seqchan.weakened_mcm_strategies([0.9, 0.9, 0.9])
+        trace = run_sequence(e0, strategies)
+        assert built == [rec.ensemble for rec in trace.records]
+        for rec in trace.records:
+            solution = mcm.solve_mcm(rec.ensemble)
+            assert rec.confidences == {x: entry.confidence for x, entry in solution.items()}
 
 
 class TestTraceMonotonicityGuard:
@@ -797,7 +899,7 @@ class TestTraceMonotonicityGuard:
 
     def test_growing_confidence_rejected(self):
         e = Ensemble(priors=(1.0,), states=(np.eye(2) / 2,))
-        with pytest.raises(ValueError, match="grew"):
+        with pytest.raises(seqchan.MonotonicityError, match="grew"):
             SequentialTrace(
                 records=(self._record(1, 0.5), self._record(2, 0.7)),
                 final_ensemble=e,

@@ -37,7 +37,9 @@ with a threshold, and over a three-party ``mirror`` chain, then a key given
 in both ``--params`` and ``--grid`` and a ``two_mixed`` and a ``mirror``
 point outside the family (each exit 2); then a two-party generic chain on
 a qutrit ensemble whose optimal subspaces are two-dimensional, in JSON and
-CSV, and a ``gu`` chain retargeted onto the equator, its default collapse.
+CSV, and a ``gu`` chain retargeted onto the equator, its default collapse;
+then a 16-party ``sequence`` of every family in JSON and CSV, the longest
+chains the benchmark runs.
 Every ``sweep`` prints long-format
 rows, one per party and quantity: the family's parameters, the rate, the
 party, the quantity and its closed-form, engine and residual values.
@@ -316,6 +318,13 @@ def corpus() -> list[list[str]]:
         lines.append(["sequence", "--ensemble", "symqutrit3.json", "--parties", "2", "--format",
                       fmt, "--eta0", "0.6,0.7"])
     lines.append(_sequence("gu", None, 2, "json", "--eta0", "0.5", "--retarget-angle", "90deg"))
+    # the longest chains the benchmark runs: 16 parties of every family
+    rates = ",".join(f"{0.6 + 0.02 * j:g}" for j in range(16))
+    for fmt in ("json", "csv"):
+        lines += [_sequence("two_mixed", TWO_MIXED, 16, fmt),
+                  _sequence("gu", '{"n": 5}', 16, fmt, "--eta0", rates),
+                  _sequence("lifted_gu", LIFTED, 16, fmt, "--eta0", rates),
+                  _sequence("mirror", MIRROR, 16, fmt, "--eta0", rates)]
     return lines
 
 
