@@ -54,9 +54,10 @@ and ``verify``'s ``--count`` must be positive integers, ``--seed`` must be
 nonnegative, and every ``--eta0`` rate and ``sweep``'s ``--threshold``
 confidence must lie in [0, 1] (each exits 2 otherwise).
 
-Outputs are deterministic for a fixed command line (``verify`` draws its
-instances from ``--seed``): dictionaries are serialized with sorted keys
-and floats with ``repr`` precision, so reruns are byte-identical.
+``verify`` runs the suites of :mod:`seqmcm.checks`, each held to the
+tolerance listed there, on instances drawn from ``--seed``.  Outputs are
+deterministic for a fixed command line: dictionaries are serialized with
+sorted keys and floats with ``repr`` precision, so reruns are byte-identical.
 ``sweep`` runs its chains one after another.  Setting ``SEQMCM_THREADS``
 to an integer above 1 opts in to a thread pool of that size (a value that
 is not an integer exits 2).  The pool is off by default because a sweep
@@ -79,12 +80,10 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import checks, qcore, seqchan
 from . import families as fam_mod
 from . import mcm as mcm_mod
 from . import optim as optim_mod
-from . import qcore
-from . import seqchan
-from .qcore import Ensemble
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -214,7 +213,7 @@ def _build_family(name: str, params: dict[str, Any]) -> Any:
         raise CliError(EXIT_INPUT, f"bad parameters for family {name}: {exc}")
 
 
-def _load_source(args: argparse.Namespace) -> tuple[Ensemble, Any]:
+def _load_source(args: argparse.Namespace) -> tuple[qcore.Ensemble, Any]:
     """Resolve (ensemble, family-or-None) from --ensemble/--family."""
     if args.ensemble is not None and args.family is not None:
         raise CliError(EXIT_INPUT, "give either --ensemble or --family, not both")
@@ -303,23 +302,15 @@ def cmd_mcm(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run(e: Ensemble, strategies: list) -> seqchan.SequentialTrace:
-    try:
-        return seqchan.run_sequence(e, strategies)
-    except seqchan.StrategyInfeasibleError as exc:
-        raise CliError(EXIT_INFEASIBLE, f"infeasible: {exc}")
-
-
 def _run_family(
-    name: str, fam: Any, e: Ensemble, schedule: Any, **retarget: float
+    name: str, fam: Any, e: qcore.Ensemble, schedule: Any, **retarget: float
 ) -> seqchan.SequentialTrace:
-    """The chain of ``fam`` (ensemble ``e``) at ``schedule``: exit 2 for
-    parameters it has no chain for, 4 naming an infeasible party."""
+    """The chain of ``fam`` (ensemble ``e``) at ``schedule``; exit 2 if it has none."""
     try:
         strategies = fam.strategies(schedule, **retarget)
     except ValueError as exc:  # e.g. gu/lifted_gu chains need n >= 3
         raise CliError(EXIT_INPUT, f"bad parameters for family {name}: {exc}")
-    return _run(e, strategies)
+    return seqchan.run_sequence(e, strategies)
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
@@ -334,7 +325,8 @@ def cmd_sequence(args: argparse.Namespace) -> int:
             name = flag.replace("_", "-")
             raise CliError(EXIT_INPUT, f"sequence {source} does not read --{name}")
     if fam is None:
-        trace = _run(e, seqchan.weakened_mcm_strategies(_parse_rates(args.eta0, parties)))
+        strategies = seqchan.weakened_mcm_strategies(_parse_rates(args.eta0, parties))
+        trace = seqchan.run_sequence(e, strategies)
     else:
         angle = args.retarget_angle
         retarget = {} if angle is None else {"retarget": _parse_angle(angle, "--retarget-angle")}
@@ -495,195 +487,21 @@ FAMILIES: dict[str, _Family] = {
 # ---------------------------------------------------------------------------
 
 
-def _draw_ensemble(rng: np.random.Generator, n_max: int) -> Ensemble:
-    """A random qubit ensemble of 2..n_max states."""
-    return qcore.random_ensemble(rng, 2, int(rng.integers(2, n_max + 1)))
-
-
-def _draw_mcm_weights(rng: np.random.Generator) -> tuple[Ensemble, dict[int, float]]:
-    """A random 2..4-state qubit ensemble and random feasible weights for
-    its optimal projectors."""
-    e = _draw_ensemble(rng, 4)
-    projectors = mcm_mod.optimal_projectors(e)
-    return e, optim_mod.random_feasible_weights(rng, projectors)
-
-
-def _suite_duality(count: int, rng: np.random.Generator) -> dict[str, Any]:
-    worst = 0.0
-    for _ in range(count):
-        e = _draw_ensemble(rng, 5)
-        rho = e.average()
-        for x, entry in mcm_mod.solve_mcm(e).items():
-            if e.prior(x) == 0.0:
-                continue
-            dmax = mcm_mod.max_relative_entropy(e.state(x).mat, rho.mat)
-            worst = max(worst, abs(entry.confidence - e.prior(x) * 2.0**dmax))
-    return {"worst": worst}
-
-
-def _suite_kkt(count: int, rng: np.random.Generator) -> dict[str, Any]:
-    worst = 0.0
-    for _ in range(count):
-        e = _draw_ensemble(rng, 5)
-        sol = optim_mod.min_inconclusive_rate(e)
-        report = mcm_mod.verify_kkt(e, mcm_mod.mcm_povm(e, sol.weights))
-        worst = max(
-            worst,
-            max(report.stability.values(), default=0.0),
-            max(report.slackness.values(), default=0.0),
-        )
-    return {"worst": worst}
-
-
-def _suite_povm(count: int, rng: np.random.Generator) -> dict[str, Any]:
-    worst = 0.0
-    ok = True
-    for _ in range(count):
-        report = qcore.validate_povm(mcm_mod.mcm_povm(*_draw_mcm_weights(rng)))
-        worst = max(worst, report.completeness_residual, -min(report.psd_margins.values()))
-        ok = ok and report.ok
-    return {"worst": worst, "pass": ok}
-
-
-def _suite_trace_preservation(count: int, rng: np.random.Generator) -> dict[str, Any]:
-    worst = 0.0
-    for _ in range(count):
-        if rng.random() < 0.5:
-            ch = seqchan.random_channel(rng, 2, int(rng.integers(2, 5)))
-        else:
-            e, weights = _draw_mcm_weights(rng)
-            alpha = float(rng.uniform(0.2, 1.0))
-            ch = seqchan.mcm_plan(e, {x: alpha * w for x, w in weights.items()}).channel
-        rho = qcore.random_density(rng, 2)
-        out = ch.apply(rho)
-        worst = max(worst, abs(float(np.real(np.trace(out.mat))) - 1.0))
-    return {"worst": worst}
-
-
-def _suite_monotonicity(count: int, rng: np.random.Generator) -> dict[str, Any]:
-    violations = 0
-    witness = None
-    for _ in range(count):
-        e = _draw_ensemble(rng, 4)
-        floor = max(optim_mod.min_inconclusive_rate(e).eta0, 0.0)  # party 1 reuses the solve
-        eta0 = floor + float(rng.uniform(0.1, 0.8)) * (1.0 - floor)
-        try:  # an infeasible party exits 4 naming it, as in sequence
-            _run(e, seqchan.weakened_mcm_strategies([eta0, eta0]))
-        except seqchan.MonotonicityError as exc:
-            violations += 1
-            witness = str(exc)
-    return {"worst": violations, "witness": witness}
-
-
-def _suite_distance(count: int, rng: np.random.Generator) -> dict[str, Any]:
-    worst = 0.0
-    for _ in range(count):
-        e = _draw_ensemble(rng, 4)
-        ch = seqchan.random_channel(rng, 2, int(rng.integers(2, 5)))
-        d, lower = seqchan.ensemble_distance(e, ch.apply_ensemble(e))
-        worst = max(worst, lower - d)
-    return {"worst": worst}
-
-
-def _suite_proposition(count: int, rng: np.random.Generator) -> dict[str, Any]:
-    del count, rng  # fixed check; randomness adds nothing
-    trine = fam_mod.gu(3)
-    eye = np.eye(2, dtype=complex)
-    trine_ops = [m for _, m in trine.plan(0.0).povm.all_operators() if np.trace(m).real > 1e-12]
-    trine_dependent = not seqchan.linear_independence(trine_ops + [eye])
-
-    two = fam_mod.two_mixed(0.8, math.pi / 3)
-    entries = mcm_mod.solve_mcm(two.ensemble())
-    two_ops = [np.outer(v, v.conj()) for x in (1, 2) for v in entries[x].basis]
-    two_independent = seqchan.linear_independence(two_ops + [eye])
-
-    # operational side: a two-state chain keeps its confidence exactly,
-    # the trine family drops strictly under any weakening
-    chain = seqchan.run_sequence(two.ensemble(), two.strategies(2))
-    c_two = [rec.confidences[1] for rec in chain.records]
-    keep = abs(c_two[0] - c_two[1])
-
-    tri = seqchan.run_sequence(trine.ensemble(), trine.strategies([0.5, 0.5]))
-    c_tri = [rec.confidences[1] for rec in tri.records]
-    drop = c_tri[0] - c_tri[1]
-
-    return {
-        "instances": 2,
-        "worst": max(keep, 0.0 if drop >= 1e-6 else 1.0),
-        "pass": trine_dependent and two_independent and keep <= 1e-10 and drop >= 1e-6,
-        "witness": {
-            "trine_dependent": trine_dependent,
-            "two_state_independent": two_independent,
-            "two_state_confidence_change": keep,
-            "trine_confidence_drop": drop,
-        },
-    }
-
-
-# suite name -> (module, invariant, tolerance on the worst value, suite);
-# a suite returns its worst value and, where they differ from the
-# defaults of _suite_report, its instance count, verdict and witness
-SUITES: dict[str, tuple[str, str, float, Callable[[int, np.random.Generator], dict[str, Any]]]] = {
-    "duality": (
-        "mcm", "confidence equals prior times 2^(max relative entropy)", 1e-9, _suite_duality
-    ),
-    "kkt": ("mcm", "KKT stability and complementary slackness", 1e-9, _suite_kkt),
-    "povm": (
-        "qcore", "feasibly weighted measurements validate as POVMs", qcore.POVM_TOL, _suite_povm
-    ),
-    "trace-preservation": (
-        "seqchan", "channels preserve trace", 1e-10, _suite_trace_preservation
-    ),
-    "monotonicity": (
-        "seqchan", "confidences never increase along a chain", 0, _suite_monotonicity
-    ),
-    "distance": (
-        "seqchan", "average disturbance dominates the mean-state bound", 1e-12, _suite_distance
-    ),
-    "proposition": (
-        "seqchan",
-        "equal-confidence chains exist iff the measurement operators with identity "
-        "are linearly independent",
-        1e-10,
-        _suite_proposition,
-    ),
-}
-
-
-def _suite_report(name: str, count: int, seed: int) -> dict[str, Any]:
-    module, invariant, tol, suite = SUITES[name]
-    found = suite(count, np.random.default_rng(seed))
-    return {
-        "suite": name,
-        "module": module,
-        "invariant": invariant,
-        "instances": count,
-        "tol": tol,
-        "pass": found["worst"] <= tol,
-        **found,
-    }
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise CliError(EXIT_INPUT, f"--count must be a positive integer, got {args.count}")
     if args.seed < 0:
         raise CliError(EXIT_INPUT, f"--seed must be a nonnegative integer, got {args.seed}")
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in SUITES:
-            raise CliError(
-                EXIT_INPUT,
-                f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all",
-            )
-    checks = [_suite_report(name, args.count, args.seed) for name in names]
-    ok = all(c["pass"] for c in checks)
-    doc = {"suites": names, "count": args.count, "seed": args.seed, "checks": checks, "pass": ok}
+    if args.suite not in (*checks.SUITES, "all"):
+        known = ", ".join(checks.SUITES)
+        raise CliError(EXIT_INPUT, f"unknown suite {args.suite!r}; choose from {known} or all")
+    names = list(checks.SUITES) if args.suite == "all" else [args.suite]
+    doc = checks.verify(names, args.count, args.seed)
     text = qcore.json_text(doc)
     if args.out is not None:
         _emit(args.out, "verify.json", text, quiet_path=True)
     sys.stdout.write(text)
-    return EXIT_OK if ok else EXIT_VERIFY
+    return EXIT_OK if doc["pass"] else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="randomized invariant suites")
     p_verify.add_argument(
-        "--suite", default="all", help=f"one of {', '.join(SUITES)} or all (default)"
+        "--suite", default="all", help=f"one of {', '.join(checks.SUITES)} or all (default)"
     )
     p_verify.add_argument(
         "--count", type=int, default=500, help="instances per suite (default 500)"
@@ -787,14 +605,15 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise CliError(EXIT_INPUT, f"--{flag} is empty")
         return COMMANDS[args.command](args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        code, message = exc.code, str(exc)
     except (qcore.DimensionError, mcm_mod.SupportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code, message = EXIT_INPUT, str(exc)
     except (optim_mod.ConvergenceError, mcm_mod.ComplementCheckError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_KKT
+        code, message = EXIT_KKT, str(exc)
+    except seqchan.StrategyInfeasibleError as exc:
+        code, message = EXIT_INFEASIBLE, f"infeasible: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

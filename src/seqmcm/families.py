@@ -159,18 +159,6 @@ class TwoMixedFamily:
             np.array([-lo, hi], dtype=complex),
         )
 
-    def decomposition_check(self, x: int) -> float:
-        """Residual of ``rho_x = C P[phi_xbar^perp] + (1-C) P[phi_x^perp]``."""
-        phi1, phi2 = self.projector_vectors()
-        perp = {
-            1: np.array([phi1[1].conjugate(), -phi1[0].conjugate()]),
-            2: np.array([phi2[1].conjugate(), -phi2[0].conjugate()]),
-        }
-        other = 2 if x == 1 else 1
-        c = self.confidence
-        recon = c * _projector(perp[other]) + (1.0 - c) * _projector(perp[x])
-        return float(np.max(np.abs(recon - self.ensemble().state(x).mat)))
-
     @property
     def helstrom(self) -> float:
         """Optimal guessing probability ``(1 + p sin theta) / 2``."""
@@ -589,15 +577,6 @@ def mirror_confidence2(ms: MirrorState, phi: float) -> float:
     return (1.0 + ms.r2 * math.cos(phi - ms.theta)) / (3.0 + ms.kbar * math.cos(phi))
 
 
-def _mirror_stationarity(ms: MirrorState, phi: float) -> float:
-    """Numerator of d/dphi of :func:`mirror_confidence2` (same zeros), in
-    unexpanded form: the independent reference for :func:`mirror_mcm`."""
-    k = ms.kbar
-    return -ms.r2 * math.sin(phi - ms.theta) * (3.0 + k * math.cos(phi)) + (
-        1.0 + ms.r2 * math.cos(phi - ms.theta)
-    ) * k * math.sin(phi)
-
-
 def mirror_mcm(ms: MirrorState) -> MirrorMcm:
     """Solve the mirror maximum-confidence problem in closed form.
 
@@ -725,14 +704,6 @@ class MirrorFamily:
 
     def ensemble(self) -> Ensemble:
         return self.initial().ensemble()
-
-    def pure_confidences(self) -> tuple[float, float]:
-        """Closed forms for the pure triple:
-        ``C1 = 1/(2 + cos t)``, ``C2 = C3 = (3 + 2 cos t)/(4 + 2 cos t)``...
-        restricted to the regime where they apply (see tests for the
-        general statement via the azimuth optimization)."""
-        c = math.cos(self.theta)
-        return 1.0 / (2.0 + c), (3.0 + 2.0 * c) / (4.0 + 2.0 * c)
 
     def trajectory(self, eta0s: Sequence[float]) -> list[MirrorState]:
         """States seen by parties 1..R+1 under the closed-form recursion."""

@@ -57,7 +57,7 @@ from typing import Mapping
 import numpy as np
 
 from . import mcm as _mcm
-from .qcore import Ensemble, FeasibilityError, as_matrix, trace_norm
+from .qcore import Ensemble, FeasibilityError, trace_norm
 
 
 class InfeasibleGainError(FeasibilityError):
@@ -197,12 +197,6 @@ def _barrier_lmi(
             mu *= MU_SHRINK
             reach = MU_SHRINK
     raise ConvergenceError(f"{MAX_STEPS} Newton steps left the gap bound at {size * mu:.1e}")
-
-
-def _stack_projectors(projectors: dict[int, np.ndarray]) -> tuple[list[int], np.ndarray]:
-    labels = sorted(projectors)
-    mats = np.stack([as_matrix(projectors[x], f"projector {x}") for x in labels])
-    return labels, mats
 
 
 def min_inconclusive_rate(e: Ensemble) -> WeightSolution:
@@ -537,18 +531,6 @@ def _min_inconclusive_rate(e: Ensemble) -> WeightSolution:
     margin = float(np.linalg.eigvalsh(0.5 * (slack + slack.conj().T))[0])
     weights = types.MappingProxyType({x: float(w) for x, w in zip(labels, a)})
     return WeightSolution(weights=weights, eta0=1.0 - float(c @ a), psd_margin=margin)
-
-
-def random_feasible_weights(
-    rng: np.random.Generator, projectors: dict[int, np.ndarray]
-) -> dict[int, float]:
-    """A random strictly feasible weight vector (for dominance certificates)."""
-    labels, mats = _stack_projectors(projectors)
-    u = rng.random(len(labels)) + 1e-3
-    total = np.tensordot(u, mats, axes=1)
-    top = float(np.linalg.eigvalsh(0.5 * (total + total.conj().T))[-1])
-    t = rng.uniform(0.0, 1.0) / max(top, 1e-12)
-    return {x: float(t * w) for x, w in zip(labels, u)}
 
 
 # ---------------------------------------------------------------------------

@@ -618,11 +618,6 @@ def vector_to_json(v: Any) -> dict[str, Any]:
     return {"dim": int(arr.size), "entries": _pairs(arr)}
 
 
-def vector_from_json(obj: dict[str, Any]) -> np.ndarray:
-    """Inverse of :func:`vector_to_json`, with the checks of :func:`matrix_from_json`."""
-    return _array_from_json(obj, "vector", 1)
-
-
 def ensemble_to_json(e: Ensemble) -> dict[str, Any]:
     return {
         "priors": [float(q) for q in e.priors],
@@ -654,11 +649,6 @@ def povm_to_json(p: Povm) -> dict[str, Any]:
         "elements": {str(k): matrix_to_json(v) for k, v in sorted(p.elements.items())},
         "inconclusive": matrix_to_json(p.inconclusive),
     }
-
-
-def povm_from_json(obj: dict[str, Any]) -> Povm:
-    elements = {int(k): matrix_from_json(v) for k, v in obj["elements"].items()}
-    return Povm(elements=elements, inconclusive=matrix_from_json(obj["inconclusive"]))
 
 
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -778,11 +768,16 @@ def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) 
 def random_ensemble(
     rng: np.random.Generator, dim: int, n: int, pure: bool = False
 ) -> Ensemble:
-    """Random ensemble with Dirichlet-ish priors and Wishart (or pure) states."""
+    """Random ensemble with Dirichlet-ish priors and Wishart (or pure) states.
+    The Wishart states are one stack, validated together, drawn from the same
+    numbers in the same order as ``n`` calls of :func:`random_density`."""
     raw = rng.random(n) + 0.1
     priors = tuple(float(q) for q in raw / math.fsum(raw))
     if pure:
         states = tuple(random_pure_state(rng, dim).density() for _ in range(n))
     else:
-        states = tuple(random_density(rng, dim) for _ in range(n))
+        z = rng.normal(size=(n, 2, dim, dim))
+        g = z[:, 0] + 1j * z[:, 1]
+        w = g @ _adjoint(g)
+        states = DensityMatrix.stack(w / np.real(np.trace(w, axis1=-2, axis2=-1))[:, None, None])
     return Ensemble(priors=priors, states=states)

@@ -37,7 +37,7 @@ import functools
 import itertools
 import types
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -60,9 +60,6 @@ COMPLETENESS_TOL = 1e-10
 
 MONOTONIC_TOL = 1e-9
 """Confidence increase along a chain tolerated as roundoff."""
-
-SVD_REL_TOL = 1e-9
-"""Relative singular-value threshold for operator linear independence."""
 
 
 class ChannelConstructionError(ValueError):
@@ -135,13 +132,6 @@ class KrausChannel:
         return Ensemble(priors=e.priors, states=DensityMatrix.stack(self._image(states)))
 
 
-def random_channel(rng: np.random.Generator, dim: int, n_kraus: int) -> KrausChannel:
-    """Haar-ish random channel: QR of a Gaussian ``(n_kraus*dim) x dim`` block."""
-    g = rng.normal(size=(n_kraus * dim, dim)) + 1j * rng.normal(size=(n_kraus * dim, dim))
-    q, _ = np.linalg.qr(g)
-    return KrausChannel(ops={i + 1: q[i * dim : (i + 1) * dim, :] for i in range(n_kraus)})
-
-
 # ---------------------------------------------------------------------------
 # ensemble functionals
 # ---------------------------------------------------------------------------
@@ -181,25 +171,6 @@ def ensemble_distance(e1: Ensemble, e2: Ensemble) -> tuple[float, float]:
     )
     norms = [float(n) for n in np.linalg.svd(diffs, compute_uv=False).sum(axis=-1)]
     return sum(q * n for q, n in zip(e1.priors, norms)), norms[-1]
-
-
-def linear_independence(operators: Iterable[Any]) -> bool:
-    """Whether a set of operators is linearly independent.
-
-    Vectorizes each operator into a row and checks the matrix rank via
-    singular values with the relative threshold :data:`SVD_REL_TOL`.
-    Equal-confidence sequential chains exist exactly when the conclusive
-    POVM elements pass this test.
-    """
-    rows = [as_matrix(op, "operator").reshape(-1) for op in operators]
-    if not rows:
-        return True
-    stack = np.stack(rows)
-    svals = np.linalg.svd(stack, compute_uv=False)
-    if float(svals[0]) <= 0.0:
-        return False
-    rank = int(np.sum(svals > SVD_REL_TOL * float(svals[0])))
-    return rank == len(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from seqmcm import families, mcm, optim, qcore
+from seqmcm.checks import random_feasible_weights
 from seqmcm.optim import (
     GainSchedule,
     InfeasibleGainError,
@@ -19,7 +20,6 @@ from seqmcm.optim import (
     min_error_guessing,
     min_inconclusive_rate,
     optimal_joint_schedule,
-    random_feasible_weights,
     two_state_least_disturbing,
 )
 from seqmcm.qcore import Ensemble, random_ensemble, validate_povm

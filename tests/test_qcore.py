@@ -24,7 +24,6 @@ from seqmcm.qcore import (
     ensemble_to_json,
     matrix_from_json,
     matrix_to_json,
-    povm_from_json,
     povm_to_json,
     purity,
     random_density,
@@ -33,13 +32,24 @@ from seqmcm.qcore import (
     trace_norm,
     trace_norm_distance,
     validate_povm,
-    vector_from_json,
     vector_to_json,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def vector_from_json(obj):
+    """A :func:`vector_to_json` object read back through the package's array
+    reader, which makes the matrix reader's checks on one axis."""
+    return qcore._array_from_json(obj, "vector", 1)
+
+
+def povm_from_json(obj):
+    """A :func:`povm_to_json` object read back into a validated POVM."""
+    elements = {int(k): matrix_from_json(v) for k, v in obj["elements"].items()}
+    return Povm(elements=elements, inconclusive=matrix_from_json(obj["inconclusive"]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +278,6 @@ class TestPovmValidation:
     def test_inconclusive_element_is_required(self):
         with pytest.raises(TypeError):
             Povm(elements={1: np.eye(2)})
-        with pytest.raises(KeyError):
-            povm_from_json({"elements": {"1": matrix_to_json(np.eye(2))}})
 
 
 class TestPureState:
@@ -380,6 +388,32 @@ class TestRandomStates:
         rho = random_density(np.random.default_rng(1), 4, rank=2).mat
         vals = np.sort(np.linalg.eigvalsh(rho))
         assert vals[1] < 1e-12 and vals[2] > 1e-6
+
+    def test_random_ensemble_draws_the_per_state_stream(self):
+        """The stacked draw consumes the numbers that one Wishart draw per
+        state consumes, in the same order, and gives the same states bit
+        for bit."""
+
+        def per_state(rng, dim, n):
+            raw = rng.random(n) + 0.1
+            priors = tuple(float(q) for q in raw / math.fsum(raw))
+            states = []
+            for _ in range(n):
+                g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                w = g @ g.conj().T
+                states.append(DensityMatrix(w / np.real(np.trace(w))))
+            return priors, states
+
+        for dim in range(2, 9):
+            for n in range(2, 7):
+                for seed in range(4):
+                    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                    e = random_ensemble(rng, dim, n)
+                    priors, states = per_state(ref, dim, n)
+                    assert e.priors == priors
+                    for got, want in zip(e.states, states, strict=True):
+                        assert np.array_equal(got.mat, want.mat)
+                    assert rng.random() == ref.random()
 
     def test_random_ensemble_priors(self):
         e = random_ensemble(np.random.default_rng(10), 2, 4)

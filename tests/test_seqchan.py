@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqmcm import families, mcm, optim, qcore, seqchan
+from seqmcm.checks import linear_independence, random_channel, random_feasible_weights
 from seqmcm.qcore import Ensemble, FeasibilityError, Povm
 from seqmcm.seqchan import (
     ChannelConstructionError,
@@ -27,8 +28,6 @@ from seqmcm.seqchan import (
     inconclusive_rate,
     information_gain,
     joint_outcomes,
-    linear_independence,
-    random_channel,
     projector_plan,
     run_sequence,
     trace_to_csv,
@@ -347,7 +346,7 @@ class TestRankOnePlanProperties:
         e = qcore.random_ensemble(rng, dim, n, pure=True)
         entries = mcm.solve_mcm(e)
         assume(all(len(entry.basis) == 1 for entry in entries.values()))
-        weights = optim.random_feasible_weights(rng, mcm.optimal_projectors(e))
+        weights = random_feasible_weights(rng, mcm.optimal_projectors(e))
         assume(min(weights.values()) > 0.0)
         plan = projector_plan(
             {x: alpha * w for x, w in weights.items()},
@@ -709,7 +708,7 @@ class TestRankTwoChainProperties:
             assert abs(entry.confidence - ((1.0 - eps) / 2 + eps / dim)) < 1e-9
 
         def party(received: Ensemble, j: int) -> PartyPlan:
-            weights = optim.random_feasible_weights(rng, mcm.optimal_projectors(received))
+            weights = random_feasible_weights(rng, mcm.optimal_projectors(received))
             return seqchan.mcm_plan(received, {x: alpha * w for x, w in weights.items()})
 
         trace = run_sequence(e, [party, party])

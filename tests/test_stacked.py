@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqmcm import cli, mcm, qcore, seqchan
+from seqmcm import checks, cli, mcm, qcore, seqchan
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -103,7 +103,7 @@ class TestStackedChannel:
     @PROPERTY
     @given(e=ensembles, kraus=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_apply_ensemble_equals_per_state_apply(self, e, kraus, seed):
-        ch = seqchan.random_channel(np.random.default_rng(seed), e.dim, kraus)
+        ch = checks.random_channel(np.random.default_rng(seed), e.dim, kraus)
         out = ch.apply_ensemble(e)
         assert out.priors == e.priors
         for s, t in zip(e.states, out.states):
@@ -112,7 +112,7 @@ class TestStackedChannel:
     @PROPERTY
     @given(e=ensembles, kraus=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_distance_equals_the_per_state_sum(self, e, kraus, seed):
-        out = seqchan.random_channel(np.random.default_rng(seed), e.dim, kraus).apply_ensemble(e)
+        out = checks.random_channel(np.random.default_rng(seed), e.dim, kraus).apply_ensemble(e)
         d = sum(
             q * qcore.trace_norm(s.mat - t.mat) for q, s, t in zip(e.priors, e.states, out.states)
         )
