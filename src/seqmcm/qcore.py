@@ -21,7 +21,12 @@ Conventions used throughout the package
   of density matrices with one ``eigvalsh`` call.  At ``d <= 8`` the cost
   of a call is mostly Python and wrapper overhead, so one call per
   ensemble instead of one per state is the saving.  The one-matrix calls
-  are the stack-of-one case of the same code.  LAPACK solves each slice
+  are the stack-of-one case of the same code.  The same holds one level up:
+  a chain's ensembles are averaged and eigensolved as one stack
+  (:func:`_average_spectra`), and one ensemble is the batch of one.  A
+  batch that can fail stops at its first failure: the values before it are
+  cached, and its error is the one the ensembles taken one at a time would
+  raise first (:func:`_cached_leading`).  LAPACK solves each slice
   of a stack as it solves the matrix alone, and ``tests/test_stacked.py``
   checks that stacked and one-at-a-time results agree bit for bit.
 * **Each matrix is checked once.**  The public functions that take a
@@ -232,17 +237,20 @@ def eig_hermitian(a: Any, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]
     return _eigh_descending(require_hermitian(_as_stack(a, name), name))
 
 
-def _support_factors(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """:func:`support_factors` from the descending eigensolve of the matrix."""
-    top = float(vals[0]) if vals.size else 0.0
-    if top <= 0.0:
-        zero = np.zeros_like(vecs)
-        return zero, zero, 0
-    keep = vals > RANK_TOL * top
+def _support_factors(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, Any]:
+    """:func:`support_factors` from the descending eigensolve of a matrix, or
+    of each matrix of a stack (then the ranks are an array)."""
+    keep = vals > RANK_TOL * np.maximum(vals[..., :1], 0.0)  # nothing kept when the top is <= 0
+    ranks = keep.sum(axis=-1)
     inv = np.zeros_like(vals)
     inv[keep] = 1.0 / np.sqrt(vals[keep])
-    kept = vecs[:, keep]
-    return (vecs * inv) @ vecs.conj().T, kept @ kept.conj().T, int(np.sum(keep))
+    support = np.zeros_like(vecs)
+    # the kept columns lead (the values descend); one product per rank
+    for rank in set(np.ravel(ranks).tolist()) - {0}:
+        at = ranks == rank
+        kept = vecs[at][..., :rank]
+        support[at] = kept @ _adjoint(kept)
+    return (vecs * inv[..., None, :]) @ _adjoint(vecs), support, ranks
 
 
 def support_factors(a: Any) -> tuple[np.ndarray, np.ndarray, int]:
@@ -253,7 +261,8 @@ def support_factors(a: Any) -> tuple[np.ndarray, np.ndarray, int]:
     (treated as exact zeros); the inverse square root acts as ``A^(-1/2)``
     on the support and as 0 on the kernel.
     """
-    return _support_factors(*eig_hermitian(as_matrix(a)))
+    inv_sqrt, support, rank = _support_factors(*eig_hermitian(as_matrix(a)))
+    return inv_sqrt, support, int(rank)
 
 
 def sqrt_psd(a: Any) -> np.ndarray:
@@ -335,28 +344,40 @@ def validate_states(mats: Any, lowest: np.ndarray | None = None) -> np.ndarray:
     when the caller built the states from their spectra; the positivity
     check then reads it in place of the ``eigvalsh`` call.
     """
+    h, _, error = _validation(mats, lowest)
+    if error is not None:
+        raise error
+    return h
+
+
+def _validation(mats: Any, lowest: np.ndarray | None) -> tuple[np.ndarray, int, ValueError | None]:
+    """:func:`validate_states` that returns its error instead of raising it:
+    the Hermitian parts, how many leading states pass, and the error of the
+    first that fails (``None`` when all pass).  Non-finite entries still raise."""
     m = _as_stack(mats, "density matrix")
     if not np.isfinite(m).all():  # NaN passes every comparison below
         raise ValueError("density matrix has a non-finite entry")
     adj = _adjoint(m)
     defect = np.abs(m - adj).max(axis=(-2, -1)).reshape(-1)
     h = 0.5 * (m + adj)
+    h.setflags(write=False)
     tr = h.trace(axis1=-2, axis2=-1).real.reshape(-1)
     if lowest is None:
         lowest = np.linalg.eigvalsh(h)[..., 0]
     low = np.reshape(lowest, -1)
     failed = (defect > HERM_TOL) | (np.abs(tr - 1.0) > TRACE_TOL) | (low < -PSD_TOL)
-    if failed.any():
-        i = int(np.argmax(failed))
-        if defect[i] > HERM_TOL:
-            raise NotHermitianError(
-                f"density matrix is not Hermitian: max |A - A^dag| entry = {defect[i]:.3e}"
-            )
-        if abs(tr[i] - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace = {float(tr[i])!r}, expected 1")
-        raise ValueError(f"density matrix has eigenvalue {low[i]:.3e} < 0")
-    h.setflags(write=False)
-    return h
+    if not failed.any():
+        return h, len(failed), None
+    i = int(np.argmax(failed))
+    if defect[i] > HERM_TOL:
+        error: ValueError = NotHermitianError(
+            f"density matrix is not Hermitian: max |A - A^dag| entry = {defect[i]:.3e}"
+        )
+    elif abs(tr[i] - 1.0) > TRACE_TOL:
+        error = ValueError(f"density matrix trace = {float(tr[i])!r}, expected 1")
+    else:
+        error = ValueError(f"density matrix has eigenvalue {low[i]:.3e} < 0")
+    return h, i, error
 
 
 @dataclass(frozen=True)
@@ -378,8 +399,13 @@ class DensityMatrix:
     def stack(cls, mats: Any, lowest: np.ndarray | None = None) -> tuple[DensityMatrix, ...]:
         """One state per matrix of a ``(n, d, d)`` stack, validated together
         by one :func:`validate_states` pass (``lowest`` as there)."""
+        return cls._of(validate_states(mats, lowest=lowest))
+
+    @classmethod
+    def _of(cls, validated: np.ndarray) -> tuple[DensityMatrix, ...]:
+        """One state per matrix of a stack that passed :func:`validate_states`."""
         states = []
-        for m in validate_states(mats, lowest=lowest):
+        for m in validated:
             state = object.__new__(cls)
             object.__setattr__(state, "mat", m)
             states.append(state)
@@ -494,17 +520,64 @@ class Ensemble:
 
     def _average_spectrum(self) -> tuple[DensityMatrix, np.ndarray, np.ndarray]:
         """The average and its descending eigensolve, read-only, which validates it."""
+        spectra, error = _average_spectra([self])
+        if error is not None:
+            raise error
+        return spectra[0]
 
-        def compute() -> tuple[DensityMatrix, np.ndarray, np.ndarray]:
-            m = sum(q * s.mat for q, s in zip(self.priors, self.states))
-            if not np.isfinite(m).all():
-                raise ValueError("density matrix has a non-finite entry")
-            vals, vecs = _eigh_descending(m)
-            vals.setflags(write=False)
-            vecs.setflags(write=False)
-            return DensityMatrix.stack(m[None], lowest=vals[-1:])[0], vals, vecs
 
-        return self.cached("average", compute)
+def _cached_leading(
+    ensembles: Sequence[Ensemble],
+    key: str,
+    compute: Callable[[list[Ensemble]], tuple[list[_T], Exception | None]],
+) -> tuple[list[_T], Exception | None]:
+    """:meth:`Ensemble.cached` over a batch that stops at the first failure.
+
+    ``compute`` is called once, with the ensembles that have no value under
+    ``key``, and returns the values of as many of them as pass its checks, in
+    order, and the error of the first that fails (``None`` when all pass).
+    Each value is stored on its ensemble.  Returns the values of the leading
+    ensembles that have one, and that error.
+    """
+    missing = [e for e in ensembles if key not in e._memo]
+    error = None
+    if missing:
+        values, error = compute(missing)
+        for e, value in zip(missing, values):
+            e._memo[key] = value
+    done = []
+    for e in ensembles:
+        if key not in e._memo:
+            break
+        done.append(e._memo[key])
+    return done, error
+
+
+def _average_spectra(
+    ensembles: Sequence[Ensemble],
+) -> tuple[list[tuple[DensityMatrix, np.ndarray, np.ndarray]], ValueError | None]:
+    """:meth:`Ensemble._average_spectrum` of each ensemble, as
+    :func:`_cached_leading` returns them.  Those not yet cached, which must
+    share a state count and a dimension (a chain's do), are averaged,
+    eigensolved and validated as one stack; an average with a non-finite
+    entry fails before its eigensolve."""
+
+    def compute(es: list[Ensemble]) -> tuple[list, ValueError | None]:
+        q = np.array([e.priors for e in es])[..., None, None]
+        states = np.array([[s.mat for s in e.states] for e in es])
+        m = sum(q[:, i] * states[:, i] for i in range(states.shape[1]))
+        n = len(es)
+        if not np.isfinite(m).all():
+            n = int(np.argmin(np.isfinite(m).all(axis=(-2, -1))))
+        vals, vecs = _eigh_descending(m[:n])
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        h, passed, error = _validation(m[:n], lowest=vals[:, -1])
+        if error is None and n < len(es):
+            error = ValueError("density matrix has a non-finite entry")
+        return list(zip(DensityMatrix._of(h[:passed]), vals, vecs)), error
+
+    return _cached_leading(ensembles, "average", compute)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,17 @@ disturbances, and the full channels, from which the joint outcome
 probabilities are reconstructed by operator composition:
 
     M^_x = K_x^(1)dag ... K_x^(R-1)dag M_x^(R) K_x^(R-1) ... K_x^(1).
+
+:func:`run_sequence` fills it in two phases.  The evolution calls each
+strategy and applies its channel, keeping only what the next party needs.
+The analysis then measures all ``R`` parties as stacks: one eigensolve of
+the ``R + 1`` averages, one stacked first stage of the MCM solve, one
+``svd`` of the disturbances and one trace each for the gains and the
+inconclusive rates.  :func:`information_gain`, :func:`inconclusive_rate`
+and :func:`ensemble_distance` are the batch-of-one case of the same code.
+A failure is reported as measuring one party at a time would report it:
+when party ``j``'s strategy or channel fails, the checks of the parties
+before it run first, and an error of theirs is raised in its place.
 """
 
 from __future__ import annotations
@@ -140,17 +151,34 @@ class KrausChannel:
 def information_gain(e: Ensemble, povm: Povm) -> float:
     """Probability of a correct conclusive outcome,
     ``G = sum_x q_x tr[rho_x M_x]``, summed in label order."""
-    labels = [x for x in povm.labels if x in e.labels]
-    if not labels:
-        return 0.0
-    states = np.stack([e.state(x).mat for x in labels])
-    traces = np.trace(states @ np.stack([povm.elements[x] for x in labels]), axis1=-2, axis2=-1)
-    return float(sum(e.prior(x) * t for x, t in zip(labels, traces.real.tolist())))
+    return _gains([e], [povm])[0]
+
+
+def _gains(ensembles: Sequence[Ensemble], povms: Sequence[Povm]) -> list[float]:
+    """:func:`information_gain` of each ensemble and POVM, from one stacked
+    trace over every label the two share."""
+    labels = [[x for x in p.labels if x in e.labels] for e, p in zip(ensembles, povms)]
+    pairs = [(e, p, x) for e, p, xs in zip(ensembles, povms, labels) for x in xs]
+    if not pairs:
+        return [0.0] * len(labels)
+    states = np.stack([e.state(x).mat for e, _, x in pairs])
+    elements = np.stack([p.elements[x] for _, p, x in pairs])
+    traces = iter(np.trace(states @ elements, axis1=-2, axis2=-1).real.tolist())
+    return [
+        float(sum(e.prior(x) * t for x, t in zip(xs, traces))) for e, xs in zip(ensembles, labels)
+    ]
 
 
 def inconclusive_rate(e: Ensemble, povm: Povm) -> float:
     """``eta_0 = tr[rho M_0]``."""
-    return float(np.real(np.trace(e.average().mat @ povm.inconclusive)))
+    return _inconclusive_rates([e], [povm])[0]
+
+
+def _inconclusive_rates(ensembles: Sequence[Ensemble], povms: Sequence[Povm]) -> list[float]:
+    """:func:`inconclusive_rate` of each ensemble and POVM, one stacked trace."""
+    averages = np.stack([e.average().mat for e in ensembles])
+    m0 = np.stack([p.inconclusive for p in povms])
+    return np.real(np.trace(averages @ m0, axis1=-2, axis2=-1)).tolist()
 
 
 def ensemble_distance(e1: Ensemble, e2: Ensemble) -> tuple[float, float]:
@@ -160,17 +188,23 @@ def ensemble_distance(e1: Ensemble, e2: Ensemble) -> tuple[float, float]:
     The bound is the triangle inequality applied to the prior-weighted
     differences, so ``D >= ||rho - rho'||_1`` always.
     """
-    if e1.n != e2.n:
-        raise ValueError(f"ensembles of different sizes: {e1.n} vs {e2.n}")
-    if any(abs(p - q) > 1e-12 for p, q in zip(e1.priors, e2.priors)):
-        raise ValueError("ensembles carry different priors; disturbance undefined")
-    # the N state differences and the difference of averages, one svd call
-    diffs = np.stack(
-        [s1.mat - s2.mat for s1, s2 in zip(e1.states, e2.states)]
-        + [e1.average().mat - e2.average().mat]
-    )
-    norms = [float(n) for n in np.linalg.svd(diffs, compute_uv=False).sum(axis=-1)]
-    return sum(q * n for q, n in zip(e1.priors, norms)), norms[-1]
+    return _distances([e1, e2])[0]
+
+
+def _distances(chain: Sequence[Ensemble]) -> list[tuple[float, float]]:
+    """:func:`ensemble_distance` of each ensemble of a chain to the next,
+    from one ``svd`` call on the ``(R, N + 1, d, d)`` stack of the state
+    differences and the difference of averages."""
+    for e1, e2 in zip(chain, chain[1:]):
+        if e1.n != e2.n:
+            raise ValueError(f"ensembles of different sizes: {e1.n} vs {e2.n}")
+        if any(abs(p - q) > 1e-12 for p, q in zip(e1.priors, e2.priors)):
+            raise ValueError("ensembles carry different priors; disturbance undefined")
+    states = np.array([[s.mat for s in e.states] for e in chain])
+    averages = np.stack([e.average().mat for e in chain])
+    diffs = np.concatenate([states[:-1] - states[1:], (averages[:-1] - averages[1:])[:, None]], axis=1)
+    norms = np.linalg.svd(diffs, compute_uv=False).sum(axis=-1).tolist()
+    return [(sum(q * n for q, n in zip(e.priors, ns)), ns[-1]) for e, ns in zip(chain, norms)]
 
 
 # ---------------------------------------------------------------------------
@@ -331,88 +365,127 @@ class SequentialTrace:
         return [rec.confidences[x] for rec in self.records]
 
 
-def _pull_back(m: np.ndarray, label: int, records: Sequence[PartyRecord]) -> np.ndarray:
-    """``K^dag ... K^dag m K ... K`` over the label's Kraus operators of
-    ``records`` (last first); zero when some party has none for it."""
-    for rec in reversed(records):
-        k = rec.channel.ops.get(label)
-        if k is None:
-            return np.zeros_like(m)
-        m = k.conj().T @ m @ k
-    return m
-
-
 def joint_outcomes(e0: Ensemble, records: Sequence[PartyRecord]) -> tuple[float, float]:
     """All-conclusive and all-inconclusive probabilities of a chain.
 
     Composes each label's Kraus operator from parties ``1..R-1`` around
     party ``R``'s POVM element and evaluates on the initial ensemble:
     ``P_J = sum_x q_x tr[rho_x M^_x]``, and the label-0 analogue for
-    ``P_I``.  A label that an earlier party cannot click (no Kraus
-    operator, as for a zero weight) adds nothing.  Defined for every
-    nonempty chain; an empty one raises :class:`ValueError`.
+    ``P_I``.  All of party ``R``'s labels are pulled back as one stack,
+    ``K^dag acc K`` per earlier party, with a zero slice where that party has
+    no Kraus operator for the label (as for a zero weight), so the label adds
+    nothing.  Defined for every nonempty chain; an empty one raises
+    :class:`ValueError`.
     """
     if not records:
         raise ValueError("empty chain")
     last = records[-1]
+    labels = [*last.povm.labels, 0]
+    acc = np.stack([*(last.povm.elements[x] for x in last.povm.labels), last.povm.inconclusive])
+    zero = np.zeros_like(acc[0])
+    for rec in reversed(records[:-1]):
+        k = np.stack([rec.channel.ops.get(x, zero) for x in labels])
+        acc = qcore._adjoint(k) @ acc @ k
+    # tr[rho_x M^_x] for each label the ensemble shares, then tr[rho_x M^_0] for every state
+    shared = [i for i, x in enumerate(labels[:-1]) if x in e0.labels]
+    states = np.stack([e0.state(labels[i]).mat for i in shared] + [s.mat for s in e0.states])
+    pulled = np.concatenate([acc[shared], np.broadcast_to(acc[-1], (e0.n, *zero.shape))])
+    traces = np.real(np.trace(states @ pulled, axis1=-2, axis2=-1)).tolist()
     p_joint = 0.0
-    for x in last.povm.labels:
-        acc = _pull_back(last.povm.elements[x], x, records[:-1])
-        if x in e0.labels:
-            p_joint += e0.prior(x) * float(np.real(np.trace(e0.state(x).mat @ acc)))
-    acc0 = _pull_back(last.povm.inconclusive, 0, records[:-1])
-    p_inc = float(
-        sum(q * np.real(np.trace(s.mat @ acc0)) for q, s in zip(e0.priors, e0.states))
-    )
+    for i, t in zip(shared, traces):
+        p_joint += e0.prior(labels[i]) * t
+    p_inc = float(sum(q * t for q, t in zip(e0.priors, traces[len(shared) :])))
     return p_joint, p_inc
 
 
 def run_sequence(e0: Ensemble, strategies: Sequence[Strategy]) -> SequentialTrace:
-    """Run a chain of parties over an ensemble.
+    """Run a chain of parties over an ensemble, in two phases.
 
-    Each strategy is called with the ensemble that party receives and the
-    1-based party index, and must return a :class:`PartyPlan`.  Any
-    feasibility or channel-construction failure aborts the run with a
-    :class:`StrategyInfeasibleError` naming the party.  A party's
-    confidences are the first stage of its ensemble's solve
-    (:func:`seqmcm.mcm.confidences`), with every check of the solve, so a
-    chain whose strategies read no optimal basis builds no
-    :class:`~seqmcm.mcm.McmEntry`.  The trace carries
-    the joint outcome probabilities of :func:`joint_outcomes`, so an empty
-    strategy list raises :class:`ValueError`.
+    *Evolution.*  Each strategy is called with the ensemble that party
+    receives and the 1-based party index, and must return a
+    :class:`PartyPlan`; its channel maps that ensemble, validated, to the
+    next party's.  A feasibility or channel-construction failure of a
+    strategy becomes a :class:`StrategyInfeasibleError` naming the party.
+
+    *Analysis.*  Then one pass measures every party: the ``R + 1`` averages
+    as one eigensolve, the first stage of each party's solve
+    (:func:`seqmcm.mcm._first_stage`: support check, shaped and complement
+    eigensolves, complement check) on the ``(R, N, d, d)`` stack, the
+    disturbances as one ``svd`` and the gains and inconclusive rates as one
+    trace each.  An ensemble a strategy already solved is not solved again,
+    and a chain whose strategies read no optimal basis builds no
+    :class:`~seqmcm.mcm.McmEntry`.
+
+    The errors are those of one party at a time: when party ``j`` fails in
+    the evolution, parties ``1..j-1`` are analysed first, and their support,
+    complement or validation error, if any, is raised in its place.  The
+    trace carries the joint outcome probabilities of
+    :func:`joint_outcomes`, so an empty strategy list raises
+    :class:`ValueError`.
     """
-    records: list[PartyRecord] = []
-    current = e0
+    if not strategies:
+        raise ValueError("empty chain")
+    chain, plans = [e0], []
+    failure = None
     for j, strategy in enumerate(strategies, start=1):
         try:
-            plan = strategy(current, j)
-        except (FeasibilityError, ChannelConstructionError) as exc:
-            raise StrategyInfeasibleError(party=j, reason=str(exc)) from exc
-        confidences = _mcm.confidences(current)
-        nxt = plan.channel.apply_ensemble(current)
-        d, lower = ensemble_distance(current, nxt)
-        records.append(
-            PartyRecord(
-                index=j,
-                ensemble=current,
-                confidences=confidences,
-                gain=information_gain(current, plan.povm),
-                eta0=inconclusive_rate(current, plan.povm),
-                disturbance=d,
-                disturbance_lower=lower,
-                povm=plan.povm,
-                channel=plan.channel,
-                extras=dict(plan.extras),
-            )
+            try:
+                plan = strategy(chain[-1], j)
+            except (FeasibilityError, ChannelConstructionError) as exc:
+                raise StrategyInfeasibleError(party=j, reason=str(exc)) from exc
+            plans.append(plan)
+            chain.append(plan.channel.apply_ensemble(chain[-1]))
+        except Exception as exc:  # raised once the parties before it are checked
+            failure = exc
+            break
+    stages = _checked_stages(chain, len(plans))
+    if failure is not None:
+        raise failure
+    povms = [plan.povm for plan in plans]
+    records = [
+        PartyRecord(
+            index=j,
+            ensemble=e,
+            confidences=dict(stage[0]),
+            gain=gain,
+            eta0=eta0,
+            disturbance=d,
+            disturbance_lower=lower,
+            povm=plan.povm,
+            channel=plan.channel,
+            extras=dict(plan.extras),
         )
-        current = nxt
+        for j, e, stage, plan, gain, eta0, (d, lower) in zip(
+            itertools.count(1),
+            chain,
+            stages,
+            plans,
+            _gains(chain[:-1], povms),
+            _inconclusive_rates(chain[:-1], povms),
+            _distances(chain),
+        )
+    ]
     p_joint, p_inc = joint_outcomes(e0, records)
     return SequentialTrace(
         records=tuple(records),
-        final_ensemble=current,
+        final_ensemble=chain[-1],
         p_joint=p_joint,
         p_inconclusive=p_inc,
     )
+
+
+def _checked_stages(chain: Sequence[Ensemble], parties: int) -> list[tuple]:
+    """The first stages of the first ``parties`` ensembles of ``chain`` after
+    every check, in the order one party at a time makes them: each party's
+    average, support and complement checks, then the next ensemble's average
+    (its disturbance reads it).  Nothing is checked without a party."""
+    if not parties:
+        return []
+    _, late = qcore._average_spectra(chain)  # every average as one stack
+    stages, error = _mcm._first_stage(chain[:parties])
+    if error or late:
+        raise error or late
+    return stages
 
 
 # ---------------------------------------------------------------------------

@@ -476,10 +476,10 @@ def test_monotonicity_suite_infeasible_draw_exits_4(monkeypatch, capsys):
 def test_monotonicity_suite_support_error_is_not_a_violation(monkeypatch, capsys):
     """A support leak in a chain exits 2, as it does for ``sequence``."""
 
-    def leak(e):
+    def leak(chain, parties):
         raise mcm.SupportError("label 1: state has weight outside the support")
 
-    monkeypatch.setattr(mcm, "confidences", leak)
+    monkeypatch.setattr(seqchan, "_checked_stages", leak)
     code, out, err = run(capsys, MONOTONICITY)
     assert (code, out) == (cli.EXIT_INPUT, "")
     assert err == "error: label 1: state has weight outside the support\n"

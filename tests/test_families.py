@@ -17,8 +17,6 @@ import pytest
 from seqmcm import cli, mcm, optim, qcore, seqchan
 from seqmcm.families import (
     InfeasibleRateError,
-    LiftedGuFamily,
-    MirrorFamily,
     MirrorState,
     TwoMixedFamily,
     gu,

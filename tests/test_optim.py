@@ -14,7 +14,6 @@ import pytest
 from seqmcm import families, mcm, optim, qcore
 from seqmcm.checks import random_feasible_weights
 from seqmcm.optim import (
-    GainSchedule,
     InfeasibleGainError,
     UnsupportedScaleError,
     min_error_guessing,

@@ -27,7 +27,6 @@ from seqmcm.seqchan import (
     ensemble_distance,
     inconclusive_rate,
     information_gain,
-    joint_outcomes,
     projector_plan,
     run_sequence,
     trace_to_csv,
@@ -815,21 +814,26 @@ class TestRunSequence:
             assert eigensolves.of(rho) == 1, rec.index
 
     def test_eigensolve_budget_of_one_party(self, eigensolves):
-        """A party after the first makes 4 eigh calls (the average's
-        factorisation, which also validates it, the shaped stack, the
-        complement stack, ``sqrt(M_0)``) and 1 eigvalsh call (validating the
-        channel's image states); the chain reads only the confidences, so no
-        complement state is built."""
+        """A party after the first adds 1 eigh call (``sqrt(M_0)``, in its
+        strategy) and 1 eigvalsh call (validating the channel's image
+        states).  The analysis makes 3 stacked eigh calls whatever the
+        chain's length: the ``R + 1`` averages, which also validate them, the
+        ``R x N`` shaped operators and the complements.  The chain reads only
+        the confidences, so no complement state is built."""
         fam = families.gu(5)
-        strategies = fam.strategies([0.5, 0.6, 0.7])
+        rates = [0.5 + 0.02 * j for j in range(16)]
         counts = []
-        for parties in (2, 3):
+        for parties in (2, 3, 16):
             e0 = fam.ensemble()
             eigensolves.calls.clear()
-            run_sequence(e0, strategies[:parties])
+            run_sequence(e0, fam.strategies(rates[:parties]))
+            stacks = eigensolves.stacks("eigh")
+            assert stacks[:parties] == [1] * parties  # each party's sqrt(M_0), in order
+            assert stacks[parties:-1] == [parties + 1, 5 * parties]
+            assert len(stacks) == parties + 3
             counts.append((eigensolves.count("eigh"), eigensolves.count("eigvalsh")))
-        (eigh_2, eigvalsh_2), (eigh_3, eigvalsh_3) = counts
-        assert (eigh_3 - eigh_2, eigvalsh_3 - eigvalsh_2) == (4, 1)
+        (eigh_2, eigvalsh_2), (eigh_3, eigvalsh_3), _ = counts
+        assert (eigh_3 - eigh_2, eigvalsh_3 - eigvalsh_2) == (1, 1)
 
     @pytest.mark.parametrize(
         "fam, schedule",

@@ -2,9 +2,10 @@
 
 ``solve_mcm`` solves every label of an ensemble in one pass of stacked
 eigensolves, ``KrausChannel.apply_ensemble`` maps every state as one
-stack, and ``qcore.json_text`` writes JSON without the ``json`` encoder.
-Each must give exactly what the one-matrix, one-state or ``json.dumps``
-reference gives: the arithmetic is the same, only batched.
+stack, ``run_sequence`` measures all the parties of a chain in one stacked
+pass, and ``qcore.json_text`` writes JSON without the ``json`` encoder.
+Each must give exactly what the one-matrix, one-state, one-ensemble or
+``json.dumps`` reference gives: the arithmetic is the same, only batched.
 
 Run with:  pytest tests/test_stacked.py -v
 """
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqmcm import checks, cli, mcm, qcore, seqchan
+from seqmcm import checks, cli, families, mcm, qcore, seqchan
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -147,6 +148,174 @@ class TestStackedChannel:
         assert str(info.value) == "density matrix has eigenvalue -5.000e-01 < 0"
 
 
+def _digest_tool():
+    """``tools/cli_digests.py``, the output-diff harness, as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_digests.py"
+    spec = importlib.util.spec_from_file_location("cli_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def _fresh(e: qcore.Ensemble) -> qcore.Ensemble:
+    """A copy of ``e`` with nothing cached, so every value is computed again
+    for it alone."""
+    return qcore.Ensemble(priors=e.priors, states=e.states)
+
+
+def _fixed_parties(rng: np.random.Generator, dim: int, parties: int, span: int) -> list:
+    """Strategies that solve nothing: each measures one random unit vector
+    per label of a three-label POVM, all in the span of the first ``span``
+    basis states, which its channel then maps into itself."""
+    strategies = []
+    for _ in range(parties):
+        vecs = rng.normal(size=(3, span)) + 1j * rng.normal(size=(3, span))
+        vecs = np.pad(vecs / np.linalg.norm(vecs, axis=1, keepdims=True), ((0, 0), (0, dim - span)))
+        plan = seqchan.projector_plan({x: 0.2 for x in (1, 2, 3)}, dict(zip((1, 2, 3), vecs)))
+        strategies.append(lambda e, j, plan=plan: plan)
+    return strategies
+
+
+def _plane(seed: int, priors: tuple[float, ...]) -> qcore.Ensemble:
+    """Qutrit Wishart states on the plane of the first two basis states."""
+    rng = np.random.default_rng(seed)
+    g = np.zeros((len(priors), 3, 3), dtype=complex)
+    g[:, :2, :2] = rng.normal(size=(len(priors), 2, 2)) + 1j * rng.normal(size=(len(priors), 2, 2))
+    w = g @ qcore._adjoint(g)
+    return qcore.Ensemble(priors=priors, states=w / np.trace(w, axis1=1, axis2=2)[:, None, None])
+
+
+def _chain(name: str, parties: int) -> tuple[qcore.Ensemble, list]:
+    rates = [0.6 + 0.02 * j for j in range(parties)]
+    rng = np.random.default_rng(parties)
+    if name == "two_mixed":
+        fam = families.two_mixed(0.8, 1.0)
+        return fam.ensemble(), fam.strategies(parties)
+    if name in ("gu", "lifted_gu", "mirror"):
+        fam = {"gu": families.gu(5), "lifted_gu": families.lifted_gu(4, 1.0, 0.9),
+               "mirror": families.mirror(2.2)}[name]
+        return fam.ensemble(), fam.strategies(rates)
+    if name == "generic-qubit":
+        e = qcore.random_ensemble(np.random.default_rng(7), 2, 3)
+        return e, seqchan.weakened_mcm_strategies(rates)
+    if name == "generic-qutrit":
+        e = qcore.random_ensemble(np.random.default_rng(6), 3, 4)
+        return e, seqchan.weakened_mcm_strategies(rates)
+    if name == "zero-prior":
+        e = qcore.random_ensemble(np.random.default_rng(8), 3, 3)
+        return qcore.Ensemble(priors=(0.3, 0.0, 0.7), states=e.states), _fixed_parties(rng, 3, parties, 3)
+    assert name == "rank-2"
+    return _plane(9, (0.2, 0.3, 0.5)), _fixed_parties(rng, 3, parties, 2)
+
+
+def _off_average() -> qcore.Ensemble:
+    """Two qubit states that pass validation, at trace ``1 + 0.995e-10``,
+    whose average fails it: its trace is ``1 + 1.005e-10``."""
+    t = 1.0 + 0.995e-10
+    return qcore.Ensemble(priors=(0.5, 0.5 + 0.99e-12),
+                          states=[np.diag([0.7 * t, 0.3 * t]), np.diag([0.2 * t, 0.8 * t])])
+
+
+CHAINS = ["two_mixed", "gu", "lifted_gu", "mirror", "generic-qubit", "generic-qutrit", "zero-prior",
+          "rank-2"]
+
+
+def _hex(values: dict[int, float]) -> dict[int, str]:
+    return {x: v.hex() for x, v in values.items()}
+
+
+class TestStackedChain:
+    @pytest.mark.parametrize("parties", [2, 16])
+    @pytest.mark.parametrize("name", CHAINS)
+    def test_records_equal_the_one_ensemble_calls(self, name, parties):
+        """Every number the one stacked pass records for a party is, bit for
+        bit, what the one-ensemble call gives on a fresh copy of its ensemble."""
+        e0, strategies = _chain(name, parties)
+        trace = seqchan.run_sequence(e0, strategies)
+        assert trace.parties == parties
+        chain = [_fresh(rec.ensemble) for rec in trace.records] + [_fresh(trace.final_ensemble)]
+        for rec, e, nxt in zip(trace.records, chain, chain[1:]):
+            assert _hex(rec.confidences) == _hex(mcm.confidences(e))
+            d, lower = seqchan.ensemble_distance(e, nxt)
+            assert (rec.disturbance.hex(), rec.disturbance_lower.hex()) == (d.hex(), lower.hex())
+            assert rec.gain.hex() == seqchan.information_gain(e, rec.povm).hex()
+            assert rec.eta0.hex() == seqchan.inconclusive_rate(e, rec.povm).hex()
+
+    def test_the_chains_cover_a_zero_prior_and_a_rank_2_average(self):
+        e0, strategies = _chain("zero-prior", 16)
+        trace = seqchan.run_sequence(e0, strategies)
+        assert all(rec.confidences[2] == 0.0 for rec in trace.records)
+        e0, strategies = _chain("rank-2", 16)
+        for rec in seqchan.run_sequence(e0, strategies).records:
+            assert qcore.support_factors(rec.ensemble.average().mat)[2] == 2
+
+    def test_first_stage_stops_at_the_first_failing_ensemble(self):
+        """A stacked first stage returns the stages before the first failing
+        ensemble and that ensemble's one-ensemble error; nothing after it is
+        cached."""
+        bad = qcore.ensemble_from_json(_digest_tool().PAIRS["illcond.json"])
+        states = qcore.random_ensemble(np.random.default_rng(4), 3, 2).states
+        good = qcore.Ensemble(priors=bad.priors, states=states)
+        later = qcore.Ensemble(priors=bad.priors, states=states)
+        with pytest.raises(mcm.ComplementCheckError) as one:
+            mcm.confidences(_fresh(bad))
+        stages, error = mcm._first_stage([good, bad, later])
+        assert [_hex(stage[0]) for stage in stages] == [_hex(mcm.confidences(_fresh(good)))]
+        assert type(error) is mcm.ComplementCheckError and str(error) == str(one.value)
+        assert "mcm.stage" not in later._memo and "mcm.stage" not in bad._memo
+
+    def test_averages_stop_at_the_first_that_fails_validation(self):
+        off = _off_average()
+        good = qcore.Ensemble(priors=off.priors, states=[np.diag([0.7, 0.3]), np.diag([0.2, 0.8])])
+        spectra, error = qcore._average_spectra([good, off, _fresh(good)])
+        assert len(spectra) == 1 and np.array_equal(spectra[0][0].mat, _fresh(good).average().mat)
+        with pytest.raises(ValueError, match="density matrix trace") as one:
+            _fresh(off).average()
+        assert type(error) is ValueError and str(error) == str(one.value)
+
+
+def _solves_nothing(e: qcore.Ensemble, j: int) -> seqchan.PartyPlan:
+    return seqchan.projector_plan({1: 0.0}, {1: np.eye(e.dim)[0]})
+
+
+def _infeasible(e: qcore.Ensemble, j: int) -> seqchan.PartyPlan:
+    raise qcore.FeasibilityError("nothing feasible here")
+
+
+class TestChainErrorOrder:
+    """A chain raises the error that measuring one party at a time raises:
+    the parties before a failed strategy are checked first."""
+
+    def test_a_complement_failure_precedes_a_later_infeasible_party(self):
+        e = qcore.ensemble_from_json(_digest_tool().PAIRS["illcond.json"])
+        with pytest.raises(mcm.ComplementCheckError) as one:
+            mcm.confidences(_fresh(e))
+        with pytest.raises(mcm.ComplementCheckError) as chain:
+            seqchan.run_sequence(e, [_solves_nothing, _infeasible])
+        assert str(chain.value) == str(one.value)
+
+    def test_a_failed_average_precedes_a_later_infeasible_party(self):
+        with pytest.raises(ValueError, match="density matrix trace") as chain:
+            seqchan.run_sequence(_off_average(), [_solves_nothing, _infeasible])
+        assert type(chain.value) is ValueError
+
+    @pytest.mark.parametrize("source", ["illcond", "off-average"])
+    def test_nothing_is_checked_before_the_first_strategy(self, source):
+        e = _off_average() if source == "off-average" else qcore.ensemble_from_json(
+            _digest_tool().PAIRS["illcond.json"]
+        )
+        with pytest.raises(seqchan.StrategyInfeasibleError) as chain:
+            seqchan.run_sequence(e, [_infeasible, _solves_nothing])
+        assert chain.value.party == 1
+
+    def test_an_infeasible_party_after_checked_parties_is_named(self):
+        e = qcore.random_ensemble(np.random.default_rng(3), 3, 4)
+        with pytest.raises(seqchan.StrategyInfeasibleError) as chain:
+            seqchan.run_sequence(e, [_solves_nothing, _solves_nothing, _infeasible])
+        assert chain.value.party == 3
+        assert isinstance(chain.value.__cause__, qcore.FeasibilityError)
+
+
 # nested documents: every JSON type, empty containers, non-ASCII strings,
 # non-finite floats, and [re, im] pair lists (the writer's fast path)
 _leaves = (
@@ -185,10 +354,7 @@ class TestJsonText:
     def test_every_json_output_of_the_corpus(self, monkeypatch, tmp_path):
         """Run the output-diff corpus with every document the CLI writes
         checked against ``json.dumps``."""
-        path = Path(__file__).resolve().parents[1] / "tools" / "cli_digests.py"
-        spec = importlib.util.spec_from_file_location("cli_digests", path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
+        tool = _digest_tool()
         writer, written = qcore.json_text, []
 
         def checked(obj):  # the harness catches exceptions, so compare afterwards

@@ -39,7 +39,9 @@ point outside the family (each exit 2); then a two-party generic chain on
 a qutrit ensemble whose optimal subspaces are two-dimensional, in JSON and
 CSV, and a ``gu`` chain retargeted onto the equator, its default collapse;
 then a 16-party ``sequence`` of every family in JSON and CSV, the longest
-chains the benchmark runs.
+chains the benchmark runs; then a four-party generic chain in JSON and CSV
+on three qutrit states in a plane, one of them at prior 0, whose average
+has rank 2.
 Every ``sweep`` prints long-format
 rows, one per party and quantity: the family's parameters, the rate, the
 party, the quantity and its closed-form, engine and residual values.
@@ -185,8 +187,27 @@ SUBSPACES = {
     },
 }
 
+
+
+def _plane_ensemble(seed: int, priors: list[float]) -> dict:
+    """Ensemble JSON of qutrit Wishart states supported on the plane of the
+    first two basis states, so the average has rank 2."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in priors:
+        g = np.zeros((3, 3), dtype=complex)
+        g[:2, :2] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        w = g @ g.conj().T
+        w /= np.real(np.trace(w))
+        states.append({"dim": 3, "entries": [[float(z.real), float(z.imag)] for z in w.reshape(-1)]})
+    return {"priors": priors, "states": states}
+
+
+# three qutrit states in a plane, the second at prior 0: a rank-2 average
+PLANES = {"plane3.json": _plane_ensemble(17, [0.45, 0.0, 0.55])}
+
 # every file the corpus reads, by name
-FILES = {**ENSEMBLES, **NONFINITE, **INVALID, **PAIRS, **FACES, **GUESSES, **SUBSPACES}
+FILES = {**ENSEMBLES, **NONFINITE, **INVALID, **PAIRS, **FACES, **GUESSES, **SUBSPACES, **PLANES}
 
 
 def _sequence(family: str, params: str | None, parties: int, fmt: str, *flags: str) -> list[str]:
@@ -325,6 +346,10 @@ def corpus() -> list[list[str]]:
                   _sequence("gu", '{"n": 5}', 16, fmt, "--eta0", rates),
                   _sequence("lifted_gu", LIFTED, 16, fmt, "--eta0", rates),
                   _sequence("mirror", MIRROR, 16, fmt, "--eta0", rates)]
+    # a four-party generic chain on a rank-2 qutrit average with a zero prior
+    for fmt in ("json", "csv"):
+        lines.append(["sequence", "--ensemble", "plane3.json", "--parties", "4", "--format", fmt,
+                      "--eta0", "0.6,0.7,0.8,0.9"])
     return lines
 
 
