@@ -16,7 +16,7 @@ closed forms; :mod:`seqmcm.cli` exposes everything as a command line.
 Nothing is re-exported: ``from seqmcm import qcore, mcm, optim, seqchan, families``.
 
 Conventions: labels are 1..N with 0 reserved for inconclusive outcomes;
-angles are radians; ``trace_norm_distance`` carries no 1/2 factor;
+angles are radians; ``trace_norm`` carries no 1/2 factor;
 confidences are probabilities, min-entropies are bits.
 """
 

@@ -35,23 +35,24 @@ pays one stacked eigensolve of the ``N`` shaped operators and one of the
 complements ``C_x rho - q_x rho_x`` of the labels with ``r_x > 0``, whose
 spectra are the complement check.  It takes a batch of ensembles that
 share their priors (:func:`_first_stage`), and one ensemble is the batch
-of one.  The second, :func:`solve_mcm`, builds
-the entries on it: the ``sigma_x``, validated as one stack from the
-clipped spectrum they are built from instead of eigensolved again, and the
-back-mapped bases.  Each stack is symmetrised on the line before its
-eigensolve, so these eigensolves skip the Hermiticity check (see
-:mod:`seqmcm.qcore`).  The chain runner reads the first stage only, as one
-stacked first stage per chain of all the ensembles no strategy solved;
-:func:`mcm_povm`, :func:`verify_kkt`, the weight optimizer and the
-strategies that measure the optimal bases read the second.  Neither can go
-stale: an ensemble's fields are frozen and its state arrays read-only, and
-callers get a fresh dict of confidences or of frozen entries, never the
-stored one.  The orthonormal bases of the optimal subspaces and their
-projectors are kept the same way, read-only, so the weight optimizer,
-:func:`mcm_povm` and :func:`optimal_projectors` share one QR per label.
-:func:`max_confidence` reads its label's entry from that one solution, so
-it raises :class:`SupportError` when any label of the ensemble leaks
-outside the support.
+of one; a batch that fails a check is solved again one ensemble at a time,
+so it raises what the first failing ensemble raises alone.  The second,
+:func:`solve_mcm`, builds the entries on it: the ``sigma_x``, validated as
+one stack from the clipped spectrum they are built from instead of
+eigensolved again, and the back-mapped bases.  Each stack is symmetrised
+on the line before its eigensolve, so these eigensolves skip the
+Hermiticity check (see :mod:`seqmcm.qcore`).  The chain runner reads the
+first stage only, as one stacked first stage per chain of all the
+ensembles no strategy solved; :func:`mcm_povm`, :func:`verify_kkt`, the
+weight optimizer and the strategies that measure the optimal bases read
+the second.  Neither can go stale: an ensemble's fields are frozen and its
+state arrays read-only, and callers get a fresh dict of confidences or of
+frozen entries, never the stored one.  The orthonormal bases of the
+optimal subspaces and their projectors are kept the same way, read-only,
+so the weight optimizer, :func:`mcm_povm` and :func:`optimal_projectors`
+share one QR per label.  :func:`max_confidence` reads its label's entry
+from that one solution, so it raises :class:`SupportError` when any label
+of the ensemble leaks outside the support.
 """
 
 from __future__ import annotations
@@ -138,27 +139,25 @@ class McmEntry:
     mu: float
 
 
-def _first_stage(ensembles: Sequence[Ensemble]) -> tuple[list[tuple], Exception | None]:
-    """The first stage of each ensemble's solve, cached on it, as
-    :func:`seqmcm.qcore._cached_leading` returns them: per ensemble
-    ``(confidences, live labels, priors, rho^(-1/2), shaped (vals, vecs),
-    complement (vals, vecs) or None)``.
+def _first_stage(ensembles: Sequence[Ensemble]) -> list[tuple]:
+    """The first stage of each ensemble's solve, cached on it as
+    :func:`seqmcm.qcore._cached_batch` caches: per ensemble ``(confidences,
+    live labels, priors, rho^(-1/2), shaped (vals, vecs), complement (vals,
+    vecs) or None)``.
 
     The ensembles not yet cached, which must share their priors and
     dimension (a chain's do), are solved together: their averages' factors
     from the one eigensolve that validated each, the support-leak check,
     one eigensolve of the ``(B, N, d, d)`` stack of shaped operators, and one
     of the complements (``r > R_ZERO_TOL``) of all of them, whose spectra
-    are the complement check.  The checks fail in the order of one ensemble
-    at a time: its average, then its support check by label, then its
-    complement check by label.
+    are the complement check.  One ensemble's checks run in this order: its
+    average, its support check by label, its complement check by label.  A
+    batch that fails is solved again one ensemble at a time, so it raises
+    the first error of that order.
     """
 
-    def compute(es: list[Ensemble]) -> tuple[list[tuple], Exception | None]:
-        spectra, error = qcore._average_spectra(es)
-        es = es[: len(spectra)]
-        if not es:
-            return [], error
+    def compute(es: list[Ensemble]) -> list[tuple]:
+        spectra = qcore._average_spectra(es)
         rho = np.array([average.mat for average, _, _ in spectra])
         shaping, support, _ = qcore._support_factors(
             np.array([vals for _, vals, _ in spectra]), np.array([vecs for _, _, vecs in spectra])
@@ -168,6 +167,12 @@ def _first_stage(ensembles: Sequence[Ensemble]) -> tuple[list[tuple], Exception 
         states = np.array([[e.state(x).mat for x in live] for e in es])
         # tr[rho_x (1 - P)] of every live label of every ensemble
         leaks = np.einsum("bnij,bji->bn", states, np.eye(es[0].dim) - support).real
+        if (leaks > SUPPORT_TOL).any():
+            b, i = np.argwhere(leaks > SUPPORT_TOL)[0]
+            raise SupportError(
+                f"label {live[i]}: state has weight {leaks[b, i]:.3e} outside the support of the "
+                "ensemble average; the confidence is infinite (no valid finite maximum exists)"
+            )
         # Hermitian by construction: the rounding asymmetry of the products
         # grows with ||rho^-1|| and would trip an absolute Hermiticity check, so
         # they are symmetrised, which makes them exactly Hermitian
@@ -177,65 +182,40 @@ def _first_stage(ensembles: Sequence[Ensemble]) -> tuple[list[tuple], Exception 
         kept = c - q > R_ZERO_TOL
         owner, label = np.nonzero(kept)
         comp_vals = comp_vecs = None
-        inconsistent = np.zeros(len(owner), dtype=bool)
         if len(owner):
             # c*rho - q*rho_x is PSD in exact arithmetic: c tops the shaped spectrum
             raw = c[kept][:, None, None] * rho[owner] - q[label, None, None] * states[kept]
             comp_vals, comp_vecs = qcore._eigh_descending(0.5 * (raw + qcore._adjoint(raw)))
             inconsistent = comp_vals[:, -1] < -1e-8 * np.maximum(c[kept], 1.0)
-        leaked = leaks > SUPPORT_TOL
-        passed = len(es)
-        if leaked.any() or inconsistent.any():
-            # the first failing ensemble; its support check comes before its complement check
-            failed = leaked.any(axis=1)
-            failed[owner[inconsistent]] = True
-            passed = int(np.argmax(failed))
-            if leaked[passed].any():
-                i = int(np.argmax(leaked[passed]))
-                error = SupportError(
-                    f"label {live[i]}: state has weight {leaks[passed, i]:.3e} outside the support "
-                    "of the ensemble average; the confidence is infinite (no valid finite maximum "
-                    "exists)"
-                )
-            else:
-                low = comp_vals[int(np.argmax(inconsistent & (owner == passed))), -1]
-                error = ComplementCheckError(
-                    f"complement operator has eigenvalue {low:.3e}; "
+            if inconsistent.any():
+                raise ComplementCheckError(
+                    f"complement operator has eigenvalue {comp_vals[inconsistent][0, -1]:.3e}; "
                     "the confidence eigenvalue is inconsistent"
                 )
         for arr in (q, shaping, vals, vecs, comp_vals, comp_vecs):
             if arr is not None:
                 arr.setflags(write=False)
         stages, lo = [], 0
-        for b, (e, n) in enumerate(zip(es[:passed], kept.sum(axis=1).tolist())):
+        for b, (e, n) in enumerate(zip(es, kept.sum(axis=1).tolist())):
             complements = (comp_vals[lo : lo + n], comp_vecs[lo : lo + n]) if n else None
             lo += n
             conf = dict.fromkeys(e.labels, 0.0) | dict(zip(live, c[b].tolist()))
             stages.append((conf, live, q, shaping[b], (vals[b], vecs[b]), complements))
-        return stages, error
+        return stages
 
-    return qcore._cached_leading(ensembles, "mcm.stage", compute)
-
-
-def _stage(e: Ensemble) -> tuple:
-    """The first stage of one ensemble's solve: :func:`_first_stage` of a
-    batch of one, its error raised."""
-    stages, error = _first_stage([e])
-    if error is not None:
-        raise error
-    return stages[0]
+    return qcore._cached_batch(ensembles, "mcm.stage", compute)
 
 
 def confidences(e: Ensemble) -> dict[int, float]:
     """``C_x`` for every label (0 for a zero prior): the first stage of
     :func:`solve_mcm`, with all its checks, cached on the ensemble."""
-    return dict(_stage(e)[0])
+    return dict(_first_stage([e])[0][0])
 
 
 def _solve(e: Ensemble) -> dict[int, McmEntry]:
     """Entries for every label, built on the cached first stage: the
     complement states and the back-mapped bases of the optimal subspaces."""
-    _, live, q, shaping, (vals, vecs), complements = _stage(e)
+    _, live, q, shaping, (vals, vecs), complements = _first_stage([e])[0]
     entries = {
         x: McmEntry(label=x, confidence=0.0, degeneracy=0, basis=(), sigma=None, r=0.0, mu=0.0)
         for x in e.labels

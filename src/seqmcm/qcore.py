@@ -6,7 +6,7 @@ Conventions used throughout the package
 * Everything is finite-dimensional and small: dimensions are capped at
   ``DIM_CAP = 8``.  The solvers in this package are dense-eigensolver
   based and make no attempt to scale beyond that.
-* **Trace norm carries no 1/2 factor.**  ``trace_norm_distance(rho, sigma)``
+* **Trace norm carries no 1/2 factor.**  ``trace_norm(rho - sigma)``
   returns ``|| rho - sigma ||_1 = sum of singular values``, so two
   orthogonal pure states are at distance 2, not 1.  Quantities derived
   from it (ensemble disturbance, distinguishability lower bounds) follow
@@ -24,11 +24,12 @@ Conventions used throughout the package
   are the stack-of-one case of the same code.  The same holds one level up:
   a chain's ensembles are averaged and eigensolved as one stack
   (:func:`_average_spectra`), and one ensemble is the batch of one.  A
-  batch that can fail stops at its first failure: the values before it are
-  cached, and its error is the one the ensembles taken one at a time would
-  raise first (:func:`_cached_leading`).  LAPACK solves each slice
-  of a stack as it solves the matrix alone, and ``tests/test_stacked.py``
-  checks that stacked and one-at-a-time results agree bit for bit.
+  batch that raises is computed again one ensemble at a time, in order, so
+  its error is the one the ensembles taken one at a time raise first, and
+  the values before it are cached (:func:`_cached_batch`).  LAPACK solves
+  each slice of a stack as it solves the matrix alone, and
+  ``tests/test_stacked.py`` checks that stacked and one-at-a-time results
+  agree bit for bit.
 * **Each matrix is checked once.**  The public functions that take a
   caller's matrix check it: :func:`eig_hermitian`, :func:`support_factors`
   and :func:`sqrt_psd` raise :class:`NotHermitianError` above
@@ -280,15 +281,6 @@ def trace_norm(a: Any) -> float:
     return float(np.sum(np.linalg.svd(arr, compute_uv=False)))
 
 
-def trace_norm_distance(rho: Any, sigma: Any) -> float:
-    """``|| rho - sigma ||_1`` with **no** 1/2 factor.
-
-    Orthogonal pure states are at distance 2 under this convention; e.g.
-    ``|0><0|`` vs ``|1><1|`` gives 2, and ``(1+0.6Z)/2`` vs ``1/2`` gives 0.6.
-    """
-    return trace_norm(as_matrix(rho, "rho") - as_matrix(sigma, "sigma"))
-
-
 def purity(rho: Any) -> float:
     """``tr[rho^2]`` of a state."""
     r = as_matrix(rho, "rho")
@@ -344,16 +336,6 @@ def validate_states(mats: Any, lowest: np.ndarray | None = None) -> np.ndarray:
     when the caller built the states from their spectra; the positivity
     check then reads it in place of the ``eigvalsh`` call.
     """
-    h, _, error = _validation(mats, lowest)
-    if error is not None:
-        raise error
-    return h
-
-
-def _validation(mats: Any, lowest: np.ndarray | None) -> tuple[np.ndarray, int, ValueError | None]:
-    """:func:`validate_states` that returns its error instead of raising it:
-    the Hermitian parts, how many leading states pass, and the error of the
-    first that fails (``None`` when all pass).  Non-finite entries still raise."""
     m = _as_stack(mats, "density matrix")
     if not np.isfinite(m).all():  # NaN passes every comparison below
         raise ValueError("density matrix has a non-finite entry")
@@ -366,18 +348,16 @@ def _validation(mats: Any, lowest: np.ndarray | None) -> tuple[np.ndarray, int, 
         lowest = np.linalg.eigvalsh(h)[..., 0]
     low = np.reshape(lowest, -1)
     failed = (defect > HERM_TOL) | (np.abs(tr - 1.0) > TRACE_TOL) | (low < -PSD_TOL)
-    if not failed.any():
-        return h, len(failed), None
-    i = int(np.argmax(failed))
-    if defect[i] > HERM_TOL:
-        error: ValueError = NotHermitianError(
-            f"density matrix is not Hermitian: max |A - A^dag| entry = {defect[i]:.3e}"
-        )
-    elif abs(tr[i] - 1.0) > TRACE_TOL:
-        error = ValueError(f"density matrix trace = {float(tr[i])!r}, expected 1")
-    else:
-        error = ValueError(f"density matrix has eigenvalue {low[i]:.3e} < 0")
-    return h, i, error
+    if failed.any():
+        i = int(np.argmax(failed))
+        if defect[i] > HERM_TOL:
+            raise NotHermitianError(
+                f"density matrix is not Hermitian: max |A - A^dag| entry = {defect[i]:.3e}"
+            )
+        if abs(tr[i] - 1.0) > TRACE_TOL:
+            raise ValueError(f"density matrix trace = {float(tr[i])!r}, expected 1")
+        raise ValueError(f"density matrix has eigenvalue {low[i]:.3e} < 0")
+    return h
 
 
 @dataclass(frozen=True)
@@ -399,13 +379,8 @@ class DensityMatrix:
     def stack(cls, mats: Any, lowest: np.ndarray | None = None) -> tuple[DensityMatrix, ...]:
         """One state per matrix of a ``(n, d, d)`` stack, validated together
         by one :func:`validate_states` pass (``lowest`` as there)."""
-        return cls._of(validate_states(mats, lowest=lowest))
-
-    @classmethod
-    def _of(cls, validated: np.ndarray) -> tuple[DensityMatrix, ...]:
-        """One state per matrix of a stack that passed :func:`validate_states`."""
         states = []
-        for m in validated:
+        for m in validate_states(mats, lowest=lowest):
             state = object.__new__(cls)
             object.__setattr__(state, "mat", m)
             states.append(state)
@@ -515,69 +490,54 @@ class Ensemble:
         return memo[key]
 
     def average(self) -> DensityMatrix:
-        """The prior-weighted average state ``sum_x q_x rho_x``."""
-        return self._average_spectrum()[0]
-
-    def _average_spectrum(self) -> tuple[DensityMatrix, np.ndarray, np.ndarray]:
-        """The average and its descending eigensolve, read-only, which validates it."""
-        spectra, error = _average_spectra([self])
-        if error is not None:
-            raise error
-        return spectra[0]
+        """The prior-weighted average state ``sum_x q_x rho_x``: the batch of
+        one of :func:`_average_spectra`."""
+        return _average_spectra([self])[0][0]
 
 
-def _cached_leading(
-    ensembles: Sequence[Ensemble],
-    key: str,
-    compute: Callable[[list[Ensemble]], tuple[list[_T], Exception | None]],
-) -> tuple[list[_T], Exception | None]:
-    """:meth:`Ensemble.cached` over a batch that stops at the first failure.
-
-    ``compute`` is called once, with the ensembles that have no value under
-    ``key``, and returns the values of as many of them as pass its checks, in
-    order, and the error of the first that fails (``None`` when all pass).
-    Each value is stored on its ensemble.  Returns the values of the leading
-    ensembles that have one, and that error.
-    """
+def _cached_batch(
+    ensembles: Sequence[Ensemble], key: str, compute: Callable[[list[Ensemble]], list[_T]]
+) -> list[_T]:
+    """:meth:`Ensemble.cached` over a batch: the value of each ensemble under
+    ``key``.  ``compute`` maps a list of ensembles to their values, in order.
+    Those with no value yet are computed as one batch; if a check fails in
+    it (a ``ValueError`` or ``ArithmeticError``), they are computed one at a
+    time, in order, by the same ``compute``, so the error raised is the
+    first that one at a time raises, and every value before it is stored."""
     missing = [e for e in ensembles if key not in e._memo]
-    error = None
     if missing:
-        values, error = compute(missing)
+        try:
+            values = compute(missing)
+        except (ValueError, ArithmeticError):
+            if len(missing) == 1:
+                raise
+            values = [e.cached(key, lambda e=e: compute([e])[0]) for e in missing]
         for e, value in zip(missing, values):
             e._memo[key] = value
-    done = []
-    for e in ensembles:
-        if key not in e._memo:
-            break
-        done.append(e._memo[key])
-    return done, error
+    return [e._memo[key] for e in ensembles]
 
 
 def _average_spectra(
     ensembles: Sequence[Ensemble],
-) -> tuple[list[tuple[DensityMatrix, np.ndarray, np.ndarray]], ValueError | None]:
-    """:meth:`Ensemble._average_spectrum` of each ensemble, as
-    :func:`_cached_leading` returns them.  Those not yet cached, which must
-    share a state count and a dimension (a chain's do), are averaged,
-    eigensolved and validated as one stack; an average with a non-finite
-    entry fails before its eigensolve."""
+) -> list[tuple[DensityMatrix, np.ndarray, np.ndarray]]:
+    """Each ensemble's average and its descending eigensolve, read-only,
+    which validates it; cached as :func:`_cached_batch` caches.  Those not
+    yet cached, which must share a state count and a dimension (a chain's
+    do), are averaged, eigensolved and validated as one stack; an average
+    with a non-finite entry fails before its eigensolve."""
 
-    def compute(es: list[Ensemble]) -> tuple[list, ValueError | None]:
+    def compute(es: list[Ensemble]) -> list[tuple]:
         q = np.array([e.priors for e in es])[..., None, None]
         states = np.array([[s.mat for s in e.states] for e in es])
         m = sum(q[:, i] * states[:, i] for i in range(states.shape[1]))
-        n = len(es)
         if not np.isfinite(m).all():
-            n = int(np.argmin(np.isfinite(m).all(axis=(-2, -1))))
-        vals, vecs = _eigh_descending(m[:n])
+            raise ValueError("density matrix has a non-finite entry")
+        vals, vecs = _eigh_descending(m)
         vals.setflags(write=False)
         vecs.setflags(write=False)
-        h, passed, error = _validation(m[:n], lowest=vals[:, -1])
-        if error is None and n < len(es):
-            error = ValueError("density matrix has a non-finite entry")
-        return list(zip(DensityMatrix._of(h[:passed]), vals, vecs)), error
+        return list(zip(DensityMatrix.stack(m, lowest=vals[:, -1]), vals, vecs))
 
-    return _cached_leading(ensembles, "average", compute)
+    return _cached_batch(ensembles, "average", compute)
 
 
 @dataclass(frozen=True)

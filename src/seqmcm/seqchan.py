@@ -38,12 +38,14 @@ the ``R + 1`` averages, one stacked first stage of the MCM solve, one
 inconclusive rates.  :func:`information_gain`, :func:`inconclusive_rate`
 and :func:`ensemble_distance` are the batch-of-one case of the same code.
 A failure is reported as measuring one party at a time would report it:
-when party ``j``'s strategy or channel fails, the checks of the parties
-before it run first, and an error of theirs is raised in its place.
+a stack that fails a check is redone one ensemble at a time, in order,
+and when party ``j``'s strategy or channel fails, the checks of the
+parties before it run first, and an error of theirs is raised in its place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import types
@@ -416,8 +418,9 @@ def run_sequence(e0: Ensemble, strategies: Sequence[Strategy]) -> SequentialTrac
     and a chain whose strategies read no optimal basis builds no
     :class:`~seqmcm.mcm.McmEntry`.
 
-    The errors are those of one party at a time: when party ``j`` fails in
-    the evolution, parties ``1..j-1`` are analysed first, and their support,
+    The errors are those of one party at a time: a stack that fails a check
+    is redone one party at a time, and when party ``j`` fails in the
+    evolution, parties ``1..j-1`` are analysed first, and their support,
     complement or validation error, if any, is raised in its place.  The
     trace carries the joint outcome probabilities of
     :func:`joint_outcomes`, so an empty strategy list raises
@@ -478,13 +481,16 @@ def _checked_stages(chain: Sequence[Ensemble], parties: int) -> list[tuple]:
     """The first stages of the first ``parties`` ensembles of ``chain`` after
     every check, in the order one party at a time makes them: each party's
     average, support and complement checks, then the next ensemble's average
-    (its disturbance reads it).  Nothing is checked without a party."""
+    (its disturbance reads it).  The averages are one stack; if it fails,
+    the checks after it raise its error in that order.  Nothing is checked
+    without a party."""
     if not parties:
         return []
-    _, late = qcore._average_spectra(chain)  # every average as one stack
-    stages, error = _mcm._first_stage(chain[:parties])
-    if error or late:
-        raise error or late
+    with contextlib.suppress(ValueError):
+        qcore._average_spectra(chain)
+    stages = _mcm._first_stage(chain[:parties])
+    for e in chain[parties:]:
+        e.average()
     return stages
 
 

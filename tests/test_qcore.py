@@ -30,7 +30,6 @@ from seqmcm.qcore import (
     random_ensemble,
     random_pure_state,
     trace_norm,
-    trace_norm_distance,
     validate_povm,
     vector_to_json,
 )
@@ -143,22 +142,18 @@ class TestTraceNorm:
         """No 1/2 factor: ||proj0 - proj1||_1 = 2."""
         p0 = np.diag([1.0, 0.0]).astype(complex)
         p1 = np.diag([0.0, 1.0]).astype(complex)
-        np.testing.assert_allclose(trace_norm_distance(p0, p1), 2.0, atol=1e-14)
+        np.testing.assert_allclose(trace_norm(p0 - p1), 2.0, atol=1e-14)
 
     def test_bloch_pair_oracle(self):
         # (1 + 0.6 Z)/2 vs 1/2: trace distance (no half) equals the Bloch gap
         rho = 0.5 * (np.eye(2) + 0.6 * Z)
-        np.testing.assert_allclose(
-            trace_norm_distance(rho, np.eye(2) / 2), 0.6, atol=1e-14
-        )
+        np.testing.assert_allclose(trace_norm(rho - np.eye(2) / 2), 0.6, atol=1e-14)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             a, b, c = (random_density(rng, 3).mat for _ in range(3))
-            assert trace_norm_distance(a, c) <= (
-                trace_norm_distance(a, b) + trace_norm_distance(b, c) + 1e-12
-            )
+            assert trace_norm(a - c) <= trace_norm(a - b) + trace_norm(b - c) + 1e-12
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(23)

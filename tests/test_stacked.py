@@ -208,11 +208,11 @@ def _chain(name: str, parties: int) -> tuple[qcore.Ensemble, list]:
     return _plane(9, (0.2, 0.3, 0.5)), _fixed_parties(rng, 3, parties, 2)
 
 
-def _off_average() -> qcore.Ensemble:
+def _off_average(priors: tuple[float, float] = (0.5, 0.5 + 0.99e-12)) -> qcore.Ensemble:
     """Two qubit states that pass validation, at trace ``1 + 0.995e-10``,
     whose average fails it: its trace is ``1 + 1.005e-10``."""
     t = 1.0 + 0.995e-10
-    return qcore.Ensemble(priors=(0.5, 0.5 + 0.99e-12),
+    return qcore.Ensemble(priors=priors,
                           states=[np.diag([0.7 * t, 0.3 * t]), np.diag([0.2 * t, 0.8 * t])])
 
 
@@ -222,6 +222,13 @@ CHAINS = ["two_mixed", "gu", "lifted_gu", "mirror", "generic-qubit", "generic-qu
 
 def _hex(values: dict[int, float]) -> dict[int, str]:
     return {x: v.hex() for x, v in values.items()}
+
+
+def _stage_bits(stage: tuple) -> tuple:
+    """A first stage's confidences as hex, its arrays as bytes."""
+    conf, live, q, shaping, shaped, complements = stage
+    arrays = [q, shaping, *shaped, *(complements or ())]
+    return _hex(conf), live, [(a.shape, a.tobytes()) for a in arrays]
 
 
 class TestStackedChain:
@@ -250,28 +257,49 @@ class TestStackedChain:
             assert qcore.support_factors(rec.ensemble.average().mat)[2] == 2
 
     def test_first_stage_stops_at_the_first_failing_ensemble(self):
-        """A stacked first stage returns the stages before the first failing
-        ensemble and that ensemble's one-ensemble error; nothing after it is
-        cached."""
+        """A stacked first stage stops at the first failing ensemble: it raises
+        that ensemble's one-ensemble error, and caches the stages before it
+        and none after."""
         bad = qcore.ensemble_from_json(_digest_tool().PAIRS["illcond.json"])
         states = qcore.random_ensemble(np.random.default_rng(4), 3, 2).states
         good = qcore.Ensemble(priors=bad.priors, states=states)
         later = qcore.Ensemble(priors=bad.priors, states=states)
         with pytest.raises(mcm.ComplementCheckError) as one:
             mcm.confidences(_fresh(bad))
-        stages, error = mcm._first_stage([good, bad, later])
-        assert [_hex(stage[0]) for stage in stages] == [_hex(mcm.confidences(_fresh(good)))]
-        assert type(error) is mcm.ComplementCheckError and str(error) == str(one.value)
+        with pytest.raises(mcm.ComplementCheckError) as batch:
+            mcm._first_stage([good, bad, later])
+        assert type(batch.value) is mcm.ComplementCheckError and str(batch.value) == str(one.value)
+        one_good = mcm._first_stage([_fresh(good)])[0]
+        assert _stage_bits(good._memo["mcm.stage"]) == _stage_bits(one_good)
         assert "mcm.stage" not in later._memo and "mcm.stage" not in bad._memo
 
     def test_averages_stop_at_the_first_that_fails_validation(self):
         off = _off_average()
         good = qcore.Ensemble(priors=off.priors, states=[np.diag([0.7, 0.3]), np.diag([0.2, 0.8])])
-        spectra, error = qcore._average_spectra([good, off, _fresh(good)])
-        assert len(spectra) == 1 and np.array_equal(spectra[0][0].mat, _fresh(good).average().mat)
+        later = _fresh(good)
         with pytest.raises(ValueError, match="density matrix trace") as one:
             _fresh(off).average()
-        assert type(error) is ValueError and str(error) == str(one.value)
+        with pytest.raises(ValueError) as batch:
+            qcore._average_spectra([good, off, later])
+        assert type(batch.value) is ValueError and str(batch.value) == str(one.value)
+        assert np.array_equal(good._memo["average"][0].mat, _fresh(good).average().mat)
+        assert "average" not in off._memo and "average" not in later._memo
+
+    def test_a_batch_raises_the_error_of_one_ensemble_at_a_time(self):
+        """The batch fails first on the second ensemble's average, which one
+        ensemble at a time checks only after the first ensemble's complement
+        check has failed: the first ensemble's error is raised."""
+        priors = (0.3, 0.7 + 0.99e-12)
+        psi = np.array([math.cos(1e-5), math.sin(1e-5)])
+        first = qcore.Ensemble(priors=priors, states=[np.diag([1.0, 0.0]), np.outer(psi, psi)])
+        with pytest.raises(mcm.ComplementCheckError) as one:
+            mcm.confidences(_fresh(first))
+        assert str(one.value).startswith("complement operator has eigenvalue -2.100e-06; ")
+        second = _off_average(priors)
+        with pytest.raises(mcm.ComplementCheckError) as batch:
+            mcm._first_stage([first, second])
+        assert type(batch.value) is mcm.ComplementCheckError and str(batch.value) == str(one.value)
+        assert "mcm.stage" not in first._memo and "mcm.stage" not in second._memo
 
 
 def _solves_nothing(e: qcore.Ensemble, j: int) -> seqchan.PartyPlan:
