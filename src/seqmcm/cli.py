@@ -15,13 +15,15 @@ value with a ``deg`` suffix (``{"theta": "120deg"}``) is converted.
 
 Exit codes: 0 success; 1 verification failure; 2 malformed input (also a
 state outside the support of the ensemble average, message names the label;
-a non-finite number: ``NaN`` or ``Infinity`` among an ``--ensemble`` file's
-entries or priors, or ``nan`` or ``inf`` given for a rate, gain, angle,
-grid value or threshold; and a ``gu`` or ``lifted_gu`` chain of fewer than
-3 states under ``sequence`` or ``sweep``); 3 KKT check failure (also an SDP
-solve that stops short of its gap bound, and a maximum-confidence solution
-whose complement operator fails its positivity check); 4 infeasible
-strategy (message names the party).
+an ``--ensemble`` file whose states pass the density-matrix checks but
+whose average does not; a non-finite number: ``NaN`` or ``Infinity``
+among an ``--ensemble`` file's entries or priors, or ``nan`` or ``inf``
+given for a rate, gain, angle, grid value or threshold; and a ``gu`` or
+``lifted_gu`` chain of fewer than 3 states under ``sequence`` or
+``sweep``); 3 KKT check failure (also an SDP solve that stops short of
+its gap bound, and a maximum-confidence solution whose complement
+operator fails its positivity check); 4 infeasible strategy (message
+names the party).
 
 Each family is one row of :data:`FAMILIES`: how ``--params`` builds it and
 from which keys (any other key exits 2, as do a non-integral count ``n`` and
@@ -219,7 +221,9 @@ def _load_source(args: argparse.Namespace) -> tuple[qcore.Ensemble, Any]:
         raise CliError(EXIT_INPUT, "give either --ensemble or --family, not both")
     if args.ensemble is not None:
         try:
-            return qcore.load_ensemble(args.ensemble), None
+            e = qcore.load_ensemble(args.ensemble)
+            e.average()  # cached: the solve reads this eigensolve
+            return e, None
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CliError(EXIT_INPUT, f"cannot load ensemble {args.ensemble}: {exc}")
     if args.family is not None:

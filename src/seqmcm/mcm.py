@@ -35,8 +35,8 @@ pays one stacked eigensolve of the ``N`` shaped operators and one of the
 complements ``C_x rho - q_x rho_x`` of the labels with ``r_x > 0``, whose
 spectra are the complement check.  It takes a batch of ensembles that
 share their priors (:func:`_first_stage`), and one ensemble is the batch
-of one; a batch that fails a check is solved again one ensemble at a time,
-so it raises what the first failing ensemble raises alone.  The second,
+of one; a batch that fails a check caches nothing, and
+:mod:`seqmcm.seqchan` decides which error a chain reports.  The second,
 :func:`solve_mcm`, builds the entries on it: the ``sigma_x``, validated as
 one stack from the clipped spectrum they are built from instead of
 eigensolved again, and the back-mapped bases.  Each stack is symmetrised
@@ -151,9 +151,7 @@ def _first_stage(ensembles: Sequence[Ensemble]) -> list[tuple]:
     one eigensolve of the ``(B, N, d, d)`` stack of shaped operators, and one
     of the complements (``r > R_ZERO_TOL``) of all of them, whose spectra
     are the complement check.  One ensemble's checks run in this order: its
-    average, its support check by label, its complement check by label.  A
-    batch that fails is solved again one ensemble at a time, so it raises
-    the first error of that order.
+    average, its support check by label, its complement check by label.
     """
 
     def compute(es: list[Ensemble]) -> list[tuple]:

@@ -24,12 +24,11 @@ Conventions used throughout the package
   are the stack-of-one case of the same code.  The same holds one level up:
   a chain's ensembles are averaged and eigensolved as one stack
   (:func:`_average_spectra`), and one ensemble is the batch of one.  A
-  batch that raises is computed again one ensemble at a time, in order, so
-  its error is the one the ensembles taken one at a time raise first, and
-  the values before it are cached (:func:`_cached_batch`).  LAPACK solves
-  each slice of a stack as it solves the matrix alone, and
-  ``tests/test_stacked.py`` checks that stacked and one-at-a-time results
-  agree bit for bit.
+  batch that raises caches nothing (:func:`_cached_batch`), and
+  :func:`seqmcm.seqchan._checked_stages` decides which error a chain
+  reports.  LAPACK solves each slice of a stack as it solves the matrix
+  alone, and ``tests/test_stacked.py`` checks that stacked and
+  one-at-a-time results agree bit for bit.
 * **Each matrix is checked once.**  The public functions that take a
   caller's matrix check it: :func:`eig_hermitian`, :func:`support_factors`
   and :func:`sqrt_psd` raise :class:`NotHermitianError` above
@@ -242,16 +241,10 @@ def _support_factors(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np
     """:func:`support_factors` from the descending eigensolve of a matrix, or
     of each matrix of a stack (then the ranks are an array)."""
     keep = vals > RANK_TOL * np.maximum(vals[..., :1], 0.0)  # nothing kept when the top is <= 0
-    ranks = keep.sum(axis=-1)
     inv = np.zeros_like(vals)
     inv[keep] = 1.0 / np.sqrt(vals[keep])
-    support = np.zeros_like(vecs)
-    # the kept columns lead (the values descend); one product per rank
-    for rank in set(np.ravel(ranks).tolist()) - {0}:
-        at = ranks == rank
-        kept = vecs[at][..., :rank]
-        support[at] = kept @ _adjoint(kept)
-    return (vecs * inv[..., None, :]) @ _adjoint(vecs), support, ranks
+    support = (vecs * keep[..., None, :]) @ _adjoint(vecs)
+    return (vecs * inv[..., None, :]) @ _adjoint(vecs), support, keep.sum(axis=-1)
 
 
 def support_factors(a: Any) -> tuple[np.ndarray, np.ndarray, int]:
@@ -500,19 +493,11 @@ def _cached_batch(
 ) -> list[_T]:
     """:meth:`Ensemble.cached` over a batch: the value of each ensemble under
     ``key``.  ``compute`` maps a list of ensembles to their values, in order.
-    Those with no value yet are computed as one batch; if a check fails in
-    it (a ``ValueError`` or ``ArithmeticError``), they are computed one at a
-    time, in order, by the same ``compute``, so the error raised is the
-    first that one at a time raises, and every value before it is stored."""
+    Those with no value yet are computed as one batch; if it raises, nothing
+    is stored."""
     missing = [e for e in ensembles if key not in e._memo]
     if missing:
-        try:
-            values = compute(missing)
-        except (ValueError, ArithmeticError):
-            if len(missing) == 1:
-                raise
-            values = [e.cached(key, lambda e=e: compute([e])[0]) for e in missing]
-        for e, value in zip(missing, values):
+        for e, value in zip(missing, compute(missing)):
             e._memo[key] = value
     return [e._memo[key] for e in ensembles]
 

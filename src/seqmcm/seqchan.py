@@ -37,15 +37,16 @@ the ``R + 1`` averages, one stacked first stage of the MCM solve, one
 ``svd`` of the disturbances and one trace each for the gains and the
 inconclusive rates.  :func:`information_gain`, :func:`inconclusive_rate`
 and :func:`ensemble_distance` are the batch-of-one case of the same code.
-A failure is reported as measuring one party at a time would report it:
-a stack that fails a check is redone one ensemble at a time, in order,
-and when party ``j``'s strategy or channel fails, the checks of the
-parties before it run first, and an error of theirs is raised in its place.
+A failure is reported as measuring one party at a time would report it,
+and only :func:`_checked_stages` knows that order: when a stack fails a
+check, it runs the checks again one party at a time and raises the first
+error they raise.  When party ``j``'s strategy or channel fails, the
+parties before it are checked first, and an error of theirs is raised in
+its place.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import types
@@ -418,32 +419,28 @@ def run_sequence(e0: Ensemble, strategies: Sequence[Strategy]) -> SequentialTrac
     and a chain whose strategies read no optimal basis builds no
     :class:`~seqmcm.mcm.McmEntry`.
 
-    The errors are those of one party at a time: a stack that fails a check
-    is redone one party at a time, and when party ``j`` fails in the
-    evolution, parties ``1..j-1`` are analysed first, and their support,
-    complement or validation error, if any, is raised in its place.  The
-    trace carries the joint outcome probabilities of
-    :func:`joint_outcomes`, so an empty strategy list raises
-    :class:`ValueError`.
+    The errors are those of one party at a time (:func:`_checked_stages`):
+    when party ``j`` fails in the evolution, parties ``1..j-1`` are
+    analysed first, and their support, complement or validation error, if
+    any, is raised in its place.  The trace carries the joint outcome
+    probabilities of :func:`joint_outcomes`, so an empty strategy list
+    raises :class:`ValueError`.
     """
     if not strategies:
         raise ValueError("empty chain")
     chain, plans = [e0], []
-    failure = None
-    for j, strategy in enumerate(strategies, start=1):
-        try:
+    try:
+        for j, strategy in enumerate(strategies, start=1):
             try:
                 plan = strategy(chain[-1], j)
             except (FeasibilityError, ChannelConstructionError) as exc:
                 raise StrategyInfeasibleError(party=j, reason=str(exc)) from exc
             plans.append(plan)
             chain.append(plan.channel.apply_ensemble(chain[-1]))
-        except Exception as exc:  # raised once the parties before it are checked
-            failure = exc
-            break
+    except Exception:  # an earlier party's check error is raised in its place
+        _checked_stages(chain, len(plans))
+        raise
     stages = _checked_stages(chain, len(plans))
-    if failure is not None:
-        raise failure
     povms = [plan.povm for plan in plans]
     records = [
         PartyRecord(
@@ -479,19 +476,24 @@ def run_sequence(e0: Ensemble, strategies: Sequence[Strategy]) -> SequentialTrac
 
 def _checked_stages(chain: Sequence[Ensemble], parties: int) -> list[tuple]:
     """The first stages of the first ``parties`` ensembles of ``chain`` after
-    every check, in the order one party at a time makes them: each party's
-    average, support and complement checks, then the next ensemble's average
-    (its disturbance reads it).  The averages are one stack; if it fails,
-    the checks after it raise its error in that order.  Nothing is checked
+    every check, raising the error that one party at a time raises first:
+    each party's average, support and complement checks, then the next
+    ensemble's average (its disturbance reads it).  The checks run as two
+    stacks, the averages of ``chain`` and the first stages; if either
+    fails, they run again one party at a time in that order, and the
+    stack's error is raised only if none of theirs is.  Nothing is checked
     without a party."""
     if not parties:
         return []
-    with contextlib.suppress(ValueError):
+    try:
         qcore._average_spectra(chain)
-    stages = _mcm._first_stage(chain[:parties])
-    for e in chain[parties:]:
-        e.average()
-    return stages
+        return _mcm._first_stage(chain[:parties])
+    except (ValueError, ArithmeticError):
+        for e in chain[:parties]:
+            _mcm._first_stage([e])
+        for e in chain[parties:]:
+            e.average()
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,18 @@ def test_support_leak_exits_2(tmp_path, capsys):
     assert err.startswith("error: label 2: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["mcm"], ["sequence", "--parties", "2", "--eta0", "0.5"]])
+def test_an_average_that_fails_validation_exits_2(command, tmp_path, capsys, monkeypatch):
+    """States that pass their checks but whose average fails the trace check:
+    exit 2 at load, with one error line and no traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "offaverage.json").write_text(json.dumps(_digest_tool().FILES["offaverage.json"]))
+    code, out, err = run(capsys, [command[0], "--ensemble", "offaverage.json", *command[1:]])
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == ("error: cannot load ensemble offaverage.json: "
+                   "density matrix trace = 1.0000000001004898, expected 1\n")
+
+
 def test_unconverged_sdp_exits_3(monkeypatch, capsys, tmp_path):
     """An SDP solve that runs out of Newton steps before its gap bound
     reaches the tolerance is reported, not printed as a solution.  Qubit

@@ -99,6 +99,23 @@ class TestStackedSolve:
             one_vals, one_vecs = qcore.eig_hermitian(h)
             assert np.array_equal(vals[i], one_vals) and np.array_equal(vecs[i], one_vecs)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_support_factors_of_a_stack_equal_the_one_matrix_calls(self, seed):
+        """Qutrit averages of ranks 1, 2 and 3, mixed in one stack: the same
+        ranks as :func:`qcore.support_factors` on each, and the same support
+        projector to 1e-15."""
+        ranks = [1, 2, 3, 2, 1, 3]
+        es = [_span(seed + 10 * i, (0.4, 0.6), span) for i, span in enumerate(ranks)]
+        spectra = qcore._average_spectra(es)
+        _, support, stacked_ranks = qcore._support_factors(
+            np.array([vals for _, vals, _ in spectra]), np.array([vecs for _, _, vecs in spectra])
+        )
+        assert stacked_ranks.tolist() == ranks
+        for e, proj, rank in zip(es, support, stacked_ranks):
+            _, one_proj, one_rank = qcore.support_factors(e.average().mat)
+            assert one_rank == rank
+            assert np.abs(proj - one_proj).max() <= 1e-15
+
 
 class TestStackedChannel:
     @PROPERTY
@@ -176,11 +193,12 @@ def _fixed_parties(rng: np.random.Generator, dim: int, parties: int, span: int) 
     return strategies
 
 
-def _plane(seed: int, priors: tuple[float, ...]) -> qcore.Ensemble:
-    """Qutrit Wishart states on the plane of the first two basis states."""
+def _span(seed: int, priors: tuple[float, ...], span: int) -> qcore.Ensemble:
+    """Qutrit Wishart states on the span of the first ``span`` basis states."""
     rng = np.random.default_rng(seed)
-    g = np.zeros((len(priors), 3, 3), dtype=complex)
-    g[:, :2, :2] = rng.normal(size=(len(priors), 2, 2)) + 1j * rng.normal(size=(len(priors), 2, 2))
+    n = len(priors)
+    g = np.zeros((n, 3, 3), dtype=complex)
+    g[:, :span, :span] = rng.normal(size=(n, span, span)) + 1j * rng.normal(size=(n, span, span))
     w = g @ qcore._adjoint(g)
     return qcore.Ensemble(priors=priors, states=w / np.trace(w, axis1=1, axis2=2)[:, None, None])
 
@@ -205,7 +223,7 @@ def _chain(name: str, parties: int) -> tuple[qcore.Ensemble, list]:
         e = qcore.random_ensemble(np.random.default_rng(8), 3, 3)
         return qcore.Ensemble(priors=(0.3, 0.0, 0.7), states=e.states), _fixed_parties(rng, 3, parties, 3)
     assert name == "rank-2"
-    return _plane(9, (0.2, 0.3, 0.5)), _fixed_parties(rng, 3, parties, 2)
+    return _span(9, (0.2, 0.3, 0.5), 2), _fixed_parties(rng, 3, parties, 2)
 
 
 def _off_average(priors: tuple[float, float] = (0.5, 0.5 + 0.99e-12)) -> qcore.Ensemble:
@@ -257,17 +275,21 @@ class TestStackedChain:
             assert qcore.support_factors(rec.ensemble.average().mat)[2] == 2
 
     def test_first_stage_stops_at_the_first_failing_ensemble(self):
-        """A stacked first stage stops at the first failing ensemble: it raises
-        that ensemble's one-ensemble error, and caches the stages before it
-        and none after."""
+        """The chain's checks stop at the first failing ensemble: they raise
+        that ensemble's one-ensemble error, and cache the stages before it
+        and none after.  The stacked first stage alone caches nothing."""
         bad = qcore.ensemble_from_json(_digest_tool().PAIRS["illcond.json"])
         states = qcore.random_ensemble(np.random.default_rng(4), 3, 2).states
         good = qcore.Ensemble(priors=bad.priors, states=states)
         later = qcore.Ensemble(priors=bad.priors, states=states)
         with pytest.raises(mcm.ComplementCheckError) as one:
             mcm.confidences(_fresh(bad))
+        stacked = [_fresh(good), _fresh(bad), _fresh(later)]
+        with pytest.raises(mcm.ComplementCheckError):
+            mcm._first_stage(stacked)
+        assert not any("mcm.stage" in e._memo for e in stacked)
         with pytest.raises(mcm.ComplementCheckError) as batch:
-            mcm._first_stage([good, bad, later])
+            seqchan._checked_stages([good, bad, later], 3)
         assert type(batch.value) is mcm.ComplementCheckError and str(batch.value) == str(one.value)
         one_good = mcm._first_stage([_fresh(good)])[0]
         assert _stage_bits(good._memo["mcm.stage"]) == _stage_bits(one_good)
@@ -280,13 +302,13 @@ class TestStackedChain:
         with pytest.raises(ValueError, match="density matrix trace") as one:
             _fresh(off).average()
         with pytest.raises(ValueError) as batch:
-            qcore._average_spectra([good, off, later])
+            seqchan._checked_stages([good, off, later], 3)
         assert type(batch.value) is ValueError and str(batch.value) == str(one.value)
         assert np.array_equal(good._memo["average"][0].mat, _fresh(good).average().mat)
         assert "average" not in off._memo and "average" not in later._memo
 
     def test_a_batch_raises_the_error_of_one_ensemble_at_a_time(self):
-        """The batch fails first on the second ensemble's average, which one
+        """The stacks fail first on the second ensemble's average, which one
         ensemble at a time checks only after the first ensemble's complement
         check has failed: the first ensemble's error is raised."""
         priors = (0.3, 0.7 + 0.99e-12)
@@ -297,7 +319,7 @@ class TestStackedChain:
         assert str(one.value).startswith("complement operator has eigenvalue -2.100e-06; ")
         second = _off_average(priors)
         with pytest.raises(mcm.ComplementCheckError) as batch:
-            mcm._first_stage([first, second])
+            seqchan._checked_stages([first, second], 2)
         assert type(batch.value) is mcm.ComplementCheckError and str(batch.value) == str(one.value)
         assert "mcm.stage" not in first._memo and "mcm.stage" not in second._memo
 
@@ -321,6 +343,14 @@ class TestChainErrorOrder:
         with pytest.raises(mcm.ComplementCheckError) as chain:
             seqchan.run_sequence(e, [_solves_nothing, _infeasible])
         assert str(chain.value) == str(one.value)
+
+    def test_a_failed_average_is_checked_once_per_stack_and_once_alone(self, eigensolves):
+        """Each party's ``sqrt(M_0)``, the stack of the three averages, which
+        fails, then party 1's average alone, which raises: no retry inside
+        the stacks."""
+        with pytest.raises(ValueError, match="density matrix trace"):
+            seqchan.run_sequence(_off_average(), [_solves_nothing, _solves_nothing])
+        assert eigensolves.stacks("eigh") == [1, 1, 3, 1]
 
     def test_a_failed_average_precedes_a_later_infeasible_party(self):
         with pytest.raises(ValueError, match="density matrix trace") as chain:

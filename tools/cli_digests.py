@@ -41,7 +41,9 @@ CSV, and a ``gu`` chain retargeted onto the equator, its default collapse;
 then a 16-party ``sequence`` of every family in JSON and CSV, the longest
 chains the benchmark runs; then a four-party generic chain in JSON and CSV
 on three qutrit states in a plane, one of them at prior 0, whose average
-has rank 2.
+has rank 2; then ``mcm`` and ``sequence`` on two qubit states that pass the
+density-matrix checks while their average fails the trace check (each
+exit 2).
 Every ``sweep`` prints long-format
 rows, one per party and quantity: the family's parameters, the rate, the
 party, the quantity and its closed-form, engine and residual values.
@@ -206,8 +208,21 @@ def _plane_ensemble(seed: int, priors: list[float]) -> dict:
 # three qutrit states in a plane, the second at prior 0: a rank-2 average
 PLANES = {"plane3.json": _plane_ensemble(17, [0.45, 0.0, 0.55])}
 
+_TRACE = 1.0 + 0.995e-10
+
+# two qubit states that pass validation at trace 1 + 0.995e-10, at priors
+# summing to 1 + 0.99e-12: their average's trace, 1 + 1.005e-10, fails it
+OFF_AVERAGE = {
+    "offaverage.json": {
+        "priors": [0.5, 0.5 + 0.99e-12],
+        "states": [{"dim": 2, "entries": [[float(m), 0.0] for m in np.diag(v).reshape(-1)]}
+                   for v in ([0.7 * _TRACE, 0.3 * _TRACE], [0.2 * _TRACE, 0.8 * _TRACE])],
+    },
+}
+
 # every file the corpus reads, by name
-FILES = {**ENSEMBLES, **NONFINITE, **INVALID, **PAIRS, **FACES, **GUESSES, **SUBSPACES, **PLANES}
+FILES = {**ENSEMBLES, **NONFINITE, **INVALID, **PAIRS, **FACES, **GUESSES, **SUBSPACES, **PLANES,
+         **OFF_AVERAGE}
 
 
 def _sequence(family: str, params: str | None, parties: int, fmt: str, *flags: str) -> list[str]:
@@ -350,6 +365,9 @@ def corpus() -> list[list[str]]:
     for fmt in ("json", "csv"):
         lines.append(["sequence", "--ensemble", "plane3.json", "--parties", "4", "--format", fmt,
                       "--eta0", "0.6,0.7,0.8,0.9"])
+    # states that pass their checks, whose average does not, each exit 2
+    lines += [["mcm", "--ensemble", "offaverage.json"],
+              ["sequence", "--ensemble", "offaverage.json", "--parties", "2", "--eta0", "0.5"]]
     return lines
 
 
