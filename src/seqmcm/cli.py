@@ -19,12 +19,14 @@ an ``--ensemble`` file whose states pass the density-matrix checks but
 whose average does not, or whose matrix ``dim`` is not an integer
 (``2.5``, ``Infinity``); a non-finite number: ``NaN`` or ``Infinity``
 among an ``--ensemble`` file's entries or priors, or ``nan`` or ``inf``
-given for a rate, gain, angle, grid value or threshold; and a ``gu`` or
-``lifted_gu`` chain of fewer than 3 states under ``sequence`` or
-``sweep``); 3 KKT check failure (also an SDP solve that stops short of
-its gap bound, and a maximum-confidence solution whose complement
-operator fails its positivity check); 4 infeasible strategy (message
-names the party).
+given for a rate, gain, angle, grid value or threshold; a ``gu`` or
+``lifted_gu`` chain of fewer than 3 states, or a ``lifted_gu`` one whose
+``cos theta`` rounds to 1, under ``sequence`` or ``sweep``; and ``family``
+on a ``mirror`` outside its closed form, ``theta`` below about 1.4e-6); 3
+KKT check failure (also an SDP solve that stops short of its gap bound,
+and a maximum-confidence solution whose complement operator fails its
+positivity check); 4 infeasible strategy (message names the party; also a
+``mirror`` chain whose state leaves the family).
 
 Each family is one row of :data:`FAMILIES`: how ``--params`` builds it and
 from which keys (any other key exits 2, as do a non-integral count ``n`` and
@@ -518,7 +520,11 @@ def cmd_family(args: argparse.Namespace) -> int:
     if args.family is None:
         raise CliError(EXIT_INPUT, "family needs --family")
     fam = _build_family(args.family, _parse_object(args.params, "--params"))
-    _emit(args.out, "family.json", qcore.json_text(fam.describe()))
+    try:
+        doc = fam.describe()
+    except qcore.FeasibilityError as exc:  # mirror: outside its closed form's range
+        raise CliError(EXIT_INPUT, f"bad parameters for family {args.family}: {exc}")
+    _emit(args.out, "family.json", qcore.json_text(doc))
     return EXIT_OK
 
 

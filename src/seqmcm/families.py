@@ -416,6 +416,8 @@ class LiftedGuFamily:
     def _require_sequential(self) -> None:
         if self.n < 3:
             raise ValueError("sequential closed forms require n >= 3")
+        if math.cos(self.theta) == 1.0:  # 1 - cos(theta) and Delta lose every digit
+            raise ValueError(f"sequential closed forms require cos(theta) < 1, got {self.theta!r}")
 
     def delta(self, eta0: float) -> float:
         """Per-step visibility contraction at inconclusive rate ``eta0``."""
@@ -575,9 +577,9 @@ class MirrorState:
     def __post_init__(self) -> None:
         for name, v in (("r1", self.r1), ("r2", self.r2)):
             if not (0.0 <= v <= 1.0 + 1e-12):
-                raise ValueError(f"{name} = {v!r} is not a Bloch radius")
+                raise FeasibilityError(f"{name} = {v!r} is not a Bloch radius")
         if not (1e-6 <= self.theta <= math.pi - 1e-6):
-            raise ValueError(
+            raise FeasibilityError(
                 f"theta must be in (0, pi) and away from the endpoints, got {self.theta!r}"
             )
 

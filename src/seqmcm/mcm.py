@@ -47,20 +47,20 @@ ensembles no strategy solved; :func:`mcm_povm`, :func:`verify_kkt`, the
 weight optimizer and the strategies that measure the optimal bases read
 the second.  Neither can go stale: an ensemble's fields are frozen and its
 state arrays read-only, and callers get a fresh dict of confidences or of
-frozen entries, never the stored one.  The orthonormal bases of the
-optimal subspaces and their projectors are kept the same way, read-only,
-so the weight optimizer, :func:`mcm_povm` and :func:`optimal_projectors`
-share one QR per label.  :func:`max_confidence` reads its label's entry
-from that one solution, so it raises :class:`SupportError` when any label
-of the ensemble leaks outside the support.
+frozen entries, never the stored one.  An entry's optimal subspace
+(:attr:`McmEntry.span`, :attr:`McmEntry.projector`) is computed on first
+read and kept read-only: its readers share one QR per label, and a party
+that reads only ``basis[0]`` pays none.  :func:`max_confidence` reads its
+label's entry from that one solution, so it raises :class:`SupportError`
+when any label of the ensemble leaks outside the support.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import types
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -128,6 +128,10 @@ class McmEntry:
         Complement weight ``C_x - q_x``.
     mu:
         Mixture weight ``q_x / C_x`` (0 when ``q_x = 0``).
+    span, projector:
+        Not fields: ``Q_x``, an orthonormal basis of ``basis`` (one QR), and
+        ``P_x = Q_x Q_x^dag``, read-only and computed on first read.  With
+        a zero prior there is no subspace, and either raises ValueError.
     """
 
     label: int
@@ -137,6 +141,17 @@ class McmEntry:
     sigma: DensityMatrix | None
     r: float
     mu: float
+
+    @functools.cached_property
+    def span(self) -> np.ndarray:
+        if not self.basis:
+            raise ValueError(f"label {self.label} has no optimal subspace (zero prior)")
+        qmat, _ = np.linalg.qr(np.stack(self.basis, axis=1))
+        return qcore._frozen(qmat)
+
+    @functools.cached_property
+    def projector(self) -> np.ndarray:
+        return qcore._frozen(self.span @ self.span.conj().T)
 
 
 def _first_stage(ensembles: Sequence[Ensemble]) -> list[tuple]:
@@ -240,11 +255,11 @@ def _solve(e: Ensemble) -> dict[int, McmEntry]:
     owner = np.repeat(np.arange(len(live)), degs)
     top = vecs[owner, :, np.concatenate([np.arange(n) for n in degs])]
     phis = (shaping @ top[:, :, None])[:, :, 0]
+    # |rho^(-1/2) v| >= 1 for a unit v in the support, so no norm is 0
     norms = np.array([float(np.linalg.norm(phi)) for phi in phis])
-    nonzero = norms > 0.0
-    unit = fix_phase(phis[nonzero] / norms[nonzero, None])
+    unit = fix_phase(phis / norms[:, None])
     unit.setflags(write=False)
-    bounds = np.searchsorted(owner[nonzero], np.arange(len(live) + 1))
+    bounds = np.searchsorted(owner, np.arange(len(live) + 1))
     for i, x in enumerate(live):
         ci = float(c[i])
         entries[x] = McmEntry(
@@ -282,30 +297,9 @@ def solve_mcm(e: Ensemble) -> dict[int, McmEntry]:
     return dict(e.cached("mcm.solution", lambda: _solve(e)))
 
 
-def _optimal_subspaces(e: Ensemble) -> Mapping[int, tuple[np.ndarray, np.ndarray]]:
-    """Label to ``(Q_x, P_x)``: an orthonormal basis of the label's optimal
-    subspace (one QR of its :attr:`McmEntry.basis`) and the projector
-    ``P_x = Q_x Q_x^dag``, both read-only.  Computed once per ensemble and
-    kept next to the :func:`solve_mcm` solution; zero-prior labels are
-    omitted."""
-
-    def compute() -> Mapping[int, tuple[np.ndarray, np.ndarray]]:
-        subspaces = {}
-        for x, entry in solve_mcm(e).items():
-            if entry.basis:
-                qmat, _ = np.linalg.qr(np.stack(entry.basis, axis=1))
-                subspaces[x] = (qcore._frozen(qmat), qcore._frozen(qmat @ qmat.conj().T))
-        return types.MappingProxyType(subspaces)
-
-    return e.cached("mcm.subspaces", compute)
-
-
 def optimal_projectors(e: Ensemble) -> dict[int, np.ndarray]:
-    """Orthogonal projectors onto each label's optimal subspace, read-only
-    and computed once per ensemble.
-
-    Labels whose optimal basis is empty (zero prior) are omitted."""
-    return {x: p for x, (_, p) in _optimal_subspaces(e).items()}
+    """Each label's :attr:`McmEntry.projector`; zero-prior labels are omitted."""
+    return {x: entry.projector for x, entry in solve_mcm(e).items() if entry.basis}
 
 
 def mcm_povm(e: Ensemble, weights: dict[int, float]) -> Povm:

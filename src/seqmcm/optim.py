@@ -494,9 +494,8 @@ def _qubit_weights(mats: np.ndarray, c: np.ndarray, rho: np.ndarray) -> np.ndarr
 
 
 def _min_inconclusive_rate(e: Ensemble) -> WeightSolution:
-    subspaces = _mcm._optimal_subspaces(e)
-    labels = list(subspaces)
-    mats = np.stack([p for _, p in subspaces.values()])
+    entries = [entry for entry in _mcm.solve_mcm(e).values() if entry.basis]
+    mats = np.stack([entry.projector for entry in entries])
     n, dim = mats.shape[:2]
     rho = e.average().mat
     c = np.real(np.einsum("ij,xji->x", rho, mats))
@@ -506,7 +505,7 @@ def _min_inconclusive_rate(e: Ensemble) -> WeightSolution:
     elif dim == 2 and n <= QUBIT_LABELS:
         a = _qubit_weights(mats, c, rho)
     elif n == 2:
-        a = _pair_weights([q for q, _ in subspaces.values()], c)
+        a = _pair_weights([entry.span for entry in entries], c)
     if a is None:
         # one block diag(1 - sum_x a_x P_x, a_1, ..., a_N)
         f0 = np.zeros((1, dim + n, dim + n), dtype=complex)
@@ -520,7 +519,7 @@ def _min_inconclusive_rate(e: Ensemble) -> WeightSolution:
 
     slack = np.eye(dim) - np.tensordot(a, mats, axes=1)
     margin = float(np.linalg.eigvalsh(0.5 * (slack + slack.conj().T))[0])
-    weights = types.MappingProxyType({x: float(w) for x, w in zip(labels, a)})
+    weights = types.MappingProxyType({entry.label: float(w) for entry, w in zip(entries, a)})
     return WeightSolution(weights=weights, eta0=1.0 - float(c @ a), psd_margin=margin)
 
 

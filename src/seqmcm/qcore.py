@@ -470,17 +470,15 @@ class Ensemble:
         return self.priors[label - 1]
 
     def cached(self, key: str, compute: Callable[[], _T]) -> _T:
-        """``compute()``, evaluated once per ensemble and ``key``.
+        """``compute()`` once per ensemble and ``key``: a batch of one of
+        :func:`_cached_batch`.
 
         The fields are frozen and the state arrays read-only, so a value
         derived from them can never go stale.  Store only values that the
         receiver cannot mutate, or hand out copies.  Threads racing on a
         first call may each compute the value; all of them get an equal one.
         """
-        memo = self._memo
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
+        return _cached_batch([self], key, lambda _: [compute()])[0]
 
     def average(self) -> DensityMatrix:
         """The prior-weighted average state ``sum_x q_x rho_x``: the batch of

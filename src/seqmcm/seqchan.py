@@ -288,14 +288,12 @@ def mcm_plan(
 ) -> PartyPlan:
     """The party measuring each label's whole optimal subspace at the given
     weight, ``M_x = w_x P_x``, with the Lüders map ``K_x = sqrt(w_x) P_x``
-    (:func:`projector_plan`).  A one-vector subspace is passed as
-    :func:`seqmcm.mcm.solve_mcm`'s ``basis[0]``; a larger one as the
-    orthonormal ``Q_x`` of its QR, since those basis vectors need not be
-    orthogonal."""
-    entries, subspaces = _mcm.solve_mcm(e), _mcm._optimal_subspaces(e)
-    bases = {
-        x: entries[x].basis[0] if len(entries[x].basis) == 1 else subspaces[x][0] for x in weights
-    }
+    (:func:`projector_plan`).  A one-vector subspace is passed as its
+    :class:`seqmcm.mcm.McmEntry`'s ``basis[0]``, a larger one as its
+    orthonormal ``span``, since those basis vectors need not be orthogonal."""
+    entries = _mcm.solve_mcm(e)
+    bases = {x: entries[x].basis[0] if len(entries[x].basis) == 1 else entries[x].span
+             for x in weights}
     return projector_plan(weights, bases, extras=extras)
 
 
@@ -480,8 +478,9 @@ def _checked_stages(chain: Sequence[Ensemble], parties: int) -> list[tuple]:
     each party's average, support and complement checks, then the next
     ensemble's average (its disturbance reads it).  The checks run as two
     stacks, the averages of ``chain`` and the first stages; if either
-    fails, they run again one party at a time in that order, and the
-    stack's error is raised only if none of theirs is.  Nothing is checked
+    fails, the parties' checks run again one at a time in that order, and
+    the stack's error (the one-ensemble error of the ensemble after the
+    last party) is raised only if none of theirs is.  Nothing is checked
     without a party."""
     if not parties:
         return []
@@ -491,8 +490,6 @@ def _checked_stages(chain: Sequence[Ensemble], parties: int) -> list[tuple]:
     except (ValueError, ArithmeticError):
         for e in chain[:parties]:
             _mcm._first_stage([e])
-        for e in chain[parties:]:
-            e.average()
         raise
 
 

@@ -297,6 +297,52 @@ def test_mirror_chain_leaving_its_pattern_exits_4(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["sequence", "--params", '{"n": 3, "theta": 1e-9}', "--parties", "2",
+                      "--eta0", "1"], id="sequence"),
+        pytest.param(["sweep", "--params", '{"theta": 1e-9}', "--eta0", "1"], id="sweep"),
+        pytest.param(["sweep", "--params", '{"theta": 1e-9}'], id="sweep-default-rate"),
+    ],
+)
+def test_lifted_gu_chain_where_cos_theta_rounds_to_1_exits_2(argv, capsys):
+    """At theta = 1e-9, 1 - cos(theta) is 0.0: the chain's closed forms do
+    not exist in floats, while the family's static values do."""
+    argv = [argv[0], "--family", "lifted_gu", *argv[1:]]
+    err = ("error: bad parameters for family lifted_gu: sequential closed forms require "
+           "cos(theta) < 1, got 1e-09\n")
+    assert run(capsys, argv) == (cli.EXIT_INPUT, "", err)
+    for command in ("mcm", "family"):
+        assert run(capsys, [command, *argv[1:5]])[0] == cli.EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "flags, party, reason",
+    [
+        pytest.param(["--parties", "3", "--eta0", "0", "--retarget-angle", "0"], 2,
+                     "theta must be in (0, pi) and away from the endpoints, got 0.0",
+                     id="collapsed-labels"),
+        pytest.param(["--params", '{"theta": 3.14159}', "--parties", "4", "--eta0", "0.5"], 3,
+                     "theta must be in (0, pi) and away from the endpoints, got 3.141591990192345",
+                     id="drift-past-pi"),
+    ],
+)
+def test_mirror_chain_leaving_the_family_exits_4(flags, party, reason, capsys):
+    """A received state outside the mirror description is infeasible for
+    the party that receives it."""
+    argv = ["sequence", "--family", "mirror", *flags]
+    err = f"error: infeasible: party {party}: {reason}\n"
+    assert run(capsys, argv) == (cli.EXIT_INFEASIBLE, "", err)
+
+
+def test_mirror_family_outside_its_closed_form_exits_2(capsys):
+    argv = ["family", "--family", "mirror", "--params", '{"theta": 1e-6}']
+    err = ("error: bad parameters for family mirror: label 1's projector leaves the +X axis "
+           "when r1 <= r2 cos theta; this configuration is outside the mirror chain analysis\n")
+    assert run(capsys, argv) == (cli.EXIT_INPUT, "", err)
+
+
+@pytest.mark.parametrize(
     "source, flag",
     [
         pytest.param(["--family", "two_mixed"], "--eta0", id="two_mixed-eta0"),

@@ -280,6 +280,62 @@ class TestOptimalBasis:
         assert projs[1] is optimal_projectors(e)[1] and not projs[1].flags.writeable
 
 
+class TestOptimalSubspace:
+    """Each entry's ``span`` and ``projector``: the optimal subspace, read
+    once and kept read-only."""
+
+    def test_live_degeneracy_is_the_basis_size(self):
+        """Every top eigenvector of a live label maps back to a unit vector,
+        so no basis vector is dropped."""
+        rng = np.random.default_rng(26)
+        for dim in range(2, 9):
+            for n in range(2, 7):
+                for pure in (False, True):
+                    e = random_ensemble(rng, dim, n, pure=pure)
+                    for entry in solve_mcm(e).values():
+                        assert entry.degeneracy == len(entry.basis) >= 1
+
+    @pytest.mark.parametrize(
+        "e, rank",
+        [
+            pytest.param(trine_ensemble(), 1, id="trine"),
+            pytest.param(
+                Ensemble(priors=(0.5, 0.5), states=(np.eye(2) / 2, np.eye(2) / 2)), 2, id="pair"
+            ),
+            pytest.param(
+                Ensemble(priors=(0.5, 0.5),
+                         states=(np.diag([0.5, 0.5, 0.0]), np.diag([0.0, 0.0, 1.0]))),
+                2,
+                id="qutrit",
+            ),
+        ],
+    )
+    def test_span_is_an_orthonormal_basis_of_the_optimal_vectors(self, e, rank):
+        entry = solve_mcm(e)[1]
+        span, basis = entry.span, np.stack(entry.basis, axis=1)
+        assert span.shape == (e.dim, rank) == basis.shape
+        np.testing.assert_allclose(span.conj().T @ span, np.eye(rank), atol=1e-12)
+        np.testing.assert_allclose(span @ span.conj().T @ basis, basis, atol=1e-12)
+        np.testing.assert_allclose(entry.projector, span @ span.conj().T, atol=1e-15)
+
+    def test_span_and_projector_are_read_only_and_kept(self):
+        e = random_ensemble(np.random.default_rng(27), 3, 3)
+        entry = solve_mcm(e)[2]
+        for name in ("span", "projector"):
+            value = getattr(entry, name)
+            assert not value.flags.writeable and getattr(entry, name) is value
+            with pytest.raises(AttributeError):  # the entry is frozen
+                setattr(entry, name, value)
+        assert optimal_projectors(e)[2] is entry.projector is solve_mcm(e)[2].projector
+
+    def test_zero_prior_label_has_no_span(self):
+        e = Ensemble(priors=(1.0, 0.0), states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        entry = solve_mcm(e)[2]
+        for name in ("span", "projector"):
+            with pytest.raises(ValueError, match="^label 2 has no optimal subspace"):
+                getattr(entry, name)
+
+
 class TestDegeneracy:
     def test_identical_mixed_pair_degenerate(self):
         e = Ensemble(priors=(0.5, 0.5), states=(np.eye(2) / 2, np.eye(2) / 2))

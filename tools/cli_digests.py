@@ -48,7 +48,10 @@ exit 2); then ``mcm`` on a qutrit pair whose solution fails the KKT report
 states in dimension 5, whose guessing probability no solver here takes
 (exit 0, ``"guessing": null``); ``family`` on ``two_mixed`` at angles whose
 cosine rounds to 1 and to -1 (exit 0); and ``mcm`` on ensemble files whose
-``dim`` is 2.5 or ``Infinity`` (each exit 2).
+``dim`` is 2.5 or ``Infinity`` (each exit 2); then a ``lifted_gu``
+``sequence`` and ``sweep`` at a ``theta`` whose cosine rounds to 1 (each exit
+2), two ``mirror`` chains whose state leaves the family (each exit 4), and
+``family`` on a ``mirror`` outside its closed form (exit 2).
 Every ``sweep`` prints long-format
 rows, one per party and quantity: the family's parameters, the rate, the
 party, the quantity and its closed-form, engine and residual values.
@@ -392,6 +395,16 @@ def corpus() -> list[list[str]]:
     lines += [["family", "--family", "two_mixed", "--params", json.dumps({"theta": theta})]
               for theta in (1e-9, 3.14159265358)]
     lines += [["mcm", "--ensemble", name] for name in ("dim_fraction.json", "dim_infinity.json")]
+    # a lifted_gu chain where cos(theta) rounds to 1 (exit 2), mirror chains whose
+    # state leaves the family (exit 4), and mirror outside its closed form (exit 2)
+    lines += [["sequence", "--family", "lifted_gu", "--params", '{"n": 3, "theta": 1e-9}',
+               "--parties", "2", "--eta0", "1"],
+              ["sweep", "--family", "lifted_gu", "--params", '{"theta": 1e-9}', "--eta0", "1"],
+              ["sequence", "--family", "mirror", "--parties", "3", "--eta0", "0",
+               "--retarget-angle", "0"],
+              ["sequence", "--family", "mirror", "--params", '{"theta": 3.14159}', "--parties",
+               "4", "--eta0", "0.5"],
+              ["family", "--family", "mirror", "--params", '{"theta": 1e-6}']]
     return lines
 
 
