@@ -12,6 +12,10 @@ Subcommands::
 file.json`` or from ``--family NAME --params JSON``; ``sweep`` and
 ``family`` take a family only.  Family parameters are radians; a string
 value with a ``deg`` suffix (``{"theta": "120deg"}``) is converted.
+``mcm``'s ``"guessing"`` holds the guessing probability and min-entropy;
+it is ``null`` only for three or more states in dimension 5 or more, or
+more than six in dimension 3 or 4, which no solver here takes (qubits of
+any count and two states of any dimension are solved).
 
 Exit codes: 0 success; 1 verification failure; 2 malformed input (also a
 state outside the support of the ensemble average, message names the label;

@@ -14,11 +14,12 @@ solve that stops short of the gap bound raises :class:`ConvergenceError`.
    ``P_x`` of a maximum-confidence measurement, choose weights
    ``a_x >= 0`` with ``1 - sum_x a_x P_x >= 0`` minimizing the
    inconclusive probability ``eta_0 = 1 - sum_x a_x tr[rho P_x]``.
-   A qubit problem (up to :data:`QUBIT_LABELS` labels) is solved exactly
-   through its dual, with no Newton step and a certificate on every
-   solve: the dual has four real unknowns, its optimum is fixed by at most
-   four active constraints, and every candidate set is enumerated in a few
-   batches (:func:`_qubit_weights`).  Above qubits, one or two labels with
+   A qubit problem of any size is solved exactly through its dual, with
+   no Newton step and a certificate on every solve: the dual has four real
+   unknowns and its optimum is fixed by at most four active constraints,
+   so the candidates of a small working set of labels, grown one violated
+   label at a time, are enumerated in a few batches (:func:`_working_set`,
+   :func:`_qubit_weights`).  Above qubits, one or two labels with
    a nonempty optimal subspace are solved exactly in closed form (Jordan's
    lemma reduces the constraint to one inequality in the two weights;
    :func:`_pair_weights`), unless the two subspaces share a direction.
@@ -31,13 +32,14 @@ solve that stops short of the gap bound raises :class:`ConvergenceError`.
    ``Y >= q_x rho_x`` (the dual of Eldar, Megretski & Verghese, IEEE TIT
    49, 2003).  For qubits the dual is the smallest weighted enclosing ball
    of the states' Bloch points (Bae & Hwang, PRA 87, 012334, 2013), solved
-   exactly with no Newton step: its centre is fixed by at most four
-   points, every candidate set is enumerated in a few batches, and a
-   measurement of the same value certifies every solve
-   (:func:`_qubit_guessing`).  For ``d = 3, 4`` the barrier core runs over
-   the ``d**2`` real coordinates of ``Y`` with one ``d x d`` block per
-   state.  Either ``Y`` is then shifted to exact feasibility, so the
-   reported value is a true upper bound, within the gap of the optimum.
+   exactly for any number of states with no Newton step: its centre is
+   fixed by at most four points, so it is found through the same working
+   set, and a measurement of the same value certifies every solve
+   (:func:`_qubit_guessing`).  For ``d = 3, 4`` and ``N <= 6`` the barrier
+   core runs over the ``d**2`` real coordinates of ``Y`` with one
+   ``d x d`` block per state.  Either ``Y`` is then shifted to exact
+   feasibility, so the reported value is a true upper bound, within the
+   gap of the optimum.
 
 Every solver here is deterministic and carries no seed.
 """
@@ -50,7 +52,7 @@ import itertools
 import math
 import types
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -77,9 +79,9 @@ class WeightSolution:
 
     ``eta0`` is the inconclusive rate ``tr[rho M_0]`` and ``psd_margin``
     the smallest eigenvalue of ``M_0``.  Weights solved exactly (every
-    qubit problem of up to :data:`QUBIT_LABELS` labels; one or two labels
-    above qubits) are the optimum itself: ``M_0`` is singular or zero, and
-    ``psd_margin`` sits at rounding level, of either sign (about 1e-16).
+    qubit problem; one or two labels above qubits) are the optimum itself:
+    ``M_0`` is singular or zero, and ``psd_margin`` sits at rounding level,
+    of either sign (about 1e-16).
     On a degenerate optimal face, exact qubit weights are the face's exact
     analytic center.  Otherwise (``d >= 3``) they are a barrier iterate,
     strictly inside the feasible set, ``eta0`` lies within the gap bound
@@ -200,10 +202,10 @@ def min_inconclusive_rate(e: Ensemble) -> WeightSolution:
     subspace, read once per ensemble from its :func:`seqmcm.mcm.solve_mcm`
     solution.  When one label has such a subspace its weight is 1.
 
-    A qubit problem of up to :data:`QUBIT_LABELS` labels is solved exactly
-    through its dual (:func:`_qubit_weights`): no Newton step is taken, and
-    every answer is certified (dual-feasible ``z``, feasible weights, and a
-    gap of at most :data:`GAP_TOL`) or :class:`ConvergenceError` is raised.
+    A qubit problem of any number of labels is solved exactly through its
+    dual (:func:`_qubit_weights`): no Newton step is taken, and every
+    answer is certified (dual-feasible ``z``, feasible weights, and a gap
+    of at most :data:`GAP_TOL`) or :class:`ConvergenceError` is raised.
     Where the optimal face is degenerate (identical states; five or more
     states whose optimal projectors admit a complete POVM), the weights
     are the face's exact analytic center, so symmetric faces keep
@@ -264,11 +266,6 @@ def _pair_weights(bases: list[np.ndarray], c: np.ndarray) -> np.ndarray | None:
 # qubit weights, exact through the dual
 # ---------------------------------------------------------------------------
 
-QUBIT_LABELS = 12
-"""Qubit problems with at most this many labels are solved through the
-dual.  Its candidate sets grow as ``N**3`` and a degenerate face's vertex
-sets as ``N**4``; from about 16 labels on, the barrier core is as fast."""
-
 FACE_TOL = 1e-9
 """A qubit dual constraint whose slack at the optimum is below this,
 relative to the optimum, may carry weight (:func:`_qubit_weights`)."""
@@ -287,6 +284,40 @@ def _subsets(n: int, k: int) -> np.ndarray:
     subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
     subsets.setflags(write=False)
     return subsets
+
+
+def _next_subsets(subsets: Iterator[tuple[int, ...]], k: int) -> np.ndarray:
+    """The next ``2**15`` (or fewer, at the end) ``k``-subsets from the
+    iterator ``subsets``, one per row."""
+    batch = itertools.chain.from_iterable(itertools.islice(subsets, 1 << 15))
+    return np.fromiter(batch, dtype=np.intp).reshape(-1, k)
+
+
+def _working_set(
+    solve: Callable[[np.ndarray], tuple[np.ndarray, float]],
+    values: Callable[[np.ndarray], np.ndarray],
+    start: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The point ``y`` minimising ``max_x f_x(y)`` over every label, and each
+    label's ``f_x(y)`` there.
+
+    Both qubit duals are LP-type problems (Matousek, Sharir & Welzl,
+    Algorithmica 16, 1996): the optimum is fixed by at most four labels.
+    ``solve(ws)`` returns the exact optimum ``(y, value)`` of the labels
+    ``ws`` alone, and ``values(y)`` every label's ``f_x(y)``.  Starting from
+    the labels ``start``, the loop stops once no label exceeds the working
+    set's value at its optimum, which is then the whole problem's, and
+    otherwise adds the worst label and solves again.  ``ws`` is kept sorted,
+    so its rows stay in label order.  A worst label already in ``ws`` (a
+    rounding tie) ends the loop too, so it makes at most ``N`` rounds."""
+    ws = np.sort(start)
+    while True:
+        y, value = solve(ws)
+        f = values(y)
+        worst = int(np.argmax(f))
+        if f[worst] <= value or worst in ws:
+            return y, f
+        ws = np.sort(np.append(ws, worst))
 
 
 def _inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -366,31 +397,50 @@ def _face_centre(cols: np.ndarray, target: np.ndarray, c: np.ndarray) -> np.ndar
     of a qubit problem, where the face has more than one point or its
     columns are nearly dependent.
 
-    Every vertex is enumerated in one batch, one square system per subset
-    of ``rank`` columns.  Where ``cols`` has fewer independent columns than
-    rows (singular values below ``1e-7`` of the largest count as zero, so
-    nearly parallel projectors share a face), the systems are taken in its
-    column space.  The feasible vertices within ``1e-3`` :data:`GAP_TOL` of
-    the best objective (``c`` weights the label columns, which come first)
-    span the face, and their mean is interior to it.  Damped Newton steps on
-    the face's free coordinates (the null space of the columns in use) then
+    Every vertex is enumerated, one square system per subset of ``rank``
+    columns.  Where ``cols`` has fewer independent columns than rows
+    (singular values below ``1e-7`` of the largest count as zero, so nearly
+    parallel projectors share a face), the systems are taken in its column
+    space.  The feasible vertices within ``1e-3`` :data:`GAP_TOL` of the
+    best objective (``c`` weights the label columns, which come first) span
+    the face, and their mean is interior to it.  Damped Newton steps on the
+    face's free coordinates (the null space of the columns in use) then
     maximise ``sum log w``; none is taken where the gradient is already at
-    rounding level, so a symmetric face keeps its symmetric mean."""
+    rounding level, so a symmetric face keeps its symmetric mean.
+
+    A wide face has ``C(N + 1, rank)`` vertex systems for ``N`` active
+    labels, about ``N**3`` where the Bloch vectors lie in a plane
+    (``gu(n)``) and ``N**4`` where they span space.  They are solved in
+    batches of ``2**15``, keeping only the running best objective and the
+    sum, count and support of the vertices near it, so memory stays bounded;
+    a vertex kept before the best rose by less than the window stays in the
+    mean.  Up to ``2**15`` systems, one batch gives the mean of exactly the
+    vertices near the best."""
     left, sing, _ = np.linalg.svd(cols, full_matrices=False)
     rank = int((sing > 1e-7 * sing[0]).sum())
     if rank < len(cols):
         cols, target = left[:, :rank].T @ cols, left[:, :rank].T @ target
-    idx = _subsets(cols.shape[1], rank)
-    kept, inv = _inverses(np.swapaxes(cols[:, idx], 0, 1))
-    points = np.zeros((len(inv), cols.shape[1]))
-    np.put_along_axis(points, idx[kept], inv @ target, axis=1)
-    points = points[points.min(axis=1, initial=0.0) >= -GAP_TOL]
-    value = points[:, : c.size] @ c
-    face = np.maximum(points[value >= value.max(initial=0.0) - 1e-3 * GAP_TOL], 0.0)
-    if not len(face):
+    window, best, count = 1e-3 * GAP_TOL, 0.0, 0
+    total, used = np.zeros(cols.shape[1]), np.zeros(cols.shape[1], dtype=bool)
+    subsets = itertools.combinations(range(cols.shape[1]), rank)
+    while len(idx := _next_subsets(subsets, rank)):
+        kept, inv = _inverses(np.swapaxes(cols[:, idx], 0, 1))
+        sol = inv @ target
+        feasible = sol.min(axis=1) >= -GAP_TOL
+        points = np.zeros((int(feasible.sum()), cols.shape[1]))
+        np.put_along_axis(points, idx[kept][feasible], sol[feasible], axis=1)
+        value = points[:, : c.size] @ c
+        top = float(value.max(initial=0.0))
+        if top - window > best:  # every vertex kept so far is off the face
+            count, total[:], used[:] = 0, 0.0, False
+        best = max(best, top)
+        face = np.maximum(points[value >= best - window], 0.0)
+        count += len(face)
+        total += face.sum(axis=0)
+        used |= face.max(axis=0, initial=0.0) > 0.0
+    if not count:
         raise ConvergenceError("qubit dual: no vertex of the optimal face is feasible")
-    w = face.mean(axis=0)
-    used = face.max(axis=0) > 0.0
+    w = total / count
     _, sing, vt = np.linalg.svd(cols[:, used])
     free = vt[int((sing > 1e-12 * sing[0]).sum()) :].T
     x = w[used]
@@ -438,9 +488,12 @@ def _qubit_weights(mats: np.ndarray, c: np.ndarray, rho: np.ndarray) -> np.ndarr
     Where a complete POVM exists (``eta0 = 0``) the average state itself,
     ``Z = rho``, is optimal: it is feasible with every constraint active.
     Otherwise ``M_0 != 0`` makes the optimal ``Z`` singular, on the cone,
-    with ``r`` more active constraints (:func:`_cone_candidates`).  The
-    candidate of least ``f`` is the optimum; ``f`` makes every candidate
-    feasible, so no tolerance decides which.
+    with ``r`` more active constraints (:func:`_cone_candidates`).  A
+    working set of labels, from the two of largest ``c_x / tr P_x``, is
+    solved by these candidates alone and grown by the label of largest
+    ``f`` until none exceeds its value (:func:`_working_set`).  The
+    candidate of least ``f`` on the set is its optimum; ``f`` makes every
+    candidate feasible, so no tolerance decides which.
 
     The weights follow by complementary slackness: ``w >= 0`` on the
     constraints active at the optimum (slack below :data:`FACE_TOL`), where
@@ -463,13 +516,20 @@ def _qubit_weights(mats: np.ndarray, c: np.ndarray, rho: np.ndarray) -> np.ndarr
     rows = np.concatenate([np.rint(coords[:, :1]), coords[:, 1:] @ span.T], axis=1)
     tr, b = rows[:, 0], rows[:, 1:]
     z_rho = 0.5 * (np.einsum("ij,kji->k", rho, _PAULI[1:]).real @ span.T)
-    z_all = np.concatenate([z_rho[None], _cone_candidates(rows, c)])
-    z0_all = np.maximum(
-        np.sqrt(np.einsum("sk,sk->s", z_all, z_all)), ((c - z_all @ b.T) / tr).max(axis=1)
-    )
-    best = int(np.argmin(z0_all))
-    z, z0 = z_all[best], float(z0_all[best])
+
+    def solve(ws: np.ndarray) -> tuple[np.ndarray, float]:
+        z_all = np.concatenate([z_rho[None], _cone_candidates(rows[ws], c[ws])])
+        z0_all = np.maximum(
+            np.sqrt(np.einsum("sk,sk->s", z_all, z_all)),
+            ((c[ws] - z_all @ b[ws].T) / tr[ws]).max(axis=1),
+        )
+        best = int(np.argmin(z0_all))
+        return z_all[best], float(z0_all[best])
+
+    start = np.argsort(-c / tr, kind="stable")[:2]
+    z, least = _working_set(solve, lambda z: (c - z @ b.T) / tr, start)
     radius = math.sqrt(float(z @ z))
+    z0 = max(radius, float(least.max()))
 
     slack = z0 * tr + b @ z - c
     active = np.flatnonzero(slack <= FACE_TOL * z0)
@@ -502,7 +562,7 @@ def _min_inconclusive_rate(e: Ensemble) -> WeightSolution:
     a = None
     if n == 1:
         a = np.ones(1)
-    elif dim == 2 and n <= QUBIT_LABELS:
+    elif dim == 2:
         a = _qubit_weights(mats, c, rho)
     elif n == 2:
         a = _pair_weights([entry.span for entry in entries], c)
@@ -624,9 +684,12 @@ def _qubit_guessing(weighted: np.ndarray) -> np.ndarray:
     ``f(y) = max_x (s_x + |y - p_x|)``: the smallest weighted enclosing ball
     of the points ``p_x`` (Bae & Hwang, PRA 87, 012334, 2013).  Its centre is
     a point ``p_x`` itself or is at equal weighted distance from ``2 .. r + 1``
-    points, in their affine hull (:func:`_ball_candidates`).  The candidate
-    of least ``f`` is the optimum; ``f`` makes every candidate feasible, so
-    no tolerance decides which.
+    points, in their affine hull (:func:`_ball_candidates`).  A working set
+    of labels, from the two of largest ``s_x``, is solved by these
+    candidates alone and grown by the label of largest ``f`` until none
+    exceeds its value (:func:`_working_set`).  The candidate of least
+    ``f`` on the set is its optimum; ``f`` makes every candidate feasible,
+    so no tolerance decides which.
 
     The certificate is a measurement of the same value.  Where the centre
     lies on the likeliest label's own point, or within :data:`GAP_TOL` of
@@ -652,17 +715,25 @@ def _qubit_guessing(weighted: np.ndarray) -> np.ndarray:
     s, p = coords[:, 0], coords[:, 1:]
     _, sing, vt = np.linalg.svd(p - p[0])
     span = vt[: int((sing > 1e-12).sum())]  # orthonormal basis of the affine hull's directions
-    points = _ball_candidates(s, p, len(span))
-    offsets = points[:, None] - p
-    f_all = (s + np.sqrt(np.einsum("cxk,cxk->cx", offsets, offsets))).max(axis=1)
-    best = int(np.argmin(f_all))
-    y, radius = points[best], float(f_all[best])
+
+    def solve(ws: np.ndarray) -> tuple[np.ndarray, float]:
+        points = _ball_candidates(s[ws], p[ws], len(span))
+        offsets = points[:, None] - p[ws]
+        f_all = (s[ws] + np.sqrt(np.einsum("cxk,cxk->cx", offsets, offsets))).max(axis=1)
+        best = int(np.argmin(f_all))
+        return points[best], float(f_all[best])
+
+    def distances(y: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.einsum("xk,xk->x", y - p, y - p))
+
+    y, f = _working_set(solve, lambda y: s + distances(y), np.argsort(-s, kind="stable")[:2])
+    radius = float(f.max())
     ymat = np.einsum("k,kij->ij", np.concatenate([[radius], y]), _PAULI)
 
     top = int(np.argmax(s))
     if 2.0 * (radius - s[top]) <= GAP_TOL:  # always guessing label top is optimal
         return ymat
-    dist = np.sqrt(np.einsum("xk,xk->x", y - p, y - p))
+    dist = distances(y)
     # a label may carry weight where its slack costs at most GAP_TOL in all
     active = np.flatnonzero((radius - s - dist <= 0.5 * GAP_TOL) & (dist > 0.0))
     v = (y - p[active]) / dist[active, None]
@@ -697,12 +768,13 @@ def min_error_guessing(e: Ensemble) -> float:
 
     One and two states, of any dimension, short-circuit to the exact
     values: 1, and ``(1 + || q_1 rho_1 - q_2 rho_2 ||_1) / 2`` (trace norm
-    without the 1/2 factor, so an orthogonal pair gives exactly 1).  The
-    SDP is sized for ``dim <= 4`` and ``N <= 6``; anything larger raises
-    :class:`UnsupportedScaleError`.  Qubit states are solved exactly
+    without the 1/2 factor, so an orthogonal pair gives exactly 1).  Qubit
+    states, any number of them, are solved exactly
     (:func:`_qubit_guessing`): no Newton step is taken, and every answer is
     certified by a measurement within :data:`GAP_TOL` of it or
-    :class:`ConvergenceError` is raised.  Otherwise (``d = 3, 4``) the barrier
+    :class:`ConvergenceError` is raised.  Above qubits the SDP is sized for
+    ``dim <= 4`` and ``N <= 6``; anything larger raises
+    :class:`UnsupportedScaleError`.  Otherwise (``d = 3, 4``) the barrier
     core solves the dual over the ``d**2`` real coordinates of ``Y``, with
     one ``d x d`` block ``Y - q_x rho_x`` per state, to a duality gap below
     :data:`GAP_TOL`.  A final shift by the largest remaining violation
@@ -713,9 +785,9 @@ def min_error_guessing(e: Ensemble) -> float:
         return 1.0
     if e.n == 2:
         return 0.5 * (1.0 + trace_norm(e.prior(1) * e.state(1).mat - e.prior(2) * e.state(2).mat))
-    if e.dim > 4 or e.n > 6:
+    if e.dim > 4 or (e.dim > 2 and e.n > 6):
         raise UnsupportedScaleError(
-            f"min_error_guessing handles dim <= 4 and N <= 6, "
+            f"min_error_guessing handles qubits, and dim 3 or 4 with N <= 6, "
             f"got dim={e.dim}, N={e.n}"
         )
     weighted = np.stack([q * s.mat for q, s in zip(e.priors, e.states)])

@@ -240,16 +240,18 @@ class TestMinInconclusiveRate:
         assert dict(sol.weights) == {1: 1.0} and sol.eta0 == 0.0
 
 
-def _barrier_solution(e: Ensemble, monkeypatch) -> optim.WeightSolution:
+def _barrier_solution(e: Ensemble, monkeypatch, gap: float = 1e-13) -> optim.WeightSolution:
     """The weights the barrier core finds for ``e``, on a fresh copy (the
     ensemble caches its own solution) with both exact solvers switched off.
-    Its gap bound (1e-13) and ridge (1e-15) are a hundred times tighter than
-    the defaults, so that on a degenerate face its weights come within
-    1e-7 of the face's analytic center."""
+    Its gap bound ``gap`` defaults to 1e-13, a hundred times tighter than
+    :data:`optim.GAP_TOL`, and its ridge is 1e-15, so that on a degenerate
+    face its weights come within 1e-7 of the face's analytic center.  A
+    caller may pass ``optim.GAP_TOL`` where the barrier core stalls before
+    1e-13 (the 42-row block of a 40-label problem)."""
     with monkeypatch.context() as patch:
         patch.setattr(optim, "_qubit_weights", lambda mats, c, rho: None)
         patch.setattr(optim, "_pair_weights", lambda bases, c: None)
-        patch.setattr(optim, "GAP_TOL", 1e-13)
+        patch.setattr(optim, "GAP_TOL", gap)
         patch.setattr(optim, "RIDGE", 1e-15)
         return min_inconclusive_rate(Ensemble(priors=e.priors, states=e.states))
 
@@ -602,12 +604,14 @@ class TestMinErrorGuessing:
         assert abs(min_error_guessing(e) - want) < 1e-12
 
     def test_scale_guard(self):
+        """Qubits of any N are solved; a qutrit of N = 7 and any d = 5
+        problem are refused."""
         rng = np.random.default_rng(82)
-        big_n = random_ensemble(rng, 2, 7)
-        with pytest.raises(UnsupportedScaleError):
+        big_n = random_ensemble(rng, 3, 7)
+        with pytest.raises(UnsupportedScaleError, match="dim=3, N=7"):
             min_error_guessing(big_n)
         big_d = random_ensemble(rng, 5, 3)
-        with pytest.raises(UnsupportedScaleError):
+        with pytest.raises(UnsupportedScaleError, match="dim=5, N=3"):
             min_error_guessing(big_d)
 
 
@@ -723,3 +727,94 @@ class TestExactQubitGuessing:
         ]:
             with pytest.raises(optim.ConvergenceError):
                 min_error_guessing(e)
+
+
+def _pure_bloch(theta: float, phi: float) -> np.ndarray:
+    return _projector([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)])
+
+
+class TestUncappedQubits:
+    """Both qubit duals grow a working set one violated label at a time, so
+    a qubit problem of any N is solved exactly, with no Newton step, and
+    certified over all N labels."""
+
+    @pytest.mark.parametrize("n", [7, 13, 20, 40])
+    def test_draws_match_the_barrier(self, n, monkeypatch, solver_calls):
+        """Seeded mixed and pure draws: eta0 and P_guess are never above
+        the forced barrier's, and at most GAP_TOL below.  At N = 40 the
+        weight barrier runs at the default gap bound: its 42-row block
+        stalls before a bound of 1e-13 on most draws."""
+        rng = np.random.default_rng(2700 + n)
+        gap = optim.GAP_TOL if n == 40 else 1e-13
+        for pure in (False, True):
+            for _ in range(3 if n < 40 else 2):
+                e = random_ensemble(rng, 2, n, pure=pure)
+                mcm.solve_mcm(e)
+                solver_calls.clear()
+                exact, p_guess = min_inconclusive_rate(e), min_error_guessing(e)
+                assert solver_calls["solve"] == 0
+                barrier = _barrier_solution(e, monkeypatch, gap).eta0
+                assert barrier - optim.GAP_TOL <= exact.eta0 <= barrier
+                barrier = _barrier_guessing(e, monkeypatch)
+                assert barrier - optim.GAP_TOL <= p_guess <= barrier
+                assert validate_povm(mcm.mcm_povm(e, exact.weights)).ok
+
+    def test_gu_40(self, solver_calls):
+        """gu(40): every label is active on a degenerate face whose exact
+        centre gives each the weight 1/20; P_guess = 2/40."""
+        e = families.gu(40).ensemble()
+        sol = min_inconclusive_rate(e)
+        assert solver_calls["solve"] == 0
+        np.testing.assert_allclose(_weights(sol), 1.0 / 20.0, rtol=0.0, atol=1e-15)
+        assert abs(sol.eta0) <= 1e-15
+        assert abs(min_error_guessing(e) - 2.0 / 40.0) <= 1e-15
+
+    def test_gu_100_in_batches(self, monkeypatch):
+        """gu(100): the face's C(100, 3) = 161,700 vertex systems are solved
+        in five batches, and the centre still gives each label the weight
+        1/50; P_guess = 2/100."""
+        sizes, next_subsets = [], optim._next_subsets
+
+        def counted(subsets, k):
+            batch = next_subsets(subsets, k)
+            sizes.append(len(batch))
+            return batch
+
+        monkeypatch.setattr(optim, "_next_subsets", counted)
+        e = families.gu(100).ensemble()
+        sol = min_inconclusive_rate(e)
+        assert sizes == [1 << 15] * 4 + [30628, 0]
+        np.testing.assert_allclose(_weights(sol), 1.0 / 50.0, rtol=0.0, atol=1e-15)
+        assert abs(sol.eta0) <= 1e-15
+        assert abs(min_error_guessing(e) - 2.0 / 100.0) <= 1e-15
+
+    @pytest.mark.parametrize("pure", [False, True])
+    def test_eight_identical_states(self, pure):
+        """Eight copies of one state at random priors: the weights form a
+        simplex whose centre is 1/8 each, and guessing the likeliest label
+        always is optimal."""
+        state = _pure_bloch(1.0, 0.3) if pure else np.array([[0.6, 0.2], [0.2, 0.4]])
+        q = np.random.default_rng(2708).random(8) + 0.1
+        e = Ensemble(priors=tuple(q / q.sum()), states=(state,) * 8)
+        np.testing.assert_allclose(
+            _weights(min_inconclusive_rate(e)), 1.0 / 8.0, rtol=0.0, atol=1e-15
+        )
+        assert abs(min_error_guessing(e) - max(e.priors)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [7, 13])
+    def test_near_parallel_pure_states(self, n, monkeypatch):
+        """Pure states in pairs 1e-10 rad apart, and one more: both solves
+        pass their certificates (no ConvergenceError), neither value is
+        above the barrier's, and the POVM validates."""
+        rng = np.random.default_rng(2710 + n)
+        angles = rng.uniform(0.0, math.pi, size=(n // 2 + 1, 2))
+        states = [_pure_bloch(*angles[-1])]
+        for theta, phi in angles[:-1]:
+            states += [_pure_bloch(theta, phi), _pure_bloch(theta + 1e-10, phi)]
+        q = rng.random(n) + 0.1
+        e = Ensemble(priors=tuple(q / q.sum()), states=tuple(states))
+        exact = min_inconclusive_rate(e)
+        assert exact.eta0 <= _barrier_solution(e, monkeypatch).eta0
+        assert abs(exact.psd_margin) < 1e-14
+        assert validate_povm(mcm.mcm_povm(e, exact.weights)).ok
+        assert min_error_guessing(e) <= _barrier_guessing(e, monkeypatch)

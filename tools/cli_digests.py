@@ -52,6 +52,8 @@ cosine rounds to 1 and to -1 (exit 0); and ``mcm`` on ensemble files whose
 ``sequence`` and ``sweep`` at a ``theta`` whose cosine rounds to 1 (each exit
 2), two ``mirror`` chains whose state leaves the family (each exit 4), and
 ``family`` on a ``mirror`` outside its closed form (exit 2).
+Last come ``mcm`` on a 40-state ``gu`` and on seeded ensembles of 7 and 13
+qubit states, each solved through the exact qubit duals (exit 0).
 Every ``sweep`` prints long-format
 rows, one per party and quantity: the family's parameters, the rate, the
 party, the quantity and its closed-form, engine and residual values.
@@ -240,9 +242,15 @@ LATER = {
     "dim_infinity.json": _spoiled(("states", 1, "dim"), float("inf")),
 }
 
+# seeded ensembles of 7 and 13 qubit states
+UNCAPPED = {
+    "qubit7.json": _random_ensemble(19, 2, 7),
+    "qubit13.json": _random_ensemble(20, 2, 13),
+}
+
 # every file the corpus reads, by name
 FILES = {**ENSEMBLES, **NONFINITE, **INVALID, **PAIRS, **FACES, **GUESSES, **SUBSPACES, **PLANES,
-         **OFF_AVERAGE, **LATER}
+         **OFF_AVERAGE, **LATER, **UNCAPPED}
 
 
 def _sequence(family: str, params: str | None, parties: int, fmt: str, *flags: str) -> list[str]:
@@ -405,6 +413,9 @@ def corpus() -> list[list[str]]:
               ["sequence", "--family", "mirror", "--params", '{"theta": 3.14159}', "--parties",
                "4", "--eta0", "0.5"],
               ["family", "--family", "mirror", "--params", '{"theta": 1e-6}']]
+    # qubit problems of 40, 7 and 13 labels, solved exactly, each exit 0
+    lines.append(["mcm", "--family", "gu", "--params", '{"n": 40}'])
+    lines += [["mcm", "--ensemble", name] for name in UNCAPPED]
     return lines
 
 
