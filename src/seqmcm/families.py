@@ -71,7 +71,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import mcm as _mcm
-from .qcore import DensityMatrix, Ensemble, FeasibilityError, density_from_bloch, vector_to_json
+from .qcore import DensityMatrix, Ensemble, FeasibilityError, _bloch_matrix, vector_to_json
 from .seqchan import PartyPlan, Strategy, projector_plan
 
 
@@ -162,9 +162,8 @@ class TwoMixedFamily:
     def ensemble(self) -> Ensemble:
         v1, v2 = self.pure_vectors()
         eye = np.eye(2, dtype=complex)
-        states = tuple(
-            DensityMatrix(self.p * _projector(v) + (1.0 - self.p) / 2.0 * eye)
-            for v in (v1, v2)
+        states = DensityMatrix.stack(
+            [self.p * _projector(v) + (1.0 - self.p) / 2.0 * eye for v in (v1, v2)]
         )
         return Ensemble(priors=(0.5, 0.5), states=states)
 
@@ -374,14 +373,16 @@ class LiftedGuFamily:
         return DensityMatrix(np.diag([(1.0 + c) / 2.0, (1.0 - c) / 2.0]).astype(complex))
 
     def state(self, x: int) -> DensityMatrix:
-        mat = self.lam * _projector(self.state_vector(x)) + (1.0 - self.lam) * self.average().mat
-        return DensityMatrix(mat)
+        return self.ensemble().state(x)
 
     def ensemble(self) -> Ensemble:
-        return Ensemble(
-            priors=(1.0 / self.n,) * self.n,
-            states=tuple(self.state(x) for x in range(1, self.n + 1)),
-        )
+        """``lam |psi_x><psi_x| + (1 - lam) rho_avg`` for each label, one stack."""
+        avg = self.average().mat
+        mats = [
+            self.lam * _projector(self.state_vector(x)) + (1.0 - self.lam) * avg
+            for x in range(1, self.n + 1)
+        ]
+        return Ensemble(priors=(1.0 / self.n,) * self.n, states=DensityMatrix.stack(mats))
 
     # -- closed forms -----------------------------------------------------------
 
@@ -600,7 +601,7 @@ class MirrorState:
         ]
 
     def ensemble(self) -> Ensemble:
-        states = tuple(density_from_bloch(b) for b in self.blochs())
+        states = DensityMatrix.stack([_bloch_matrix(b) for b in self.blochs()])
         return Ensemble(priors=(1 / 3, 1 / 3, 1 / 3), states=states)
 
     def purity(self) -> tuple[float, float]:

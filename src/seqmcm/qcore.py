@@ -48,10 +48,14 @@ Conventions used throughout the package
   spectrum they are built from), are validated against it in place of an
   ``eigvalsh``; their finiteness, Hermiticity and trace are still checked.
 * Matrices serialize to JSON as ``{"dim": d, "entries": [[re, im], ...]}``
-  with the ``d*d`` entries flattened in row-major order.  :func:`json_text`
+  with the ``d*d`` entries flattened in row-major order; the entries list
+  is an :class:`_Entries`, to every reader a plain list.  :func:`json_text`
   writes the indented, key-sorted text that ``json.dumps(obj,
-  sort_keys=True, indent=2)`` writes, byte for byte, without the
-  pure-Python encoder that ``indent`` selects.
+  sort_keys=True, indent=2)`` writes, byte for byte, in one pass: text
+  pieces with a NUL in place of each float, the floats spelled in one
+  ``map`` and put in place by one ``split`` and ``join``, and each such
+  matrix or vector object written from a template cached per indent and
+  size.
 
 All tolerances live in module-level constants so tests and callers pin
 the same numbers the validators use.
@@ -60,6 +64,7 @@ the same numbers the validators use.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -301,6 +306,11 @@ def bloch_vector(rho: Any) -> np.ndarray:
 
 def density_from_bloch(r: Sequence[float]) -> "DensityMatrix":
     """Qubit state ``(1 + r . sigma)/2``; vectors with ``|r| > 1`` are rejected."""
+    return DensityMatrix(_bloch_matrix(r))
+
+
+def _bloch_matrix(r: Sequence[float]) -> np.ndarray:
+    """The matrix of :func:`density_from_bloch`, not yet validated."""
     v = np.asarray(r, dtype=float).reshape(-1)
     if v.size != 3:
         raise DimensionError("a Bloch vector has exactly 3 components")
@@ -308,8 +318,7 @@ def density_from_bloch(r: Sequence[float]) -> "DensityMatrix":
     if norm > 1.0 + 1e-12:
         raise ValueError(f"Bloch vector norm {norm:.12f} exceeds 1: not a state")
     x, y, z = (float(c) for c in v)
-    mat = 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=complex)
-    return DensityMatrix(mat)
+    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +603,17 @@ def validate_povm(povm: Povm) -> PovmReport:
 # ---------------------------------------------------------------------------
 
 
-def _pairs(arr: np.ndarray) -> list[list[float]]:
+class _Entries(list):
+    """The ``[[re, im], ...]`` float pairs of :func:`_pairs`: a plain list to
+    every reader; its type tells :func:`json_text` that each item is a pair
+    of floats."""
+
+    __slots__ = ()
+
+
+def _pairs(arr: np.ndarray) -> _Entries:
     """``[[re, im], ...]`` of the entries of ``arr`` in row-major order."""
-    return np.ascontiguousarray(arr).view(np.float64).reshape(-1, 2).tolist()
+    return _Entries(np.ascontiguousarray(arr).view(np.float64).reshape(-1, 2).tolist())
 
 
 def matrix_to_json(a: Any) -> dict[str, Any]:
@@ -666,80 +683,87 @@ def povm_to_json(p: Povm) -> dict[str, Any]:
     }
 
 
-_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_json(x: float) -> str:
-    text = float.__repr__(x)
-    return _FLOAT_WORDS.get(text, text)
+def _scalar_json(o: Any) -> str:
+    """A string, ``None``, bool, int or float as ``json`` writes it."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if type(o) is int:  # the common case, without the call into json
+        return int.__repr__(o)
+    if o is None or isinstance(o, (int, float)):  # bools are ints
+        return json.dumps(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _key_json(key: Any) -> str:
     """A dict key as ``json`` writes it: a string, or a scalar's text quoted."""
     if isinstance(key, str):
         return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):  # bools are ints
-        return '"' + _json(key, "") + '"'
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _scalar_json(key) + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _pair_texts(o: list | tuple) -> list[str] | None:
-    """The float texts of a list of ``[re, im]`` float pairs, flattened, or
-    ``None`` if ``o`` is not one."""
-    if set(map(type, o)) != {list} or set(map(len, o)) != {2}:
-        return None
-    flat = list(chain.from_iterable(o))
-    if set(map(type, flat)) != {float}:
-        return None
-    texts = list(map(float.__repr__, flat))
-    # finite reprs hold no "n"; nan and inf are spelled as json spells them
-    return [_FLOAT_WORDS.get(t, t) for t in texts] if "n" in "".join(texts) else texts
+@functools.cache
+def _entries_object(pad: str, dim: int, n: int) -> str:
+    """The text of a ``{"dim": dim, "entries": [[re, im], ...]}`` object of
+    ``n > 0`` pairs whose lines after the first start with ``pad``, with a NUL
+    in place of each float."""
+    inner, cell = pad + "  ", pad + "      "
+    pair = inner + "  [" + cell + "\0," + cell + "\0" + inner + "  ]"
+    return ("{" + inner + '"dim": ' + int.__repr__(dim) + "," + inner + '"entries": ['
+            + ",".join([pair] * n) + inner + "]" + pad + "}")
 
 
-def _json(o: Any, pad: str) -> str:
-    """``o`` as indented JSON text whose lines after the first start with ``pad``.
-
-    No type matches two branches (``bool`` is tested before ``int``), so the
-    commonest come first: floats, then containers."""
+def _walk(o: Any, pad: str, out: list[str], floats: list[float]) -> None:
+    """Append the text of ``o``, whose lines after the first start with
+    ``pad``, to ``out``, with a NUL in place of each float and the float
+    appended to ``floats``.  The commonest types come first."""
     if isinstance(o, float):
-        return _float_json(o)
-    inner = pad + "  "
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        items = [_key_json(k) + ": " + _json(v, inner) for k, v in sorted(o.items())]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        texts = _pair_texts(o)
-        if texts is not None:  # the [[re, im], ...] of a matrix, in one join
-            first, sep, last = inner + "[" + inner + "  ", "," + inner + "  ", inner + "]"
-            pairs = map(sep.join, zip(*[iter(texts)] * 2))
-            return "[" + first + (last + "," + first).join(pairs) + last + pad + "]"
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in o]) + pad + "]"
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        out.append("\0")
+        floats.append(o)
+    elif isinstance(o, dict):
+        entries, dim = o.get("entries"), o.get("dim")
+        if type(entries) is _Entries and entries and type(dim) is int and len(o) == 2:
+            out.append(_entries_object(pad, dim, len(entries)))
+            floats.extend(chain.from_iterable(entries))
+            return
+        inner = pad + "  "
+        for i, (k, v) in enumerate(sorted(o.items())):
+            out.append(("," if i else "{") + inner + _key_json(k) + ": ")
+            _walk(v, inner, out, floats)
+        out.append(pad + "}" if o else "{}")
+    elif isinstance(o, (list, tuple)):
+        inner = pad + "  "
+        for i, v in enumerate(o):
+            out.append(("," if i else "[") + inner)
+            _walk(v, inner, out, floats)
+        out.append(pad + "]" if o else "[]")
+    else:
+        out.append(_scalar_json(o))
 
 
 def json_text(obj: Any) -> str:
-    """Exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, built by
-    string joins instead of the pure-Python encoder that ``indent`` selects.
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, in one
+    pass instead of the pure-Python encoder that ``indent`` selects.
 
-    Floats are spelled as ``json`` spells them (``float.__repr__``, ``NaN``,
-    ``Infinity``), strings are ASCII-escaped, and keys are sorted and then
-    converted as ``json`` converts them.
+    The document is walked once (:func:`_walk`) into text pieces with a NUL
+    in place of each float; no other NUL can occur, since strings and keys
+    are ASCII-escaped.  The floats are spelled by one ``map`` of
+    ``float.__repr__`` (of ``json.dumps`` if one is NaN or infinite) and put
+    in place by one ``split`` and one ``join``.  An object of
+    :func:`matrix_to_json` or :func:`vector_to_json`, whose entries are an
+    :class:`_Entries`, is one piece, from a template cached per indent and
+    size; any other pair list takes the general path.  Keys are sorted and
+    then converted as ``json`` converts them.
     """
-    return _json(obj, "\n") + "\n"
+    out: list[str] = []
+    floats: list[float] = []
+    _walk(obj, "\n", out, floats)
+    spell = float.__repr__ if math.isfinite(sum(floats)) else json.dumps  # finite sum, finite terms
+    pieces = [""] * (2 * len(floats) + 1)
+    pieces[::2] = "".join(out).split("\0")
+    pieces[1::2] = map(spell, floats)
+    return "".join(pieces) + "\n"
 
 
 def _csv_cell(value: Any) -> str:

@@ -532,7 +532,8 @@ def trace_to_json(trace: SequentialTrace) -> dict[str, Any]:
 
 def trace_to_csv(trace: SequentialTrace) -> str:
     """Flat per-party table: index, confidences, state purities, gain,
-    eta0, disturbance, then any extras columns (sorted by name)."""
+    eta0, disturbance, then any extras columns (sorted by name).  The
+    purities of all the chain's states come from one stacked product."""
     labels = sorted({x for rec in trace.records for x in rec.confidences})
     extra_keys = sorted({k for rec in trace.records for k in rec.extras})
     header = (
@@ -543,13 +544,15 @@ def trace_to_csv(trace: SequentialTrace) -> str:
         + extra_keys
         + ["p_joint", "p_inconclusive"]
     )
+    d = trace.final_ensemble.dim
+    states = np.reshape([s.mat for rec in trace.records for s in rec.ensemble.states], (-1, d, d))
+    purities = iter(np.real(np.trace(states @ states, axis1=-2, axis2=-1)).tolist())
     rows = []
     for rec in trace.records:
         row: list[Any] = [rec.index]
         row += [rec.confidences.get(x) for x in labels]
-        row += [
-            rec.ensemble.state(x).purity() if x in rec.ensemble.labels else None for x in labels
-        ]
+        own = dict(zip(rec.ensemble.labels, purities))  # zip stops at the labels' end
+        row += [own.get(x) for x in labels]
         row += [rec.gain, rec.eta0, rec.disturbance, rec.disturbance_lower]
         row += [rec.extras.get(k) for k in extra_keys]
         rows.append(row + [None, None])

@@ -6,11 +6,15 @@ stack, ``run_sequence`` measures all the parties of a chain in one stacked
 pass, and ``qcore.json_text`` writes JSON without the ``json`` encoder.
 Each must give exactly what the one-matrix, one-state, one-ensemble or
 ``json.dumps`` reference gives: the arithmetic is the same, only batched.
+So must the CSV purities of a chain, taken from one product over all its
+states, and each family's ensemble, built and validated as one stack.
 
 Run with:  pytest tests/test_stacked.py -v
 """
 
+import csv
 import importlib.util
+import io
 import json
 import math
 from pathlib import Path
@@ -335,6 +339,57 @@ class TestStackedChain:
         assert type(batch.value) is mcm.ComplementCheckError and str(batch.value) == str(one.value)
         assert "mcm.stage" not in first._memo and "mcm.stage" not in second._memo
 
+    @pytest.mark.parametrize("name", ["two_mixed", "gu", "lifted_gu", "mirror", "generic-qutrit"])
+    def test_csv_purities_equal_the_one_state_calls(self, name):
+        """The purity cells, from one product over the chain's states, are
+        bit for bit each state's own ``purity()``."""
+        e0, strategies = _chain(name, 16)
+        trace = seqchan.run_sequence(e0, strategies)
+        rows = list(csv.DictReader(io.StringIO(seqchan.trace_to_csv(trace))))
+        assert len(rows) == trace.parties
+        for rec, row in zip(trace.records, rows):
+            assert [float(row[f"purity_{x}"]).hex() for x in rec.ensemble.labels] == [
+                s.purity().hex() for s in rec.ensemble.states
+            ]
+
+
+def _assert_same_states(e: qcore.Ensemble, want: list[qcore.DensityMatrix]) -> None:
+    assert len(e.states) == len(want)
+    assert all(np.array_equal(s.mat, w.mat) for s, w in zip(e.states, want))
+
+
+class TestStackedFamilies:
+    """Each family's ensemble is one validated stack of the states that one
+    state at a time construction gives, bit for bit."""
+
+    @pytest.mark.parametrize("p, theta", [(0.8, 1.0), (1.0, 0.3), (0.35, 2.9)])
+    def test_two_mixed(self, p, theta):
+        fam = families.two_mixed(p, theta)
+        eye = np.eye(2, dtype=complex)
+        _assert_same_states(fam.ensemble(), [
+            qcore.DensityMatrix(p * np.outer(v, v.conj()) + (1.0 - p) / 2.0 * eye)
+            for v in fam.pure_vectors()
+        ])
+
+    @pytest.mark.parametrize("n, theta, lam", [(n, math.pi / 2, 1.0) for n in range(2, 9)]
+                             + [(5, 1.0, 0.8), (3, 0.4, 0.0), (7, 1.3, 0.55)])
+    def test_lifted_gu(self, n, theta, lam):
+        fam = families.lifted_gu(n, theta, lam)
+        want = [
+            qcore.DensityMatrix(
+                lam * np.outer(fam.state_vector(x), fam.state_vector(x).conj())
+                + (1.0 - lam) * fam.average().mat
+            )
+            for x in range(1, n + 1)
+        ]
+        _assert_same_states(fam.ensemble(), want)
+        assert all(np.array_equal(fam.state(x).mat, w.mat) for x, w in zip(range(1, n + 1), want))
+
+    @pytest.mark.parametrize("r1, r2, theta", [(1.0, 1.0, 2.2), (0.7, 0.4, 1.1), (0.0, 1.0, 0.5)])
+    def test_mirror(self, r1, r2, theta):
+        ms = families.MirrorState(r1, r2, theta)
+        _assert_same_states(ms.ensemble(), [qcore.density_from_bloch(b) for b in ms.blochs()])
+
 
 def _solves_nothing(e: qcore.Ensemble, j: int) -> seqchan.PartyPlan:
     return seqchan.projector_plan({1: 0.0}, {1: np.eye(e.dim)[0]})
@@ -404,12 +459,56 @@ documents = st.recursive(
     max_leaves=20,
 )
 
+# the objects of matrix_to_json and vector_to_json (the writer's templates),
+# with signed zeros, NaN, infinities and subnormals among their entries, at
+# random depths, some with extra keys; strings and keys hold NUL and other
+# control characters, which must not be taken for the writer's placeholder
+_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 2.2250738585072014e-308]
+)
+_texts = st.text(st.sampled_from("\0\x01\x1f\x7f\n\t\"\\a0\u00e9\u2028"), max_size=6)
+
+
+@st.composite
+def _array_objects(draw):
+    d = draw(st.integers(1, qcore.DIM_CAP))
+    matrix = draw(st.booleans())
+    size = d * d if matrix else d
+    parts = draw(st.lists(_floats, min_size=2 * size, max_size=2 * size))
+    arr = np.array(parts, dtype=float).view(complex)
+    obj = qcore.matrix_to_json(arr.reshape(d, d)) if matrix else qcore.vector_to_json(arr)
+    extra = draw(st.dictionaries(_texts, _floats | _texts | st.integers(), max_size=2))
+    return {**obj, **extra}
+
+
+_array_documents = st.recursive(
+    _floats | _texts | st.integers(-(2**70), 2**70) | st.none() | st.booleans() | _array_objects(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_texts, children, max_size=4),
+    max_leaves=12,
+)
+
 
 class TestJsonText:
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(doc=documents)
     def test_equals_indented_sorted_dumps(self, doc):
         assert qcore.json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(doc=_array_documents)
+    def test_array_objects_equal_indented_sorted_dumps(self, doc):
+        assert qcore.json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_entries_are_a_plain_list(self):
+        arr = np.array([[1.5, complex(-0.0, 2.0)], [math.nan, 3j]])
+        plain = [[1.5, 0.0], [-0.0, 2.0], [math.nan, 0.0], [0.0, 3.0]]
+        entries = qcore.matrix_to_json(arr)["entries"]
+        assert isinstance(entries, list)
+        assert entries[:1] + entries[3:] == plain[:1] + plain[3:]  # NaN equals nothing
+        assert json.dumps(entries) == json.dumps(plain)
+        assert json.dumps(entries, indent=2) == json.dumps(plain, indent=2)
+        assert qcore.vector_to_json(arr[0])["entries"] == plain[:2]
 
     def test_non_string_keys_convert_as_json_does(self):
         for doc in ({1: "a", 2: "b"}, {1.5: 0, -0.0: 1}, {True: 1, False: 0}, {None: []},
