@@ -67,16 +67,19 @@ confidence must lie in [0, 1] (each exits 2 otherwise).
 tolerance listed there, on instances drawn from ``--seed``.  Outputs are
 deterministic for a fixed command line: dictionaries are serialized with
 sorted keys and floats with ``repr`` precision, so reruns are byte-identical.
-``sweep`` runs its chains one after another.  Setting ``SEQMCM_THREADS``
-to an integer above 1 opts in to a thread pool of that size (a value that
-is not an integer exits 2).  The pool is off by default because a sweep
-point is Python-bound and holds the interpreter lock, so threads only add
-switching cost.  The output is the same either way.
+``sweep`` builds each point's ensemble once, for its chains at every rate,
+solves the first stages of the points that share priors and dimension as
+one stack, and then runs its chains one after another.  Setting
+``SEQMCM_THREADS`` to an integer above 1 opts in to a thread pool of that
+size (a value that is not an integer exits 2).  The pool is off by default
+because a sweep point is Python-bound and holds the interpreter lock, so
+threads only add switching cost.  The output is the same either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -377,9 +380,12 @@ def _parties_at(threshold: float, parties: list[dict[str, float]]) -> int:
     return next((j for j, c in enumerate(lows) if c < threshold), len(lows))
 
 
-def _compare(name: str, fam: Any, schedule: Any, threshold: float | None) -> list[list[Any]]:
-    """``[party, quantity, oracle, engine, residual]`` rows of one chain."""
-    trace = _run_family(name, fam, fam.ensemble(), schedule)  # first: a failure names the party
+def _compare(
+    name: str, fam: Any, e: qcore.Ensemble, schedule: Any, threshold: float | None
+) -> list[list[Any]]:
+    """``[party, quantity, oracle, engine, residual]`` rows of one chain of
+    ``fam`` (ensemble ``e``)."""
+    trace = _run_family(name, fam, e, schedule)  # first: a failure names the party
     engine = [  # each party's values under the trace CSV's names
         {f"confidence_{x}": c for x, c in rec.confidences.items()}
         | {"disturbance": rec.disturbance, "p_joint": trace.p_joint, **rec.extras}
@@ -429,13 +435,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for values in itertools.product(*axes.values())
     ]
     columns = [k for k in row.keys if hasattr(fams[0], k)]  # one spelling each: the attribute's
+    # one ensemble per point, read by its chain at every rate; the first
+    # stages of the points that share priors and dimension are solved as one
+    # stack, which the chains read from each ensemble's cache
+    ensembles = [fam.ensemble() for fam in fams]
+    groups: dict[tuple, list[qcore.Ensemble]] = {}
+    for e in ensembles:
+        groups.setdefault((e.priors, e.dim), []).append(e)
+    for group in (g for g in groups.values() if len(g) > 1):
+        # a failed stack caches nothing, so each chain solves its own first
+        # stage and fails as it alone would, naming its party
+        with contextlib.suppress(ValueError, ArithmeticError):
+            mcm_mod._first_stage(group)
 
-    def one(job: tuple[Any, float | None, Any]) -> list[list[Any]]:
-        fam, eta0, schedule = job
+    def one(job: tuple[Any, qcore.Ensemble, float | None, Any]) -> list[list[Any]]:
+        fam, e, eta0, schedule = job
         cells = [getattr(fam, k) for k in columns] + [eta0]
-        return [cells + r for r in _compare(args.family, fam, schedule, args.threshold)]
+        return [cells + r for r in _compare(args.family, fam, e, schedule, args.threshold)]
 
-    jobs = [(fam, eta0, schedule) for eta0, schedule in chains for fam in fams]
+    jobs = [(*point, eta0, schedule) for eta0, schedule in chains for point in zip(fams, ensembles)]
     rows = [r for rows in _map_points(jobs, one) for r in rows]
     header = columns + ["eta0", "party", "quantity", "oracle", "engine", "residual"]
     _emit(args.out, "sweep.csv", qcore.csv_text(header, rows))

@@ -37,11 +37,14 @@ spectra are the complement check.  It takes a batch of ensembles that
 share their priors (:func:`_first_stage`), and one ensemble is the batch
 of one; a batch that fails a check caches nothing, and
 :mod:`seqmcm.seqchan` decides which error a chain reports.  The second,
-:func:`solve_mcm`, builds the entries on it: the ``sigma_x``, validated as
-one stack from the clipped spectrum they are built from instead of
-eigensolved again, and the back-mapped bases.  Each stack is symmetrised
-on the line before its eigensolve, so these eigensolves skip the
-Hermiticity check (see :mod:`seqmcm.qcore`).  The chain runner reads the
+:func:`solve_mcm`, builds the entries on it: the back-mapped bases at
+once, and the ``sigma_x`` on the first read of any entry's
+:attr:`McmEntry.sigma`, all of the ensemble's together, validated as one
+stack from the clipped spectrum they are built from instead of eigensolved
+again.  Only :func:`verify_kkt` and :func:`entry_to_json` read them, so a
+chain party that reads confidences and bases builds none.  Each stack is
+symmetrised on the line before its eigensolve, so these eigensolves skip
+the Hermiticity check (see :mod:`seqmcm.qcore`).  The chain runner reads the
 first stage only, as one stacked first stage per chain of all the
 ensembles no strategy solved; :func:`mcm_povm`, :func:`verify_kkt`, the
 weight optimizer and the strategies that measure the optimal bases read
@@ -59,8 +62,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Any, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -120,14 +123,16 @@ class McmEntry:
         The ``d_x`` back-mapped unit vectors ``phi_x^i`` spanning the
         supports of all optimal POVM elements.  Not mutually orthogonal
         in general.  Empty when ``q_x = 0``.
-    sigma:
-        The complementary state, or ``None`` when ``r = 0`` (full
-        degeneracy: the shaped operator is proportional to the support
-        projector, e.g. any single-state ensemble).
     r:
         Complement weight ``C_x - q_x``.
     mu:
         Mixture weight ``q_x / C_x`` (0 when ``q_x = 0``).
+    sigma:
+        Not a field: the complementary state, or ``None`` when ``r = 0``
+        (full degeneracy: the shaped operator is proportional to the
+        support projector, e.g. any single-state ensemble), computed on
+        first read.  The first read of any label's ``sigma`` builds all of
+        the ensemble's, validated as one stack.
     span, projector:
         Not fields: ``Q_x``, an orthonormal basis of ``basis`` (one QR), and
         ``P_x = Q_x Q_x^dag``, read-only and computed on first read.  With
@@ -138,9 +143,15 @@ class McmEntry:
     confidence: float
     degeneracy: int
     basis: tuple[np.ndarray, ...]
-    sigma: DensityMatrix | None
     r: float
     mu: float
+    # the ensemble's sigma_x by label, shared by its entries and built on the
+    # first call; set by _solve, the only place entries are made
+    _sigmas: Callable[[], dict[int, DensityMatrix]] = field(init=False, repr=False, compare=False)
+
+    @functools.cached_property
+    def sigma(self) -> DensityMatrix | None:
+        return self._sigmas().get(self.label)
 
     @functools.cached_property
     def span(self) -> np.ndarray:
@@ -225,12 +236,30 @@ def confidences(e: Ensemble) -> dict[int, float]:
     return dict(_first_stage([e])[0][0])
 
 
+def _complement_states(
+    live: list[int], kept: np.ndarray, complements: Any
+) -> dict[int, DensityMatrix]:
+    """``sigma_x`` of each label with ``r_x > 0`` (``kept``), built from the
+    first stage's complement spectra and validated as one stack."""
+    if not kept.any():
+        return {}
+    # clip the float dust so a small r cannot blow it past the state validator
+    rvals, rvecs = complements
+    clipped = np.clip(rvals, 0.0, None)
+    mats = (rvecs * clipped[:, None, :]) @ qcore._adjoint(rvecs)
+    traces = np.real(np.trace(mats, axis1=-2, axis2=-1))
+    # their spectra are clipped / tr, nonnegative: no eigvalsh to check it
+    stack = DensityMatrix.stack(mats / traces[:, None, None], clipped[:, -1] / traces)
+    return dict(zip((live[i] for i in np.flatnonzero(kept)), stack))
+
+
 def _solve(e: Ensemble) -> dict[int, McmEntry]:
     """Entries for every label, built on the cached first stage: the
-    complement states and the back-mapped bases of the optimal subspaces."""
+    back-mapped bases of the optimal subspaces now, the complement states on
+    the first read of any entry's ``sigma``."""
     _, live, q, shaping, (vals, vecs), complements = _first_stage([e])[0]
     entries = {
-        x: McmEntry(label=x, confidence=0.0, degeneracy=0, basis=(), sigma=None, r=0.0, mu=0.0)
+        x: McmEntry(label=x, confidence=0.0, degeneracy=0, basis=(), r=0.0, mu=0.0)
         for x in e.labels
         if x not in live
     }
@@ -238,17 +267,7 @@ def _solve(e: Ensemble) -> dict[int, McmEntry]:
     degs = (vals > (c - DEGENERACY_TOL * c)[:, None]).sum(axis=-1)
     r = c - q
     kept = r > R_ZERO_TOL
-    sigmas: list[DensityMatrix | None] = [None] * len(live)
-    if kept.any():
-        # clip the float dust so a small r cannot blow it past the state validator
-        rvals, rvecs = complements
-        clipped = np.clip(rvals, 0.0, None)
-        mats = (rvecs * clipped[:, None, :]) @ qcore._adjoint(rvecs)
-        traces = np.real(np.trace(mats, axis1=-2, axis2=-1))
-        # their spectra are clipped / tr, nonnegative: no eigvalsh to check it
-        stack = DensityMatrix.stack(mats / traces[:, None, None], clipped[:, -1] / traces)
-        for i, sigma in zip(np.flatnonzero(kept), stack):
-            sigmas[i] = sigma
+    sigmas = functools.cache(lambda: _complement_states(live, kept, complements))
     # the top eigenvectors of every label, mapped back through rho^(-1/2)
     # as one stack of matrix-vector products (a matrix-matrix product, like
     # a norm over an axis, rounds differently from the one-vector call)
@@ -267,10 +286,11 @@ def _solve(e: Ensemble) -> dict[int, McmEntry]:
             confidence=ci,
             degeneracy=int(degs[i]),
             basis=tuple(unit[bounds[i] : bounds[i + 1]]),
-            sigma=sigmas[i],
             r=float(r[i]) if kept[i] else 0.0,
             mu=e.prior(x) / ci,
         )
+    for entry in entries.values():
+        object.__setattr__(entry, "_sigmas", sigmas)
     return {x: entries[x] for x in e.labels}
 
 

@@ -166,6 +166,21 @@ def as_vector(v: Any, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def _operator_stack(ops: Sequence[Any]) -> np.ndarray | None:
+    """``ops``, each coerced as :func:`as_matrix` coerces it, as one read-only
+    ``(n, d, d)`` stack; ``None`` when they form none (no operator, one that
+    is not a square matrix within the cap, or mixed dimensions), where the
+    caller coerces them one at a time to word the error."""
+    try:
+        stack = _as_stack([op.mat if hasattr(op, "mat") else op for op in ops], "operator")
+    except (TypeError, ValueError, ArithmeticError):  # ragged, not numbers, not square
+        return None
+    if stack.ndim != 3:
+        return None
+    stack.setflags(write=False)  # a fresh copy: asarray of a list copies every operator
+    return stack
+
+
 def _adjoint(a: np.ndarray) -> np.ndarray:
     """``A^dag`` of every matrix of a ``(..., d, d)`` stack."""
     return a.conj().swapaxes(-1, -2)
@@ -537,24 +552,30 @@ class Povm:
     (labels 1..N by convention); ``inconclusive`` is the label-0 element,
     a zero matrix for a complete conclusive POVM.  This is a plain
     container: use :func:`validate_povm` for the PSD/completeness report,
-    since invalid candidates must remain representable.
+    since invalid candidates must remain representable.  The operators are
+    coerced and copied as one frozen ``(N + 1, d, d)`` stack, inconclusive
+    last, and each stored operator is a read-only view of it.
     """
 
     elements: dict[int, np.ndarray]
     inconclusive: np.ndarray
 
     def __post_init__(self) -> None:
-        elems = {int(k): _frozen(as_matrix(v, f"element {k}")) for k, v in self.elements.items()}
+        stack = _operator_stack([*self.elements.values(), self.inconclusive])
+        if stack is None:  # the one-operator coercions word the error
+            elems = {int(k): as_matrix(v, f"element {k}") for k, v in self.elements.items()}
+        else:
+            elems = dict(zip((int(k) for k in self.elements), stack))
         if not elems:
             raise ValueError("a POVM needs at least one conclusive element")
         if 0 in elems:
             raise ValueError("label 0 is reserved for the inconclusive element")
-        inc = _frozen(as_matrix(self.inconclusive, "inconclusive element"))
-        dims = {m.shape[0] for m in [*elems.values(), inc]}
-        if len(dims) != 1:
-            raise DimensionError(f"POVM elements have mixed dimensions {sorted(dims)}")
+        if stack is None:  # square and within the cap one by one: they cannot stack
+            inc = as_matrix(self.inconclusive, "inconclusive element")
+            dims = sorted({m.shape[0] for m in [*elems.values(), inc]})
+            raise DimensionError(f"POVM elements have mixed dimensions {dims}")
         object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "inconclusive", inc)
+        object.__setattr__(self, "inconclusive", stack[-1])
 
     @property
     def dim(self) -> int:

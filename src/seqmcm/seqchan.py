@@ -106,25 +106,28 @@ class KrausChannel:
     ``ops`` is a read-only mapping from each label (0 = inconclusive, as
     for POVM outcomes) to its operator; it keeps the given order, which
     :func:`projector_plan` makes the conclusive labels sorted, then 0.  A
-    label the party cannot click has no entry.  Completeness
-    ``sum K^dag K = 1`` is enforced within :data:`COMPLETENESS_TOL` at
-    construction.
+    label the party cannot click has no entry.  The operators are coerced
+    and copied as one frozen stack, each entry of ``ops`` a read-only view of
+    it.  Completeness ``sum K^dag K = 1`` is enforced within
+    :data:`COMPLETENESS_TOL` at construction.
     """
 
     ops: Mapping[int, np.ndarray]
 
     def __post_init__(self) -> None:
-        ops = {int(label): as_matrix(op, f"Kraus op {label}") for label, op in self.ops.items()}
-        if not ops:
-            raise ChannelConstructionError("a channel needs at least one Kraus operator")
-        dims = {op.shape[0] for op in ops.values()}
-        if len(dims) != 1:
-            raise ChannelConstructionError(f"Kraus operators of mixed dimension {sorted(dims)}")
-        stack = qcore._frozen(np.stack(list(ops.values())))
+        stack = qcore._operator_stack(list(self.ops.values()))
+        if stack is None:  # the one-operator coercions word the error
+            ops = {int(label): as_matrix(op, f"Kraus op {label}") for label, op in self.ops.items()}
+            if not ops:
+                raise ChannelConstructionError("a channel needs at least one Kraus operator")
+            dims = sorted({op.shape[0] for op in ops.values()})  # square and capped: mixed
+            raise ChannelConstructionError(f"Kraus operators of mixed dimension {dims}")
+        ops = dict(zip((int(label) for label in self.ops), stack))
+        if len(ops) < len(stack):  # a label given twice (1 and "1") keeps its last operator
+            stack = qcore._frozen(np.stack(list(ops.values())))
         object.__setattr__(self, "_stack", stack)
-        ops = dict(zip(ops, stack))
         total = (qcore._adjoint(stack) @ stack).sum(axis=0)
-        residual = float(np.max(np.abs(total - np.eye(dims.pop()))))
+        residual = float(np.max(np.abs(total - np.eye(stack.shape[-1]))))
         if residual > COMPLETENESS_TOL:
             raise ChannelConstructionError(
                 f"Kraus completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e}"

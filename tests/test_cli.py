@@ -10,6 +10,7 @@ Run with:  pytest tests/test_cli.py -v
 import csv
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -1003,6 +1004,68 @@ def test_sweep_threads_must_be_an_integer(monkeypatch, capsys):
     code, out, err = run(capsys, ["sweep", "--family", "two_mixed"])
     assert code == cli.EXIT_INPUT and out == ""
     assert err == "error: SEQMCM_THREADS='x' is not an integer\n"
+
+
+@pytest.mark.parametrize(
+    "family, grid, rates, stacked",
+    [
+        pytest.param("two_mixed", None, [None], 100, id="two_mixed-defaults"),
+        pytest.param(
+            "mirror", {"theta": [2.0, 2.1, 2.2]}, ["0.3", "0.9"], 3, id="mirror-two-rates"
+        ),
+        pytest.param("gu", {"n": [3, 5]}, ["0.1", "0.5", "0.9"], None, id="gu-counts"),
+    ],
+)
+def test_sweep_rows_are_each_point_chain_alone(family, grid, rates, stacked, monkeypatch, capsys):
+    """A sweep shares each point's ensemble across its rates and solves the
+    first stages of points that share priors and dimension as one stack
+    (``stacked`` points, before any chain; none for ``gu``'s counts, whose
+    priors differ); its rows are those of each point's chain run alone, a
+    one-point sweep on a fresh ensemble, row for row."""
+    axes = grid or {k: [float(v) for v in vs] for k, vs in cli.FAMILIES[family].points.items()}
+    sizes = []
+    real = mcm._first_stage
+
+    def recorded(ensembles):
+        sizes.append(len(ensembles))
+        return real(ensembles)
+
+    monkeypatch.setattr(mcm, "_first_stage", recorded)
+    flags = ["--eta0", ",".join(rates)] if rates != [None] else []
+    argv = ["sweep", "--family", family, *(["--grid", json.dumps(grid)] if grid else []), *flags]
+    code, out, err = run(capsys, argv)
+    assert code == cli.EXIT_OK and err == ""
+    if stacked is not None:
+        assert sizes[0] == stacked
+    header, *rows = out.splitlines(keepends=True)
+    expected = []
+    for rate in rates:
+        for values in itertools.product(*axes.values()):
+            single = ["sweep", "--family", family, "--params", json.dumps(dict(zip(axes, values)))]
+            code, text, _ = run(capsys, single + (["--eta0", rate] if rate else []))
+            assert code == cli.EXIT_OK and text.splitlines(keepends=True)[0] == header
+            expected += text.splitlines(keepends=True)[1:]
+    assert len(rows) == len(expected) > 0
+    assert rows == expected
+
+
+def test_a_failed_first_stage_stack_is_not_reported(monkeypatch, capsys):
+    """When the sweep's stacked first stage raises, nothing is cached or
+    printed: every chain solves its own, and the output is unchanged."""
+    argv = ["sweep", "--family", "mirror", "--eta0", "0.3,0.9"]
+    want = run(capsys, argv)
+    real = mcm._first_stage
+    failed = []
+
+    def failing(ensembles):
+        if not failed:
+            failed.append(len(ensembles))
+            raise mcm.ComplementCheckError("stacked first stage failed")
+        return real(ensembles)
+
+    monkeypatch.setattr(mcm, "_first_stage", failing)
+    assert run(capsys, argv) == want
+    assert failed == [len(cli.FAMILIES["mirror"].points["theta"])]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

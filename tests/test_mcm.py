@@ -487,6 +487,101 @@ class TestFirstStage:
             solve_mcm(e)
 
 
+def _sigma_built(entry: McmEntry) -> bool:
+    return "sigma" in entry.__dict__
+
+
+def _eager_sigmas(e: Ensemble) -> dict[int, np.ndarray]:
+    """Every sigma_x as the solve built them before they were lazy: from the
+    first stage's complement spectra, clipped, as one stack over the labels
+    with ``r > 0``, each divided by its trace and symmetrised as
+    :func:`seqmcm.qcore.validate_states` stores it."""
+    _, live, q, _, (vals, _), complements = mcm._first_stage([e])[0]
+    kept = vals[:, 0] - q > mcm.R_ZERO_TOL
+    if not kept.any():
+        return {}
+    rvals, rvecs = complements
+    clipped = np.clip(rvals, 0.0, None)
+    mats = (rvecs * clipped[:, None, :]) @ rvecs.conj().swapaxes(-1, -2)
+    traces = np.real(np.trace(mats, axis1=-2, axis2=-1))
+    m = mats / traces[:, None, None]
+    h = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    return {live[i]: mat for i, mat in zip(np.flatnonzero(kept), h)}
+
+
+def _sigma_cases() -> list[Ensemble]:
+    rng = np.random.default_rng(71)
+    cases = [random_ensemble(rng, dim, n, pure=pure)
+             for dim in (2, 3, 5, 8) for n in (2, 4, 6) for pure in (False, True)]
+    cases += [
+        trine_ensemble(),
+        orthogonal_pair(),
+        Ensemble(priors=(1.0,), states=(np.diag([0.5, 0.5]),)),
+        Ensemble(priors=(0.5, 0.0, 0.5), states=trine_ensemble().states),
+        Ensemble(priors=(0.5, 0.5), states=(np.diag([0.6, 0.4]),) * 2),
+    ]
+    return cases
+
+
+class TestSigmaOnFirstRead:
+    """An entry's ``sigma`` is built on first read, all of the ensemble's at
+    once, with the arithmetic of the eager build; a chain reads none."""
+
+    def test_chains_build_no_sigma(self):
+        from seqmcm import families, seqchan
+
+        two = families.two_mixed(0.8, 1.0)
+        qutrit = random_ensemble(np.random.default_rng(72), 3, 3)
+        floor = optim.min_inconclusive_rate(qutrit).eta0
+        rates = [floor + (1.0 - floor) * t for t in (0.3, 0.6)]
+        for e, strategies in [(two.ensemble(), two.strategies(4)),
+                              (qutrit, seqchan.weakened_mcm_strategies(rates))]:
+            trace = seqchan.run_sequence(e, strategies)
+            solved = [rec.ensemble._memo["mcm.solution"] for rec in trace.records]
+            assert len(solved) == len(strategies)
+            entries = [entry for solution in solved for entry in solution.values()]
+            assert entries and not any(_sigma_built(entry) for entry in entries)
+
+    def test_one_read_builds_every_sigma_in_one_validation(self, monkeypatch):
+        calls = []
+        real = qcore.validate_states
+
+        def counted(mats, lowest=None):
+            calls.append(np.shape(mats))
+            return real(mats, lowest=lowest)
+
+        monkeypatch.setattr(qcore, "validate_states", counted)
+        e = random_ensemble(np.random.default_rng(73), 3, 5)
+        entries = solve_mcm(e)
+        calls.clear()
+        assert not any(_sigma_built(entry) for entry in entries.values())
+        first = entries[3].sigma
+        assert first is not None
+        assert calls == [(e.n, e.dim, e.dim)]
+        for entry in entries.values():
+            assert entry.sigma is not None
+            assert _sigma_built(entry)
+        assert len(calls) == 1
+        assert solve_mcm(e)[3].sigma is first
+
+    def test_sigma_equals_the_eager_build_bit_for_bit(self):
+        for e in _sigma_cases():
+            want = _eager_sigmas(e)
+            got = {x: entry.sigma for x, entry in solve_mcm(e).items() if entry.sigma is not None}
+            assert list(got) == list(want)
+            for x, sigma in got.items():
+                assert sigma.mat.tobytes() == want[x].tobytes()
+                assert not sigma.mat.flags.writeable
+
+    def test_sigma_is_none_exactly_where_r_is_zero(self):
+        nones = 0
+        for e in _sigma_cases():
+            for entry in solve_mcm(e).values():
+                assert (entry.sigma is None) == (entry.r == 0.0)
+                nones += entry.sigma is None
+        assert nones > 0
+
+
 # ---------------------------------------------------------------------------
 # KKT verification
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ Run with:  pytest tests/test_qcore.py -v
 
 import json
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqmcm import qcore
 from seqmcm.qcore import (
@@ -273,6 +276,96 @@ class TestPovmValidation:
     def test_inconclusive_element_is_required(self):
         with pytest.raises(TypeError):
             Povm(elements={1: np.eye(2)})
+
+
+E2, E3, E9, Z23 = np.eye(2), np.eye(3), np.eye(9), np.zeros((2, 3))
+
+
+@st.composite
+def operator_inputs(draw, count):
+    """``count`` operators of one dimension d in 1..8, each given as a
+    complex array, a real array, nested lists or an object with ``.mat``;
+    returns (inputs, the arrays ``np.asarray(op, dtype=complex)`` they give)."""
+    d = draw(st.integers(1, 8))
+    kinds = draw(st.lists(st.sampled_from(["complex", "real", "list", "mat"]),
+                          min_size=count, max_size=count))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inputs, arrays = [], []
+    for kind in kinds:
+        op = rng.normal(size=(d, d))
+        if kind != "real":
+            op = op + 1j * rng.normal(size=(d, d))
+        arrays.append(np.asarray(op, dtype=complex))
+        inputs.append({"list": op.tolist(), "mat": types.SimpleNamespace(mat=op)}.get(kind, op))
+    return inputs, arrays
+
+
+class TestPovmStack:
+    """A POVM's operators are coerced and copied as one frozen stack; every
+    malformed input keeps the error of the one-operator coercion."""
+
+    @pytest.mark.parametrize(
+        "elements, inconclusive, error, message",
+        [
+            ({1: E2}, E3, DimensionError, "POVM elements have mixed dimensions [2, 3]"),
+            ({1: E2, 2: E3}, np.zeros((2, 2)), DimensionError,
+             "POVM elements have mixed dimensions [2, 3]"),
+            ({1: Z23}, E2, DimensionError, "element 1 must be square, got shape (2, 3)"),
+            ({1: E2}, Z23, DimensionError,
+             "inconclusive element must be square, got shape (2, 3)"),
+            ({1: [1, 0]}, [0, 1], DimensionError, "element 1 must be square, got shape (2,)"),
+            ({1: np.zeros((2, 2, 2))}, E2, DimensionError,
+             "element 1 must be square, got shape (2, 2, 2)"),
+            ({1: 1.0}, E2, DimensionError, "element 1 must be square, got shape ()"),
+            ({1: E9}, E9, DimensionError, "element 1 has dimension 9, above the cap 8"),
+            ({1: E2}, E9, DimensionError, "inconclusive element has dimension 9, above the cap 8"),
+            ({}, E2, ValueError, "a POVM needs at least one conclusive element"),
+            ({}, Z23, ValueError, "a POVM needs at least one conclusive element"),
+            ({0: E2}, E2, ValueError, "label 0 is reserved for the inconclusive element"),
+            ({1: E2, 0: Z23}, E2, DimensionError, "element 0 must be square, got shape (2, 3)"),
+            ({1: Z23, "x": E2}, E2, DimensionError, "element 1 must be square, got shape (2, 3)"),
+        ],
+    )
+    def test_malformed_input_keeps_its_error(self, elements, inconclusive, error, message):
+        with pytest.raises(error) as got:
+            Povm(elements=elements, inconclusive=inconclusive)
+        assert type(got.value) is error and str(got.value) == message
+
+    def test_ragged_input_keeps_the_coercion_error(self):
+        ragged = [[1, 0], [0]]
+        with pytest.raises(ValueError) as want:
+            qcore.as_matrix(ragged, "element 1")
+        with pytest.raises(ValueError) as got:
+            Povm(elements={1: ragged}, inconclusive=E2)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    def test_operators_are_read_only_views_of_one_stack(self):
+        state = DensityMatrix(np.diag([1.0, 0.0]))
+        povm = Povm(elements={1: state, 2: [[0, 0], [0, 0.5]]}, inconclusive=np.diag([0, 0.5]))
+        ops = [*povm.elements.values(), povm.inconclusive]
+        assert len({id(op.base) for op in ops}) == 1 and ops[0].base.shape == (3, 2, 2)
+        for op in ops:
+            assert not op.flags.writeable
+            with pytest.raises(ValueError):
+                op[0, 0] = 1.0
+        assert povm.elements[1].tobytes() == state.mat.tobytes()
+
+    def test_operators_are_copies_of_the_inputs(self):
+        given = [np.diag([0.5, 0.0]).astype(complex), np.diag([0.5, 1.0]).astype(complex)]
+        povm = Povm(elements={1: given[0]}, inconclusive=given[1])
+        for op in given:
+            op[0, 0] = 9.0
+        assert povm.elements[1][0, 0] == 0.5 and povm.inconclusive[0, 0] == 0.5
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_stored_operators_equal_their_coerced_inputs(self, data):
+        n = data.draw(st.integers(1, 7))
+        inputs, arrays = data.draw(operator_inputs(n + 1))
+        povm = Povm(elements=dict(zip(range(1, n + 1), inputs)), inconclusive=inputs[-1])
+        assert povm.labels == list(range(1, n + 1))
+        for got, want in zip([*povm.elements.values(), povm.inconclusive], arrays):
+            assert got.dtype == complex and np.array_equal(got, want)
 
 
 class TestPureState:

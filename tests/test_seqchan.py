@@ -8,6 +8,7 @@ Run with:  pytest tests/test_seqchan.py -v
 
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -132,6 +133,78 @@ class TestKrausChannel:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ChannelConstructionError):
             KrausChannel(ops={1: np.eye(2), 2: np.eye(3)})
+
+    @pytest.mark.parametrize(
+        "ops, error, message",
+        [
+            ({}, ChannelConstructionError, "a channel needs at least one Kraus operator"),
+            ({1: np.eye(2), 0: np.eye(3)}, ChannelConstructionError,
+             "Kraus operators of mixed dimension [2, 3]"),
+            ({1: np.zeros((2, 3))}, qcore.DimensionError,
+             "Kraus op 1 must be square, got shape (2, 3)"),
+            ({0: [1, 0]}, qcore.DimensionError, "Kraus op 0 must be square, got shape (2,)"),
+            ({0: np.eye(9)}, qcore.DimensionError, "Kraus op 0 has dimension 9, above the cap 8"),
+            ({1: np.eye(2), 2: np.eye(2)}, ChannelConstructionError,
+             "Kraus completeness residual 1.000e+00 exceeds 1e-10"),
+        ],
+    )
+    def test_malformed_input_keeps_its_error(self, ops, error, message):
+        with pytest.raises(error) as got:
+            KrausChannel(ops=ops)
+        assert type(got.value) is error and str(got.value) == message
+
+    def test_ragged_input_keeps_the_coercion_error(self):
+        ragged = [[1, 0], [0]]
+        with pytest.raises(ValueError) as want:
+            qcore.as_matrix(ragged, "Kraus op 0")
+        with pytest.raises(ValueError) as got:
+            KrausChannel(ops={0: ragged})
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    def test_operators_are_read_only_views_of_its_stack(self):
+        up, down = qcore.DensityMatrix(np.diag([1.0, 0.0])), np.diag([0.0, 1.0]).tolist()
+        ch = KrausChannel(ops={1: up, 0: down})
+        assert list(ch.ops) == [1, 0] and ch._stack.shape == (2, 2, 2)
+        assert not ch._stack.flags.writeable
+        for label, op in ch.ops.items():
+            assert op.base is ch._stack and not op.flags.writeable
+            with pytest.raises(ValueError):
+                op[0, 0] = 1.0
+        assert ch.ops[1].tobytes() == up.mat.tobytes()
+
+    def test_a_label_given_twice_keeps_its_last_operator(self):
+        """``1`` and ``"1"`` are one label: the later operator replaces the
+        earlier one, in the ops and in the completeness sum."""
+        ch = KrausChannel(ops={0: np.diag([1.0, 0.0]), 1: 5 * np.eye(2), "1": np.diag([0.0, 1.0])})
+        assert list(ch.ops) == [0, 1] and ch._stack.shape == (2, 2, 2)
+        assert np.array_equal(ch.ops[1], np.diag([0.0, 1.0]))
+        assert np.array_equal(ch._stack[1], np.diag([0.0, 1.0]))
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 8),
+        labels=st.integers(1, 7).flatmap(lambda n: st.permutations(range(n))),
+        kinds=st.lists(st.sampled_from(["complex", "real", "list", "mat"]), min_size=7,
+                       max_size=7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stored_operators_equal_their_coerced_inputs(self, d, labels, kinds, seed):
+        """Complete channels of 1..7 operators: the columns of one QR factor
+        cut into d x d blocks, each given as a complex or real array, nested
+        lists or an object with ``.mat``."""
+        rng = np.random.default_rng(seed)
+        n = len(labels)
+        tall = rng.normal(size=(n * d, d))
+        if kinds[0] != "real":
+            tall = tall + 1j * rng.normal(size=(n * d, d))
+        blocks = np.linalg.qr(tall)[0].reshape(n, d, d)
+        given_ops = [{"list": b.tolist(), "mat": types.SimpleNamespace(mat=b)}.get(k, b)
+                     for b, k in zip(blocks, kinds)]
+        ch = KrausChannel(ops=dict(zip(labels, given_ops)))
+        assert list(ch.ops) == list(labels)
+        for got, want in zip(ch.ops.values(), blocks):
+            assert got.dtype == complex and np.array_equal(got, np.asarray(want, dtype=complex))
+        assert np.array_equal(ch._stack, np.asarray(blocks, dtype=complex))
 
     @staticmethod
     def _reference_image(ch: KrausChannel, r: np.ndarray) -> np.ndarray:

@@ -52,8 +52,10 @@ cosine rounds to 1 and to -1 (exit 0); and ``mcm`` on ensemble files whose
 ``sequence`` and ``sweep`` at a ``theta`` whose cosine rounds to 1 (each exit
 2), two ``mirror`` chains whose state leaves the family (each exit 4), and
 ``family`` on a ``mirror`` outside its closed form (exit 2).
-Last come ``mcm`` on a 40-state ``gu`` and on seeded ensembles of 7 and 13
-qubit states, each solved through the exact qubit duals (exit 0).
+Then come ``mcm`` on a 40-state ``gu`` and on seeded ensembles of 7 and 13
+qubit states, each solved through the exact qubit duals (exit 0).  Last come
+two sweeps whose points share priors: a ``two_mixed`` grid whose second point
+fails its first party (exit 4, naming it), and a ``mirror`` grid at two rates.
 Every ``sweep`` prints long-format
 rows, one per party and quantity: the family's parameters, the rate, the
 party, the quantity and its closed-form, engine and residual values.
@@ -416,6 +418,13 @@ def corpus() -> list[list[str]]:
     # qubit problems of 40, 7 and 13 labels, solved exactly, each exit 0
     lines.append(["mcm", "--family", "gu", "--params", '{"n": 40}'])
     lines += [["mcm", "--ensemble", name] for name in UNCAPPED]
+    # sweeps whose points' first stages are solved as one stack: one whose
+    # second point fails its first party (exit 4), one sharing each point's
+    # ensemble across two rates (exit 0)
+    lines += [["sweep", "--family", "two_mixed", "--grid",
+               '{"p": [0.5, 1e-300, 0.9], "theta": [1.0]}'],
+              ["sweep", "--family", "mirror", "--grid", '{"theta": [2.0, 2.2]}',
+               "--eta0", "0.3,0.9"]]
     return lines
 
 
