@@ -290,7 +290,7 @@ def cmd_mcm(args: argparse.Namespace) -> int:
         guess_doc = None
 
     doc = {
-        "solution": mcm_mod.solution_to_json(mcm_mod.solve_mcm(e)),
+        "solution": mcm_mod.solution_to_json(e),
         "rate_optimal": {
             "weights": {str(x): w for x, w in sorted(weights.weights.items())},
             "eta0": weights.eta0,

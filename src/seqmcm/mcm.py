@@ -37,22 +37,23 @@ spectra are the complement check.  It takes a batch of ensembles that
 share their priors (:func:`_first_stage`), and one ensemble is the batch
 of one; a batch that fails a check caches nothing, and
 :mod:`seqmcm.seqchan` decides which error a chain reports.  The second,
-:func:`solve_mcm`, builds the entries on it: the back-mapped bases at
-once, and the ``sigma_x`` on the first read of any entry's
-:attr:`McmEntry.sigma`, all of the ensemble's together, validated as one
-stack from the clipped spectrum they are built from instead of eigensolved
-again.  Only :func:`verify_kkt` and :func:`entry_to_json` read them, so a
-chain party that reads confidences and bases builds none.  Each stack is
+:func:`solve_mcm`, builds the entries on it, with their back-mapped bases.
+The ``sigma_x`` are not part of an entry: :func:`complement_states` builds
+all of an ensemble's on its first call, validated as one stack from the
+clipped spectrum they are built from instead of eigensolved again, and
+caches them on the ensemble beside the two stages.  Only :func:`verify_kkt`
+and :func:`solution_to_json` read them, so a chain party that reads
+confidences and bases builds none.  Each stack is
 symmetrised on the line before its eigensolve, so these eigensolves skip
 the Hermiticity check (see :mod:`seqmcm.qcore`).  The chain runner reads the
 first stage only, as one stacked first stage per chain of all the
 ensembles no strategy solved; :func:`mcm_povm`, :func:`verify_kkt`, the
 weight optimizer and the strategies that measure the optimal bases read
-the second.  Neither can go stale: an ensemble's fields are frozen and its
-state arrays read-only, and callers get a fresh dict of confidences or of
-frozen entries, never the stored one.  An entry's optimal subspace
-(:attr:`McmEntry.span`, :attr:`McmEntry.projector`) is computed on first
-read and kept read-only: its readers share one QR per label, and a party
+the second.  None can go stale: an ensemble's fields are frozen and its
+state arrays read-only, and callers get a fresh dict of confidences, of
+frozen entries or of states, never the stored one.  An entry's optimal
+subspace (:attr:`McmEntry.span`, :attr:`McmEntry.projector`) is computed on
+first read and kept read-only: its readers share one QR per label, and a party
 that reads only ``basis[0]`` pays none.  :func:`max_confidence` reads its
 label's entry from that one solution, so it raises :class:`SupportError`
 when any label of the ensemble leaks outside the support.
@@ -62,8 +63,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -127,16 +128,13 @@ class McmEntry:
         Complement weight ``C_x - q_x``.
     mu:
         Mixture weight ``q_x / C_x`` (0 when ``q_x = 0``).
-    sigma:
-        Not a field: the complementary state, or ``None`` when ``r = 0``
-        (full degeneracy: the shaped operator is proportional to the
-        support projector, e.g. any single-state ensemble), computed on
-        first read.  The first read of any label's ``sigma`` builds all of
-        the ensemble's, validated as one stack.
     span, projector:
         Not fields: ``Q_x``, an orthonormal basis of ``basis`` (one QR), and
         ``P_x = Q_x Q_x^dag``, read-only and computed on first read.  With
         a zero prior there is no subspace, and either raises ValueError.
+
+    The complementary state ``sigma_x`` is the ensemble's, not the entry's:
+    see :func:`complement_states`.
     """
 
     label: int
@@ -145,13 +143,6 @@ class McmEntry:
     basis: tuple[np.ndarray, ...]
     r: float
     mu: float
-    # the ensemble's sigma_x by label, shared by its entries and built on the
-    # first call; set by _solve, the only place entries are made
-    _sigmas: Callable[[], dict[int, DensityMatrix]] = field(init=False, repr=False, compare=False)
-
-    @functools.cached_property
-    def sigma(self) -> DensityMatrix | None:
-        return self._sigmas().get(self.label)
 
     @functools.cached_property
     def span(self) -> np.ndarray:
@@ -168,8 +159,9 @@ class McmEntry:
 def _first_stage(ensembles: Sequence[Ensemble]) -> list[tuple]:
     """The first stage of each ensemble's solve, cached on it as
     :func:`seqmcm.qcore._cached_batch` caches: per ensemble ``(confidences,
-    live labels, priors, rho^(-1/2), shaped (vals, vecs), complement (vals,
-    vecs) or None)``.
+    live labels, priors, rho^(-1/2), shaped (vals, vecs), kept, complement
+    (vals, vecs) or None)``, ``kept`` the live labels' ``r > R_ZERO_TOL``
+    mask, the one place that rule is decided.
 
     The ensembles not yet cached, which must share their priors and
     dimension (a chain's do), are solved together: their averages' factors
@@ -216,7 +208,7 @@ def _first_stage(ensembles: Sequence[Ensemble]) -> list[tuple]:
                     f"complement operator has eigenvalue {comp_vals[inconsistent][0, -1]:.3e}; "
                     "the confidence eigenvalue is inconsistent"
                 )
-        for arr in (q, shaping, vals, vecs, comp_vals, comp_vecs):
+        for arr in (q, shaping, vals, vecs, kept, comp_vals, comp_vecs):
             if arr is not None:
                 arr.setflags(write=False)
         stages, lo = [], 0
@@ -224,7 +216,7 @@ def _first_stage(ensembles: Sequence[Ensemble]) -> list[tuple]:
             complements = (comp_vals[lo : lo + n], comp_vecs[lo : lo + n]) if n else None
             lo += n
             conf = dict.fromkeys(e.labels, 0.0) | dict(zip(live, c[b].tolist()))
-            stages.append((conf, live, q, shaping[b], (vals[b], vecs[b]), complements))
+            stages.append((conf, live, q, shaping[b], (vals[b], vecs[b]), kept[b], complements))
         return stages
 
     return qcore._cached_batch(ensembles, "mcm.stage", compute)
@@ -236,28 +228,35 @@ def confidences(e: Ensemble) -> dict[int, float]:
     return dict(_first_stage([e])[0][0])
 
 
-def _complement_states(
-    live: list[int], kept: np.ndarray, complements: Any
-) -> dict[int, DensityMatrix]:
-    """``sigma_x`` of each label with ``r_x > 0`` (``kept``), built from the
-    first stage's complement spectra and validated as one stack."""
-    if not kept.any():
-        return {}
-    # clip the float dust so a small r cannot blow it past the state validator
-    rvals, rvecs = complements
-    clipped = np.clip(rvals, 0.0, None)
-    mats = (rvecs * clipped[:, None, :]) @ qcore._adjoint(rvecs)
-    traces = np.real(np.trace(mats, axis1=-2, axis2=-1))
-    # their spectra are clipped / tr, nonnegative: no eigvalsh to check it
-    stack = DensityMatrix.stack(mats / traces[:, None, None], clipped[:, -1] / traces)
-    return dict(zip((live[i] for i in np.flatnonzero(kept)), stack))
+def complement_states(e: Ensemble) -> dict[int, DensityMatrix]:
+    """``sigma_x`` of each label with ``r_x > 0``; a label is absent exactly
+    where its entry's ``r`` is 0 (full degeneracy: the shaped operator is
+    proportional to the support projector, e.g. any single-state ensemble).
+
+    Built on the first call from the first stage's complement spectra, all
+    of the ensemble's as one validated stack, and cached on the ensemble;
+    later calls return a fresh dict of the same (immutable) states."""
+
+    def build() -> dict[int, DensityMatrix]:
+        _, live, _, _, _, kept, complements = _first_stage([e])[0]
+        if complements is None:
+            return {}
+        # clip the float dust so a small r cannot blow it past the state validator
+        rvals, rvecs = complements
+        clipped = np.clip(rvals, 0.0, None)
+        mats = (rvecs * clipped[:, None, :]) @ qcore._adjoint(rvecs)
+        traces = np.real(np.trace(mats, axis1=-2, axis2=-1))
+        # their spectra are clipped / tr, nonnegative: no eigvalsh to check it
+        stack = DensityMatrix.stack(mats / traces[:, None, None], clipped[:, -1] / traces)
+        return dict(zip((live[i] for i in np.flatnonzero(kept)), stack))
+
+    return dict(e.cached("mcm.sigma", build))
 
 
 def _solve(e: Ensemble) -> dict[int, McmEntry]:
-    """Entries for every label, built on the cached first stage: the
-    back-mapped bases of the optimal subspaces now, the complement states on
-    the first read of any entry's ``sigma``."""
-    _, live, q, shaping, (vals, vecs), complements = _first_stage([e])[0]
+    """Entries for every label, built on the cached first stage, with the
+    back-mapped bases of the optimal subspaces."""
+    _, live, q, shaping, (vals, vecs), kept, _ = _first_stage([e])[0]
     entries = {
         x: McmEntry(label=x, confidence=0.0, degeneracy=0, basis=(), r=0.0, mu=0.0)
         for x in e.labels
@@ -265,9 +264,6 @@ def _solve(e: Ensemble) -> dict[int, McmEntry]:
     }
     c = vals[:, 0]
     degs = (vals > (c - DEGENERACY_TOL * c)[:, None]).sum(axis=-1)
-    r = c - q
-    kept = r > R_ZERO_TOL
-    sigmas = functools.cache(lambda: _complement_states(live, kept, complements))
     # the top eigenvectors of every label, mapped back through rho^(-1/2)
     # as one stack of matrix-vector products (a matrix-matrix product, like
     # a norm over an axis, rounds differently from the one-vector call)
@@ -286,11 +282,9 @@ def _solve(e: Ensemble) -> dict[int, McmEntry]:
             confidence=ci,
             degeneracy=int(degs[i]),
             basis=tuple(unit[bounds[i] : bounds[i + 1]]),
-            r=float(r[i]) if kept[i] else 0.0,
+            r=float(c[i] - q[i]) if kept[i] else 0.0,
             mu=e.prior(x) / ci,
         )
-    for entry in entries.values():
-        object.__setattr__(entry, "_sigmas", sigmas)
     return {x: entries[x] for x in e.labels}
 
 
@@ -358,15 +352,16 @@ def verify_kkt(e: Ensemble, povm: Povm) -> KktReport:
     """Check both optimality conditions for each conclusive POVM label,
     each within :data:`KKT_TOL`."""
     entries = solve_mcm(e)
+    sigmas = complement_states(e)
     rho = e.average().mat
     residuals = []
     slackness: dict[int, float] = {}
     for x in povm.labels:
-        entry = entries[x]
-        comp = entry.r * entry.sigma.mat if entry.sigma is not None else 0.0
+        entry, sigma = entries[x], sigmas.get(x)
+        comp = entry.r * sigma.mat if sigma is not None else 0.0
         residuals.append(entry.confidence * rho - e.prior(x) * e.state(x).mat - comp)
-        if entry.sigma is not None:
-            overlap = float(np.real(np.trace(entry.sigma.mat @ povm.elements[x])))
+        if sigma is not None:
+            overlap = float(np.real(np.trace(sigma.mat @ povm.elements[x])))
             slackness[x] = abs(entry.r * overlap)
         else:
             slackness[x] = 0.0
@@ -408,18 +403,21 @@ def max_relative_entropy(rho: Any, sigma: Any) -> float:
 # ---------------------------------------------------------------------------
 
 
-def entry_to_json(entry: McmEntry) -> dict[str, Any]:
+def entry_to_json(entry: McmEntry, sigma: DensityMatrix | None) -> dict[str, Any]:
+    """One label's entry with its ``sigma_x`` (``None`` where ``r = 0``)."""
     return {
         "label": entry.label,
         "confidence": entry.confidence,
         "degeneracy": entry.degeneracy,
         "basis": [vector_to_json(v) for v in entry.basis],
-        "sigma": matrix_to_json(entry.sigma.mat) if entry.sigma is not None else None,
+        "sigma": matrix_to_json(sigma.mat) if sigma is not None else None,
         "r": entry.r,
         "mu": entry.mu,
     }
 
 
-def solution_to_json(entries: dict[int, McmEntry]) -> dict[str, Any]:
-    """JSON object keyed by label; order-stable for deterministic output."""
-    return {str(x): entry_to_json(entries[x]) for x in sorted(entries)}
+def solution_to_json(e: Ensemble) -> dict[str, Any]:
+    """The ensemble's solution as a JSON object keyed by label; order-stable
+    for deterministic output."""
+    entries, sigmas = solve_mcm(e), complement_states(e)
+    return {str(x): entry_to_json(entries[x], sigmas.get(x)) for x in sorted(entries)}

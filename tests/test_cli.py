@@ -975,6 +975,26 @@ def test_state_failing_a_density_check_exits_2(name, message, tmp_path, monkeypa
         assert err == f"error: cannot load ensemble {name}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("negprior.json", "negative prior: -0.2"),
+        ("twopriors.json", "need one prior per state, at least one of each"),
+        ("nostates.json", "malformed ensemble object: 'states'"),
+        ("list.json", "malformed ensemble object: list indices must be integers or slices, not str"),
+    ],
+)
+def test_malformed_ensemble_file_exits_2(name, message, tmp_path, monkeypatch, capsys):
+    """An ensemble file with a negative prior, a prior count that is not the
+    state count, no ``states``, or no object at all stops ``mcm`` with the
+    loader's message."""
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_text(json.dumps(_digest_tool().MALFORMED[name]))
+    code, out, err = run(capsys, ["mcm", "--ensemble", name])
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == f"error: cannot load ensemble {name}: {message}\n"
+
+
 def test_sweep_is_serial_unless_threads_are_asked_for(monkeypatch, capsys):
     """With ``SEQMCM_THREADS`` unset no pool is made, and the output is the
     pooled run's, byte for byte."""

@@ -24,7 +24,7 @@ EXITS = [
     2, 2, 2, 4, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
     2, 2, 2, 2, 2, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 0, 0, 3, 3, 2, 2, 2, 4, 0, 0,
     0, 0, 0, 0, 0, 2, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 3, 0, 0, 0, 2, 2, 2, 2,
-    4, 4, 2, 0, 0, 0, 4, 0,
+    4, 4, 2, 0, 0, 0, 4, 0, 2, 2, 2, 2,
 ]
 """Exit codes of the corpus lines, in order."""
 

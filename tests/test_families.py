@@ -372,6 +372,27 @@ class TestOptimalJointSchedule:
         np.testing.assert_allclose(sched.gains, [c * (1 - math.sqrt(s))] * 2, atol=1e-15)
         np.testing.assert_allclose(sched.overlaps, [s, math.sqrt(s), 1.0], atol=1e-15)
 
+    def test_two_party_unambiguous_optimum(self):
+        """Two equiprobable pure states of overlap ``s = |<psi_1|psi_2>|``
+        shared by two parties who each discriminate them unambiguously: the
+        optimal joint success is ``(1 - sqrt(s))^2`` (Bergou, Feldman &
+        Hillery, PRL 111, 100501, 2013).  ``two_mixed`` at ``p = 1`` is that
+        pair, with ``C = 1``.  The closed form matches it at every angle.
+        The engine matches it where ``s >= 1e-4``: at ``theta = pi/2`` the
+        overlap is a rounding value (about 1e-16), which a chain measures
+        only to absolute rounding, and ``sqrt(s)`` amplifies that to a few
+        1e-9, so that angle is left out of the engine check."""
+        engine_points = 0
+        for theta in np.linspace(0.05, math.pi - 0.05, 41):
+            fam = two_mixed(1.0, float(theta))
+            s = abs(math.cos(theta))
+            want = (1.0 - math.sqrt(s)) ** 2
+            assert abs(fam.schedule(2).p_joint - want) <= 1e-15
+            if s >= 1e-4:
+                engine_points += 1
+                assert abs(run_sequence(fam.ensemble(), fam.strategies(2)).p_joint - want) <= 1e-12
+        assert engine_points == 40
+
     def test_constraint_product(self):
         """prod_j (1 - G_j / C) must equal the initial overlap."""
         for c, s, r in ((0.8, 0.3, 3), (0.6, 0.7, 4), (1.0, 0.05, 5)):
@@ -757,6 +778,9 @@ class TestLiftedGuSequential:
         # threshold above the fresh confidence: not even one party
         assert fam.party_bound(0.7, 0.5) == 0.0
         assert fam.max_parties(0.7, 0.5) == 0
+        # a full-strength rate leaves Delta = 1: the confidence never decays
+        assert gu(4).delta(1.0) == 1.0
+        assert gu(4).party_bound(0.3, 1.0) == math.inf
 
     def test_infeasible_rate_names_party(self):
         fam = lifted_gu(3, 0.9, 0.9)  # floor ~ 0.62
@@ -828,6 +852,17 @@ class TestMirrorState:
             mirror_state_of(e2)
         with pytest.raises(ValueError):
             mirror_state_of(gu(4).ensemble())
+        # states 2 and 3 mirror images, but off the equator
+        e3 = qcore.Ensemble(
+            priors=(1 / 3, 1 / 3, 1 / 3),
+            states=(
+                qcore.density_from_bloch([0.5, 0.0, 0.0]),
+                qcore.density_from_bloch([0.3, 0.4, 0.2]),
+                qcore.density_from_bloch([0.3, -0.4, 0.2]),
+            ),
+        )
+        with pytest.raises(FeasibilityError, match="^states 2/3 are not on the equator$"):
+            mirror_state_of(e3)
 
 
 class TestMirrorMcm:

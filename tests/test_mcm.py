@@ -13,8 +13,10 @@ and the identity C_x = q_x 2**Dmax(rho_x || rho).
 Run with:  pytest tests/test_mcm.py -v
 """
 
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from seqmcm import mcm, optim, qcore
 from seqmcm.mcm import (
     McmEntry,
     SupportError,
+    complement_states,
     max_confidence,
     max_relative_entropy,
     mcm_povm,
@@ -81,7 +84,7 @@ class TestMaxConfidence:
         entry = max_confidence(e, 1)
         np.testing.assert_allclose(entry.confidence, 1.0, atol=1e-14)
         assert entry.degeneracy == 2
-        assert entry.sigma is None and entry.r == 0.0
+        assert complement_states(e) == {} and entry.r == 0.0
 
     def test_identical_states_confidence_equals_prior(self):
         """When every state is rho, no measurement beats the prior."""
@@ -175,19 +178,19 @@ class TestDecomposition:
         e = orthogonal_pair()
         entry = max_confidence(e, 1)
         np.testing.assert_allclose(entry.r, 0.5, atol=1e-12)
-        np.testing.assert_allclose(entry.sigma.mat, np.diag([0.0, 1.0]), atol=1e-12)
+        np.testing.assert_allclose(complement_states(e)[1].mat, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_decomposition_identity_random(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
             e = random_ensemble(rng, rng.integers(2, 5), rng.integers(2, 6))
-            rho = e.average().mat
+            rho, sigmas = e.average().mat, complement_states(e)
             for x in e.labels:
                 entry = max_confidence(e, x)
                 lhs = entry.confidence * rho
                 rhs = e.prior(x) * e.state(x).mat
-                if entry.sigma is not None:
-                    rhs = rhs + entry.r * entry.sigma.mat
+                if x in sigmas:
+                    rhs = rhs + entry.r * sigmas[x].mat
                 np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
     def test_mixture_weight(self):
@@ -341,7 +344,7 @@ class TestDegeneracy:
         e = Ensemble(priors=(0.5, 0.5), states=(np.eye(2) / 2, np.eye(2) / 2))
         entry = max_confidence(e, 1)
         assert entry.degeneracy == 2
-        assert entry.sigma is None  # r = 0: nothing left to complement
+        assert 1 not in complement_states(e)  # r = 0: nothing left to complement
         assert len(entry.basis) == 2
 
     def test_trine_not_degenerate(self):
@@ -374,11 +377,11 @@ class TestSolveOnce:
         no other."""
         e = random_ensemble(np.random.default_rng(42), 3, 5)
         eigensolves.calls.clear()
-        entries = solve_mcm(e)
+        solve_mcm(e)
         rho = average_of(e)
         assert eigensolves.of(rho, "eigh") == 1
         assert eigensolves.of(rho, "eigvalsh") == 0
-        with_complement = sum(entry.sigma is not None for entry in entries.values())
+        with_complement = len(complement_states(e))
         assert with_complement > 0
         assert eigensolves.count("eigh") == 3
         assert eigensolves.stacks("eigh") == [1, e.n, with_complement]
@@ -471,7 +474,7 @@ class TestFirstStage:
         first = len(eigensolves.calls)
         calls[1]()
         assert len(eigensolves.calls) == first
-        with_complement = sum(entry.sigma is not None for entry in solve_mcm(e).values())
+        with_complement = len(complement_states(e))
         assert with_complement > 0
         assert eigensolves.stacks("eigh") == [1, e.n, with_complement]
         assert eigensolves.stacks("eigvalsh") == []
@@ -487,16 +490,12 @@ class TestFirstStage:
             solve_mcm(e)
 
 
-def _sigma_built(entry: McmEntry) -> bool:
-    return "sigma" in entry.__dict__
-
-
 def _eager_sigmas(e: Ensemble) -> dict[int, np.ndarray]:
     """Every sigma_x as the solve built them before they were lazy: from the
     first stage's complement spectra, clipped, as one stack over the labels
     with ``r > 0``, each divided by its trace and symmetrised as
     :func:`seqmcm.qcore.validate_states` stores it."""
-    _, live, q, _, (vals, _), complements = mcm._first_stage([e])[0]
+    _, live, q, _, (vals, _), _, complements = mcm._first_stage([e])[0]
     kept = vals[:, 0] - q > mcm.R_ZERO_TOL
     if not kept.any():
         return {}
@@ -524,8 +523,9 @@ def _sigma_cases() -> list[Ensemble]:
 
 
 class TestSigmaOnFirstRead:
-    """An entry's ``sigma`` is built on first read, all of the ensemble's at
-    once, with the arithmetic of the eager build; a chain reads none."""
+    """The ``sigma_x`` of :func:`complement_states` are built on its first
+    call, all of the ensemble's at once, with the arithmetic of the eager
+    build, and cached on the ensemble; a chain builds none."""
 
     def test_chains_build_no_sigma(self):
         from seqmcm import families, seqchan
@@ -537,10 +537,11 @@ class TestSigmaOnFirstRead:
         for e, strategies in [(two.ensemble(), two.strategies(4)),
                               (qutrit, seqchan.weakened_mcm_strategies(rates))]:
             trace = seqchan.run_sequence(e, strategies)
-            solved = [rec.ensemble._memo["mcm.solution"] for rec in trace.records]
-            assert len(solved) == len(strategies)
-            entries = [entry for solution in solved for entry in solution.values()]
-            assert entries and not any(_sigma_built(entry) for entry in entries)
+            memos = [rec.ensemble._memo for rec in trace.records]
+            assert len(memos) == len(strategies)
+            assert all("mcm.solution" in memo for memo in memos)
+            memos.append(trace.final_ensemble._memo)
+            assert not any("mcm.sigma" in memo for memo in memos)
 
     def test_one_read_builds_every_sigma_in_one_validation(self, monkeypatch):
         calls = []
@@ -552,34 +553,71 @@ class TestSigmaOnFirstRead:
 
         monkeypatch.setattr(qcore, "validate_states", counted)
         e = random_ensemble(np.random.default_rng(73), 3, 5)
-        entries = solve_mcm(e)
+        solve_mcm(e)
         calls.clear()
-        assert not any(_sigma_built(entry) for entry in entries.values())
-        first = entries[3].sigma
-        assert first is not None
+        assert "mcm.sigma" not in e._memo
+        first = complement_states(e)
         assert calls == [(e.n, e.dim, e.dim)]
-        for entry in entries.values():
-            assert entry.sigma is not None
-            assert _sigma_built(entry)
+        assert list(first) == list(e.labels)
+        second = complement_states(e)
         assert len(calls) == 1
-        assert solve_mcm(e)[3].sigma is first
+        assert second is not first and all(second[x] is first[x] for x in e.labels)
 
     def test_sigma_equals_the_eager_build_bit_for_bit(self):
         for e in _sigma_cases():
             want = _eager_sigmas(e)
-            got = {x: entry.sigma for x, entry in solve_mcm(e).items() if entry.sigma is not None}
+            got = complement_states(e)
             assert list(got) == list(want)
             for x, sigma in got.items():
                 assert sigma.mat.tobytes() == want[x].tobytes()
                 assert not sigma.mat.flags.writeable
 
     def test_sigma_is_none_exactly_where_r_is_zero(self):
+        """A label is absent from :func:`complement_states`, and its JSON
+        ``sigma`` is null, exactly where its entry's ``r`` is 0."""
         nones = 0
         for e in _sigma_cases():
-            for entry in solve_mcm(e).values():
-                assert (entry.sigma is None) == (entry.r == 0.0)
-                nones += entry.sigma is None
+            sigmas, doc = complement_states(e), mcm.solution_to_json(e)
+            for x, entry in solve_mcm(e).items():
+                assert (x not in sigmas) == (entry.r == 0.0) == (doc[str(x)]["sigma"] is None)
+                nones += x not in sigmas
         assert nones > 0
+
+
+def _bits(value):
+    """A field's value with every float and array as its exact bits."""
+    if isinstance(value, tuple):
+        return [v.tobytes() for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+class TestPlainEntries:
+    """An entry is its six fields: it copies and pickles as any frozen
+    dataclass does, and so does an ensemble with its solution cached."""
+
+    def test_replace_keeps_every_field(self):
+        e = random_ensemble(np.random.default_rng(74), 3, 4)
+        for entry in solve_mcm(e).values():
+            copy = dataclasses.replace(entry)
+            assert copy is not entry
+            assert [f.name for f in dataclasses.fields(copy)] == [
+                "label", "confidence", "degeneracy", "basis", "r", "mu"
+            ]
+            for f in dataclasses.fields(entry):
+                assert _bits(getattr(copy, f.name)) == _bits(getattr(entry, f.name))
+            assert copy.projector.tobytes() == entry.projector.tobytes()
+
+    def test_pickle_round_trips_the_solution(self):
+        e = random_ensemble(np.random.default_rng(75), 3, 4)
+        solution = solve_mcm(e)
+        complement_states(e)
+        back = pickle.loads(pickle.dumps(solution))
+        assert list(back) == list(solution)
+        for x, entry in solution.items():
+            for f in dataclasses.fields(entry):
+                assert _bits(getattr(back[x], f.name)) == _bits(getattr(entry, f.name))
+        e_back = pickle.loads(pickle.dumps(e))
+        assert json.dumps(mcm.solution_to_json(e_back)) == json.dumps(mcm.solution_to_json(e))
 
 
 # ---------------------------------------------------------------------------
@@ -635,10 +673,10 @@ class TestKkt:
             for n in (2, 4, 6):
                 e = random_ensemble(rng, dim, n, pure=bool(dim % 2))
                 povm = mcm_povm(e, dict(optim.min_inconclusive_rate(e).weights))
-                entries, rho = solve_mcm(e), e.average().mat
+                entries, sigmas, rho = solve_mcm(e), complement_states(e), e.average().mat
                 for x, norm in verify_kkt(e, povm).stability.items():
                     entry = entries[x]
-                    comp = entry.r * entry.sigma.mat if entry.sigma is not None else 0.0
+                    comp = entry.r * sigmas[x].mat if x in sigmas else 0.0
                     residual = entry.confidence * rho - e.prior(x) * e.state(x).mat - comp
                     assert norm == qcore.trace_norm(residual)
 
@@ -670,6 +708,10 @@ class TestMaxRelativeEntropy:
         rho = np.diag([0.0, 1.0]).astype(complex)
         sigma = np.diag([1.0, 0.0]).astype(complex)
         assert max_relative_entropy(rho, sigma) == math.inf
+
+    def test_zero_operator_is_minus_infinite(self):
+        """``lambda_max`` of a zero ``rho`` is 0, whose log is -inf."""
+        assert max_relative_entropy(np.zeros((2, 2)), np.eye(2) / 2) == -math.inf
 
     @pytest.mark.parametrize("bad_argument", [0, 1])
     def test_rejects_non_hermitian_argument(self, bad_argument):
@@ -751,7 +793,7 @@ class TestGuessingProbability:
 class TestSerialization:
     def test_entry_json_fields(self):
         e = trine_ensemble()
-        doc = mcm.entry_to_json(max_confidence(e, 1))
+        doc = mcm.entry_to_json(max_confidence(e, 1), complement_states(e)[1])
         assert doc["label"] == 1
         np.testing.assert_allclose(doc["confidence"], 2 / 3, atol=1e-12)
         assert doc["degeneracy"] == 1
@@ -759,7 +801,7 @@ class TestSerialization:
         json.dumps(doc)  # must be plain-JSON serializable
 
     def test_solution_json(self):
-        doc = mcm.solution_to_json(solve_mcm(orthogonal_pair()))
+        doc = mcm.solution_to_json(orthogonal_pair())
         assert sorted(doc) == ["1", "2"]
         np.testing.assert_allclose(doc["1"]["confidence"], 1.0, atol=1e-14)
         json.dumps(doc)
@@ -768,6 +810,6 @@ class TestSerialization:
         e = Ensemble(
             priors=(1.0, 0.0), states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
         )
-        doc = mcm.entry_to_json(max_confidence(e, 2))
-        assert doc["confidence"] == 0.0 and doc["basis"] == []
+        doc = mcm.entry_to_json(max_confidence(e, 2), complement_states(e).get(2))
+        assert doc["confidence"] == 0.0 and doc["basis"] == [] and doc["sigma"] is None
         json.dumps(doc)

@@ -188,6 +188,12 @@ class TestBloch:
         with pytest.raises(ValueError):
             density_from_bloch([1.1, 0, 0])
 
+    def test_qubits_only(self):
+        with pytest.raises(DimensionError, match="^Bloch coordinates are only defined for qubits$"):
+            DensityMatrix(np.eye(3) / 3).bloch()
+        with pytest.raises(DimensionError, match="^a Bloch vector has exactly 3 components$"):
+            density_from_bloch([0, 0])
+
     def test_purity_from_radius(self):
         rho = density_from_bloch([0.3, 0.4, 0.0])
         np.testing.assert_allclose(purity(rho.mat), 0.5 * (1 + 0.25), atol=1e-14)
@@ -393,6 +399,10 @@ class TestJsonRoundTrips:
     def test_vector(self):
         v = np.array([1 / math.sqrt(2), 1j / math.sqrt(2)])
         np.testing.assert_allclose(vector_from_json(vector_to_json(v)), v, atol=0.0)
+
+    def test_vector_above_the_cap_is_rejected(self):
+        with pytest.raises(DimensionError, match="^vector has dimension 9, above the cap 8$"):
+            vector_to_json(np.zeros(9))
 
     def test_ensemble(self):
         rng = np.random.default_rng(4)

@@ -578,6 +578,12 @@ class TestFunctionals:
         np.testing.assert_allclose(information_gain(e, povm), 1.0, atol=1e-12)
         np.testing.assert_allclose(inconclusive_rate(e, povm), 0.0, atol=1e-12)
 
+    def test_distance_needs_equal_sizes(self):
+        e2 = qcore.random_ensemble(np.random.default_rng(1), 2, 2)
+        e3 = qcore.random_ensemble(np.random.default_rng(2), 2, 3)
+        with pytest.raises(ValueError, match="^ensembles of different sizes: 2 vs 3$"):
+            ensemble_distance(e2, e3)
+
     def test_gain_scales_with_weakening(self):
         e = trine_ensemble()
         povm = trine_povm()
@@ -850,6 +856,10 @@ class TestRunSequence:
         """Every trace carries its joint probabilities, and an empty chain has none."""
         with pytest.raises(ValueError, match="empty chain"):
             run_sequence(trine_ensemble(), [])
+
+    def test_joint_outcomes_of_an_empty_chain_raise(self):
+        with pytest.raises(ValueError, match="^empty chain$"):
+            seqchan.joint_outcomes(trine_ensemble(), [])
 
     def test_infeasible_strategy_names_party(self):
         def bad(e: Ensemble, j: int) -> PartyPlan:

@@ -68,7 +68,8 @@ class TestStackedSolve:
     def test_entries_are_read_only(self, e):
         for entry in mcm.solve_mcm(e).values():
             assert all(not v.flags.writeable for v in entry.basis)
-            assert entry.sigma is None or not entry.sigma.mat.flags.writeable
+        assert all(not sigma.mat.flags.writeable for sigma in mcm.complement_states(e).values())
+        assert not mcm._first_stage([e])[0][5].flags.writeable
 
     @PROPERTY
     @given(
@@ -248,8 +249,8 @@ def _hex(values: dict[int, float]) -> dict[int, str]:
 
 def _stage_bits(stage: tuple) -> tuple:
     """A first stage's confidences as hex, its arrays as bytes."""
-    conf, live, q, shaping, shaped, complements = stage
-    arrays = [q, shaping, *shaped, *(complements or ())]
+    conf, live, q, shaping, shaped, kept, complements = stage
+    arrays = [q, shaping, *shaped, kept, *(complements or ())]
     return _hex(conf), live, [(a.shape, a.tobytes()) for a in arrays]
 
 

@@ -56,6 +56,9 @@ Then come ``mcm`` on a 40-state ``gu`` and on seeded ensembles of 7 and 13
 qubit states, each solved through the exact qubit duals (exit 0).  Last come
 two sweeps whose points share priors: a ``two_mixed`` grid whose second point
 fails its first party (exit 4, naming it), and a ``mirror`` grid at two rates.
+After them, ``mcm`` on four ensemble files the loader rejects: a negative
+prior, two priors for one state, an object without ``states`` and a JSON
+list (each exit 2).
 Every ``sweep`` prints long-format
 rows, one per party and quantity: the family's parameters, the rate, the
 party, the quantity and its closed-form, engine and residual values.
@@ -250,9 +253,19 @@ UNCAPPED = {
     "qubit13.json": _random_ensemble(20, 2, 13),
 }
 
+# ensemble files the loader rejects for their priors or their layout (each
+# exit 2): a negative prior, two priors for one state, an object without
+# states, and a list where an object belongs
+MALFORMED = {
+    "negprior.json": {"priors": [1.2, -0.2], "states": PAIRS["qubit2.json"]["states"]},
+    "twopriors.json": {"priors": [0.5, 0.5], "states": PAIRS["qubit2.json"]["states"][:1]},
+    "nostates.json": {"priors": [1.0]},
+    "list.json": [1.0],
+}
+
 # every file the corpus reads, by name
 FILES = {**ENSEMBLES, **NONFINITE, **INVALID, **PAIRS, **FACES, **GUESSES, **SUBSPACES, **PLANES,
-         **OFF_AVERAGE, **LATER, **UNCAPPED}
+         **OFF_AVERAGE, **LATER, **UNCAPPED, **MALFORMED}
 
 
 def _sequence(family: str, params: str | None, parties: int, fmt: str, *flags: str) -> list[str]:
@@ -425,6 +438,7 @@ def corpus() -> list[list[str]]:
                '{"p": [0.5, 1e-300, 0.9], "theta": [1.0]}'],
               ["sweep", "--family", "mirror", "--grid", '{"theta": [2.0, 2.2]}',
                "--eta0", "0.3,0.9"]]
+    lines += [["mcm", "--ensemble", name] for name in MALFORMED]
     return lines
 
 
