@@ -3,12 +3,16 @@
 Two problems live here, and both are semidefinite
 programs that share one log-det barrier core (:func:`_barrier_lmi`,
 after Vandenberghe & Boyd, SIAM Rev. 38, 1996):
-minimize ``b . y`` over block LMIs ``F_j(y) >= 0`` along the central path,
-with one Cholesky factorisation per block and trial point (feasibility
-test, log-det and inverse together), the closed-form Hessian, one linear
-solve per Newton step, and ``mu`` shrunk geometrically until the gap bound
-``m mu`` is below :data:`GAP_TOL`.  Each solve takes 25-50 Newton steps; a
-solve that stops short of the gap bound raises :class:`ConvergenceError`.
+minimize ``b . y`` over an LMI ``F(y) >= 0`` along the central path, with
+one linear solve per Newton step and ``mu`` shrunk geometrically until the
+gap bound ``m mu`` is below :data:`GAP_TOL`.  Each problem supplies its own
+barrier evaluation: one Cholesky factorisation per trial point decides
+feasibility and gives the log-det, and the trace terms and closed-form
+Hessian follow at the accepted point.  The guessing SDP evaluates its
+dense blocks through ``L^-1 F_k L^-H``; the weight SDP works from the
+labels' subspace bases (:func:`_weight_barrier`).  Each solve takes 25-50
+Newton steps; a solve that stops short of the gap bound raises
+:class:`ConvergenceError`.
 
 1. **Inconclusive-rate minimization.**  Given the optimal projectors
    ``P_x`` of a maximum-confidence measurement, choose weights
@@ -23,8 +27,8 @@ solve that stops short of the gap bound raises :class:`ConvergenceError`.
    a nonempty optimal subspace are solved exactly in closed form (Jordan's
    lemma reduces the constraint to one inequality in the two weights;
    :func:`_pair_weights`), unless the two subspaces share a direction.
-   Otherwise the barrier core runs on one ``d x d`` block and ``N`` scalar
-   blocks; on a degenerate optimal face its weights come within about
+   Otherwise the barrier core runs on ``1 - sum_x a_x P_x`` and the ``N``
+   scalars ``a_x``; on a degenerate optimal face its weights come within about
    1e-7 of the face's analytic center, no closer (see
    :func:`min_inconclusive_rate`).
 
@@ -119,80 +123,108 @@ MAX_STEPS = 200
 """Cap on Newton steps per solve (both SDPs take 25-50)."""
 
 
-def _factor(y: np.ndarray, f0: np.ndarray, f: np.ndarray) -> np.ndarray | None:
-    """Cholesky factors of the blocks ``F(y)``, or None when one is not
-    positive definite (``y`` lies outside the feasible set)."""
-    try:
-        return np.linalg.cholesky(f0 + (y @ f.reshape(y.size, -1)).reshape(f.shape[1:]))
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _logdet(chol: np.ndarray) -> float:
-    return 2.0 * float(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))).sum())
-
-
 def _barrier_lmi(
-    b: np.ndarray, f0: np.ndarray, f: np.ndarray, y: np.ndarray, mu: float
+    b: np.ndarray,
+    factor: Callable[[np.ndarray], tuple[object, float] | None],
+    derivatives: Callable[[object], tuple[np.ndarray, np.ndarray]],
+    size: int,
+    y: np.ndarray,
+    mu: float,
 ) -> np.ndarray:
-    """Minimize ``b . y`` subject to ``F_j(y) = F_j0 + sum_k y_k F_jk >= 0``
-    for ``B`` equal-sized blocks ``j``.
+    """Minimize ``b . y`` subject to an LMI ``F(y) = F_0 + sum_k y_k F_k >= 0``
+    of total size ``size``, through its log-det barrier.
 
-    ``f0`` has shape ``(B, m, m)`` and ``f`` shape ``(K, B, m, m)``; either
-    may have size 1 along ``B`` and is then shared by every block.  One
-    batched Cholesky factors all ``B`` blocks.  ``y`` must be strictly
-    feasible.
+    Each SDP supplies its own evaluation of the barrier.  ``factor(y)``
+    returns ``(point, logdet F(y))`` where ``F(y)`` is positive definite and
+    None where it is not, so one call decides a trial point's feasibility and
+    gives its log-det; ``derivatives(point)`` returns the trace terms
+    ``tr[F^-1 F_k]`` and the Hessian ``tr[F^-1 F_k F^-1 F_l]`` at an accepted
+    point.  ``y`` must be strictly feasible.
 
-    Follows the central path of ``b . y / mu - sum_j logdet F_j(y)`` from
-    the given ``mu``.  Each Newton step takes the closed-form gradient
-    ``b_k / mu - tr[F^-1 F_k]`` and Hessian ``tr[F^-1 F_k F^-1 F_l]`` from
-    the Cholesky factors ``L`` (through ``L^-1 F_k L^-H``) and makes one
-    ``numpy.linalg.solve``.  The backtracking line search tests each trial
-    point with one Cholesky, which decides feasibility and gives the
-    log-det for the Armijo test.  Once the squared decrement is below
-    :data:`CENTRING_TOL`, that step needs only to stay feasible (its gain
-    can be below the rounding of the log-det), ``mu`` shrinks by
-    :data:`MU_SHRINK`, and the next search starts at step length
-    :data:`MU_SHRINK`, the tangent step of the central path.  Returns once
-    ``m mu``, the duality gap on the path (``m`` the total size of the
-    blocks), is below :data:`GAP_TOL`.  Raises :class:`ConvergenceError`
-    when the line search finds no acceptable point or :data:`MAX_STEPS`
-    runs out first, since the gap of such an iterate is unknown.
+    Follows the central path of ``b . y / mu - logdet F(y)`` from the given
+    ``mu``.  Each Newton step takes the gradient ``b_k / mu - tr[F^-1 F_k]``,
+    adds :data:`RIDGE` to the Hessian and makes one ``numpy.linalg.solve``.
+    The backtracking line search factors each trial point once, for the
+    Armijo test.  Once the squared decrement is below :data:`CENTRING_TOL`,
+    that step needs only to stay feasible (its gain can be below the
+    rounding of the log-det), ``mu`` shrinks by :data:`MU_SHRINK`, and the
+    next search starts at step length :data:`MU_SHRINK`, the tangent step
+    of the central path.  Returns once ``size mu``, the duality gap on the
+    path, is below :data:`GAP_TOL`.  Raises :class:`ConvergenceError` when
+    the line search finds no acceptable point or :data:`MAX_STEPS` runs out
+    first, since the gap of such an iterate is unknown.
     """
-    size = f0.shape[-1] * max(f0.shape[0], f.shape[1])
-    chol = _factor(y, f0, f)
-    if chol is None:
+    current = factor(y)
+    if current is None:
         raise ValueError("barrier start is not strictly feasible")
+    point, before = current
     reach = 1.0
     for _ in range(MAX_STEPS):
-        w = np.linalg.inv(chol)
-        g = w @ f @ np.swapaxes(w.conj(), -1, -2)  # L^-1 F_k L^-H, (K, B, m, m)
-        grad = b / mu - np.real(np.einsum("kbii->k", g))
-        flat = g.reshape(b.size, -1)
-        hess = np.real(flat @ flat.conj().T)
+        trace, hess = derivatives(point)
+        grad = b / mu - trace
         hess.flat[:: b.size + 1] += RIDGE * float(hess.diagonal().max())
         step = np.linalg.solve(hess, -grad)
         decrement = float(-grad @ step)
         slope = float(b @ step) / mu
-        before = _logdet(chol)
         centred = decrement < CENTRING_TOL
         t = reach
         while True:
-            trial = _factor(y + t * step, f0, f)
+            trial = factor(y + t * step)
             if trial is not None and (
-                centred or t * slope - (_logdet(trial) - before) <= -0.25 * t * decrement
+                centred or t * slope - (trial[1] - before) <= -0.25 * t * decrement
             ):
                 break
             t *= 0.5
             if t < 1e-12:
                 raise ConvergenceError(f"line search stalled at gap bound {size * mu:.1e}")
-        y, chol, reach = y + t * step, trial, 1.0
+        y, (point, before), reach = y + t * step, trial, 1.0
         if centred:
             if size * mu < GAP_TOL:
                 return y
             mu *= MU_SHRINK
             reach = MU_SHRINK
     raise ConvergenceError(f"{MAX_STEPS} Newton steps left the gap bound at {size * mu:.1e}")
+
+
+def _weight_barrier(mats: np.ndarray, spans: list[np.ndarray]) -> tuple[Callable, Callable]:
+    """The barrier core's evaluation of the weight LMI
+    ``diag(S(a), a_1, ..., a_N) >= 0``, ``S(a) = 1 - sum_x a_x P_x``.
+
+    ``mats`` holds the projectors ``P_x`` and ``spans`` their orthonormal
+    bases ``Q_x``.  A trial point is feasible when every ``a_x > 0`` and
+    ``S`` has a Cholesky factor ``L``; its log-det is
+    ``2 sum log diag L + sum log a_x``.  With ``V = L^-1 Q``, ``Q`` every
+    label's basis side by side, and ``H = V^dag V``, the trace terms are
+    ``1 / a_x - ||V_x||^2`` and the Hessian entry of labels ``x, y`` is the
+    sum of ``|H|^2`` over their block, plus ``1 / a_x^2`` where ``x = y``:
+    ``tr[S^-1 P_x S^-1 P_y] = ||Q_x^dag S^-1 Q_y||^2``."""
+    n, dim = mats.shape[:2]
+    flat, eye = mats.reshape(n, -1), np.eye(dim)
+    q = np.concatenate(spans, axis=1)
+    starts = np.cumsum([0] + [s.shape[1] for s in spans[:-1]])
+
+    def factor(a: np.ndarray) -> tuple[object, float] | None:
+        if not a.min() > 0.0:  # also false for NaN
+            return None
+        try:
+            chol = np.linalg.cholesky(eye - (a @ flat).reshape(dim, dim))
+        except np.linalg.LinAlgError:
+            return None
+        logdet = 2.0 * float(np.log(chol.diagonal().real).sum()) + float(np.log(a).sum())
+        return (chol, a), logdet
+
+    def derivatives(point: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        chol, a = point
+        v = np.linalg.inv(chol) @ q
+        h = v.conj().T @ v
+        norms, hess = h.diagonal().real, np.abs(h) ** 2
+        if q.shape[1] > n:  # sum each label's block
+            norms = np.add.reduceat(norms, starts)
+            hess = np.add.reduceat(np.add.reduceat(hess, starts, axis=0), starts, axis=1)
+        hess.flat[:: n + 1] += 1.0 / (a * a)
+        return 1.0 / a - norms, hess
+
+    return factor, derivatives
 
 
 def min_inconclusive_rate(e: Ensemble) -> WeightSolution:
@@ -218,9 +250,10 @@ def min_inconclusive_rate(e: Ensemble) -> WeightSolution:
     problem is well conditioned.  When ``c_x = tr[rho P_x]`` is itself near
     rounding (pure states a small angle apart), the weights of either exact
     solver are as uncertain as the ``c_x``, though ``eta0`` is not.
-    Otherwise the barrier core runs on one ``d x d`` block
-    ``1 - sum_x a_x P_x`` and the ``N`` scalars ``a_x``, joined into one
-    block-diagonal matrix.  On a degenerate face (``d >= 3``) its weights
+    Otherwise the barrier core runs on the ``d x d`` block
+    ``1 - sum_x a_x P_x`` and the ``N`` scalars ``a_x``, its Newton steps
+    taken from the labels' subspace bases (:func:`_weight_barrier`), with
+    the gap bound ``(d + N) mu``.  On a degenerate face (``d >= 3``) its weights
     are the central-path point at which :data:`RIDGE` freezes the face
     direction (``mu`` near 1e-6), within about 1e-7 of the face's analytic
     center: symmetric faces keep symmetric weights, but the digits beyond
@@ -567,15 +600,11 @@ def _min_inconclusive_rate(e: Ensemble) -> WeightSolution:
     elif n == 2:
         a = _pair_weights([entry.span for entry in entries], c)
     if a is None:
-        # one block diag(1 - sum_x a_x P_x, a_1, ..., a_N)
-        f0 = np.zeros((1, dim + n, dim + n), dtype=complex)
-        f0[0, :dim, :dim] = np.eye(dim)
-        f = np.zeros((n, 1, dim + n, dim + n), dtype=complex)
-        f[:, 0, :dim, :dim] = -mats
-        f[np.arange(n), 0, dim + np.arange(n), dim + np.arange(n)] = 1.0
         # sum_x a_x P_x <= (sum_x tr P_x) a for PSD P_x, so this start is interior
         start = np.full(n, 0.5 / float(np.real(np.einsum("xii->", mats))))
-        a = _barrier_lmi(-c, f0, f, start, max(0.1, float(np.max(np.abs(c)))))
+        factor, derivatives = _weight_barrier(mats, [entry.span for entry in entries])
+        mu = max(0.1, float(np.max(np.abs(c))))
+        a = _barrier_lmi(-c, factor, derivatives, dim + n, start, mu)
 
     slack = np.eye(dim) - np.tensordot(a, mats, axes=1)
     margin = float(np.linalg.eigvalsh(0.5 * (slack + slack.conj().T))[0])
@@ -613,7 +642,23 @@ def _barrier_guessing(weighted: np.ndarray) -> np.ndarray:
     # make it central if every q_x rho_x were 0
     start = np.zeros(dim * dim)
     start[:dim] = 2.0
-    y = _barrier_lmi(trace, -weighted, basis[:, None], start, 2.0 / n)
+    # the dense LMI: one d x d block Y - q_x rho_x per state, Y = sum_k y_k basis_k
+    f0, f = -weighted, basis[:, None]
+
+    def factor(y: np.ndarray) -> tuple[np.ndarray, float] | None:
+        try:
+            chol = np.linalg.cholesky(f0 + (y @ f.reshape(y.size, -1)).reshape(f.shape[1:]))
+        except np.linalg.LinAlgError:
+            return None
+        return chol, 2.0 * float(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))).sum())
+
+    def derivatives(chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w = np.linalg.inv(chol)
+        g = w @ f @ np.swapaxes(w.conj(), -1, -2)  # L^-1 F_k L^-H, (K, B, m, m)
+        flat = g.reshape(len(f), -1)
+        return np.real(np.einsum("kbii->k", g)), np.real(flat @ flat.conj().T)
+
+    y = _barrier_lmi(trace, factor, derivatives, dim * n, start, 2.0 / n)
     return np.tensordot(y, basis, axes=1)
 
 

@@ -208,6 +208,21 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _refreeze(value: Any) -> None:
+    """Make every array reachable from ``value`` read-only, through tuples,
+    lists, dict values and object attributes: pickle restores arrays
+    writeable."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _refreeze(item)
+    elif isinstance(value, dict):
+        _refreeze(list(value.values()))
+    elif hasattr(value, "__dict__"):
+        _refreeze(vars(value))
+
+
 # ---------------------------------------------------------------------------
 # eigen machinery
 # ---------------------------------------------------------------------------
@@ -392,6 +407,10 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mat", validate_states(as_matrix(self.mat, "density matrix")))
 
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        _refreeze(state)
+
     @classmethod
     def stack(cls, mats: Any, lowest: np.ndarray | None = None) -> tuple[DensityMatrix, ...]:
         """One state per matrix of a ``(n, d, d)`` stack, validated together
@@ -474,6 +493,11 @@ class Ensemble:
         object.__setattr__(self, "states", tuple(states))
         # values derived from this ensemble, keyed by what they are; see cached()
         object.__setattr__(self, "_memo", {})
+
+    def __setstate__(self, state: dict) -> None:
+        # cached() relies on read-only arrays, the memo's as well as the states'
+        vars(self).update(state)
+        _refreeze(state)
 
     @property
     def n(self) -> int:

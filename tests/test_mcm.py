@@ -618,6 +618,30 @@ class TestPlainEntries:
                 assert _bits(getattr(back[x], f.name)) == _bits(getattr(entry, f.name))
         e_back = pickle.loads(pickle.dumps(e))
         assert json.dumps(mcm.solution_to_json(e_back)) == json.dumps(mcm.solution_to_json(e))
+        # pickle restores arrays writeable; a write to one would leave the memo stale
+        frozen = {
+            "states": [s.mat for s in e_back.states],
+            "bases": [v for entry in solve_mcm(e_back).values() for v in entry.basis],
+            "sigma": [s.mat for s in complement_states(e_back).values()],
+            "memo": list(_arrays(e_back._memo)),
+        }
+        for name, arrays in frozen.items():
+            assert arrays, name
+            assert not any(a.flags.writeable for a in arrays), name
+
+
+def _arrays(value):
+    """Every array reachable from ``value`` through tuples, lists, dict
+    values and object attributes."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        yield from _arrays(list(value.values()))
+    elif hasattr(value, "__dict__"):
+        yield from _arrays(vars(value))
 
 
 # ---------------------------------------------------------------------------

@@ -515,6 +515,69 @@ class TestNewtonBudget:
             min_error_guessing(e)
 
 
+def _graded_ensemble(rng, dim: int, ranks: list[int]) -> Ensemble:
+    """An ensemble whose label ``x`` has an optimal subspace of rank
+    ``ranks[x]`` for every label but the last, whose subspace is generic.
+    With ``q_x rho_x = R E_x R``, ``R`` the root of a random state and
+    ``sum_x E_x = 1``, the shaped operators are the ``E_x`` themselves; each
+    but the last has a top eigenvalue of the given multiplicity."""
+    root = qcore.sqrt_psd(qcore.random_density(rng, dim).mat)
+    parts = []
+    for rank in ranks:
+        u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        spectrum = np.concatenate([np.ones(rank), rng.uniform(0.1, 0.6, dim - rank)])
+        parts.append(0.8 / len(ranks) * (u * spectrum) @ u.conj().T)
+    parts.append(np.eye(dim) - sum(parts))
+    weighted = [root @ part @ root for part in parts]
+    priors = tuple(float(np.trace(m).real) for m in weighted)
+    return Ensemble(priors=priors, states=tuple(m / q for m, q in zip(weighted, priors)))
+
+
+class TestWeightBarrier:
+    """The weight SDP's structured barrier evaluation against the dense LMI
+    ``diag(1 - sum_x a_x P_x, a_1, ..., a_N)``, built here from the
+    projectors: its log-det, the trace terms ``tr[F^-1 F_x]`` and the
+    Hessian ``tr[F^-1 F_x F^-1 F_y]``."""
+
+    @staticmethod
+    def _dense(mats: np.ndarray, a: np.ndarray):
+        n, dim = mats.shape[:2]
+        blocks = np.zeros((n + 1, dim + n, dim + n), dtype=complex)
+        blocks[0, :dim, :dim] = np.eye(dim)
+        blocks[1:, :dim, :dim] = -mats
+        blocks[1 + np.arange(n), dim + np.arange(n), dim + np.arange(n)] = 1.0
+        lmi = blocks[0] + np.tensordot(a, blocks[1:], axes=1)
+        sign, logdet = np.linalg.slogdet(lmi)
+        inner = np.linalg.inv(lmi) @ blocks[1:]  # F^-1 F_x
+        trace = np.einsum("xii->x", inner).real
+        hess = np.einsum("xij,yji->xy", inner, inner).real
+        return sign.real, logdet, trace, hess
+
+    @pytest.mark.parametrize("dim", [3, 4, 8])
+    def test_matches_the_dense_lmi(self, dim):
+        rng = np.random.default_rng(3100 + dim)
+        for n in range(3, 7):
+            for odd in (0, 1):  # rank 2 on every other label, from the first or the second
+                ranks = [2 if x % 2 == odd else 1 for x in range(n - 1)]
+                e = _graded_ensemble(rng, dim, ranks)
+                entries = [entry for entry in mcm.solve_mcm(e).values() if entry.basis]
+                assert [entry.degeneracy for entry in entries] == ranks + [1]
+                mats = np.stack([entry.projector for entry in entries])
+                factor, derivatives = optim._weight_barrier(mats, [entry.span for entry in entries])
+                for _ in range(3):
+                    a = rng.uniform(0.1, 1.9, n) * 0.5 / sum(ranks + [1])  # interior
+                    sign, logdet, trace, hess = self._dense(mats, a)
+                    assert sign > 0.0
+                    point, got = factor(a)
+                    got_trace, got_hess = derivatives(point)
+                    np.testing.assert_allclose(got, logdet, rtol=1e-10)
+                    np.testing.assert_allclose(got_trace, trace, rtol=1e-10)
+                    np.testing.assert_allclose(got_hess, hess, rtol=1e-10)
+                a[0] = -1e-3  # one weight negative: outside, though S > 0
+                assert factor(a) is None
+                assert factor(np.full(n, 1.5)) is None  # <psi| S |psi> <= -1/2 on P_1's range
+
+
 class TestRandomFeasibleWeights:
     def test_always_feasible(self):
         rng = np.random.default_rng(71)
@@ -818,3 +881,56 @@ class TestUncappedQubits:
         assert abs(exact.psd_margin) < 1e-14
         assert validate_povm(mcm.mcm_povm(e, exact.weights)).ok
         assert min_error_guessing(e) <= _barrier_guessing(e, monkeypatch)
+
+
+def _captured_faces(monkeypatch, draws) -> list[tuple]:
+    """The ``(kind, cols, target, c)`` of every :func:`optim._face_weights`
+    call made while solving both qubit duals of ``draws``."""
+    calls, real = [], optim._face_weights
+
+    def captured(cols, target, c):
+        calls.append((kind, cols.copy(), target.copy(), c.copy()))
+        return real(cols, target, c)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optim, "_face_weights", captured)
+        for e in draws:
+            kind = "weights"
+            min_inconclusive_rate(e)
+            kind = "guessing"
+            min_error_guessing(e)
+    return calls
+
+
+class TestFaceWeights:
+    def test_tall_systems_take_least_squares(self, monkeypatch):
+        """A tall, well-conditioned active system (fewer active labels than
+        dual coordinates) has one solution, which least squares gives
+        without enumerating the face's vertices: with the face centre
+        switched off, each answer still equals the face centre's own."""
+        rng = np.random.default_rng(3200)
+        draws = [
+            random_ensemble(rng, 2, n, pure=pure)
+            for n in range(3, 7)
+            for pure in (False, True)
+            for _ in range(5)
+        ]
+        tall = [
+            (kind, cols, target, c)
+            for kind, cols, target, c in _captured_faces(monkeypatch, draws)
+            if cols.shape[1] < cols.shape[0]
+            and np.linalg.cond(cols) < 1e3
+            and np.linalg.lstsq(cols, target, rcond=None)[0].min() >= 0.0
+        ]
+        assert {kind for kind, *_ in tall} == {"weights", "guessing"}
+        assert len(tall) >= 20
+        centre = optim._face_centre
+
+        def switched_off(cols, target, c):
+            raise AssertionError("the face centre was not needed")
+
+        monkeypatch.setattr(optim, "_face_centre", switched_off)
+        for _, cols, target, c in tall:
+            np.testing.assert_allclose(
+                optim._face_weights(cols, target, c), centre(cols, target, c), rtol=0.0, atol=1e-12
+            )
