@@ -23,7 +23,9 @@ an ``--ensemble`` file whose states pass the density-matrix checks but
 whose average does not, or whose matrix ``dim`` is not an integer
 (``2.5``, ``Infinity``); a non-finite number: ``NaN`` or ``Infinity``
 among an ``--ensemble`` file's entries or priors, or ``nan`` or ``inf``
-given for a rate, gain, angle, grid value or threshold; a ``gu`` or
+given for a rate, gain, angle, grid value or threshold; a JSON ``true`` or
+``false`` where a number belongs, whether a family parameter or grid value
+or an ``--ensemble`` file's ``dim``, entry or prior; a ``gu`` or
 ``lifted_gu`` chain of fewer than 3 states, or a ``lifted_gu`` one whose
 ``cos theta`` rounds to 1, under ``sequence`` or ``sweep``; and ``family``
 on a ``mirror`` outside its closed form, ``theta`` below about 1.4e-6); 3
@@ -69,11 +71,10 @@ deterministic for a fixed command line: dictionaries are serialized with
 sorted keys and floats with ``repr`` precision, so reruns are byte-identical.
 ``sweep`` builds each point's ensemble once, for its chains at every rate,
 solves the first stages of the points that share priors and dimension as
-one stack, and then runs its chains one after another.  Setting
-``SEQMCM_THREADS`` to an integer above 1 opts in to a thread pool of that
-size (a value that is not an integer exits 2).  The pool is off by default
-because a sweep point is Python-bound and holds the interpreter lock, so
-threads only add switching cost.  The output is the same either way.
+one stack, and then runs its chains one after another, each rate's chain
+at every point before the next rate's.  A sweep point is Python-bound and
+holds the interpreter lock, so points run serially: threads would only add
+switching cost.
 """
 
 from __future__ import annotations
@@ -84,8 +85,9 @@ import functools
 import itertools
 import json
 import math
-import os
 import sys
+# read only by perfbench/tracer.py::_wrap_sweep_pool, which ROADMAP item 0
+# deletes together with this import
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
@@ -120,6 +122,8 @@ class CliError(Exception):
 
 
 def _parse_number(value: Any, name: str) -> float:
+    if isinstance(value, bool):  # float(True) is 1.0; JSON true is no number
+        raise CliError(EXIT_INPUT, f"{name} must be a number, got {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -192,7 +196,8 @@ def _spelled(params: dict[str, Any], names: tuple[str, ...], default: Any) -> An
 
 def _count(params: dict[str, Any]) -> int:
     value = _spelled(params, ("n", "N"), 3)
-    if int(value) != float(value):  # int(inf) overflows; int(nan) is a ValueError
+    # JSON true is no count; int(inf) overflows; int(nan) is a ValueError
+    if isinstance(value, bool) or int(value) != float(value):
         raise ValueError(f"n must be an integer, got {value!r}")
     return int(value)
 
@@ -240,17 +245,6 @@ def _load_source(args: argparse.Namespace) -> tuple[qcore.Ensemble, Any]:
         fam = _build_family(args.family, _parse_object(args.params, "--params"))
         return fam.ensemble(), fam
     raise CliError(EXIT_INPUT, "an ensemble source is required: --ensemble or --family")
-
-
-def _thread_count() -> int:
-    """Sweep threads: 1 unless ``SEQMCM_THREADS`` asks for more."""
-    raw = os.environ.get("SEQMCM_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise CliError(EXIT_INPUT, f"SEQMCM_THREADS={raw!r} is not an integer")
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +360,6 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _map_points(points: list, fn: Callable[[Any], list[Any]]) -> list[list[Any]]:
-    threads = _thread_count()
-    if threads <= 1 or len(points) < 2:
-        return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, points))
-
-
 def _parties_at(threshold: float, parties: list[dict[str, float]]) -> int:
     """How many leading parties have every confidence at least ``threshold``."""
     lows = [min(v for k, v in q.items() if k.startswith("confidence_")) for q in parties]
@@ -448,13 +434,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         with contextlib.suppress(ValueError, ArithmeticError):
             mcm_mod._first_stage(group)
 
-    def one(job: tuple[Any, qcore.Ensemble, float | None, Any]) -> list[list[Any]]:
-        fam, e, eta0, schedule = job
-        cells = [getattr(fam, k) for k in columns] + [eta0]
-        return [cells + r for r in _compare(args.family, fam, e, schedule, args.threshold)]
-
-    jobs = [(*point, eta0, schedule) for eta0, schedule in chains for point in zip(fams, ensembles)]
-    rows = [r for rows in _map_points(jobs, one) for r in rows]
+    rows = []
+    for eta0, schedule in chains:
+        for fam, e in zip(fams, ensembles):
+            cells = [getattr(fam, k) for k in columns] + [eta0]
+            rows += [cells + r for r in _compare(args.family, fam, e, schedule, args.threshold)]
     header = columns + ["eta0", "party", "quantity", "oracle", "engine", "residual"]
     _emit(args.out, "sweep.csv", qcore.csv_text(header, rows))
     return EXIT_OK
@@ -490,7 +474,7 @@ FAMILIES: dict[str, _Family] = {
         lambda q: fam_mod.lifted_gu(
             n=_count(q),
             theta=_angle(q, "theta", math.pi / 2),
-            lam=float(_spelled(q, ("lam", "lambda"), 1.0)),
+            lam=_parse_number(_spelled(q, ("lam", "lambda"), 1.0), "lam"),
         ),
         ("n", "N", "theta", "lam", "lambda"),
         chain=("eta0", "retarget_angle"),

@@ -208,21 +208,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _refreeze(value: Any) -> None:
-    """Make every array reachable from ``value`` read-only, through tuples,
-    lists, dict values and object attributes: pickle restores arrays
-    writeable."""
-    if isinstance(value, np.ndarray):
-        value.setflags(write=False)
-    elif isinstance(value, (tuple, list)):
-        for item in value:
-            _refreeze(item)
-    elif isinstance(value, dict):
-        _refreeze(list(value.values()))
-    elif hasattr(value, "__dict__"):
-        _refreeze(vars(value))
-
-
 # ---------------------------------------------------------------------------
 # eigen machinery
 # ---------------------------------------------------------------------------
@@ -409,7 +394,7 @@ class DensityMatrix:
 
     def __setstate__(self, state: dict) -> None:
         vars(self).update(state)
-        _refreeze(state)
+        self.mat.setflags(write=False)  # pickle restores arrays writeable
 
     @classmethod
     def stack(cls, mats: Any, lowest: np.ndarray | None = None) -> tuple[DensityMatrix, ...]:
@@ -494,10 +479,12 @@ class Ensemble:
         # values derived from this ensemble, keyed by what they are; see cached()
         object.__setattr__(self, "_memo", {})
 
+    def __getstate__(self) -> dict:
+        # the memo is derived from the frozen fields, so a copy rebuilds its own
+        return {"priors": self.priors, "states": self.states}
+
     def __setstate__(self, state: dict) -> None:
-        # cached() relies on read-only arrays, the memo's as well as the states'
-        vars(self).update(state)
-        _refreeze(state)
+        vars(self).update(state, _memo={})
 
     @property
     def n(self) -> int:
@@ -675,14 +662,18 @@ def _array_from_json(obj: dict[str, Any], kind: str, ndim: int) -> np.ndarray:
         entries = obj["entries"]
     except (KeyError, TypeError, OverflowError) as exc:  # int(inf) overflows
         raise ValueError(f"malformed {kind} object: {exc}") from exc
-    if dim != obj["dim"]:  # int() truncates 2.5 to 2
+    if isinstance(obj["dim"], bool) or dim != obj["dim"]:  # int() reads 2.5 as 2, true as 1
         raise ValueError(f"{kind} dim must be an integer, got {obj['dim']!r}")
     if dim < 1 or dim > DIM_CAP:
         raise DimensionError(f"{kind} dim {dim} outside 1..{DIM_CAP}")
     if len(entries) != dim**ndim:
         raise ValueError(f"expected {dim**ndim} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    return flat.reshape((dim,) * ndim)
+    # complex(True, False) is 1: a boolean entry is left out here and the
+    # count below rejects it
+    flat = [complex(re, im) for re, im in entries if type(re) is not bool and type(im) is not bool]
+    if len(flat) != len(entries):
+        raise ValueError(f"{kind} entries must be numbers, not booleans")
+    return np.array(flat, dtype=complex).reshape((dim,) * ndim)
 
 
 def matrix_from_json(obj: dict[str, Any]) -> np.ndarray:
@@ -708,6 +699,9 @@ def ensemble_from_json(obj: dict[str, Any]) -> Ensemble:
         states = obj["states"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed ensemble object: {exc}") from exc
+    for q in priors:
+        if isinstance(q, bool):  # float(True) is 1.0
+            raise ValueError(f"boolean prior: {q!r}")
     # raw matrices: the ensemble validates them as one stack
     return Ensemble(
         priors=tuple(float(q) for q in priors),

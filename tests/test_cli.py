@@ -270,6 +270,21 @@ def test_commands_load_numpy_only():
     assert set(report["distributions"]) <= {"numpy", "seqmcm"}
 
 
+def test_module_runs_as_a_script(capsys):
+    """``python -m seqmcm.cli`` runs :func:`cli.main` and exits with its
+    code, printing what an in-process run prints."""
+    argv = ["family", "--family", "gu"]
+    src = str(Path(seqmcm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqmcm.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
+    assert json.loads(proc.stdout) == json.loads(run(capsys, argv)[1])
+
+
 def test_default_two_mixed_chain_exits_0(capsys):
     """p = 1, theta = pi/2: the projectors are orthogonal to rounding, so
     the party gains must come from the overlaps the parties measure."""
@@ -777,11 +792,10 @@ def test_sweep_parties_below_one_exits_2(family, parties, capsys):
     assert err == "error: --parties must be a positive integer\n"
 
 
-def test_cli_digests_corpus_lines_parse(monkeypatch):
+def test_cli_digests_corpus_lines_parse():
     """The output-diff harness prints one JSON digest per command line."""
     tool = _digest_tool()
     assert len(tool.corpus()) >= 60
-    monkeypatch.setenv("SEQMCM_THREADS", "1")
     for argv in tool.corpus()[:3]:  # the first lines read no ensemble file
         doc = json.loads(json.dumps(tool.digest(cli.main, argv)))
         assert doc["argv"] == argv and doc["exit"] == 0
@@ -872,6 +886,64 @@ def test_nonfinite_ensemble_file_exits_2(path, value, message, tmp_path, capsys)
         code, out, err = run(capsys, argv)
         assert code == cli.EXIT_INPUT and out == ""
         assert err == f"error: cannot load ensemble {spoiled}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["family", "--family", "two_mixed", "--params", '{"p": true}'],
+         "p must be a number, got True"),
+        (["family", "--family", "mirror", "--params", '{"theta": true}'],
+         "theta must be a number, got True"),
+        (["family", "--family", "lifted_gu", "--params", '{"n": 4, "lam": true}'],
+         "lam must be a number, got True"),
+        (["family", "--family", "gu", "--params", '{"n": true}'],
+         "bad parameters for family gu: n must be an integer, got True"),
+        (["sweep", "--family", "two_mixed", "--grid", '{"p": [true], "theta": [1.0]}'],
+         "p must be a number, got True"),
+    ],
+    ids=["two_mixed-p", "mirror-theta", "lifted_gu-lam", "gu-n", "sweep-grid"],
+)
+def test_boolean_parameter_exits_2(argv, message, capsys):
+    """``float(True)`` is 1.0, but a JSON ``true`` is no number: a family
+    parameter or grid value given one is refused, not read as 1."""
+    assert run(capsys, argv) == (cli.EXIT_INPUT, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("states", 1, "dim"), "matrix dim must be an integer, got True"),
+        (("states", 1, "entries", 0, 0), "matrix entries must be numbers, not booleans"),
+        (("states", 0, "entries", 3, 1), "matrix entries must be numbers, not booleans"),
+        (("priors", 2), "boolean prior: True"),
+    ],
+    ids=["dim", "entry-real", "entry-imaginary", "prior"],
+)
+def test_boolean_in_ensemble_file_exits_2(path, message, tmp_path, capsys):
+    """A JSON ``true`` where an ensemble file holds a number is refused by the
+    loader, wherever it sits."""
+    doc = qcore.ensemble_to_json(qcore.random_ensemble(np.random.default_rng(5), 2, 3))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = True
+    spoiled = tmp_path / "spoiled.json"
+    spoiled.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["mcm", "--ensemble", str(spoiled)])
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == f"error: cannot load ensemble {spoiled}: {message}\n"
+
+
+def test_boolean_ensemble_file_of_the_corpus_exits_2(tmp_path, monkeypatch, capsys):
+    """The corpus file whose prior, ``dim`` and entries are all booleans
+    would load as a one-dimensional ensemble; its prior is refused first."""
+    monkeypatch.chdir(tmp_path)
+    Path("boolean.json").write_text(json.dumps(_digest_tool().BOOLEANS["boolean.json"]))
+    code, out, err = run(capsys, ["mcm", "--ensemble", "boolean.json"])
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == "error: cannot load ensemble boolean.json: boolean prior: True\n"
 
 
 @pytest.mark.parametrize(
@@ -995,37 +1067,6 @@ def test_malformed_ensemble_file_exits_2(name, message, tmp_path, monkeypatch, c
     assert err == f"error: cannot load ensemble {name}: {message}\n"
 
 
-def test_sweep_is_serial_unless_threads_are_asked_for(monkeypatch, capsys):
-    """With ``SEQMCM_THREADS`` unset no pool is made, and the output is the
-    pooled run's, byte for byte."""
-    argv = ["sweep", "--family", "two_mixed"]
-    pools = []
-
-    class CountedPool(cli.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", CountedPool)
-    monkeypatch.setenv("SEQMCM_THREADS", "2")
-    pooled = run(capsys, argv)
-    assert pools == [2] and pooled[0] == cli.EXIT_OK
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a serial sweep made a thread pool")
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
-    monkeypatch.delenv("SEQMCM_THREADS")
-    assert run(capsys, argv) == pooled
-
-
-def test_sweep_threads_must_be_an_integer(monkeypatch, capsys):
-    monkeypatch.setenv("SEQMCM_THREADS", "x")
-    code, out, err = run(capsys, ["sweep", "--family", "two_mixed"])
-    assert code == cli.EXIT_INPUT and out == ""
-    assert err == "error: SEQMCM_THREADS='x' is not an integer\n"
-
-
 @pytest.mark.parametrize(
     "family, grid, rates, stacked",
     [
@@ -1088,13 +1129,11 @@ def test_a_failed_first_stage_stack_is_not_reported(monkeypatch, capsys):
     assert failed == [len(cli.FAMILIES["mirror"].points["theta"])]
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_two_state_gu_sweep_exits_2_as_its_chain_does(threads, monkeypatch, capsys):
-    """gu(2) has no sequential closed forms: its sweep, pooled or not, exits 2
-    with the message its ``sequence`` gives and prints no rows."""
+def test_two_state_gu_sweep_exits_2_as_its_chain_does(capsys):
+    """gu(2) has no sequential closed forms: its sweep exits 2 with the
+    message its ``sequence`` gives and prints no rows."""
     params = ["--params", '{"n": 2}']
     chain = run(capsys, ["sequence", "--family", "gu", *params, "--parties", "2", "--eta0", "0.5"])
-    monkeypatch.setenv("SEQMCM_THREADS", threads)
     sweep = run(capsys, ["sweep", "--family", "gu", *params])
     reason = "sequential closed forms require n >= 3"
     assert sweep == chain == (cli.EXIT_INPUT, "", f"error: bad parameters for family gu: {reason}\n")

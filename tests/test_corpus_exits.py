@@ -24,7 +24,7 @@ EXITS = [
     2, 2, 2, 4, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
     2, 2, 2, 2, 2, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 0, 0, 3, 3, 2, 2, 2, 4, 0, 0,
     0, 0, 0, 0, 0, 2, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 3, 0, 0, 0, 2, 2, 2, 2,
-    4, 4, 2, 0, 0, 0, 4, 0, 2, 2, 2, 2,
+    4, 4, 2, 0, 0, 0, 4, 0, 2, 2, 2, 2, 2, 2,
 ]
 """Exit codes of the corpus lines, in order."""
 
@@ -33,7 +33,6 @@ def test_corpus_exit_codes(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("cli_digests", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    monkeypatch.delenv("SEQMCM_THREADS", raising=False)
     monkeypatch.chdir(tmp_path)
     for name, doc in tool.FILES.items():
         (tmp_path / name).write_text(json.dumps(doc))

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -938,6 +939,18 @@ class TestMirrorMcm:
     def test_validity_guard(self):
         with pytest.raises(ValueError, match="r1 <= r2 cos theta"):
             mirror_mcm(MirrorState(r1=0.1, r2=0.9, theta=0.3))
+
+    def test_incomplete_measurement_guard(self):
+        """With label 1 at the centre, the optimal azimuth has cos phi > 0 and
+        would need a negative weight on label 1's projector."""
+        with pytest.raises(FeasibilityError) as info:
+            mirror_mcm(MirrorState(r1=0.0, r2=1.0, theta=2.0))
+        phi = re.fullmatch(
+            r"optimal azimuth (\S+) has cos phi > 0; the three-outcome "
+            r"complete measurement does not exist here",
+            str(info.value),
+        )[1]
+        assert math.cos(float(phi)) > 0.0
 
 
 class TestMirrorPureForms:

@@ -902,7 +902,40 @@ def _captured_faces(monkeypatch, draws) -> list[tuple]:
     return calls
 
 
+class TestBarrierCore:
+    """The two guards of the shared path-following loop, on a one-coordinate
+    problem whose barrier is supplied here."""
+
+    @staticmethod
+    def _derivatives(point):
+        return np.zeros(1), np.eye(1)
+
+    def test_infeasible_start_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            optim._barrier_lmi(np.ones(1), lambda y: None, self._derivatives, 1, np.zeros(1), 1.0)
+        assert str(info.value) == "barrier start is not strictly feasible"
+
+    def test_line_search_that_finds_no_point_stalls(self):
+        """Only the start is feasible, so every trial step is refused until
+        the step length falls below its floor."""
+        start = np.zeros(1)
+
+        def factor(y):
+            return (None, 0.0) if np.array_equal(y, start) else None
+
+        with pytest.raises(optim.ConvergenceError) as info:
+            optim._barrier_lmi(np.ones(1), factor, self._derivatives, 1, start, 1.0)
+        assert str(info.value) == "line search stalled at gap bound 1.0e+00"
+
+
 class TestFaceWeights:
+    def test_a_face_without_a_feasible_vertex_is_refused(self):
+        """``w >= 0`` with ``w_1 + w_2 = -1`` has no point: the face centre
+        raises rather than average no vertex."""
+        with pytest.raises(optim.ConvergenceError) as info:
+            optim._face_centre(np.array([[1.0, 1.0]]), np.array([-1.0]), np.array([1.0]))
+        assert str(info.value) == "qubit dual: no vertex of the optimal face is feasible"
+
     def test_tall_systems_take_least_squares(self, monkeypatch):
         """A tall, well-conditioned active system (fewer active labels than
         dual coordinates) has one solution, which least squares gives

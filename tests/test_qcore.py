@@ -87,6 +87,12 @@ class TestEigHermitian:
             lead = v1[np.argmax(np.abs(v1[:, k]) > 1e-12), k]
             assert abs(lead.imag) < 1e-14 and lead.real > 0
 
+    def test_fix_phase_of_no_components(self):
+        """A vector of no components has no lead to rotate: it comes back as
+        it went in, an empty complex array."""
+        got = qcore.fix_phase(np.zeros(0))
+        assert got.shape == (0,) and got.dtype == complex
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             qcore.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), "bad")
@@ -382,6 +388,14 @@ class TestPureState:
     def test_density(self):
         v = PureState(np.array([1.0, 0.0]))
         np.testing.assert_allclose(v.density().mat, np.diag([1.0, 0.0]), atol=0.0)
+
+    def test_dim(self):
+        assert PureState(np.array([0.6, 0.0, 0.8j])).dim == 3
+
+    def test_as_vector_reads_the_stored_vector(self):
+        v = PureState(np.array([0.6, 0.8j]))
+        got = qcore.as_vector(v)
+        assert got.dtype == complex and np.array_equal(got, [0.6, 0.8j])
 
 
 # ---------------------------------------------------------------------------

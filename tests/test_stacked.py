@@ -533,7 +533,6 @@ class TestJsonText:
             return text
 
         monkeypatch.setattr(qcore, "json_text", checked)
-        monkeypatch.setenv("SEQMCM_THREADS", "1")
         monkeypatch.chdir(tmp_path)
         for name, doc in tool.FILES.items():
             Path(name).write_text(json.dumps(doc))

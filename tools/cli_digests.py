@@ -1,10 +1,9 @@
 """Digest a fixed, seeded corpus of ``seqmcm`` command lines.
 
 Runs every command line of :func:`corpus` in-process through
-``seqmcm.cli.main`` with ``SEQMCM_THREADS=1`` and prints one JSON line per
-command: its argv, its exit code, and the md5 of its stdout and of its
-stderr.  Two source trees print the same lines exactly when their CLI
-outputs are byte-identical, so
+``seqmcm.cli.main`` and prints one JSON line per command: its argv, its
+exit code, and the md5 of its stdout and of its stderr.  Two source trees
+print the same lines exactly when their CLI outputs are byte-identical, so
 
     python tools/cli_digests.py --src old/src > old.jsonl
     python tools/cli_digests.py > new.jsonl
@@ -58,7 +57,9 @@ two sweeps whose points share priors: a ``two_mixed`` grid whose second point
 fails its first party (exit 4, naming it), and a ``mirror`` grid at two rates.
 After them, ``mcm`` on four ensemble files the loader rejects: a negative
 prior, two priors for one state, an object without ``states`` and a JSON
-list (each exit 2).
+list (each exit 2).  Then a JSON ``true`` given for a number: ``family`` on a
+``two_mixed`` whose ``p`` is ``true``, and ``mcm`` on an ensemble file whose
+prior, ``dim`` and entries are booleans (each exit 2).
 Every ``sweep`` prints long-format
 rows, one per party and quantity: the family's parameters, the rate, the
 party, the quantity and its closed-form, engine and residual values.
@@ -263,9 +264,14 @@ MALFORMED = {
     "list.json": [1.0],
 }
 
+# an ensemble file whose prior, dim and entries are JSON booleans (exit 2)
+BOOLEANS = {
+    "boolean.json": {"priors": [True], "states": [{"dim": True, "entries": [[True, False]]}]},
+}
+
 # every file the corpus reads, by name
 FILES = {**ENSEMBLES, **NONFINITE, **INVALID, **PAIRS, **FACES, **GUESSES, **SUBSPACES, **PLANES,
-         **OFF_AVERAGE, **LATER, **UNCAPPED, **MALFORMED}
+         **OFF_AVERAGE, **LATER, **UNCAPPED, **MALFORMED, **BOOLEANS}
 
 
 def _sequence(family: str, params: str | None, parties: int, fmt: str, *flags: str) -> list[str]:
@@ -439,6 +445,10 @@ def corpus() -> list[list[str]]:
               ["sweep", "--family", "mirror", "--grid", '{"theta": [2.0, 2.2]}',
                "--eta0", "0.3,0.9"]]
     lines += [["mcm", "--ensemble", name] for name in MALFORMED]
+    # a JSON boolean where a number belongs: a family parameter and an
+    # ensemble file (each exit 2)
+    lines += [["family", "--family", "two_mixed", "--params", '{"p": true}'],
+              ["mcm", "--ensemble", "boolean.json"]]
     return lines
 
 
@@ -471,7 +481,6 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     from seqmcm import cli
 
-    os.environ["SEQMCM_THREADS"] = "1"
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
