@@ -1129,11 +1129,12 @@ def test_a_failed_first_stage_stack_is_not_reported(monkeypatch, capsys):
     assert failed == [len(cli.FAMILIES["mirror"].points["theta"])]
 
 
-def test_two_state_gu_sweep_exits_2_as_its_chain_does(capsys):
+@pytest.mark.parametrize("parties", ["1", "2"])
+def test_two_state_gu_sweep_exits_2_as_its_chain_does(parties, capsys):
     """gu(2) has no sequential closed forms: its sweep exits 2 with the
-    message its ``sequence`` gives and prints no rows."""
-    params = ["--params", '{"n": 2}']
-    chain = run(capsys, ["sequence", "--family", "gu", *params, "--parties", "2", "--eta0", "0.5"])
+    message its ``sequence`` gives and prints no rows, whatever ``--parties``."""
+    params = ["--params", '{"n": 2}', "--parties", parties]
+    chain = run(capsys, ["sequence", "--family", "gu", *params, "--eta0", "0.5"])
     sweep = run(capsys, ["sweep", "--family", "gu", *params])
     reason = "sequential closed forms require n >= 3"
     assert sweep == chain == (cli.EXIT_INPUT, "", f"error: bad parameters for family gu: {reason}\n")
